@@ -2,23 +2,19 @@
 driven by competing power-law diffusion with convection."""
 
 from .mesh import (Domain, MeshError, MeshLevel, QuadratureRule, build_mesh,
-                   gauss2_rule, midpoint_rule, quadrature_for, refine,
-                   triangle_rule_degree2, triangle_rule_degree4)
+                   gauss2_rule, quadrature_for, refine, triangle_rule_degree4)
 from .fespace import (DualVector, FeFunction, FeSpace, cell_gradients,
-                      grad_norm_lp, lr_norm, pair, prolongate, read_csv,
-                      sup_norm, values_at_qp, write_csv)
+                      grad_norm_lp, jsonable, lr_norm, pair, prolongate,
+                      read_csv, sup_norm, values_at_qp, write_csv)
 from .operators import (AssemblyError, ConvectionFamily, GrowthH2, GrowthH4,
-                        HypothesisViolation, Problem, SignH3, SignH3a,
-                        TruncatedWeight, WeightFunction,
-                        adversarial_convection, assemble_residual,
-                        component_residuals, constant_convection,
+                        HypothesisViolation, Problem, ProblemOperator, SignH3,
+                        SignH3a, TruncatedWeight, WeightFunction,
+                        adversarial_convection, constant_convection,
                         constant_weight, convection_pairing,
-                        convection_residual, eval_convection,
-                        pairing_with, power_laplacian_pairing,
-                        power_laplacian_residual, quadratic_weight,
-                        saturating_convection, split_residuals,
-                        truncate_weight, weighted_p_pairing,
-                        weighted_p_residual, zero_convection)
+                        convection_residual, power_laplacian_pairing,
+                        power_laplacian_residual, qp_dual, quadratic_weight,
+                        saturating_convection, truncate_weight,
+                        weighted_p_pairing, zero_convection)
 from .estimates import (CONVENTIONS, EstimateReport, HypothesisAudit,
                         Lambda1Estimate, SamplingBox, SobolevEstimate,
                         apriori_radius, audit_hypotheses,
@@ -26,10 +22,9 @@ from .estimates import (CONVENTIONS, EstimateReport, HypothesisAudit,
                         estimate_lambda1, lambda1_interval, poincare_factor,
                         rayleigh_minimum, rhs_estimate_constant,
                         sobolev_constant)
-from .galerkin import (GuardRecord, HierarchyReport, LevelSolve,
-                       ProblemOperator, SolveError, SolverConfig, SProbe,
-                       brouwer_guard, condition_S_probe, run_hierarchy,
-                       solve_level)
+from .galerkin import (GuardRecord, HierarchyReport, LevelSolve, SolveError,
+                       SolverConfig, SProbe, brouwer_guard, condition_S_probe,
+                       run_hierarchy, solve_level)
 from .verify import (Certificate, check_generalized_conditions,
                      check_monotonicity_inequalities, check_strong_condition,
                      check_truncation_consistency, run_certificates,

@@ -16,10 +16,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .estimates import CONVENTIONS, compute_estimates
-from .fespace import FeSpace, write_csv
+from .fespace import FeSpace, jsonable, write_csv
 from .galerkin import SolverConfig, run_hierarchy
 from .mesh import Domain, MeshError, build_mesh
 from .operators import (HypothesisViolation, Problem, adversarial_convection,
@@ -183,24 +181,8 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2)
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(jsonable(payload), sort_keys=True, indent=2)
                     + "\n")
 
 
@@ -237,7 +219,7 @@ def _cmd_estimate(cfg: dict, out_dir: Path, seed: int) -> int:
     space = FeSpace(build_mesh(problem.domain, cfg["mesh"]["base_cells"]))
     report = compute_estimates(problem, space, convention=convention,
                                seed=seed, sobolev_samples=samples)
-    _write_json(out_dir / "estimates.json", report.to_dict())
+    _write_json(out_dir / "estimates.json", report)
     _write_lock(out_dir, "estimate", cfg, seed)
     print(f"wrote {out_dir / 'estimates.json'}")
     return 0
@@ -261,7 +243,7 @@ def _write_solutions(out_dir: Path, report) -> None:
 def _cmd_solve(cfg: dict, out_dir: Path, seed: int) -> int:
     report = _run(cfg, seed)
     out_cfg = cfg.get("output") or {}
-    _write_json(out_dir / "report.json", {"hierarchy": report.to_dict()})
+    _write_json(out_dir / "report.json", {"hierarchy": report})
     if out_cfg.get("write_solutions", True):
         _write_solutions(out_dir, report)
     if out_cfg.get("write_diagnostics", True):
@@ -290,7 +272,7 @@ def _cmd_verify(cfg: dict, out_dir: Path, seed: int,
     report = _run(cfg, seed)
     out_cfg = cfg.get("output") or {}
     payload = prior if isinstance(prior, dict) else {}
-    payload["hierarchy"] = report.to_dict()
+    payload["hierarchy"] = report
     if report.failed_level is not None:
         payload["verification"] = None
         _write_json(target, payload)

@@ -27,10 +27,9 @@ from scipy.stats import qmc
 from .fespace import FeFunction, FeSpace, grad_norm_lp, lr_norm, pair, sup_norm, values_at_qp
 from .mesh import Domain
 from .operators import (ConvectionFamily, HypothesisViolation, Problem,
-                        power_laplacian_residual)
+                        power_laplacian_residual, qp_dual)
 
 __all__ = [
-    "PoincareConvention",
     "lambda1_interval",
     "rayleigh_minimum",
     "estimate_lambda1",
@@ -86,15 +85,9 @@ class SobolevEstimate:
 
 def _p_mass_dual(u: FeFunction, p: float) -> np.ndarray:
     """Entries int |u|^{p-2} u phi_i by the cell rule."""
-    space = u.space
     vals = values_at_qp(u)
-    signed = np.sign(vals) * np.abs(vals) ** (p - 1.0)
-    contrib = np.einsum("cq,cq,vq->cv", space.qp_weights, signed, space.basis_qp)
-    out = np.zeros(space.dim)
-    idx = space.cell_dofs
-    mask = idx >= 0
-    np.add.at(out, idx[mask], contrib[mask])
-    return out
+    return qp_dual(u.space, np.sign(vals) * np.abs(vals) ** (p - 1.0),
+                   "p-mass term")
 
 
 def _bump_start(space: FeSpace) -> np.ndarray:
@@ -327,16 +320,6 @@ class HypothesisAudit:
     def all_passed(self) -> bool:
         return all(self.passed.values())
 
-    def to_dict(self) -> dict:
-        return {
-            "s_bound": self.box.s_bound,
-            "xi_bound": self.box.xi_bound,
-            "samples": self.box.samples,
-            "tolerance": self.tolerance,
-            "margins": {k: float(v) for k, v in self.margins.items()},
-            "passed": dict(self.passed),
-        }
-
 
 def _halton(dim: int, n: int, seed: int) -> np.ndarray:
     return qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
@@ -407,11 +390,6 @@ class EstimateReport:
     sup_radius: float
     regime: str
     convention: str
-
-    def to_dict(self) -> dict:
-        return {k: (float(v) if isinstance(v, (int, float, np.floating)) and
-                    not isinstance(v, bool) else v)
-                for k, v in self.__dict__.items()}
 
 
 def compute_estimates(problem: Problem, space: FeSpace,

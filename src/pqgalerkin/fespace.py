@@ -7,7 +7,8 @@ constant, which the norm and assembly routines exploit throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "pair",
     "write_csv",
     "read_csv",
+    "jsonable",
 ]
 
 
@@ -33,7 +35,7 @@ class FeSpace:
 
     def __init__(self, mesh: MeshLevel, quadrature: Optional[QuadratureRule] = None):
         self.mesh = mesh
-        self.quadrature = quadrature or quadrature_for(3.0, mesh.domain.dim)
+        self.quadrature = quadrature or quadrature_for(mesh.domain.dim)
         if self.quadrature.dim != mesh.domain.dim:
             raise ValueError("quadrature dimension does not match the mesh")
         self.dofs = np.flatnonzero(~mesh.boundary)
@@ -179,9 +181,6 @@ class DualVector:
 
     __rmul__ = __mul__
 
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
 
 def pair(functional: DualVector, v: FeFunction) -> float:
     """Duality pairing <F, v> = sum_i F_i v_i."""
@@ -252,7 +251,8 @@ def prolongate(u: FeFunction, finer: FeSpace) -> FeFunction:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: one row per vertex, boundary rows carry value 0
+# serialization: CSV with one row per vertex (boundary rows carry value 0),
+# JSON for report dataclasses
 # ---------------------------------------------------------------------------
 
 def write_csv(u: FeFunction, path) -> None:
@@ -278,3 +278,19 @@ def read_csv(space: FeSpace, path) -> FeFunction:
     if np.max(np.abs(data[mesh.boundary, -1]), initial=0.0) > 0.0:
         raise ValueError(f"{path}: nonzero value on a boundary vertex")
     return FeFunction(space, data[space.dofs, -1])
+
+
+def jsonable(obj):
+    """Plain JSON data from dataclasses, containers and numpy values.
+
+    Dataclass fields with metadata {"live": True} hold live objects (spaces,
+    solutions, operators) and are left out.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+               if not f.metadata.get("live")}
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [jsonable(v) for v in obj]
+    return obj.item() if isinstance(obj, np.generic) else obj

@@ -20,13 +20,11 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from .estimates import EstimateReport, compute_estimates
-from .fespace import (DualVector, FeFunction, FeSpace, grad_norm_lp, pair,
-                      prolongate, sup_norm)
+from .fespace import (FeFunction, FeSpace, grad_norm_lp, pair, prolongate,
+                      sup_norm)
 from .mesh import build_mesh, refine
-from .operators import (DEFAULT_REGULARIZATION, Problem, TruncatedWeight,
-                        component_residuals, convection_pairing,
-                        convection_residual, power_laplacian_pairing,
-                        truncate_weight, weighted_p_pairing)
+from .operators import (DEFAULT_REGULARIZATION, AssemblyError, Problem,
+                        ProblemOperator, TruncatedWeight, truncate_weight)
 
 __all__ = [
     "SolveError",
@@ -62,50 +60,6 @@ class SolverConfig:
     regularization: float = DEFAULT_REGULARIZATION
 
 
-class ProblemOperator:
-    """Residual map of the truncated operator on one space.
-
-    `q_factor` scales the competing/cooperative divergence term and
-    `load_factor` scales the convection term; both default to the full
-    problem and exist for homotopy and continuation.
-    """
-
-    def __init__(self, problem: Problem, weight, space: FeSpace,
-                 load_factor: float = 1.0, q_factor: float = 1.0,
-                 eps: float = DEFAULT_REGULARIZATION):
-        self.problem = problem
-        self.weight = weight
-        self.space = space
-        self.load_factor = float(load_factor)
-        self.q_factor = float(q_factor)
-        self.eps = float(eps)
-        self.properties = {"bounded": True, "continuous": True,
-                           "coercive_on_ball": True}
-
-    def residual(self, u: FeFunction) -> DualVector:
-        p_part, q_part, f_part = component_residuals(
-            self.problem, self.weight, u, self.eps)
-        vals = (p_part.values
-                + self.problem.q_sign * self.q_factor * q_part.values
-                - self.load_factor * f_part.values)
-        return DualVector(u.space, vals)
-
-    def pairing(self, u: FeFunction, v: FeFunction) -> float:
-        pr = self.problem
-        return (weighted_p_pairing(self.weight, u, v, pr.p, self.eps)
-                + pr.q_sign * self.q_factor
-                * power_laplacian_pairing(u, v, pr.q, self.eps)
-                - self.load_factor * convection_pairing(pr.convection, u, v))
-
-    def q_scaled(self, kappa: float) -> "ProblemOperator":
-        return ProblemOperator(self.problem, self.weight, self.space,
-                               self.load_factor, kappa, self.eps)
-
-    def load_scaled(self, tau: float) -> "ProblemOperator":
-        return ProblemOperator(self.problem, self.weight, self.space,
-                               tau, self.q_factor, self.eps)
-
-
 # ---------------------------------------------------------------------------
 # coercivity guard
 # ---------------------------------------------------------------------------
@@ -118,11 +72,6 @@ class GuardRecord:
     samples: int
     doublings: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {k: (float(v) if isinstance(v, (int, float, np.floating))
-                    and not isinstance(v, bool) else v)
-                for k, v in self.__dict__.items()}
 
 
 def _sphere_directions(dim: int, samples: int, seed: int) -> np.ndarray:
@@ -224,7 +173,8 @@ def _newton(op, space: FeSpace, u0: FeFunction, cfg: SolverConfig) -> tuple:
 def _linear_predictor(op: ProblemOperator, space: FeSpace) -> FeFunction:
     """Seed for the monotone core: solve a0 * stiffness = load at zero."""
     zero = FeFunction.zero(space)
-    load = op.load_factor * convection_residual(op.problem.convection, zero).values
+    # the f-part of the residual is minus the scaled load
+    load = -op.parts(zero)[2].values
     if not np.any(load):
         return zero
     contrib = (np.einsum("cvd,cwd->cvw", space.grads, space.grads)
@@ -273,23 +223,12 @@ def _load_continuation(op: ProblemOperator, space: FeSpace, cfg: SolverConfig):
 class LevelSolve:
     level: int
     dim: int
-    solution: FeFunction
+    solution: FeFunction = field(metadata={"live": True})
     residual_sup: float
     iterations: int
     path: str
     converged: bool
     guard: Optional[GuardRecord] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "dim": self.dim,
-            "residual_sup": float(self.residual_sup),
-            "iterations": self.iterations,
-            "path": self.path,
-            "converged": self.converged,
-            "guard": self.guard.to_dict() if self.guard else None,
-        }
 
 
 def solve_level(op: ProblemOperator, space: FeSpace,
@@ -349,37 +288,17 @@ class HierarchyReport:
     within_sup_bound: List[bool] = field(default_factory=list)
     failed_level: Optional[int] = None
     failure_message: str = ""
-    problem: Optional[Problem] = None
-    weight: Optional[TruncatedWeight] = None
-    spaces: List[FeSpace] = field(default_factory=list)
+    problem: Optional[Problem] = field(default=None, metadata={"live": True})
+    weight: Optional[TruncatedWeight] = field(default=None,
+                                              metadata={"live": True})
+    spaces: List[FeSpace] = field(default_factory=list,
+                                  metadata={"live": True})
+    operators: List[ProblemOperator] = field(default_factory=list,
+                                             metadata={"live": True})
 
     @property
     def solutions(self) -> List[FeFunction]:
         return [lv.solution for lv in self.levels]
-
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate.to_dict(),
-            "truncation_radius": float(self.truncation_radius),
-            "guard_radius": float(self.guard_radius),
-            "solver_tolerance": float(self.solver_tolerance),
-            "seed": self.seed,
-            "levels": [lv.to_dict() for lv in self.levels],
-            "test_count": self.test_count,
-            "cond_b": [[float(x) for x in row] for row in self.cond_b],
-            "pair_un": [float(x) for x in self.pair_un],
-            "cond_c": [float(x) for x in self.cond_c],
-            "cond_c_alt": [float(x) for x in self.cond_c_alt],
-            "cond_cprime": [float(x) for x in self.cond_cprime],
-            "convection_pairs": [float(x) for x in self.convection_pairs],
-            "grad_norms": [float(x) for x in self.grad_norms],
-            "sup_norms": [float(x) for x in self.sup_norms],
-            "gaps": [float(x) for x in self.gaps],
-            "within_grad_bound": list(self.within_grad_bound),
-            "within_sup_bound": list(self.within_sup_bound),
-            "failed_level": self.failed_level,
-            "failure_message": self.failure_message,
-        }
 
 
 def _test_set(space0: FeSpace, extra: int, seed: int) -> List[FeFunction]:
@@ -421,19 +340,20 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
     # a hair above the psi-root keeps the sampled pairing clear of rounding
     guard_radius = estimate.grad_radius * (1.0 + 1e-9)
 
+    ops = [ProblemOperator(problem, weight, sp, eps=cfg.regularization)
+           for sp in spaces]
     report = HierarchyReport(
         estimate=estimate, truncation_radius=weight.radius,
         guard_radius=guard_radius, solver_tolerance=cfg.tolerance,
-        seed=seed, problem=problem, weight=weight, spaces=spaces)
+        seed=seed, problem=problem, weight=weight, spaces=spaces,
+        operators=ops)
 
-    ops = [ProblemOperator(problem, weight, sp, eps=cfg.regularization)
-           for sp in spaces]
     warm = None
     for n, (op, sp) in enumerate(zip(ops, spaces)):
         try:
             lv = solve_level(op, sp, cfg, warm=warm, guard_radius=guard_radius,
                              guard_samples=guard_samples, seed=seed)
-        except SolveError as err:
+        except (SolveError, AssemblyError) as err:
             report.failed_level = n
             report.failure_message = str(err)
             break
@@ -466,14 +386,13 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
     for lv in solved:
         u_fine = prolongate(lv.solution, fine_space)
         diff = u_fine - u_star
-        p_d, q_d, f_d = component_residuals(problem, weight, u_fine,
-                                            cfg.regularization)
-        principal_pq = DualVector(
-            fine_space, p_d.values + problem.q_sign * q_d.values)
+        p_part, q_part, f_part = fine_op.parts(u_fine)
+        principal_pq = p_part + q_part
         report.cond_c.append(fine_op.pairing(u_fine, diff))
-        report.cond_c_alt.append(pair(principal_pq - f_d, diff))
+        report.cond_c_alt.append(pair(principal_pq + f_part, diff))
         report.cond_cprime.append(pair(principal_pq, diff))
-        report.convection_pairs.append(pair(f_d, diff))
+        # the f-part carries the minus sign of the convection term
+        report.convection_pairs.append(pair(-1.0 * f_part, diff))
         report.gaps.append(grad_norm_lp(diff, problem.p))
     return report
 
@@ -490,16 +409,6 @@ class SProbe:
     final_pairing: float
     final_gap: float
     gap_ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "pairings_vanish": self.pairings_vanish,
-            "gradients_contract": self.gradients_contract,
-            "final_pairing": float(self.final_pairing),
-            "final_gap": float(self.final_gap),
-            "gap_ratio": float(self.gap_ratio),
-        }
 
 
 def condition_S_probe(report: HierarchyReport, pair_tol: float = 1e-6,

@@ -22,9 +22,7 @@ __all__ = [
     "build_mesh",
     "refine",
     "quadrature_for",
-    "midpoint_rule",
     "gauss2_rule",
-    "triangle_rule_degree2",
     "triangle_rule_degree4",
 ]
 
@@ -254,19 +252,9 @@ class QuadratureRule:
         return 1.0 if self.dim == 1 else 0.5
 
 
-def midpoint_rule() -> QuadratureRule:
-    return QuadratureRule(1, np.array([[0.5]]), np.array([1.0]), 1)
-
-
 def gauss2_rule() -> QuadratureRule:
     h = 0.5 / np.sqrt(3.0)
     return QuadratureRule(1, np.array([[0.5 - h], [0.5 + h]]), np.array([0.5, 0.5]), 3)
-
-
-def triangle_rule_degree2() -> QuadratureRule:
-    # edge midpoints of the unit triangle
-    pts = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
-    return QuadratureRule(2, pts, np.full(3, 1.0 / 6.0), 2)
 
 
 def triangle_rule_degree4() -> QuadratureRule:
@@ -282,13 +270,11 @@ def triangle_rule_degree4() -> QuadratureRule:
     return QuadratureRule(2, pts, w, 4)
 
 
-def quadrature_for(p_max_exponent: float, dim: int = 1) -> QuadratureRule:
+def quadrature_for(dim: int) -> QuadratureRule:
     """Default cell rule: exactness degree >= 3 in either dimension.
 
     Gradients of piecewise-linear functions are cellwise constant, so every
     gradient power is integrated exactly; vertex-value powers |u|^r are exact
     for r in {1, 2} and approximate otherwise, which callers must tolerate.
     """
-    if p_max_exponent < 1.0:
-        raise MeshError(f"exponent must be >= 1, got {p_max_exponent}")
     return gauss2_rule() if dim == 1 else triangle_rule_degree4()

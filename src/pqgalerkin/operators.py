@@ -7,8 +7,8 @@ The residual of the truncated operator against every basis hat is
              - int f(x, u, grad u) phi_i
 
 with '-' on the q-term for the competing variant and '+' for the cooperative
-one.  Splitting into a principal part and a secondary part follows the same
-convention: residual = principal - secondary.
+one.  `ProblemOperator` is the one evaluator of this operator: Newton, the
+sphere guard, the report tables and the certificates all go through it.
 """
 
 from __future__ import annotations
@@ -39,18 +39,14 @@ __all__ = [
     "constant_convection",
     "saturating_convection",
     "adversarial_convection",
-    "eval_convection",
     "Problem",
-    "weighted_p_residual",
+    "qp_dual",
     "power_laplacian_residual",
     "convection_residual",
     "weighted_p_pairing",
     "power_laplacian_pairing",
     "convection_pairing",
-    "component_residuals",
-    "assemble_residual",
-    "split_residuals",
-    "pairing_with",
+    "ProblemOperator",
 ]
 
 DEFAULT_REGULARIZATION = 1e-10
@@ -194,10 +190,6 @@ class ConvectionFamily:
         return np.asarray(self.fn(np.asarray(x, dtype=float),
                                   np.asarray(s, dtype=float),
                                   np.asarray(xi, dtype=float)), dtype=float)
-
-
-def eval_convection(family: ConvectionFamily, x, s, xi):
-    return family.evaluate(x, s, xi)
 
 
 def zero_convection() -> ConvectionFamily:
@@ -356,6 +348,11 @@ class Problem:
 # ---------------------------------------------------------------------------
 # assembly kernels
 # ---------------------------------------------------------------------------
+#
+# A divergence term is a cellwise-constant flux with a cell weight; the
+# convection term is f at the quadrature points.  Either is scattered against
+# every basis hat (the dual-vector route) or integrated against one test
+# function (the direct route).
 
 def _power_flux(grad: np.ndarray, exponent: float, eps: float) -> np.ndarray:
     """|grad|^{e-2} grad, regularized to (|grad|^2+eps^2)^{(e-2)/2} grad only
@@ -372,7 +369,7 @@ def _power_flux(grad: np.ndarray, exponent: float, eps: float) -> np.ndarray:
     return factor[..., None] * grad
 
 
-def _scatter(space: FeSpace, cell_contrib: np.ndarray, label: str) -> DualVector:
+def _scatter(space: FeSpace, cell_contrib: np.ndarray, label: str) -> np.ndarray:
     if not np.all(np.isfinite(cell_contrib)):
         bad = int(np.argwhere(~np.isfinite(cell_contrib))[0][0])
         raise AssemblyError(f"nonfinite {label} contribution on cell {bad}")
@@ -381,76 +378,51 @@ def _scatter(space: FeSpace, cell_contrib: np.ndarray, label: str) -> DualVector
     mask = idx >= 0
     # accumulation in cell-index order keeps assembly bit-reproducible
     np.add.at(out, idx[mask], cell_contrib[mask])
-    return DualVector(space, out)
+    return out
 
 
-def weighted_p_residual(weight, u: FeFunction, p: float,
-                        eps: float = DEFAULT_REGULARIZATION) -> DualVector:
-    """Entries int g(u) |grad u|^{p-2} grad u . grad phi_i.
+def _flux_dual(space: FeSpace, flux: np.ndarray, cell_w: np.ndarray,
+               label: str) -> np.ndarray:
+    contrib = np.einsum("cd,cvd->cv", flux, space.grads) * cell_w[:, None]
+    return _scatter(space, contrib, label)
 
-    The flux is cellwise constant, so only the weight needs quadrature.
-    """
-    space = u.space
-    grad = cell_gradients(u)
-    flux = _power_flux(grad, p, eps)
-    g_int = np.sum(space.qp_weights * weight.evaluate(values_at_qp(u)), axis=1)
-    contrib = np.einsum("cd,cvd->cv", flux, space.grads) * g_int[:, None]
-    return _scatter(space, contrib, "weighted p-term")
+
+def _flux_pairing(flux: np.ndarray, cell_w: np.ndarray,
+                  grad_v: np.ndarray) -> float:
+    return float(np.sum(cell_w * np.einsum("cd,cd->c", flux, grad_v)))
+
+
+def qp_dual(space: FeSpace, qp_values: np.ndarray, label: str) -> np.ndarray:
+    """Entries int w phi_i by the cell rule for w given at the quadrature
+    points; raises AssemblyError naming the first nonfinite cell."""
+    contrib = np.einsum("cq,cq,vq->cv", space.qp_weights, qp_values,
+                        space.basis_qp)
+    return _scatter(space, contrib, label)
+
+
+def _qp_pairing(space: FeSpace, qp_values: np.ndarray, v: FeFunction) -> float:
+    return float(np.sum(space.qp_weights * qp_values * values_at_qp(v)))
+
+
+def _convection_values(family: ConvectionFamily, space: FeSpace,
+                       grad: np.ndarray, u_qp: np.ndarray) -> np.ndarray:
+    m, k = space.qp_weights.shape
+    xi = np.broadcast_to(grad[:, None, :], (m, k, grad.shape[1]))
+    return family.evaluate(space.qp_points, u_qp, xi)
 
 
 def power_laplacian_residual(u: FeFunction, exponent: float,
                              eps: float = DEFAULT_REGULARIZATION) -> DualVector:
     """Entries int |grad u|^{e-2} grad u . grad phi_i (unit weight)."""
-    space = u.space
     flux = _power_flux(cell_gradients(u), exponent, eps)
-    contrib = (np.einsum("cd,cvd->cv", flux, space.grads)
-               * space.cell_measures[:, None])
-    return _scatter(space, contrib, "gradient power term")
+    return DualVector(u.space, _flux_dual(u.space, flux, u.space.cell_measures,
+                                          "gradient power term"))
 
 
-def convection_residual(family: ConvectionFamily, u: FeFunction) -> DualVector:
-    """Entries int f(x, u, grad u) phi_i via the cell quadrature rule."""
-    space = u.space
-    grad = cell_gradients(u)
-    m, k = space.qp_weights.shape
-    xi = np.broadcast_to(grad[:, None, :], (m, k, grad.shape[1]))
-    fvals = family.evaluate(space.qp_points, values_at_qp(u), xi)
-    contrib = np.einsum("cq,cq,vq->cv", space.qp_weights, fvals, space.basis_qp)
-    return _scatter(space, contrib, "convection term")
-
-
-def component_residuals(problem: Problem, weight, u: FeFunction,
-                        eps: float = DEFAULT_REGULARIZATION):
-    """(p-term, q-term, convection-term) duals, signs not yet applied."""
-    return (weighted_p_residual(weight, u, problem.p, eps),
-            power_laplacian_residual(u, problem.q, eps),
-            convection_residual(problem.convection, u))
-
-
-def assemble_residual(problem: Problem, weight, u: FeFunction,
-                      eps: float = DEFAULT_REGULARIZATION) -> DualVector:
-    """Full residual with the variant's q-term sign."""
-    p_part, q_part, f_part = component_residuals(problem, weight, u, eps)
-    return DualVector(u.space, p_part.values + problem.q_sign * q_part.values
-                      - f_part.values)
-
-
-def split_residuals(problem: Problem, weight, u: FeFunction,
-                    eps: float = DEFAULT_REGULARIZATION):
-    """(principal, secondary) with residual = principal - secondary.
-
-    Competing: principal carries the weighted p-term alone; the q-term and the
-    convection term compete against it.  Cooperative: both divergence terms
-    are principal and only the convection term is secondary.
-    """
-    p_part, q_part, f_part = component_residuals(problem, weight, u, eps)
-    if problem.variant == "competing":
-        principal = p_part
-        secondary = q_part + f_part
-    else:
-        principal = p_part + q_part
-        secondary = f_part
-    return principal, secondary
+def power_laplacian_pairing(u: FeFunction, v: FeFunction, exponent: float,
+                            eps: float = DEFAULT_REGULARIZATION) -> float:
+    flux = _power_flux(cell_gradients(u), exponent, eps)
+    return _flux_pairing(flux, u.space.cell_measures, cell_gradients(v))
 
 
 def weighted_p_pairing(weight, u: FeFunction, v: FeFunction, p: float,
@@ -458,33 +430,88 @@ def weighted_p_pairing(weight, u: FeFunction, v: FeFunction, p: float,
     space = u.space
     flux = _power_flux(cell_gradients(u), p, eps)
     g_int = np.sum(space.qp_weights * weight.evaluate(values_at_qp(u)), axis=1)
-    return float(np.sum(g_int * np.einsum("cd,cd->c", flux, cell_gradients(v))))
+    return _flux_pairing(flux, g_int, cell_gradients(v))
 
 
-def power_laplacian_pairing(u: FeFunction, v: FeFunction, exponent: float,
-                            eps: float = DEFAULT_REGULARIZATION) -> float:
-    space = u.space
-    flux = _power_flux(cell_gradients(u), exponent, eps)
-    dots = np.einsum("cd,cd->c", flux, cell_gradients(v))
-    return float(np.sum(space.cell_measures * dots))
+def convection_residual(family: ConvectionFamily, u: FeFunction) -> DualVector:
+    """Entries int f(x, u, grad u) phi_i via the cell quadrature rule."""
+    fvals = _convection_values(family, u.space, cell_gradients(u),
+                               values_at_qp(u))
+    return DualVector(u.space, qp_dual(u.space, fvals, "convection term"))
 
 
 def convection_pairing(family: ConvectionFamily, u: FeFunction,
                        v: FeFunction) -> float:
-    space = u.space
-    grad = cell_gradients(u)
-    m, k = space.qp_weights.shape
-    xi = np.broadcast_to(grad[:, None, :], (m, k, grad.shape[1]))
-    fvals = family.evaluate(space.qp_points, values_at_qp(u), xi)
-    return float(np.sum(space.qp_weights * fvals * values_at_qp(v)))
+    fvals = _convection_values(family, u.space, cell_gradients(u),
+                               values_at_qp(u))
+    return _qp_pairing(u.space, fvals, v)
 
 
-def pairing_with(problem: Problem, weight, u: FeFunction, v: FeFunction,
-                 eps: float = DEFAULT_REGULARIZATION) -> float:
-    """<A(u), v> by direct integration; agrees with pair(assemble_residual, v)
-    for v in the same space, but never goes through the dual vector."""
-    if v.space is not u.space:
-        raise ValueError("pairing requires functions on the same space")
-    return (weighted_p_pairing(weight, u, v, problem.p, eps)
-            + problem.q_sign * power_laplacian_pairing(u, v, problem.q, eps)
-            - convection_pairing(problem.convection, u, v))
+# ---------------------------------------------------------------------------
+# the truncated operator
+# ---------------------------------------------------------------------------
+
+class ProblemOperator:
+    """The truncated operator A_R on one space.
+
+    `q_factor` scales the competing/cooperative divergence term and
+    `load_factor` scales the convection term; both default to the full
+    problem and exist for homotopy and continuation.  Every evaluation
+    computes the pointwise data of the three terms once.
+    """
+
+    def __init__(self, problem: Problem, weight, space: FeSpace,
+                 load_factor: float = 1.0, q_factor: float = 1.0,
+                 eps: float = DEFAULT_REGULARIZATION):
+        self.problem = problem
+        self.weight = weight
+        self.space = space
+        self.load_factor = float(load_factor)
+        self.q_factor = float(q_factor)
+        self.eps = float(eps)
+
+    def _terms(self, u: FeFunction):
+        """(flux, cell weight) of the p- and q-terms, and f at the
+        quadrature points."""
+        space, pr = u.space, self.problem
+        grad, u_qp = cell_gradients(u), values_at_qp(u)
+        g_int = np.sum(space.qp_weights * self.weight.evaluate(u_qp), axis=1)
+        return ((_power_flux(grad, pr.p, self.eps), g_int),
+                (_power_flux(grad, pr.q, self.eps), space.cell_measures),
+                _convection_values(pr.convection, space, grad, u_qp))
+
+    def _signed_parts(self, u: FeFunction):
+        (p_flux, p_w), (q_flux, q_w), fvals = self._terms(u)
+        space = u.space
+        return (_flux_dual(space, p_flux, p_w, "weighted p-term"),
+                self.problem.q_sign * self.q_factor
+                * _flux_dual(space, q_flux, q_w, "gradient power term"),
+                -self.load_factor * qp_dual(space, fvals, "convection term"))
+
+    def parts(self, u: FeFunction) -> Tuple[DualVector, DualVector, DualVector]:
+        """Signed p-, q- and f-parts; they sum to `residual(u)`."""
+        return tuple(DualVector(u.space, part) for part in self._signed_parts(u))
+
+    def residual(self, u: FeFunction) -> DualVector:
+        p_part, q_part, f_part = self._signed_parts(u)
+        return DualVector(u.space, p_part + q_part + f_part)
+
+    def pairing(self, u: FeFunction, v: FeFunction) -> float:
+        """<A_R(u), v> by direct integration; agrees with
+        pair(residual(u), v) but never goes through the dual vector."""
+        if v.space is not u.space:
+            raise ValueError("pairing requires functions on the same space")
+        (p_flux, p_w), (q_flux, q_w), fvals = self._terms(u)
+        grad_v = cell_gradients(v)
+        return (_flux_pairing(p_flux, p_w, grad_v)
+                + self.problem.q_sign * self.q_factor
+                * _flux_pairing(q_flux, q_w, grad_v)
+                - self.load_factor * _qp_pairing(u.space, fvals, v))
+
+    def q_scaled(self, kappa: float) -> "ProblemOperator":
+        return ProblemOperator(self.problem, self.weight, self.space,
+                               self.load_factor, kappa, self.eps)
+
+    def load_scaled(self, tau: float) -> "ProblemOperator":
+        return ProblemOperator(self.problem, self.weight, self.space,
+                               tau, self.q_factor, self.eps)

@@ -141,6 +141,21 @@ def test_solve_failure_is_exit_3_with_partial_report(tmp_path):
     assert "failed" in hier["failure_message"]
 
 
+def test_solve_assembly_error_is_exit_3_with_partial_report(tmp_path, capsys):
+    cfg = base_config()
+    cfg["problem"].update(p=60.0,
+                          weight={"kind": "constant", "value": 1.0},
+                          convection={"kind": "constant", "value": 1e8})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["solve", "--config", path, "--out", str(out)]) == 3
+    hier = json.loads((out / "report.json").read_text())["hierarchy"]
+    assert hier["failed_level"] == 0
+    assert "nonfinite weighted p-term" in hier["failure_message"]
+    assert "nonfinite" in capsys.readouterr().err
+
+
 def test_verify_passes_and_prints_certificates(tmp_path, capsys):
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"

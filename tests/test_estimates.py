@@ -9,7 +9,8 @@ from pqgalerkin.estimates import (SamplingBox, apriori_radius,
                                   lambda1_interval, poincare_factor,
                                   rayleigh_minimum, rhs_estimate_constant,
                                   sobolev_constant)
-from pqgalerkin.fespace import FeFunction, FeSpace, grad_norm_lp, lr_norm
+from pqgalerkin.fespace import (FeFunction, FeSpace, grad_norm_lp, jsonable,
+                                lr_norm)
 from pqgalerkin.mesh import Domain, build_mesh
 from pqgalerkin.operators import (HypothesisViolation, Problem,
                                   adversarial_convection, constant_weight,
@@ -252,7 +253,7 @@ def test_compute_estimates_1d():
     assert rep.grad_radius > 0.0
     assert math.isclose(rep.sup_radius, rep.grad_radius * rep.sobolev,
                         rel_tol=1e-13)
-    d = rep.to_dict()
+    d = jsonable(rep)
     assert d["regime"] == "H3"
     assert d["convention"] == "standard"
 

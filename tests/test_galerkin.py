@@ -6,13 +6,14 @@ import pytest
 
 from pqgalerkin import galerkin
 from pqgalerkin.estimates import compute_estimates
-from pqgalerkin.fespace import FeFunction, FeSpace, grad_norm_lp, pair, prolongate
+from pqgalerkin.fespace import (FeFunction, FeSpace, grad_norm_lp, jsonable,
+                                prolongate)
 from pqgalerkin.galerkin import (ProblemOperator, SolveError, SolverConfig,
                                  brouwer_guard, condition_S_probe,
                                  run_hierarchy, solve_level)
 from pqgalerkin.mesh import Domain, build_mesh, refine
-from pqgalerkin.operators import (Problem, component_residuals,
-                                  constant_convection, constant_weight,
+from pqgalerkin.operators import (Problem, constant_convection,
+                                  constant_weight,
                                   quadratic_weight, saturating_convection,
                                   truncate_weight)
 
@@ -112,12 +113,12 @@ def test_homotopy_scalings_recombine():
     op = ProblemOperator(problem, weight, space)
     rng = np.random.default_rng(5)
     u = FeFunction(space, rng.standard_normal(space.dim))
-    p_d, q_d, f_d = component_residuals(problem, weight, u, op.eps)
+    p_d, q_d, f_d = op.parts(u)
     core = op.q_scaled(0.0).residual(u).values
-    np.testing.assert_allclose(core, p_d.values - f_d.values, atol=1e-14)
+    np.testing.assert_allclose(core, p_d.values + f_d.values, atol=1e-14)
     unloaded = op.load_scaled(0.0).residual(u).values
     np.testing.assert_allclose(
-        unloaded, p_d.values + problem.q_sign * q_d.values, atol=1e-14)
+        unloaded, p_d.values + q_d.values, atol=1e-14)
     full = op.residual(u).values
     np.testing.assert_allclose(full, core + unloaded - p_d.values, atol=1e-13)
 
@@ -163,7 +164,7 @@ def test_guard_is_deterministic():
     a = brouwer_guard(op, space, est.grad_radius, samples=16, seed=7)
     b = brouwer_guard(op, space, est.grad_radius, samples=16, seed=7)
     assert a.min_pairing == b.min_pairing
-    assert a.to_dict() == b.to_dict()
+    assert jsonable(a) == jsonable(b)
 
 
 def test_warm_start_agrees_with_cold():
@@ -257,14 +258,26 @@ def test_hierarchy_failure_is_recorded_not_raised():
     assert "failed" in report.failure_message
     assert report.levels == []
     assert report.cond_c == [] and report.gaps == []
-    d = report.to_dict()
+    d = jsonable(report)
     assert d["failed_level"] == 0
+
+
+def test_hierarchy_records_assembly_error():
+    problem = Problem(p=60.0, q=2.0, domain=UNIT, weight=constant_weight(1.0),
+                      convection=constant_convection(1e8),
+                      variant="competing", regime="H3")
+    with np.errstate(all="ignore"):
+        report = run_hierarchy(problem, 4, 3)
+    assert report.failed_level == 0
+    assert report.failure_message == \
+        "nonfinite weighted p-term contribution on cell 0"
+    assert report.levels == []
 
 
 def test_hierarchy_is_deterministic():
     a = run_hierarchy(offset_problem(), 4, 3, seed=11)
     b = run_hierarchy(offset_problem(), 4, 3, seed=11)
-    assert a.to_dict() == b.to_dict()
+    assert jsonable(a) == jsonable(b)
 
 
 def test_s_probe_on_contracting_run():

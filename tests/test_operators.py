@@ -6,15 +6,13 @@ import pytest
 from pqgalerkin.fespace import FeFunction, FeSpace, grad_norm_lp, lr_norm, pair
 from pqgalerkin.mesh import Domain, build_mesh
 from pqgalerkin.operators import (AssemblyError, ConvectionFamily, GrowthH2,
-                                  HypothesisViolation, Problem, SignH3,
-                                  adversarial_convection, assemble_residual,
-                                  component_residuals, constant_convection,
+                                  HypothesisViolation, Problem,
+                                  ProblemOperator, SignH3,
+                                  adversarial_convection, constant_convection,
                                   constant_weight, convection_pairing,
-                                  eval_convection, pairing_with,
                                   power_laplacian_pairing, quadratic_weight,
-                                  saturating_convection, split_residuals,
-                                  truncate_weight, weighted_p_pairing,
-                                  zero_convection)
+                                  saturating_convection, truncate_weight,
+                                  weighted_p_pairing, zero_convection)
 
 UNIT = Domain.interval(0.0, 1.0)
 
@@ -54,21 +52,23 @@ def test_weight_needs_positive_floor():
 
 def test_zero_state_zero_residual():
     problem, gr, space = single_dof_setup()
-    F = assemble_residual(problem, gr, FeFunction.zero(space))
+    F = ProblemOperator(problem, gr, space).residual(FeFunction.zero(space))
     np.testing.assert_array_equal(F.values, 0.0)
 
 
 def test_single_dof_residual_no_load():
     problem, gr, space = single_dof_setup()
     for t in (0.1, 0.25, 0.8):
-        F = assemble_residual(problem, gr, FeFunction(space, np.array([t])))
+        F = ProblemOperator(problem, gr, space).residual(
+            FeFunction(space, np.array([t])))
         assert math.isclose(F.values[0], 8 * t * t - 4 * t, rel_tol=1e-13)
 
 
 def test_single_dof_residual_unit_load():
     problem, gr, space = single_dof_setup(f_value=1.0)
     for t in (0.25, 0.7, -0.3):
-        F = assemble_residual(problem, gr, FeFunction(space, np.array([t])))
+        F = ProblemOperator(problem, gr, space).residual(
+            FeFunction(space, np.array([t])))
         expect = 8 * t * abs(t) - 4 * t - 0.5
         assert math.isclose(F.values[0], expect, rel_tol=1e-13, abs_tol=1e-15)
 
@@ -77,7 +77,7 @@ def test_single_dof_self_pairing():
     problem, gr, space = single_dof_setup(f_value=1.0)
     t = 0.25
     u = FeFunction(space, np.array([t]))
-    val = pairing_with(problem, gr, u, u)
+    val = ProblemOperator(problem, gr, space).pairing(u, u)
     assert math.isclose(val, 8 * t ** 3 - 4 * t ** 2 - t / 2, rel_tol=1e-13)
 
 
@@ -88,53 +88,14 @@ def test_pairing_consistency_random():
                       variant="competing", regime="H3")
     gr = truncate_weight(weight, 2.0)
     space = FeSpace(build_mesh(UNIT, 8))
+    op = ProblemOperator(problem, gr, space)
     rng = np.random.default_rng(0)
     for _ in range(25):
         u = FeFunction(space, rng.standard_normal(space.dim))
         v = FeFunction(space, rng.standard_normal(space.dim))
-        direct = pairing_with(problem, gr, u, v)
-        via_dual = pair(assemble_residual(problem, gr, u), v)
+        direct = op.pairing(u, v)
+        via_dual = pair(op.residual(u), v)
         assert math.isclose(direct, via_dual, rel_tol=1e-12, abs_tol=1e-12)
-
-
-def test_split_q_part_single_dof():
-    problem, gr, space = single_dof_setup()
-    t = 0.4
-    u = FeFunction(space, np.array([t]))
-    principal, secondary = split_residuals(problem, gr, u)
-    # competing: secondary = q-term + load; load is zero here
-    assert math.isclose(secondary.values[0], 4 * t, rel_tol=1e-13)
-    total = assemble_residual(problem, gr, u)
-    np.testing.assert_allclose(principal.values - secondary.values,
-                               total.values, rtol=1e-12, atol=1e-14)
-
-
-def test_split_zero_state():
-    problem, gr, space = single_dof_setup()
-    principal, secondary = split_residuals(problem, gr,
-                                           FeFunction.zero(space))
-    np.testing.assert_array_equal(principal.values, 0.0)
-    np.testing.assert_array_equal(secondary.values, 0.0)
-
-
-def test_split_recombines_both_variants():
-    weight = quadratic_weight(2.0)
-    space = FeSpace(build_mesh(Domain.rectangle(0, 1, 0, 1), 2))
-    gr = truncate_weight(weight, 2.0)
-    rng = np.random.default_rng(1)
-    for variant in ("competing", "cooperative"):
-        problem = Problem(p=3.0, q=2.0,
-                          domain=Domain.rectangle(0.0, 1.0, 0.0, 1.0),
-                          weight=weight,
-                          convection=saturating_convection(3.0),
-                          variant=variant, regime="H3")
-        for _ in range(10):
-            u = FeFunction(space, rng.standard_normal(space.dim))
-            principal, secondary = split_residuals(problem, gr, u)
-            total = assemble_residual(problem, gr, u)
-            np.testing.assert_allclose(
-                principal.values - secondary.values, total.values,
-                rtol=1e-12, atol=1e-13)
 
 
 def test_variants_differ_by_twice_q_term():
@@ -146,25 +107,27 @@ def test_variants_differ_by_twice_q_term():
                    variant="competing", regime="H3")
     coop = Problem(p=3.0, q=2.0, domain=UNIT, weight=weight, convection=conv,
                    variant="cooperative", regime="H3")
+    comp_op = ProblemOperator(comp, gr, space)
+    coop_op = ProblemOperator(coop, gr, space)
     rng = np.random.default_rng(2)
     for _ in range(10):
         u = FeFunction(space, rng.standard_normal(space.dim))
-        _, q_dual, _ = component_residuals(comp, gr, u)
-        diff = (assemble_residual(coop, gr, u).values
-                - assemble_residual(comp, gr, u).values)
+        # the cooperative q-part carries the + sign
+        _, q_dual, _ = coop_op.parts(u)
+        diff = coop_op.residual(u).values - comp_op.residual(u).values
         np.testing.assert_allclose(diff, 2.0 * q_dual.values,
                                    rtol=1e-12, atol=1e-13)
 
 
 def test_eval_convection_cases():
     fam = saturating_convection(3.0, alpha=2.0, h_bound=0.0)
-    assert eval_convection(fam, np.array([0.5]), 0.0, np.array([7.0])) == 0.0
+    assert fam.evaluate(np.array([0.5]), 0.0, np.array([7.0])) == 0.0
     assert math.isclose(
-        eval_convection(fam, np.array([0.5]), 1.0, np.array([2.0])), 3.0,
+        fam.evaluate(np.array([0.5]), 1.0, np.array([2.0])), 3.0,
         rel_tol=1e-14)
     fam_h = saturating_convection(3.0, alpha=2.0, h_bound=1.0)
     assert math.isclose(
-        eval_convection(fam_h, np.array([0.5]), -1.0, np.array([0.0])), -1.5,
+        fam_h.evaluate(np.array([0.5]), -1.0, np.array([0.0])), -1.5,
         rel_tol=1e-14)
 
 
@@ -263,4 +226,5 @@ def test_nonfinite_integrand_names_cell():
     gr = truncate_weight(problem.weight, 1.0)
     space = FeSpace(build_mesh(UNIT, 2))
     with pytest.raises(AssemblyError, match="cell"):
-        assemble_residual(problem, gr, FeFunction(space, np.array([0.5])))
+        ProblemOperator(problem, gr, space).residual(
+            FeFunction(space, np.array([0.5])))

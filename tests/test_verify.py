@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pqgalerkin.fespace import FeFunction, FeSpace
+from pqgalerkin.fespace import FeFunction, FeSpace, jsonable
 from pqgalerkin.galerkin import SolverConfig, run_hierarchy, solve_level
 from pqgalerkin.galerkin import ProblemOperator
 from pqgalerkin.mesh import Domain, build_mesh
@@ -128,7 +128,8 @@ def test_monotonicity_skips_subquadratic_exponent():
 
 def test_weak_implies_generalized_demo_passes():
     problem, weight, u = single_dof_solution()
-    cert = weak_implies_generalized_demo(problem, weight, u)
+    cert = weak_implies_generalized_demo(
+        ProblemOperator(problem, weight, u.space), u)
     assert cert.passed
     assert cert.details["c_value"] == 0.0
     assert cert.details["b_max"] == cert.measured
@@ -137,7 +138,8 @@ def test_weak_implies_generalized_demo_passes():
 def test_weak_implies_generalized_demo_rejects_perturbed():
     problem, weight, u = single_dof_solution()
     fake = FeFunction(u.space, u.coeffs + 0.5)
-    cert = weak_implies_generalized_demo(problem, weight, fake)
+    cert = weak_implies_generalized_demo(
+        ProblemOperator(problem, weight, u.space), fake)
     assert not cert.passed
     assert cert.measured > 100.0 * cert.threshold
 
@@ -160,6 +162,18 @@ def test_run_certificates_contrast_sees_violation():
                     if c["name"] == "non-solution-contrast")
     assert contrast["passed"]
     assert contrast["measured"] > contrast["threshold"]
+
+
+def test_run_certificates_use_the_run_regularization():
+    problem = Problem(p=3.0, q=1.5, domain=UNIT, weight=quadratic_weight(1.0),
+                      convection=constant_convection(1e-4),
+                      variant="cooperative", regime="H3")
+    report = run_hierarchy(problem, 4, 4,
+                           cfg=SolverConfig(regularization=1e-3))
+    assert report.failed_level is None
+    result = run_certificates(report)
+    failed = [c["name"] for c in result["certificates"] if not c["passed"]]
+    assert result["all_passed"], failed
 
 
 def test_run_certificates_rejects_failed_report():
@@ -192,7 +206,7 @@ def test_tampered_norm_table_fails_consistency():
 
 def test_certificate_serialization():
     problem, weight, u = single_dof_solution()
-    d = check_truncation_consistency(problem, u, weight.radius).to_dict()
+    d = jsonable(check_truncation_consistency(problem, u, weight.radius))
     assert isinstance(d["passed"], bool)
     assert isinstance(d["measured"], float)
     assert d["name"] == "truncation-consistency"
