@@ -10,11 +10,10 @@ from .operators import (AssemblyError, ConvectionFamily, GrowthH2, GrowthH4,
                         HypothesisViolation, Problem, ProblemOperator, SignH3,
                         SignH3a, TruncatedWeight, WeightFunction,
                         adversarial_convection, constant_convection,
-                        constant_weight, convection_pairing,
-                        convection_residual, power_laplacian_pairing,
+                        constant_weight, power_laplacian_pairing,
                         power_laplacian_residual, qp_dual, quadratic_weight,
                         saturating_convection, truncate_weight,
-                        weighted_p_pairing, zero_convection)
+                        zero_convection)
 from .estimates import (CONVENTIONS, EstimateReport, HypothesisAudit,
                         Lambda1Estimate, SamplingBox, SobolevEstimate,
                         apriori_radius, audit_hypotheses,

@@ -132,7 +132,7 @@ def _build_solver(block: Optional[dict]) -> SolverConfig:
     if block is None:
         return SolverConfig()
     allowed = {"tolerance", "max_iterations", "continuation_steps",
-               "homotopy_steps", "fd_step", "max_halvings", "regularization"}
+               "homotopy_steps", "max_halvings", "regularization"}
     _check_keys(block, allowed, set(), "solver")
     kwargs = {}
     for key in allowed & set(block):
@@ -178,6 +178,7 @@ def load_config(path: str) -> dict:
         for key, val in out.items():
             if not isinstance(val, bool):
                 raise ConfigError(f"output.{key}: expected a boolean")
+    _build_solver(cfg.get("solver"))
     return cfg
 
 

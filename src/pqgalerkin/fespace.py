@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class FeSpace:
         self.cell_measures = mesh.cell_measures
         self.cell_dofs = self.vertex_to_dof[self.cells]
         self._build_geometry()
-        self._coloring: Optional[Tuple[np.ndarray, List[np.ndarray]]] = None
 
     def _build_geometry(self):
         mesh, rule = self.mesh, self.quadrature
@@ -72,36 +71,6 @@ class FeSpace:
                               + eta[None, :, None] * e2[:, None, :])
         scale = self.cell_measures / rule.reference_measure
         self.qp_weights = rule.weights[None, :] * scale[:, None]   # (m, k)
-
-    def dof_coloring(self) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Greedy coloring of the dof interaction graph plus neighbor lists.
-
-        Two dofs interact iff they share a cell; colored finite differencing
-        of residuals recovers the full Jacobian in O(#colors) evaluations.
-        """
-        if self._coloring is not None:
-            return self._coloring
-        neighbors = [set() for _ in range(self.dim)]
-        for row in self.cell_dofs:
-            active = [d for d in row if d >= 0]
-            for d in active:
-                neighbors[d].update(active)
-        # distance-2 coloring: same-color dofs must share no residual row,
-        # otherwise simultaneous perturbations alias into each other
-        colors = np.full(self.dim, -1, dtype=np.int64)
-        for d in range(self.dim):
-            used = set()
-            for n in neighbors[d]:
-                for m in neighbors[n]:
-                    if colors[m] >= 0:
-                        used.add(colors[m])
-            c = 0
-            while c in used:
-                c += 1
-            colors[d] = c
-        neighbor_arrays = [np.fromiter(sorted(s), dtype=np.int64) for s in neighbors]
-        self._coloring = (colors, neighbor_arrays)
-        return self._coloring
 
     def __repr__(self):
         return f"FeSpace(level={self.mesh.level}, dim={self.dim})"

@@ -1,7 +1,7 @@
 """Guarded Galerkin hierarchy: level solves, condition tables, S-probe.
 
-Each level solves the discrete residual system with damped Newton (colored
-finite-difference Jacobian, Armijo line search on the residual merit).  The
+Each level solves the discrete residual system with damped Newton (the
+operator's sparse Jacobian, Armijo line search on the residual merit).  The
 competing operator is nonmonotone and admits spurious branches reachable from
 a zero start, so cold starts walk a homotopy: a linear predictor seeds Newton
 on the monotone core (the competing divergence term switched off), then the
@@ -13,18 +13,18 @@ fallback when Newton stalls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
+import scipy.sparse.linalg as spla
 
 from .estimates import EstimateReport, compute_estimates
 from .fespace import (FeFunction, FeSpace, grad_norm_lp, pair, prolongate,
                       sup_norm)
 from .mesh import build_mesh, refine
 from .operators import (DEFAULT_REGULARIZATION, AssemblyError, Problem,
-                        ProblemOperator, TruncatedWeight, truncate_weight)
+                        ProblemOperator, TruncatedWeight, assemble_matrix,
+                        truncate_weight)
 
 __all__ = [
     "SolveError",
@@ -55,7 +55,6 @@ class SolverConfig:
     max_iterations: int = 200
     continuation_steps: int = 10
     homotopy_steps: int = 4
-    fd_step: float = 1e-7
     max_halvings: int = 40
     regularization: float = DEFAULT_REGULARIZATION
 
@@ -74,11 +73,6 @@ class GuardRecord:
     passed: bool
 
 
-def _sphere_directions(dim: int, samples: int, seed: int) -> np.ndarray:
-    pts = qmc.Halton(d=dim, scramble=True, seed=seed).random(samples)
-    return ndtri(np.clip(pts, 1e-12, 1.0 - 1e-12))
-
-
 def brouwer_guard(op: ProblemOperator, space: FeSpace, radius: float,
                   samples: int = 32, seed: int = 0,
                   max_doublings: int = 8) -> GuardRecord:
@@ -88,7 +82,7 @@ def brouwer_guard(op: ProblemOperator, space: FeSpace, radius: float,
     inside the ball; a negative minimum is data, answered by doubling the
     radius up to the cap and recording the outcome.
     """
-    dirs = _sphere_directions(space.dim, samples, seed)
+    dirs = np.random.default_rng(seed).standard_normal((samples, space.dim))
     p = op.problem.p
     r = float(radius)
     doublings = 0
@@ -110,7 +104,7 @@ def brouwer_guard(op: ProblemOperator, space: FeSpace, radius: float,
 
 
 # ---------------------------------------------------------------------------
-# Newton with colored finite-difference Jacobian
+# damped Newton
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -119,22 +113,6 @@ class _NewtonInfo:
     iterations: int
     residual_sup: float
     message: str = ""
-
-
-def _fd_jacobian(op, space: FeSpace, u: FeFunction, F: np.ndarray,
-                 step: float) -> np.ndarray:
-    colors, neighbors = space.dof_coloring()
-    n = space.dim
-    J = np.zeros((n, n))
-    hs = step * np.maximum(1.0, np.abs(u.coeffs))
-    for c in range(int(colors.max()) + 1):
-        mask = colors == c
-        pert = np.where(mask, hs, 0.0)
-        Fp = op.residual(FeFunction(space, u.coeffs + pert)).values
-        for j in np.flatnonzero(mask):
-            rows = neighbors[j]
-            J[rows, j] = (Fp[rows] - F[rows]) / hs[j]
-    return J
 
 
 def _newton(op, space: FeSpace, u0: FeFunction, cfg: SolverConfig) -> tuple:
@@ -147,11 +125,8 @@ def _newton(op, space: FeSpace, u0: FeFunction, cfg: SolverConfig) -> tuple:
             return u, _NewtonInfo(True, its, res_sup)
         if its >= cfg.max_iterations:
             return u, _NewtonInfo(False, its, res_sup, "iteration cap")
-        J = _fd_jacobian(op, space, u, F, cfg.fd_step)
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(J, -F, rcond=None)[0]
+        # a singular Jacobian gives a NaN step
+        delta = spla.spsolve(op.jacobian(u), -F)
         if not np.all(np.isfinite(delta)) or not np.any(delta):
             return u, _NewtonInfo(False, its, res_sup, "degenerate step")
         merit = float(np.linalg.norm(F))
@@ -177,22 +152,10 @@ def _linear_predictor(op: ProblemOperator, space: FeSpace) -> FeFunction:
     load = -op.parts(zero)[2].values
     if not np.any(load):
         return zero
-    contrib = (np.einsum("cvd,cwd->cvw", space.grads, space.grads)
-               * space.cell_measures[:, None, None])
-    n = space.dim
-    K = np.zeros((n, n))
-    idx = space.cell_dofs
-    for v in range(idx.shape[1]):
-        for w in range(idx.shape[1]):
-            rows, cols = idx[:, v], idx[:, w]
-            mask = (rows >= 0) & (cols >= 0)
-            np.add.at(K, (rows[mask], cols[mask]), contrib[mask, v, w])
-    K *= op.weight.lower_bound
-    try:
-        coeffs = np.linalg.solve(K, load)
-    except np.linalg.LinAlgError:
-        coeffs = np.linalg.lstsq(K, load, rcond=None)[0]
-    return FeFunction(space, coeffs)
+    stiffness = (np.einsum("cvd,cwd->cvw", space.grads, space.grads)
+                 * space.cell_measures[:, None, None])
+    K = op.weight.lower_bound * assemble_matrix(space, stiffness)
+    return FeFunction(space, spla.spsolve(K, load))
 
 
 def _cold_start(op: ProblemOperator, space: FeSpace, cfg: SolverConfig):

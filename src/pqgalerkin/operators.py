@@ -7,8 +7,9 @@ The residual of the truncated operator against every basis hat is
              - int f(x, u, grad u) phi_i
 
 with '-' on the q-term for the competing variant and '+' for the cooperative
-one.  `ProblemOperator` is the one evaluator of this operator: Newton, the
-sphere guard, the report tables and the certificates all go through it.
+one.  `ProblemOperator` is the one evaluator of this operator and of its
+sparse Jacobian: Newton, the sphere guard, the report tables and the
+certificates all go through it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fespace import (DualVector, FeFunction, FeSpace, cell_gradients,
                       values_at_qp)
@@ -41,11 +43,9 @@ __all__ = [
     "adversarial_convection",
     "Problem",
     "qp_dual",
+    "assemble_matrix",
     "power_laplacian_residual",
-    "convection_residual",
-    "weighted_p_pairing",
     "power_laplacian_pairing",
-    "convection_pairing",
     "ProblemOperator",
 ]
 
@@ -369,6 +369,33 @@ def _power_flux(grad: np.ndarray, exponent: float, eps: float) -> np.ndarray:
     return factor[..., None] * grad
 
 
+def _flux_derivative(grad: np.ndarray, exponent: float,
+                     eps: float) -> np.ndarray:
+    """d(flux)/d(grad) of `_power_flux`, |g|^{e-2}(I + (e-2) g g^T/|g|^2),
+    with |g|^2 -> |g|^2 + eps^2 on the same regularized cells; (m, d, d)."""
+    amp = np.linalg.norm(grad, axis=-1)
+    sq = amp * amp
+    if exponent < 2.0:
+        sq = np.where(amp < eps, sq + eps * eps, sq)
+    outer = (np.einsum("cd,ce->cde", grad, grad)
+             / np.where(sq > 0.0, sq, 1.0)[:, None, None])
+    return (sq ** (0.5 * (exponent - 2.0)))[:, None, None] * (
+        np.eye(grad.shape[-1]) + (exponent - 2.0) * outer)
+
+
+# about the cube root of the machine epsilon, which balances the truncation
+# and rounding errors of a central difference
+_DIFF_STEP = 6e-6
+
+
+def _central_diff(fn: Callable[[np.ndarray], np.ndarray],
+                  x: np.ndarray) -> np.ndarray:
+    """Derivative of an elementwise map at x, step scaled to max(1, |x|)."""
+    h = _DIFF_STEP * np.maximum(1.0, np.abs(x))
+    hi, lo = x + h, x - h
+    return (fn(hi) - fn(lo)) / (hi - lo)
+
+
 def _scatter(space: FeSpace, cell_contrib: np.ndarray, label: str) -> np.ndarray:
     if not np.all(np.isfinite(cell_contrib)):
         bad = int(np.argwhere(~np.isfinite(cell_contrib))[0][0])
@@ -400,6 +427,17 @@ def qp_dual(space: FeSpace, qp_values: np.ndarray, label: str) -> np.ndarray:
     return _scatter(space, contrib, label)
 
 
+def assemble_matrix(space: FeSpace, blocks: np.ndarray) -> sp.csr_matrix:
+    """Sum per-cell (nv, nv) blocks into the CSR matrix over the dofs; the
+    rows and columns of boundary vertices are dropped."""
+    idx = space.cell_dofs
+    rows = np.broadcast_to(idx[:, :, None], blocks.shape)
+    cols = np.broadcast_to(idx[:, None, :], blocks.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.csr_matrix((blocks[keep], (rows[keep], cols[keep])),
+                         shape=(space.dim, space.dim))
+
+
 def _qp_pairing(space: FeSpace, qp_values: np.ndarray, v: FeFunction) -> float:
     return float(np.sum(space.qp_weights * qp_values * values_at_qp(v)))
 
@@ -423,28 +461,6 @@ def power_laplacian_pairing(u: FeFunction, v: FeFunction, exponent: float,
                             eps: float = DEFAULT_REGULARIZATION) -> float:
     flux = _power_flux(cell_gradients(u), exponent, eps)
     return _flux_pairing(flux, u.space.cell_measures, cell_gradients(v))
-
-
-def weighted_p_pairing(weight, u: FeFunction, v: FeFunction, p: float,
-                       eps: float = DEFAULT_REGULARIZATION) -> float:
-    space = u.space
-    flux = _power_flux(cell_gradients(u), p, eps)
-    g_int = np.sum(space.qp_weights * weight.evaluate(values_at_qp(u)), axis=1)
-    return _flux_pairing(flux, g_int, cell_gradients(v))
-
-
-def convection_residual(family: ConvectionFamily, u: FeFunction) -> DualVector:
-    """Entries int f(x, u, grad u) phi_i via the cell quadrature rule."""
-    fvals = _convection_values(family, u.space, cell_gradients(u),
-                               values_at_qp(u))
-    return DualVector(u.space, qp_dual(u.space, fvals, "convection term"))
-
-
-def convection_pairing(family: ConvectionFamily, u: FeFunction,
-                       v: FeFunction) -> float:
-    fvals = _convection_values(family, u.space, cell_gradients(u),
-                               values_at_qp(u))
-    return _qp_pairing(u.space, fvals, v)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +511,45 @@ class ProblemOperator:
     def residual(self, u: FeFunction) -> DualVector:
         p_part, q_part, f_part = self._signed_parts(u)
         return DualVector(u.space, p_part + q_part + f_part)
+
+    def jacobian(self, u: FeFunction) -> sp.csr_matrix:
+        """CSR matrix of dF_i/du_j for F = residual(u).
+
+        The flux derivatives are in closed form; g_R' and the partial
+        derivatives of f are pointwise central differences at the quadrature
+        points, so their error does not grow as the mesh refines.
+        """
+        space, problem = u.space, self.problem
+        (p_flux, p_w), _, _ = self._terms(u)
+        grad, u_qp = cell_gradients(u), values_at_qp(u)
+        G, phi = space.grads, space.basis_qp
+        w_phi = space.qp_weights[:, None, :] * phi              # (m, nv, k)
+        q_w = problem.q_sign * self.q_factor * space.cell_measures
+        D = (p_w[:, None, None] * _flux_derivative(grad, problem.p, self.eps)
+             + q_w[:, None, None]
+             * _flux_derivative(grad, problem.q, self.eps))
+        blocks = np.einsum("cvd,cde,cwe->cvw", G, D, G)
+        # the cell weight of the p-term depends on u through g_R
+        dg_w = np.einsum("cwk,ck->cw", w_phi,
+                         _central_diff(self.weight.evaluate, u_qp))
+        p_dot = np.einsum("cd,cvd->cv", p_flux, G)
+        blocks += p_dot[:, :, None] * dg_w[:, None, :]
+
+        xi = np.broadcast_to(grad[:, None, :], u_qp.shape + grad.shape[-1:])
+
+        def f(s, grad_qp):
+            return problem.convection.evaluate(space.qp_points, s, grad_qp)
+
+        f_s = _central_diff(lambda s: f(s, xi), u_qp)
+        f_w = np.einsum("ck,wk->ckw", f_s, phi)
+        comp = np.arange(xi.shape[-1])
+        for d in comp:
+            f_xi = _central_diff(
+                lambda t: f(u_qp, np.where(comp == d, t[..., None], xi)),
+                xi[..., d])
+            f_w += np.einsum("ck,cw->ckw", f_xi, G[:, :, d])
+        blocks -= self.load_factor * np.einsum("cvk,ckw->cvw", w_phi, f_w)
+        return assemble_matrix(space, blocks)
 
     def pairing(self, u: FeFunction, v: FeFunction) -> float:
         """<A_R(u), v> by direct integration; agrees with

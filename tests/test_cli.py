@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+
+import pqgalerkin
 
 from pqgalerkin.cli import build_problem, load_config, main
 from pqgalerkin.fespace import FeSpace, read_csv
@@ -68,6 +74,24 @@ def test_unknown_nested_key_is_exit_1(tmp_path):
     cfg["problem"]["weight"] = {"kind": "quadratic", "base": 2.0, "slope": 1.0}
     path = write_config(tmp_path, cfg)
     assert main(["estimate", "--config", path, "--out", str(tmp_path)]) == 1
+
+
+def test_removed_fd_step_key_is_exit_1_without_traceback(tmp_path):
+    # solver.fd_step belonged to the finite-difference Jacobian; the strict
+    # schema rejects it like any unknown key, before any output is written
+    path = write_config(tmp_path, base_config(solver={"fd_step": 1e-7}))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(pqgalerkin.__file__).parents[1]))
+    for command in ("estimate", "solve", "verify"):
+        out = tmp_path / command
+        run = subprocess.run(
+            [sys.executable, "-m", "pqgalerkin.cli", command, "--config",
+             path, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 1, run.stderr
+        assert "solver: unknown keys ['fd_step']" in run.stderr
+        assert "Traceback" not in run.stderr
+        assert not out.exists()
 
 
 def test_bad_levels_is_exit_1(tmp_path):

@@ -10,12 +10,12 @@ from pqgalerkin.estimates import (SamplingBox, apriori_radius,
                                   rayleigh_minimum, rhs_estimate_constant,
                                   sobolev_constant)
 from pqgalerkin.fespace import (FeFunction, FeSpace, grad_norm_lp, jsonable,
-                                lr_norm)
+                                lr_norm, pair)
 from pqgalerkin.mesh import Domain, build_mesh
 from pqgalerkin.operators import (HypothesisViolation, Problem,
-                                  adversarial_convection, constant_weight,
-                                  quadratic_weight, saturating_convection,
-                                  zero_convection)
+                                  ProblemOperator, adversarial_convection,
+                                  constant_weight, quadratic_weight,
+                                  saturating_convection, zero_convection)
 
 UNIT = Domain.interval(0.0, 1.0)
 
@@ -185,11 +185,11 @@ def test_rhs_estimate_audit():
     h2 = fam.h2
     sigma_norm = h2.sigma * UNIT.measure ** (1.0 / h2.r1)
     rng = np.random.default_rng(1)
-    from pqgalerkin.operators import convection_pairing
+    op = ProblemOperator(problem, problem.weight, space)
     for _ in range(500):
         u = FeFunction(space, rng.standard_normal(space.dim))
         v = FeFunction(space, rng.standard_normal(space.dim))
-        lhs = abs(convection_pairing(fam, u, v))
+        lhs = abs(pair(op.parts(u)[2], v))
         rhs = C * (sigma_norm + lr_norm(u, h2.r2) ** h2.r2
                    + grad_norm_lp(u, p) ** (p - 1.0)) * grad_norm_lp(v, p)
         assert lhs <= rhs * (1.0 + 1e-12)
@@ -205,13 +205,13 @@ def test_nemytskij_surrogate_bound():
     C = rhs_estimate_constant(problem, lam, cs)
     h2 = fam.h2
     sigma_norm = h2.sigma * UNIT.measure ** (1.0 / h2.r1)
-    from pqgalerkin.operators import convection_residual
+    op = ProblemOperator(problem, problem.weight, space)
     rng = np.random.default_rng(2)
     basis = [FeFunction(space, row) for row in np.eye(space.dim)]
     phi_norms = np.array([grad_norm_lp(phi, p) for phi in basis])
     for _ in range(100):
         u = FeFunction(space, rng.standard_normal(space.dim))
-        dual = convection_residual(fam, u)
+        dual = op.parts(u)[2]
         surrogate = float(np.max(np.abs(dual.values) / phi_norms))
         bound = C * (sigma_norm + lr_norm(u, h2.r2) ** h2.r2
                      + grad_norm_lp(u, p) ** (p - 1.0))

@@ -163,15 +163,3 @@ def test_csv_rejects_wrong_vertices(tmp_path):
     path.write_text("x,value\n0.0,0.0\n0.4,1.0\n1.0,0.0\n")
     with pytest.raises(ValueError):
         read_csv(space, path)
-
-
-def test_coloring_is_distance_two():
-    for space in (interval_space(16),
-                  FeSpace(build_mesh(Domain.rectangle(0, 1, 0, 1), 4))):
-        colors, neighbors = space.dof_coloring()
-        for j in range(space.dim):
-            for k in range(j + 1, space.dim):
-                if colors[j] != colors[k]:
-                    continue
-                shared = set(neighbors[j]) & set(neighbors[k])
-                assert not shared, (j, k)

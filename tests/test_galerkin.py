@@ -62,50 +62,6 @@ def test_single_dof_residual_vanishes_at_root():
     assert abs(op.residual(root).values[0]) <= 1e-12
 
 
-def dense_fd(op, space, u, step):
-    F = op.residual(u).values
-    hs = step * np.maximum(1.0, np.abs(u.coeffs))
-    J = np.zeros((space.dim, space.dim))
-    for j in range(space.dim):
-        pert = np.zeros(space.dim)
-        pert[j] = hs[j]
-        Fp = op.residual(FeFunction(space, u.coeffs + pert)).values
-        J[:, j] = (Fp - F) / hs[j]
-    return J
-
-
-def test_colored_jacobian_matches_dense_1d():
-    problem = offset_problem()
-    weight = truncate_weight(problem.weight, 2.0)
-    space = FeSpace(build_mesh(UNIT, 8))
-    op = ProblemOperator(problem, weight, space)
-    rng = np.random.default_rng(3)
-    u = FeFunction(space, 0.5 * rng.standard_normal(space.dim))
-    F = op.residual(u).values
-    J_col = galerkin._fd_jacobian(op, space, u, F, 1e-7)
-    J_dense = dense_fd(op, space, u, 1e-7)
-    np.testing.assert_allclose(J_col, J_dense, atol=1e-12)
-    colors, _ = space.dof_coloring()
-    assert int(colors.max()) + 1 < space.dim
-
-
-def test_colored_jacobian_matches_dense_2d():
-    domain = Domain.rectangle(0.0, 1.0, 0.0, 1.0)
-    problem = Problem(p=3.0, q=2.0, domain=domain,
-                      weight=quadratic_weight(2.0),
-                      convection=saturating_convection(3.0, offset=1.0),
-                      variant="competing", regime="H3")
-    weight = truncate_weight(problem.weight, 2.0)
-    space = FeSpace(build_mesh(domain, (4, 4)))
-    op = ProblemOperator(problem, weight, space)
-    rng = np.random.default_rng(4)
-    u = FeFunction(space, 0.3 * rng.standard_normal(space.dim))
-    F = op.residual(u).values
-    J_col = galerkin._fd_jacobian(op, space, u, F, 1e-7)
-    J_dense = dense_fd(op, space, u, 1e-7)
-    np.testing.assert_allclose(J_col, J_dense, atol=1e-12)
-
-
 def test_homotopy_scalings_recombine():
     problem = offset_problem()
     weight = truncate_weight(problem.weight, 2.0)
@@ -272,6 +228,20 @@ def test_hierarchy_records_assembly_error():
     assert report.failure_message == \
         "nonfinite weighted p-term contribution on cell 0"
     assert report.levels == []
+
+
+def test_cooperative_1d_hierarchy_solves_twelve_levels():
+    # the finite-difference Jacobian this solver once used had an error
+    # growing like 1/h, and this hierarchy stalled at level 11 (8 191 dofs
+    # at level 12)
+    conv = saturating_convection(3.0, alpha=2.0, h_bound=1.0, offset=1.0)
+    problem = Problem(p=3.0, q=2.0, domain=UNIT, weight=quadratic_weight(1.0),
+                      convection=conv, variant="cooperative", regime="H3")
+    report = run_hierarchy(problem, 4, 12)
+    assert report.failed_level is None, report.failure_message
+    assert [lv.dim for lv in report.levels][-1] == 4 * 2 ** 11 - 1
+    assert all(lv.residual_sup <= report.solver_tolerance
+               for lv in report.levels)
 
 
 def test_hierarchy_is_deterministic():

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from pqgalerkin.fespace import FeFunction, FeSpace, grad_norm_lp, lr_norm, pair
+from pqgalerkin.fespace import (FeFunction, FeSpace, cell_gradients,
+                                grad_norm_lp, lr_norm, pair)
 from pqgalerkin.mesh import Domain, build_mesh
 from pqgalerkin.operators import (AssemblyError, ConvectionFamily, GrowthH2,
                                   HypothesisViolation, Problem,
                                   ProblemOperator, SignH3,
                                   adversarial_convection, constant_convection,
-                                  constant_weight, convection_pairing,
-                                  power_laplacian_pairing, quadratic_weight,
-                                  saturating_convection, truncate_weight,
-                                  weighted_p_pairing, zero_convection)
+                                  constant_weight, power_laplacian_pairing,
+                                  quadratic_weight, saturating_convection,
+                                  truncate_weight, zero_convection)
 
 UNIT = Domain.interval(0.0, 1.0)
 
@@ -136,10 +136,13 @@ def test_coercivity_floor():
     gr = truncate_weight(weight, 1.0)
     space = FeSpace(build_mesh(UNIT, 8))
     p = 3.0
+    problem = Problem(p=p, q=2.0, domain=UNIT, weight=weight,
+                      convection=zero_convection())
+    op = ProblemOperator(problem, gr, space)
     rng = np.random.default_rng(3)
     for _ in range(200):
         u = FeFunction(space, rng.standard_normal(space.dim))
-        energy = weighted_p_pairing(gr, u, u, p)
+        energy = pair(op.parts(u)[0], u)
         floor = gr.lower_bound * grad_norm_lp(u, p) ** p
         assert energy >= floor * (1.0 - 1e-12)
 
@@ -158,11 +161,12 @@ def test_growth_bound_discrete():
     C = rhs_estimate_constant(problem, lam, cs)
     h2 = fam.h2
     sigma_norm = h2.sigma * UNIT.measure ** (1.0 / h2.r1)
+    op = ProblemOperator(problem, problem.weight, space)
     rng = np.random.default_rng(4)
     for _ in range(200):
         u = FeFunction(space, rng.standard_normal(space.dim))
         v = FeFunction(space, rng.standard_normal(space.dim))
-        lhs = abs(convection_pairing(fam, u, v))
+        lhs = abs(pair(op.parts(u)[2], v))
         rhs = C * (sigma_norm + lr_norm(u, h2.r2) ** h2.r2
                    + grad_norm_lp(u, p) ** (p - 1.0)) * grad_norm_lp(v, p)
         assert lhs <= rhs * (1.0 + 1e-12)
@@ -228,3 +232,55 @@ def test_nonfinite_integrand_names_cell():
     with pytest.raises(AssemblyError, match="cell"):
         ProblemOperator(problem, gr, space).residual(
             FeFunction(space, np.array([0.5])))
+
+
+def central_difference_jacobian(op, u, step=1e-7):
+    """Dense oracle: column j is (F(u + h e_j) - F(u - h e_j)) / 2h.
+
+    Its error is O(h) on flat cells, where the p-flux |g| g has no second
+    derivative."""
+    cols = []
+    for e in step * np.eye(u.space.dim):
+        plus = op.residual(FeFunction(u.space, u.coeffs + e)).values
+        minus = op.residual(FeFunction(u.space, u.coeffs - e)).values
+        cols.append((plus - minus) / (2.0 * step))
+    return np.stack(cols, axis=1)
+
+
+def jacobian_setup(dim, variant="competing", q=2.0):
+    domain = UNIT if dim == 1 else Domain.rectangle(0.0, 1.0, 0.0, 1.0)
+    problem = Problem(p=3.0, q=q, domain=domain, weight=quadratic_weight(2.0),
+                      convection=saturating_convection(3.0, offset=1.0),
+                      variant=variant, regime="H3")
+    space = FeSpace(build_mesh(domain, 8 if dim == 1 else (4, 4)))
+    # eps = 0.05 puts the flat cells of the state below in the regularized
+    # branch of the q-flux when q < 2, far from the oracle's step
+    op = ProblemOperator(problem, truncate_weight(problem.weight, 0.5), space,
+                         load_factor=0.7, q_factor=0.8, eps=0.05)
+    coeffs = np.random.default_rng(3).standard_normal(space.dim)
+    coeffs[space.dim // 2:] = coeffs[space.dim // 2]
+    return op, FeFunction(space, coeffs)
+
+
+@pytest.mark.parametrize("q", [2.0, 1.5])
+@pytest.mark.parametrize("variant", ["competing", "cooperative"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_jacobian_matches_central_difference(dim, variant, q):
+    op, u = jacobian_setup(dim, variant, q)
+    assert np.max(np.abs(u.coeffs)) > op.weight.radius
+    assert np.any(np.linalg.norm(cell_gradients(u), axis=1) == 0.0)
+    oracle = central_difference_jacobian(op, u)
+    np.testing.assert_allclose(op.jacobian(u).toarray(), oracle, rtol=0.0,
+                               atol=1e-7 * np.max(np.abs(oracle)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_jacobian_keeps_the_p1_stencil(dim):
+    op, u = jacobian_setup(dim)
+    pairs = {(a, b) for row in op.space.cell_dofs for a in row for b in row
+             if a >= 0 and b >= 0}
+    for state in (u, FeFunction.zero(op.space)):
+        J = op.jacobian(state)
+        assert J.format == "csr"
+        assert J.nnz == len(pairs)
+        assert set(zip(*J.nonzero())) <= pairs
