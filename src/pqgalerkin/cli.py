@@ -251,8 +251,7 @@ def _cmd_solve(cfg: dict, out_dir: Path, seed: int) -> int:
         _write_diagnostics(out_dir, report)
     _write_lock(out_dir, "solve", cfg, seed)
     if report.failed_level is not None:
-        print(f"level {report.failed_level} failed: {report.failure_message}",
-              file=sys.stderr)
+        print(report.failure_message, file=sys.stderr)
         return 3
     print(f"solved {len(report.levels)} levels; "
           f"finest residual sup {report.levels[-1].residual_sup:.3e}")
@@ -277,8 +276,7 @@ def _cmd_verify(cfg: dict, out_dir: Path, seed: int,
     if report.failed_level is not None:
         payload["verification"] = None
         _write_json(target, payload)
-        print(f"level {report.failed_level} failed: {report.failure_message}",
-              file=sys.stderr)
+        print(report.failure_message, file=sys.stderr)
         return 3
     verdict = run_certificates(report, seed=seed)
     payload["verification"] = verdict
@@ -333,7 +331,8 @@ def main(argv=None) -> int:
     except (HypothesisViolation,) as err:
         print(f"hypothesis violation: {err}", file=sys.stderr)
         return 2
-    except (ConfigError, MeshError, ValueError) as err:
+    except (ConfigError, MeshError, ValueError, ArithmeticError) as err:
+        # ArithmeticError: no psi root bracket, or a float overflow in psi
         print(f"config error: {err}", file=sys.stderr)
         return 1
 

@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
-from .fespace import FeFunction, FeSpace, grad_norm_lp, lr_norm, pair, sup_norm, values_at_qp
+from .fespace import (FeFunction, FeSpace, grad_norm_lp, lr_norm, sup_norm,
+                      values_at_qp)
 from .mesh import Domain
-from .operators import (ConvectionFamily, HypothesisViolation, Problem,
-                        power_laplacian_residual, qp_dual)
+from .operators import (HypothesisViolation, Problem, power_laplacian_residual,
+                        qp_dual)
 
 __all__ = [
     "lambda1_interval",
@@ -322,6 +321,8 @@ class HypothesisAudit:
 
 
 def _halton(dim: int, n: int, seed: int) -> np.ndarray:
+    # deferred: scipy.stats costs ~0.7 s at import and only the audits use it
+    from scipy.stats import qmc
     return qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
 
 

@@ -318,7 +318,9 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
                              guard_samples=guard_samples, seed=seed)
         except (SolveError, AssemblyError) as err:
             report.failed_level = n
-            report.failure_message = str(err)
+            # a SolveError message already names its level
+            report.failure_message = (str(err) if isinstance(err, SolveError)
+                                      else f"level {n} failed: {err}")
             break
         report.levels.append(lv)
         if n + 1 < len(spaces):

@@ -8,7 +8,7 @@ re-derive the verdict.  Checks never mutate the report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import pqgalerkin
 
@@ -76,22 +77,66 @@ def test_unknown_nested_key_is_exit_1(tmp_path):
     assert main(["estimate", "--config", path, "--out", str(tmp_path)]) == 1
 
 
+def run_python(args):
+    """Run a fresh interpreter that imports pqgalerkin from this checkout."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(pqgalerkin.__file__).parents[1]))
+    return subprocess.run([sys.executable] + args, capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
 def test_removed_fd_step_key_is_exit_1_without_traceback(tmp_path):
     # solver.fd_step belonged to the finite-difference Jacobian; the strict
     # schema rejects it like any unknown key, before any output is written
     path = write_config(tmp_path, base_config(solver={"fd_step": 1e-7}))
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(pqgalerkin.__file__).parents[1]))
     for command in ("estimate", "solve", "verify"):
         out = tmp_path / command
-        run = subprocess.run(
-            [sys.executable, "-m", "pqgalerkin.cli", command, "--config",
-             path, "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=60)
+        run = run_python(["-m", "pqgalerkin.cli", command, "--config", path,
+                          "--out", str(out)])
         assert run.returncode == 1, run.stderr
         assert "solver: unknown keys ['fd_step']" in run.stderr
         assert "Traceback" not in run.stderr
         assert not out.exists()
+
+
+def test_psi_without_positive_root_is_exit_1_without_traceback(tmp_path):
+    # a0 - c0 barely positive and p barely above q: psi stays negative on
+    # every bracket apriori_radius tries, so it raises ArithmeticError
+    cfg = base_config()
+    cfg["problem"].update(p=2.01, q=2.0,
+                          weight={"kind": "quadratic", "base": 0.5000001,
+                                  "coef": 1.0})
+    path = write_config(tmp_path, cfg)
+    for command in ("estimate", "solve", "verify"):
+        run = run_python(["-m", "pqgalerkin.cli", command, "--config", path,
+                          "--out", str(tmp_path / command)])
+        assert run.returncode == 1, run.stderr
+        assert run.stderr == \
+            "config error: no positive root bracket found for psi\n"
+
+
+def test_cli_runs_without_scipy_stats_or_special(tmp_path):
+    # scipy.stats is 0.7 s of import time that only the hypothesis audits
+    # need; no CLI command may load it, or scipy.special, at start-up or later
+    path = write_config(tmp_path, base_config())
+    script = f"""
+import sys
+import pqgalerkin
+from pqgalerkin.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[:2] in (["scipy", "stats"],
+                                          ["scipy", "special"]))
+
+assert loaded() == [], ("import", loaded())
+for command in ("estimate", "solve", "verify"):
+    rc = main([command, "--config", {path!r}, "--out", {str(tmp_path)!r}])
+    assert rc == 0, (command, rc)
+    assert loaded() == [], (command, loaded())
+"""
+    run = run_python(["-c", script])
+    assert run.returncode == 0, run.stderr
 
 
 def test_bad_levels_is_exit_1(tmp_path):
@@ -165,11 +210,32 @@ def test_solve_failure_is_exit_3_with_partial_report(tmp_path):
     assert "failed" in hier["failure_message"]
 
 
-def test_solve_assembly_error_is_exit_3_with_partial_report(tmp_path, capsys):
+def assembly_error_config():
     cfg = base_config()
     cfg["problem"].update(p=60.0,
                           weight={"kind": "constant", "value": 1.0},
                           convection={"kind": "constant", "value": 1e8})
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("kind", ["solve-error", "assembly-error"])
+def test_level_failure_names_the_level_once(tmp_path, capsys, command, kind):
+    cfg = base_config(solver={"max_iterations": 1}) \
+        if kind == "solve-error" else assembly_error_config()
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    hier = json.loads((out / "report.json").read_text())["hierarchy"]
+    assert err == hier["failure_message"] + "\n"
+    assert err.startswith("level 0 failed: ")
+    assert err.count("level") == 1 and err.count("failed") == 1
+
+
+def test_solve_assembly_error_is_exit_3_with_partial_report(tmp_path, capsys):
+    cfg = assembly_error_config()
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     with np.errstate(all="ignore"):

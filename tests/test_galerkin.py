@@ -226,7 +226,7 @@ def test_hierarchy_records_assembly_error():
         report = run_hierarchy(problem, 4, 3)
     assert report.failed_level == 0
     assert report.failure_message == \
-        "nonfinite weighted p-term contribution on cell 0"
+        "level 0 failed: nonfinite weighted p-term contribution on cell 0"
     assert report.levels == []
 
 
