@@ -131,14 +131,12 @@ def build_problem(block: dict) -> Problem:
 def _build_solver(block: Optional[dict]) -> SolverConfig:
     if block is None:
         return SolverConfig()
-    allowed = {"tolerance", "max_iterations", "continuation_steps",
-               "homotopy_steps", "max_halvings", "regularization"}
+    allowed = {"tolerance", "max_iterations", "regularization"}
     _check_keys(block, allowed, set(), "solver")
     kwargs = {}
     for key in allowed & set(block):
         val = block[key]
-        if key in ("max_iterations", "continuation_steps", "homotopy_steps",
-                   "max_halvings"):
+        if key == "max_iterations":
             if isinstance(val, bool) or not isinstance(val, int):
                 raise ConfigError(f"solver.{key}: expected an integer")
             kwargs[key] = val
@@ -167,7 +165,7 @@ def load_config(path: str) -> dict:
         raise ConfigError("mesh.base_cells: expected int or [nx, ny]")
     est = cfg.get("estimates")
     if est is not None:
-        _check_keys(est, {"convention", "sobolev_samples"}, set(), "estimates")
+        _check_keys(est, {"convention"}, set(), "estimates")
         if est.get("convention", "standard") not in CONVENTIONS:
             raise ConfigError(
                 f"estimates.convention: expected one of {CONVENTIONS}")
@@ -183,6 +181,7 @@ def load_config(path: str) -> dict:
 
 
 def _write_json(path: Path, payload) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(jsonable(payload), sort_keys=True, indent=2)
                     + "\n")
 
@@ -216,10 +215,9 @@ def _cmd_estimate(cfg: dict, out_dir: Path, seed: int) -> int:
     problem = build_problem(cfg["problem"])
     est_cfg = cfg.get("estimates") or {}
     convention = est_cfg.get("convention", "standard")
-    samples = est_cfg.get("sobolev_samples", 1000)
     space = FeSpace(build_mesh(problem.domain, cfg["mesh"]["base_cells"]))
     report = compute_estimates(problem, space, convention=convention,
-                               seed=seed, sobolev_samples=samples)
+                               seed=seed)
     _write_json(out_dir / "estimates.json", report)
     _write_lock(out_dir, "estimate", cfg, seed)
     print(f"wrote {out_dir / 'estimates.json'}")
@@ -281,6 +279,8 @@ def _cmd_verify(cfg: dict, out_dir: Path, seed: int,
     verdict = run_certificates(report, seed=seed)
     payload["verification"] = verdict
     _write_json(target, payload)
+    # the --report target may lie outside --out
+    out_dir.mkdir(parents=True, exist_ok=True)
     if out_cfg.get("write_solutions", True):
         _write_solutions(out_dir, report)
     if out_cfg.get("write_diagnostics", True):
@@ -320,8 +320,9 @@ def main(argv=None) -> int:
     except (ConfigError, json.JSONDecodeError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
+    # the output directory is made by the first write into it, so an error
+    # before that leaves nothing behind
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "estimate":
             return _cmd_estimate(cfg, out_dir, args.seed)

@@ -394,8 +394,8 @@ class EstimateReport:
 
 
 def compute_estimates(problem: Problem, space: FeSpace,
-                      convention: str = "standard", seed: int = 0,
-                      sobolev_samples: int = 1000) -> EstimateReport:
+                      convention: str = "standard",
+                      seed: int = 0) -> EstimateReport:
     """All constants feeding the Galerkin run.
 
     The radius needs a lower bound on lambda1: intervals use the analytic
@@ -411,7 +411,7 @@ def compute_estimates(problem: Problem, space: FeSpace,
         provenance = est.provenance + "-x0.5-safety"
     sob = sobolev_constant(problem.domain, problem.p,
                            space if problem.domain.dim == 2 else None,
-                           samples=sobolev_samples, seed=seed)
+                           seed=seed)
     grad_radius, sup_radius = apriori_radius(problem, lam_used, sob.value,
                                              convention)
     rhs_c = rhs_estimate_constant(problem, lam_used, sob.value, convention)

@@ -1,18 +1,21 @@
 """Guarded Galerkin hierarchy: level solves, condition tables, S-probe.
 
 Each level solves the discrete residual system with damped Newton (the
-operator's sparse Jacobian, Armijo line search on the residual merit).  The
-competing operator is nonmonotone and admits spurious branches reachable from
-a zero start, so cold starts walk a homotopy: a linear predictor seeds Newton
-on the monotone core (the competing divergence term switched off), then the
-competing term is ramped back to full strength.  Warm starts (prolongated
-coarser solutions) go straight to Newton; load continuation remains as the
-fallback when Newton stalls.
+operator's sparse Jacobian, Armijo line search on the residual merit).  One
+walker runs Newton through a list of operator stages, each starting where the
+last one ended, and stops at the first stage that does not converge; every
+solve path is such a list.  Warm starts (prolongated coarser solutions) are a
+single stage.  The competing operator is nonmonotone and admits spurious
+branches reachable from a zero start, so cold starts walk the competition
+ramp: a linear predictor seeds Newton on the monotone core (the competing
+divergence term switched off), then the competing term is ramped back to full
+strength.  When either path stalls, load continuation ramps the convection
+term up from a zero start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -23,8 +26,7 @@ from .fespace import (FeFunction, FeSpace, grad_norm_lp, pair, prolongate,
                       sup_norm)
 from .mesh import build_mesh, refine
 from .operators import (DEFAULT_REGULARIZATION, AssemblyError, Problem,
-                        ProblemOperator, TruncatedWeight, assemble_matrix,
-                        truncate_weight)
+                        ProblemOperator, assemble_matrix, truncate_weight)
 
 __all__ = [
     "SolveError",
@@ -53,10 +55,19 @@ class SolveError(RuntimeError):
 class SolverConfig:
     tolerance: float = 1e-10
     max_iterations: int = 200
-    continuation_steps: int = 10
-    homotopy_steps: int = 4
-    max_halvings: int = 40
     regularization: float = DEFAULT_REGULARIZATION
+
+
+# step halvings before the Newton line search counts as stalled
+MAX_HALVINGS = 40
+# q_factor stages of the competition ramp, from the monotone core to full
+RAMP = np.linspace(0.0, 1.0, 5)
+# load_factor stages of load continuation
+CONTINUATION = np.linspace(0.0, 1.0, 11)[1:]
+# radius doublings the coercivity guard tries before it records a failure
+MAX_DOUBLINGS = 8
+# random coarse functions added to the coarse basis in the condition-(b) table
+EXTRA_TESTS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +85,7 @@ class GuardRecord:
 
 
 def brouwer_guard(op: ProblemOperator, space: FeSpace, radius: float,
-                  samples: int = 32, seed: int = 0,
-                  max_doublings: int = 8) -> GuardRecord:
+                  samples: int = 32, seed: int = 0) -> GuardRecord:
     """Sample <A(v), v> on the sphere ||grad v||_p = radius.
 
     A nonnegative minimum supports the zero-of-degree argument for a solution
@@ -95,7 +105,7 @@ def brouwer_guard(op: ProblemOperator, space: FeSpace, radius: float,
                 continue
             v = (r / scale) * v
             worst = min(worst, op.pairing(v, v))
-        if worst >= 0.0 or doublings >= max_doublings:
+        if worst >= 0.0 or doublings >= MAX_DOUBLINGS:
             return GuardRecord(initial_radius=float(radius), radius=r,
                                min_pairing=float(worst), samples=samples,
                                doublings=doublings, passed=bool(worst >= 0.0))
@@ -132,7 +142,7 @@ def _newton(op, space: FeSpace, u0: FeFunction, cfg: SolverConfig) -> tuple:
         merit = float(np.linalg.norm(F))
         lam = 1.0
         accepted = False
-        for _ in range(cfg.max_halvings):
+        for _ in range(MAX_HALVINGS):
             trial = FeFunction(space, u.coeffs + lam * delta)
             Ft = op.residual(trial).values
             if float(np.linalg.norm(Ft)) <= (1.0 - 1e-4 * lam) * merit:
@@ -158,24 +168,14 @@ def _linear_predictor(op: ProblemOperator, space: FeSpace) -> FeFunction:
     return FeFunction(space, spla.spsolve(K, load))
 
 
-def _cold_start(op: ProblemOperator, space: FeSpace, cfg: SolverConfig):
-    u = _linear_predictor(op, space)
+def _walk(stages: List[ProblemOperator], space: FeSpace, u: FeFunction,
+          cfg: SolverConfig):
+    """Newton through each stage from where the last one ended; stop at the
+    first stage that does not converge.  Returns the last state, the last
+    stage's Newton info and the iterations of every stage run."""
     total = 0
-    info = _NewtonInfo(False, 0, np.inf, "no homotopy stage ran")
-    for kappa in np.linspace(0.0, 1.0, cfg.homotopy_steps + 1):
-        u, info = _newton(op.q_scaled(float(kappa)), space, u, cfg)
-        total += info.iterations
-        if not info.converged:
-            break
-    return u, info, total
-
-
-def _load_continuation(op: ProblemOperator, space: FeSpace, cfg: SolverConfig):
-    u = FeFunction.zero(space)
-    total = 0
-    info = _NewtonInfo(False, 0, np.inf, "no continuation step ran")
-    for tau in np.linspace(0.0, 1.0, cfg.continuation_steps + 1)[1:]:
-        u, info = _newton(op.load_scaled(float(tau)), space, u, cfg)
+    for op in stages:
+        u, info = _newton(op, space, u, cfg)
         total += info.iterations
         if not info.converged:
             break
@@ -198,22 +198,23 @@ def solve_level(op: ProblemOperator, space: FeSpace,
                 cfg: Optional[SolverConfig] = None,
                 warm: Optional[FeFunction] = None,
                 guard_radius: Optional[float] = None,
-                guard_samples: int = 32, seed: int = 0) -> LevelSolve:
+                seed: int = 0) -> LevelSolve:
     """Solve one Galerkin level; failure is an exception, a failed guard is data."""
     cfg = cfg or SolverConfig()
     guard = None
     if guard_radius is not None:
-        guard = brouwer_guard(op, space, guard_radius, guard_samples, seed)
+        guard = brouwer_guard(op, space, guard_radius, seed=seed)
     if warm is not None:
-        u, info = _newton(op, space, warm, cfg)
-        total, path = info.iterations, "newton"
+        path, start, stages = "newton", warm, [op]
     else:
-        u, info, total = _cold_start(op, space, cfg)
-        path = "competition-ramp"
+        path, start = "competition-ramp", _linear_predictor(op, space)
+        stages = [replace(op, q_factor=float(k)) for k in RAMP]
+    u, info, total = _walk(stages, space, start, cfg)
     if not info.converged:
-        u, info, extra = _load_continuation(op, space, cfg)
-        total += extra
         path = "load-continuation"
+        stages = [replace(op, load_factor=float(t)) for t in CONTINUATION]
+        u, info, extra = _walk(stages, space, FeFunction.zero(space), cfg)
+        total += extra
     if not info.converged:
         raise SolveError(
             f"level {space.mesh.level} failed: {info.message} "
@@ -252,10 +253,6 @@ class HierarchyReport:
     failed_level: Optional[int] = None
     failure_message: str = ""
     problem: Optional[Problem] = field(default=None, metadata={"live": True})
-    weight: Optional[TruncatedWeight] = field(default=None,
-                                              metadata={"live": True})
-    spaces: List[FeSpace] = field(default_factory=list,
-                                  metadata={"live": True})
     operators: List[ProblemOperator] = field(default_factory=list,
                                              metadata={"live": True})
 
@@ -264,11 +261,11 @@ class HierarchyReport:
         return [lv.solution for lv in self.levels]
 
 
-def _test_set(space0: FeSpace, extra: int, seed: int) -> List[FeFunction]:
+def _test_set(space0: FeSpace, seed: int) -> List[FeFunction]:
     """Full coarse basis plus a few fixed random coarse functions."""
     out = [FeFunction(space0, row) for row in np.eye(space0.dim)]
     rng = np.random.default_rng(seed)
-    for _ in range(extra):
+    for _ in range(EXTRA_TESTS):
         coeffs = rng.standard_normal(space0.dim)
         v = FeFunction(space0, coeffs)
         scale = grad_norm_lp(v, 2.0)
@@ -281,7 +278,6 @@ def _test_set(space0: FeSpace, extra: int, seed: int) -> List[FeFunction]:
 def run_hierarchy(problem: Problem, base_cells, levels: int,
                   cfg: Optional[SolverConfig] = None,
                   convention: str = "standard", seed: int = 0,
-                  extra_tests: int = 5, guard_samples: int = 32,
                   estimate: Optional[EstimateReport] = None) -> HierarchyReport:
     """Solve a nested hierarchy and tabulate the generalized-solution data.
 
@@ -308,14 +304,13 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
     report = HierarchyReport(
         estimate=estimate, truncation_radius=weight.radius,
         guard_radius=guard_radius, solver_tolerance=cfg.tolerance,
-        seed=seed, problem=problem, weight=weight, spaces=spaces,
-        operators=ops)
+        seed=seed, problem=problem, operators=ops)
 
     warm = None
     for n, (op, sp) in enumerate(zip(ops, spaces)):
         try:
             lv = solve_level(op, sp, cfg, warm=warm, guard_radius=guard_radius,
-                             guard_samples=guard_samples, seed=seed)
+                             seed=seed)
         except (SolveError, AssemblyError) as err:
             report.failed_level = n
             # a SolveError message already names its level
@@ -330,7 +325,7 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
     if not solved:
         return report
 
-    tests = _test_set(spaces[0], extra_tests, seed)
+    tests = _test_set(spaces[0], seed)
     report.test_count = len(tests)
     for n, lv in enumerate(solved):
         op, sp, u = ops[n], spaces[n], lv.solution

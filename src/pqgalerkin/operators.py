@@ -467,24 +467,23 @@ def power_laplacian_pairing(u: FeFunction, v: FeFunction, exponent: float,
 # the truncated operator
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
 class ProblemOperator:
     """The truncated operator A_R on one space.
 
     `q_factor` scales the competing/cooperative divergence term and
     `load_factor` scales the convection term; both default to the full
-    problem and exist for homotopy and continuation.  Every evaluation
-    computes the pointwise data of the three terms once.
+    problem and exist for homotopy and continuation, whose stages are
+    `dataclasses.replace` copies.  Every evaluation computes the pointwise
+    data of the three terms once.
     """
 
-    def __init__(self, problem: Problem, weight, space: FeSpace,
-                 load_factor: float = 1.0, q_factor: float = 1.0,
-                 eps: float = DEFAULT_REGULARIZATION):
-        self.problem = problem
-        self.weight = weight
-        self.space = space
-        self.load_factor = float(load_factor)
-        self.q_factor = float(q_factor)
-        self.eps = float(eps)
+    problem: Problem
+    weight: WeightFunction | TruncatedWeight
+    space: FeSpace
+    load_factor: float = 1.0
+    q_factor: float = 1.0
+    eps: float = DEFAULT_REGULARIZATION
 
     def _terms(self, u: FeFunction):
         """(flux, cell weight) of the p- and q-terms, and f at the
@@ -562,11 +561,3 @@ class ProblemOperator:
                 + self.problem.q_sign * self.q_factor
                 * _flux_pairing(q_flux, q_w, grad_v)
                 - self.load_factor * _qp_pairing(u.space, fvals, v))
-
-    def q_scaled(self, kappa: float) -> "ProblemOperator":
-        return ProblemOperator(self.problem, self.weight, self.space,
-                               self.load_factor, kappa, self.eps)
-
-    def load_scaled(self, tau: float) -> "ProblemOperator":
-        return ProblemOperator(self.problem, self.weight, self.space,
-                               tau, self.q_factor, self.eps)

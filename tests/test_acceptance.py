@@ -32,9 +32,11 @@ from pqgalerkin.verify import (check_generalized_conditions,
 UNIT = Domain.interval(0.0, 1.0)
 
 
-def _criterion(num, label, ok, detail=""):
+def _criterion(capsys, num, label, ok, detail=""):
     state = "pass" if ok else "FAIL"
-    print(f"criterion {num} [{state}] {label}")
+    # pytest captures output; the verdict line is printed past the capture
+    with capsys.disabled():
+        print(f"criterion {num} [{state}] {label}")
     assert ok, f"criterion {num}: {label} {detail}"
 
 
@@ -57,7 +59,7 @@ def reference_reports():
     return _CACHE["runs"]
 
 
-def test_criterion_1_apriori_bounds():
+def test_criterion_1_apriori_bounds(capsys):
     zero, loaded, elapsed = reference_reports()
     ok = elapsed < 10.0
     for report in (zero, loaded):
@@ -69,11 +71,11 @@ def test_criterion_1_apriori_bounds():
                         for g in report.grad_norms)
         ok = ok and all(s <= report.estimate.sup_radius
                         for s in report.sup_norms)
-    _criterion(1, "a priori gradient and sup bounds hold on 6 levels "
+    _criterion(capsys, 1, "a priori gradient and sup bounds hold on 6 levels "
                f"({elapsed:.2f}s)", ok)
 
 
-def test_criterion_2_analytic_and_multistart_oracles():
+def test_criterion_2_analytic_and_multistart_oracles(capsys):
     problem = Problem(p=3.0, q=2.0, domain=UNIT, weight=constant_weight(1.0),
                       convection=constant_convection(1.0),
                       variant="competing", regime="H3")
@@ -101,12 +103,13 @@ def test_criterion_2_analytic_and_multistart_oracles():
     err3 = min(np.max(np.abs(r - lv3.solution.coeffs)) for r in roots)
 
     ok = err1 <= 1e-10 and err3 <= 1e-6
-    _criterion(2, "single-dof root (1+sqrt 2)/4 to 1e-10; 3-dof matches "
+    _criterion(capsys, 2,
+               "single-dof root (1+sqrt 2)/4 to 1e-10; 3-dof matches "
                f"multistart over {len(roots)} roots to 1e-6", ok,
                f"err1={err1:.2e} err3={err3:.2e}")
 
 
-def test_criterion_3_truncation_coincidence():
+def test_criterion_3_truncation_coincidence(capsys):
     zero, loaded, _ = reference_reports()
     ok = True
     for report in (zero, loaded):
@@ -115,11 +118,11 @@ def test_criterion_3_truncation_coincidence():
                 report.problem, lv.solution, report.truncation_radius,
                 report.solver_tolerance)
             ok = ok and cert.passed
-    _criterion(3, "untruncated-operator residuals certify at solver "
+    _criterion(capsys, 3, "untruncated-operator residuals certify at solver "
                "tolerance on every criterion-1 level", ok)
 
 
-def test_criterion_4_generalized_conditions():
+def test_criterion_4_generalized_conditions(capsys):
     _, loaded, _ = reference_reports()
     scale = max(1.0, loaded.grad_norms[-1])
     b_final = max(abs(x) for x in loaded.cond_b[-1])
@@ -129,12 +132,12 @@ def test_criterion_4_generalized_conditions():
           and certs["condition-b"].passed
           and certs["condition-c"].passed
           and certs["self-pairing-bookkeeping"].passed)
-    _criterion(4, "condition-(b) finals, condition-(c) proxy, and "
+    _criterion(capsys, 4, "condition-(b) finals, condition-(c) proxy, and "
                "self-pairing bookkeeping hold", ok,
                f"b_final={b_final:.2e} c_final={c_final:.2e}")
 
 
-def test_criterion_5_cooperative_contraction():
+def test_criterion_5_cooperative_contraction(capsys):
     t0 = time.perf_counter()
     report = run_hierarchy(reference_problem(1.0, "cooperative"), 4, 10)
     elapsed = time.perf_counter() - t0
@@ -143,11 +146,12 @@ def test_criterion_5_cooperative_contraction():
     rel = gaps[-2] / report.grad_norms[-1]
     ok = (report.failed_level is None and len(report.levels) >= 5
           and decreasing and rel < 1e-3 and elapsed < 30.0)
-    _criterion(5, "cooperative gaps decrease over 10 levels and end at "
+    _criterion(capsys, 5,
+               "cooperative gaps decrease over 10 levels and end at "
                f"{rel:.2e} relative ({elapsed:.2f}s)", ok)
 
 
-def test_criterion_6_monotonicity_suite():
+def test_criterion_6_monotonicity_suite(capsys):
     space = FeSpace(build_mesh(UNIT, 16))
     rng = np.random.default_rng(0)
     violations = {}
@@ -164,11 +168,12 @@ def test_criterion_6_monotonicity_suite():
                 count += 1
         violations[exponent] = count
     ok = all(v == 0 for v in violations.values())
-    _criterion(6, "2^-p monotonicity inequality holds for 1000 pairs at "
+    _criterion(capsys, 6,
+               "2^-p monotonicity inequality holds for 1000 pairs at "
                "each exponent in {2, 2.5, 3, 4}", ok, str(violations))
 
 
-def test_criterion_7_eigenvalue_and_embedding():
+def test_criterion_7_eigenvalue_and_embedding(capsys):
     est = rayleigh_minimum(FeSpace(build_mesh(UNIT, 64)), 2.0)
     rayleigh_err = abs(est.value - math.pi ** 2) / math.pi ** 2
 
@@ -187,12 +192,12 @@ def test_criterion_7_eigenvalue_and_embedding():
             sobolev_viol += 1
     ok = (est.converged and rayleigh_err < 0.01
           and poincare_viol == 0 and sobolev_viol == 0)
-    _criterion(7, f"p=2 Rayleigh minimum within 1% of pi^2 at h=1/64 "
+    _criterion(capsys, 7, f"p=2 Rayleigh minimum within 1% of pi^2 at h=1/64 "
                f"({rayleigh_err:.2%}); Poincare and sup-embedding audits "
                "clean over 1000 samples", ok)
 
 
-def test_criterion_8_hypothesis_audits():
+def test_criterion_8_hypothesis_audits(capsys):
     box = SamplingBox(s_bound=10.0, xi_bound=100.0, samples=10000)
 
     good = reference_problem(0.0)
@@ -228,12 +233,13 @@ def test_criterion_8_hypothesis_audits():
     gate_admits = math.isfinite(psi(1.0))
 
     ok = good_ok and bad_ok and gate_rejects and gate_admits
-    _criterion(8, "built-in family passes (H2)+(H3), adversarial family "
+    _criterion(capsys, 8,
+               "built-in family passes (H2)+(H3), adversarial family "
                "fails (H3), smallness gate rejects the exact boundary", ok,
                f"margins good={good_audit.margins} bad={bad_audit.margins}")
 
 
-def test_criterion_9_deterministic_reports(tmp_path):
+def test_criterion_9_deterministic_reports(tmp_path, capsys):
     cfg = {
         "problem": {
             "p": 3.0,
@@ -257,5 +263,6 @@ def test_criterion_9_deterministic_reports(tmp_path):
                    == (out_b / f"solution_L{n}.csv").read_bytes()
                    for n in range(3))
     ok = rc_a == 0 and rc_b == 0 and same and csv_same
-    _criterion(9, "identical config and seed give byte-identical reports "
+    _criterion(capsys, 9,
+               "identical config and seed give byte-identical reports "
                "and solution files", ok)

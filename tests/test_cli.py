@@ -85,16 +85,26 @@ def run_python(args):
                           text=True, env=env, timeout=60)
 
 
-def test_removed_fd_step_key_is_exit_1_without_traceback(tmp_path):
-    # solver.fd_step belonged to the finite-difference Jacobian; the strict
-    # schema rejects it like any unknown key, before any output is written
-    path = write_config(tmp_path, base_config(solver={"fd_step": 1e-7}))
+# solver.fd_step belonged to the finite-difference Jacobian; the other keys
+# were knobs with one value in use (the value given here), now constants
+REMOVED_KEYS = {"solver.fd_step": 1e-7, "solver.homotopy_steps": 4,
+                "solver.continuation_steps": 10, "solver.max_halvings": 40,
+                "estimates.sobolev_samples": 1000}
+
+
+@pytest.mark.parametrize("dotted", list(REMOVED_KEYS))
+def test_removed_key_is_exit_1_without_traceback(tmp_path, dotted):
+    # the strict schema rejects each like any unknown key, before any output
+    # is written
+    block, key = dotted.split(".")
+    path = write_config(tmp_path,
+                        base_config(**{block: {key: REMOVED_KEYS[dotted]}}))
     for command in ("estimate", "solve", "verify"):
         out = tmp_path / command
         run = run_python(["-m", "pqgalerkin.cli", command, "--config", path,
                           "--out", str(out)])
         assert run.returncode == 1, run.stderr
-        assert "solver: unknown keys ['fd_step']" in run.stderr
+        assert f"{block}: unknown keys ['{key}']" in run.stderr
         assert "Traceback" not in run.stderr
         assert not out.exists()
 
@@ -108,11 +118,29 @@ def test_psi_without_positive_root_is_exit_1_without_traceback(tmp_path):
                                   "coef": 1.0})
     path = write_config(tmp_path, cfg)
     for command in ("estimate", "solve", "verify"):
+        out = tmp_path / command
         run = run_python(["-m", "pqgalerkin.cli", command, "--config", path,
-                          "--out", str(tmp_path / command)])
+                          "--out", str(out)])
         assert run.returncode == 1, run.stderr
         assert run.stderr == \
             "config error: no positive root bracket found for psi\n"
+        assert not out.exists()
+
+
+def test_h3a_without_constants_is_exit_2_without_output(tmp_path):
+    # the saturating family with alpha < p carries no (H3a) constants; the
+    # violation is raised after load_config and must leave no --out behind
+    cfg = base_config()
+    cfg["problem"]["regime"] = "H3a"
+    path = write_config(tmp_path, cfg)
+    for command in ("estimate", "solve", "verify"):
+        out = tmp_path / command
+        run = run_python(["-m", "pqgalerkin.cli", command, "--config", path,
+                          "--out", str(out)])
+        assert run.returncode == 2, run.stderr
+        assert run.stderr == "hypothesis violation: (H3a) constants " \
+            "missing from the family\n"
+        assert not out.exists()
 
 
 def test_cli_runs_without_scipy_stats_or_special(tmp_path):
@@ -277,6 +305,20 @@ def test_verify_appends_to_existing_report(tmp_path):
     after = json.loads((out / "report.json").read_text())
     assert set(after) == {"hierarchy", "verification"}
     assert after["verification"]["all_passed"]
+
+
+def test_verify_report_outside_out_still_writes_solutions(tmp_path):
+    path = write_config(tmp_path, base_config())
+    solved, certified = tmp_path / "solved", tmp_path / "certified"
+    assert main(["solve", "--config", path, "--out", str(solved)]) == 0
+    rc = main(["verify", "--config", path, "--out", str(certified),
+               "--report", str(solved / "report.json")])
+    assert rc == 0
+    assert not (certified / "report.json").exists()
+    for n in range(3):
+        assert (certified / f"solution_L{n}.csv").exists()
+    assert (certified / "diagnostics.csv").exists()
+    assert (certified / "run.lock.json").exists()
 
 
 def test_verify_certification_failure_is_exit_4(tmp_path, capsys):

@@ -70,9 +70,9 @@ def test_homotopy_scalings_recombine():
     rng = np.random.default_rng(5)
     u = FeFunction(space, rng.standard_normal(space.dim))
     p_d, q_d, f_d = op.parts(u)
-    core = op.q_scaled(0.0).residual(u).values
+    core = dataclasses.replace(op, q_factor=0.0).residual(u).values
     np.testing.assert_allclose(core, p_d.values + f_d.values, atol=1e-14)
-    unloaded = op.load_scaled(0.0).residual(u).values
+    unloaded = dataclasses.replace(op, load_factor=0.0).residual(u).values
     np.testing.assert_allclose(
         unloaded, p_d.values + q_d.values, atol=1e-14)
     full = op.residual(u).values
@@ -81,7 +81,8 @@ def test_homotopy_scalings_recombine():
 
 def test_linear_predictor_zero_load_is_zero():
     op, space = single_dof_op()
-    u = galerkin._linear_predictor(op.load_scaled(0.0), space)
+    u = galerkin._linear_predictor(
+        dataclasses.replace(op, load_factor=0.0), space)
     assert not np.any(u.coeffs)
 
 
@@ -290,3 +291,21 @@ def test_report_solutions_property():
     sols = report.solutions
     assert len(sols) == len(report.levels)
     assert grad_norm_lp(sols[-1], 3.0) == report.grad_norms[-1]
+
+
+def test_level_solves_on_load_continuation():
+    # the 2D competing problem with a load: warm Newton stalls on level 1
+    # and load continuation reaches the zero; the iteration count includes
+    # the failed warm attempt
+    conv = saturating_convection(3.0, alpha=2.0, h_bound=1.0, offset=1.0)
+    problem = Problem(p=3.0, q=2.0,
+                      domain=Domain.rectangle(0.0, 1.0, 0.0, 1.0),
+                      weight=quadratic_weight(1.0), convection=conv,
+                      variant="competing", regime="H3")
+    report = run_hierarchy(problem, (2, 2), 2)
+    assert report.failed_level is None, report.failure_message
+    lv = report.levels[1]
+    assert lv.dim == 9
+    assert lv.path == "load-continuation"
+    assert lv.iterations == 41
+    assert lv.residual_sup <= report.solver_tolerance
