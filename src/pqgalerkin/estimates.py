@@ -300,10 +300,6 @@ class SamplingBox:
     xi_bound: float = 100.0
     samples: int = 10000
 
-    @staticmethod
-    def for_radius(sup_radius: float, samples: int = 10000) -> "SamplingBox":
-        return SamplingBox(10.0 * max(1.0, sup_radius), 100.0, samples)
-
 
 @dataclass
 class HypothesisAudit:

@@ -125,6 +125,17 @@ class _NewtonInfo:
     message: str = ""
 
 
+def _merit(F: np.ndarray) -> float:
+    """Euclidean norm of F, rescaled by its largest entry only where the
+    plain sum of squares overflows, so every finite merit keeps its bits."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(F))
+    if np.isfinite(norm):
+        return norm
+    scale = float(np.max(np.abs(F)))
+    return scale * float(np.linalg.norm(F / scale))
+
+
 def _newton(op, space: FeSpace, u0: FeFunction, cfg: SolverConfig) -> tuple:
     u = u0.copy()
     F = op.residual(u).values
@@ -139,17 +150,15 @@ def _newton(op, space: FeSpace, u0: FeFunction, cfg: SolverConfig) -> tuple:
         delta = spla.spsolve(op.jacobian(u), -F)
         if not np.all(np.isfinite(delta)) or not np.any(delta):
             return u, _NewtonInfo(False, its, res_sup, "degenerate step")
-        merit = float(np.linalg.norm(F))
+        merit = _merit(F)
         lam = 1.0
-        accepted = False
         for _ in range(MAX_HALVINGS):
             trial = FeFunction(space, u.coeffs + lam * delta)
             Ft = op.residual(trial).values
-            if float(np.linalg.norm(Ft)) <= (1.0 - 1e-4 * lam) * merit:
-                accepted = True
+            if _merit(Ft) <= (1.0 - 1e-4 * lam) * merit:
                 break
             lam *= 0.5
-        if not accepted:
+        else:
             return u, _NewtonInfo(False, its, res_sup, "line search stalled")
         u, F = trial, Ft
         its += 1

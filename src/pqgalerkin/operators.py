@@ -174,9 +174,11 @@ class GrowthH4:
 class ConvectionFamily:
     """Right-hand side f(x, s, xi) together with its declared growth data.
 
-    The evaluator is numpy-vectorized over leading axes: x has shape (..., d),
-    s has shape (...), xi has shape (..., d).  Constants for the different
-    hypotheses are stored separately and never substituted for one another.
+    The evaluator broadcasts over leading axes.  The operator passes x of
+    shape (m, k, d) and s of shape (m, k), the k quadrature points of m
+    cells, and xi of shape (m, 1, d), one gradient per cell; the result has
+    the shape of s.  Constants for the different hypotheses are stored
+    separately and never substituted for one another.
     """
 
     name: str
@@ -340,10 +342,6 @@ class Problem:
     def q_sign(self) -> float:
         return -1.0 if self.variant == "competing" else 1.0
 
-    @property
-    def p_conjugate(self) -> float:
-        return self.p / (self.p - 1.0)
-
 
 # ---------------------------------------------------------------------------
 # assembly kernels
@@ -400,12 +398,11 @@ def _scatter(space: FeSpace, cell_contrib: np.ndarray, label: str) -> np.ndarray
     if not np.all(np.isfinite(cell_contrib)):
         bad = int(np.argwhere(~np.isfinite(cell_contrib))[0][0])
         raise AssemblyError(f"nonfinite {label} contribution on cell {bad}")
-    out = np.zeros(space.dim)
     idx = space.cell_dofs
     mask = idx >= 0
     # accumulation in cell-index order keeps assembly bit-reproducible
-    np.add.at(out, idx[mask], cell_contrib[mask])
-    return out
+    return np.bincount(idx[mask], weights=cell_contrib[mask],
+                       minlength=space.dim)
 
 
 def _flux_dual(space: FeSpace, flux: np.ndarray, cell_w: np.ndarray,
@@ -422,8 +419,10 @@ def _flux_pairing(flux: np.ndarray, cell_w: np.ndarray,
 def qp_dual(space: FeSpace, qp_values: np.ndarray, label: str) -> np.ndarray:
     """Entries int w phi_i by the cell rule for w given at the quadrature
     points; raises AssemblyError naming the first nonfinite cell."""
-    contrib = np.einsum("cq,cq,vq->cv", space.qp_weights, qp_values,
-                        space.basis_qp)
+    weighted = space.qp_weights * qp_values
+    # summed point by point, in the order of einsum("cq,cq,vq->cv", ...)
+    contrib = sum(w[:, None] * phi
+                  for w, phi in zip(weighted.T, space.basis_qp.T))
     return _scatter(space, contrib, label)
 
 
@@ -436,17 +435,6 @@ def assemble_matrix(space: FeSpace, blocks: np.ndarray) -> sp.csr_matrix:
     keep = (rows >= 0) & (cols >= 0)
     return sp.csr_matrix((blocks[keep], (rows[keep], cols[keep])),
                          shape=(space.dim, space.dim))
-
-
-def _qp_pairing(space: FeSpace, qp_values: np.ndarray, v: FeFunction) -> float:
-    return float(np.sum(space.qp_weights * qp_values * values_at_qp(v)))
-
-
-def _convection_values(family: ConvectionFamily, space: FeSpace,
-                       grad: np.ndarray, u_qp: np.ndarray) -> np.ndarray:
-    m, k = space.qp_weights.shape
-    xi = np.broadcast_to(grad[:, None, :], (m, k, grad.shape[1]))
-    return family.evaluate(space.qp_points, u_qp, xi)
 
 
 def power_laplacian_residual(u: FeFunction, exponent: float,
@@ -485,15 +473,24 @@ class ProblemOperator:
     q_factor: float = 1.0
     eps: float = DEFAULT_REGULARIZATION
 
+    def _p_term(self, space: FeSpace, grad: np.ndarray, u_qp: np.ndarray):
+        """(flux, cell weight) of the p-term; g_R enters the cell weight."""
+        g_int = np.sum(space.qp_weights * self.weight.evaluate(u_qp), axis=1)
+        return _power_flux(grad, self.problem.p, self.eps), g_int
+
+    def _convection(self, space: FeSpace, grad: np.ndarray, u_qp: np.ndarray):
+        """f at the quadrature points, xi the (m, 1, d) cell gradients."""
+        return self.problem.convection.evaluate(space.qp_points, u_qp,
+                                                grad[:, None, :])
+
     def _terms(self, u: FeFunction):
         """(flux, cell weight) of the p- and q-terms, and f at the
         quadrature points."""
         space, pr = u.space, self.problem
         grad, u_qp = cell_gradients(u), values_at_qp(u)
-        g_int = np.sum(space.qp_weights * self.weight.evaluate(u_qp), axis=1)
-        return ((_power_flux(grad, pr.p, self.eps), g_int),
+        return (self._p_term(space, grad, u_qp),
                 (_power_flux(grad, pr.q, self.eps), space.cell_measures),
-                _convection_values(pr.convection, space, grad, u_qp))
+                self._convection(space, grad, u_qp))
 
     def _signed_parts(self, u: FeFunction):
         (p_flux, p_w), (q_flux, q_w), fvals = self._terms(u)
@@ -519,8 +516,8 @@ class ProblemOperator:
         points, so their error does not grow as the mesh refines.
         """
         space, problem = u.space, self.problem
-        (p_flux, p_w), _, _ = self._terms(u)
         grad, u_qp = cell_gradients(u), values_at_qp(u)
+        p_flux, p_w = self._p_term(space, grad, u_qp)
         G, phi = space.grads, space.basis_qp
         w_phi = space.qp_weights[:, None, :] * phi              # (m, nv, k)
         q_w = problem.q_sign * self.q_factor * space.cell_measures
@@ -534,18 +531,13 @@ class ProblemOperator:
         p_dot = np.einsum("cd,cvd->cv", p_flux, G)
         blocks += p_dot[:, :, None] * dg_w[:, None, :]
 
-        xi = np.broadcast_to(grad[:, None, :], u_qp.shape + grad.shape[-1:])
-
-        def f(s, grad_qp):
-            return problem.convection.evaluate(space.qp_points, s, grad_qp)
-
-        f_s = _central_diff(lambda s: f(s, xi), u_qp)
+        f_s = _central_diff(lambda s: self._convection(space, grad, s), u_qp)
         f_w = np.einsum("ck,wk->ckw", f_s, phi)
-        comp = np.arange(xi.shape[-1])
+        comp = np.arange(grad.shape[-1])
         for d in comp:
-            f_xi = _central_diff(
-                lambda t: f(u_qp, np.where(comp == d, t[..., None], xi)),
-                xi[..., d])
+            # perturb component d of the one gradient of each cell
+            f_xi = _central_diff(lambda t: self._convection(
+                space, np.where(comp == d, t, grad), u_qp), grad[:, d, None])
             f_w += np.einsum("ck,cw->ckw", f_xi, G[:, :, d])
         blocks -= self.load_factor * np.einsum("cvk,ckw->cvw", w_phi, f_w)
         return assemble_matrix(space, blocks)
@@ -560,4 +552,5 @@ class ProblemOperator:
         return (_flux_pairing(p_flux, p_w, grad_v)
                 + self.problem.q_sign * self.q_factor
                 * _flux_pairing(q_flux, q_w, grad_v)
-                - self.load_factor * _qp_pairing(u.space, fvals, v))
+                - self.load_factor * float(np.sum(
+                    u.space.qp_weights * fvals * values_at_qp(v))))

@@ -92,61 +92,65 @@ REMOVED_KEYS = {"solver.fd_step": 1e-7, "solver.homotopy_steps": 4,
                 "estimates.sobolev_samples": 1000}
 
 
-@pytest.mark.parametrize("dotted", list(REMOVED_KEYS))
-def test_removed_key_is_exit_1_without_traceback(tmp_path, dotted):
-    # the strict schema rejects each like any unknown key, before any output
-    # is written
+def removed_key_config(tmp_path, dotted):
     block, key = dotted.split(".")
-    path = write_config(tmp_path,
-                        base_config(**{block: {key: REMOVED_KEYS[dotted]}}))
+    return write_config(tmp_path,
+                        base_config(**{block: {key: REMOVED_KEYS[dotted]}}),
+                        name=f"{dotted}.json")
+
+
+def assert_every_command_fails(tmp_path, capsys, path, code, stderr):
+    """estimate, solve and verify each return `code`, print exactly `stderr`
+    and no traceback, and leave no --out directory behind."""
     for command in ("estimate", "solve", "verify"):
         out = tmp_path / command
-        run = run_python(["-m", "pqgalerkin.cli", command, "--config", path,
-                          "--out", str(out)])
-        assert run.returncode == 1, run.stderr
-        assert f"{block}: unknown keys ['{key}']" in run.stderr
-        assert "Traceback" not in run.stderr
+        assert main([command, "--config", path, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err == stderr
+        assert "Traceback" not in err
         assert not out.exists()
 
 
-def test_psi_without_positive_root_is_exit_1_without_traceback(tmp_path):
+@pytest.mark.parametrize("dotted", list(REMOVED_KEYS))
+def test_removed_key_is_exit_1_without_traceback(tmp_path, capsys, dotted):
+    # the strict schema rejects each like any unknown key, before any output
+    # is written
+    block, key = dotted.split(".")
+    assert_every_command_fails(
+        tmp_path, capsys, removed_key_config(tmp_path, dotted), 1,
+        f"config error: {block}: unknown keys ['{key}']\n")
+
+
+def test_psi_without_positive_root_is_exit_1_without_traceback(tmp_path,
+                                                               capsys):
     # a0 - c0 barely positive and p barely above q: psi stays negative on
     # every bracket apriori_radius tries, so it raises ArithmeticError
     cfg = base_config()
     cfg["problem"].update(p=2.01, q=2.0,
                           weight={"kind": "quadratic", "base": 0.5000001,
                                   "coef": 1.0})
-    path = write_config(tmp_path, cfg)
-    for command in ("estimate", "solve", "verify"):
-        out = tmp_path / command
-        run = run_python(["-m", "pqgalerkin.cli", command, "--config", path,
-                          "--out", str(out)])
-        assert run.returncode == 1, run.stderr
-        assert run.stderr == \
-            "config error: no positive root bracket found for psi\n"
-        assert not out.exists()
+    assert_every_command_fails(
+        tmp_path, capsys, write_config(tmp_path, cfg), 1,
+        "config error: no positive root bracket found for psi\n")
 
 
-def test_h3a_without_constants_is_exit_2_without_output(tmp_path):
+def test_h3a_without_constants_is_exit_2_without_output(tmp_path, capsys):
     # the saturating family with alpha < p carries no (H3a) constants; the
     # violation is raised after load_config and must leave no --out behind
     cfg = base_config()
     cfg["problem"]["regime"] = "H3a"
-    path = write_config(tmp_path, cfg)
-    for command in ("estimate", "solve", "verify"):
-        out = tmp_path / command
-        run = run_python(["-m", "pqgalerkin.cli", command, "--config", path,
-                          "--out", str(out)])
-        assert run.returncode == 2, run.stderr
-        assert run.stderr == "hypothesis violation: (H3a) constants " \
-            "missing from the family\n"
-        assert not out.exists()
+    assert_every_command_fails(
+        tmp_path, capsys, write_config(tmp_path, cfg), 2,
+        "hypothesis violation: (H3a) constants missing from the family\n")
 
 
 def test_cli_runs_without_scipy_stats_or_special(tmp_path):
     # scipy.stats is 0.7 s of import time that only the hypothesis audits
-    # need; no CLI command may load it, or scipy.special, at start-up or later
+    # need; no CLI command may load it, or scipy.special, at start-up or
+    # later.  The one fresh interpreter of the suite also exits through
+    # main on a removed key: exit 1, one line, no traceback.
     path = write_config(tmp_path, base_config())
+    removed = removed_key_config(tmp_path, "solver.max_halvings")
     script = f"""
 import sys
 import pqgalerkin
@@ -162,9 +166,14 @@ for command in ("estimate", "solve", "verify"):
     rc = main([command, "--config", {path!r}, "--out", {str(tmp_path)!r}])
     assert rc == 0, (command, rc)
     assert loaded() == [], (command, loaded())
+sys.exit(main(["solve", "--config", {removed!r},
+               "--out", {str(tmp_path / "removed")!r}]))
 """
     run = run_python(["-c", script])
-    assert run.returncode == 0, run.stderr
+    assert run.returncode == 1, run.stderr
+    assert run.stderr == \
+        "config error: solver: unknown keys ['max_halvings']\n"
+    assert not (tmp_path / "removed").exists()
 
 
 def test_bad_levels_is_exit_1(tmp_path):
@@ -244,6 +253,21 @@ def assembly_error_config():
                           weight={"kind": "constant", "value": 1.0},
                           convection={"kind": "constant", "value": 1e8})
     return cfg
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_newton_merit_overflow_leaks_no_warning(tmp_path, capsys):
+    # p = 40 with a load of 1e6 gives residual entries whose sum of squares
+    # overflows in the Newton merit; the level still stalls just above the
+    # absolute 1e-10 stopping test, but no overflow warning may escape
+    cfg = base_config(mesh={"base_cells": 4, "levels": 2})
+    cfg["problem"].update(p=40.0, weight={"kind": "constant", "value": 1.0},
+                          convection={"kind": "constant", "value": 1e6})
+    path = write_config(tmp_path, cfg)
+    assert main(["solve", "--config", path,
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == \
+        "level 0 failed: line search stalled (residual sup 1.019e-10)\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

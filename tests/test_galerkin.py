@@ -56,6 +56,15 @@ def test_single_dof_solve():
     assert math.isclose(lv.solution.coeffs[0], GOLDEN, abs_tol=1e-10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_merit_is_the_plain_norm_until_it_overflows():
+    F = np.random.default_rng(4).standard_normal(64)
+    assert galerkin._merit(F) == np.linalg.norm(F)
+    assert math.isclose(galerkin._merit(1e300 * F),
+                        1e300 * np.linalg.norm(F), rel_tol=1e-14)
+    assert galerkin._merit(np.full(4, 1e308)) == math.inf
+
+
 def test_single_dof_residual_vanishes_at_root():
     op, space = single_dof_op()
     root = FeFunction(space, np.array([GOLDEN]))

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from pqgalerkin import operators
 from pqgalerkin.fespace import (FeFunction, FeSpace, cell_gradients,
                                 grad_norm_lp, lr_norm, pair)
 from pqgalerkin.mesh import Domain, build_mesh
@@ -11,7 +13,8 @@ from pqgalerkin.operators import (AssemblyError, ConvectionFamily, GrowthH2,
                                   ProblemOperator, SignH3,
                                   adversarial_convection, constant_convection,
                                   constant_weight, power_laplacian_pairing,
-                                  quadratic_weight, saturating_convection,
+                                  qp_dual, quadratic_weight,
+                                  saturating_convection,
                                   truncate_weight, zero_convection)
 
 UNIT = Domain.interval(0.0, 1.0)
@@ -284,3 +287,78 @@ def test_jacobian_keeps_the_p1_stencil(dim):
         assert J.format == "csr"
         assert J.nnz == len(pairs)
         assert set(zip(*J.nonzero())) <= pairs
+
+
+def add_at_scatter(space, contrib):
+    """Reference scatter: np.add.at into zeros, in cell order."""
+    out = np.zeros(space.dim)
+    mask = space.cell_dofs >= 0
+    np.add.at(out, space.cell_dofs[mask], contrib[mask])
+    return out
+
+
+def spread(rng, shape):
+    """Random entries over sixteen decades, so any change in the order of a
+    sum shows in the last bits."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_assembly_kernels_match_their_references_bit_for_bit(dim):
+    space = jacobian_setup(dim)[0].space
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        contrib = spread(rng, space.cell_dofs.shape)
+        assert np.array_equal(operators._scatter(space, contrib, "test"),
+                              add_at_scatter(space, contrib))
+        qp_values = spread(rng, space.qp_weights.shape)
+        reference = add_at_scatter(space, np.einsum(
+            "cq,cq,vq->cv", space.qp_weights, qp_values, space.basis_qp))
+        assert np.array_equal(qp_dual(space, qp_values, "test"), reference)
+
+
+def with_convection(op, fn):
+    family = dataclasses.replace(op.problem.convection, fn=fn)
+    return dataclasses.replace(
+        op, problem=dataclasses.replace(op.problem, convection=family))
+
+
+@pytest.mark.parametrize("family", ["saturating", "adversarial"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_per_cell_convection_keeps_every_bit(dim, family):
+    op, u = jacobian_setup(dim)
+    if family == "adversarial":
+        op = with_convection(op, adversarial_convection(2.0, 3.0).fn)
+    fn = op.problem.convection.fn
+
+    def on_broadcast_xi(x, s, xi):
+        # xi copied to every quadrature point, shape (m, k, d)
+        return fn(x, s, np.broadcast_to(xi, s.shape + xi.shape[-1:]))
+
+    reference = with_convection(op, on_broadcast_xi)
+    rng = np.random.default_rng(12)
+    states = [u] + [FeFunction(op.space, rng.standard_normal(op.space.dim))
+                    for _ in range(3)]
+    for state in states:
+        assert np.array_equal(op.residual(state).values,
+                              reference.residual(state).values)
+        assert np.array_equal(op.jacobian(state).toarray(),
+                              reference.jacobian(state).toarray())
+        assert op.pairing(state, state) == reference.pairing(state, state)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_convection_gets_one_gradient_per_cell(dim):
+    op, u = jacobian_setup(dim)
+    fn, shapes = op.problem.convection.fn, set()
+
+    def spy(x, s, xi):
+        shapes.add((x.shape, s.shape, xi.shape))
+        return fn(x, s, xi)
+
+    spied = with_convection(op, spy)
+    spied.residual(u)
+    spied.jacobian(u)
+    spied.pairing(u, u)
+    m, k = op.space.qp_weights.shape
+    assert shapes == {((m, k, dim), (m, k), (m, 1, dim))}
