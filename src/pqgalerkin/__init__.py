@@ -8,12 +8,11 @@ from .fespace import (DualVector, FeFunction, FeSpace, cell_gradients,
                       read_csv, sup_norm, values_at_qp, write_csv)
 from .operators import (AssemblyError, ConvectionFamily, GrowthH2, GrowthH4,
                         HypothesisViolation, Problem, ProblemOperator, SignH3,
-                        SignH3a, TruncatedWeight, WeightFunction,
-                        adversarial_convection, constant_convection,
-                        constant_weight, power_laplacian_pairing,
-                        power_laplacian_residual, qp_dual, quadratic_weight,
-                        saturating_convection, truncate_weight,
-                        zero_convection)
+                        SignH3a, WeightFunction, adversarial_convection,
+                        constant_convection, constant_weight,
+                        power_laplacian_pairing, power_laplacian_residual,
+                        qp_dual, quadratic_weight, saturating_convection,
+                        truncate_weight, zero_convection)
 from .estimates import (CONVENTIONS, EstimateReport, HypothesisAudit,
                         Lambda1Estimate, SamplingBox, SobolevEstimate,
                         apriori_radius, audit_hypotheses,
@@ -22,11 +21,10 @@ from .estimates import (CONVENTIONS, EstimateReport, HypothesisAudit,
                         rayleigh_minimum, rhs_estimate_constant,
                         sobolev_constant)
 from .galerkin import (GuardRecord, HierarchyReport, LevelSolve, SolveError,
-                       SolverConfig, SProbe, brouwer_guard, condition_S_probe,
-                       run_hierarchy, solve_level)
-from .verify import (Certificate, check_generalized_conditions,
+                       SolverConfig, brouwer_guard, run_hierarchy, solve_level)
+from .verify import (Certificate, SProbe, check_generalized_conditions,
                      check_monotonicity_inequalities, check_strong_condition,
-                     check_truncation_consistency, run_certificates,
-                     weak_implies_generalized_demo)
+                     check_truncation_consistency, condition_S_probe,
+                     run_certificates, weak_implies_generalized_demo)
 
 __version__ = "0.1.0"

@@ -44,10 +44,13 @@ def _check_keys(block: dict, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _number(block: dict, key: str, where: str) -> float:
+def _number(block, key, where: str) -> float:
     val = block[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number")
+    # json reads NaN and Infinity; they, and ints beyond the float range,
+    # fail the magnitude test
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or not abs(val) <= sys.float_info.max:
+        raise ConfigError(f"{where}.{key}: expected a finite number")
     return float(val)
 
 
@@ -59,14 +62,16 @@ def _build_domain(block: dict) -> Domain:
     if kind == "interval":
         if (not isinstance(bounds, list) or len(bounds) != 2):
             raise ConfigError("problem.domain.bounds: expected [a, b]")
-        return Domain.interval(float(bounds[0]), float(bounds[1]))
+        return Domain.interval(*(_number(bounds, i, "problem.domain.bounds")
+                                 for i in range(2)))
     if kind == "rectangle":
         if (not isinstance(bounds, list) or len(bounds) != 2
                 or any(not isinstance(b, list) or len(b) != 2 for b in bounds)):
             raise ConfigError(
                 "problem.domain.bounds: expected [[ax, bx], [ay, by]]")
-        (ax, bx), (ay, by) = bounds
-        return Domain.rectangle(float(ax), float(bx), float(ay), float(by))
+        return Domain.rectangle(*(_number(b, i, f"problem.domain.bounds.{j}")
+                                  for j, b in enumerate(bounds)
+                                  for i in range(2)))
     raise ConfigError(f"problem.domain.kind: unknown kind {kind!r}")
 
 
@@ -137,11 +142,13 @@ def _build_solver(block: Optional[dict]) -> SolverConfig:
     for key in allowed & set(block):
         val = block[key]
         if key == "max_iterations":
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ConfigError(f"solver.{key}: expected an integer")
+            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+                raise ConfigError(f"solver.{key}: expected a positive integer")
             kwargs[key] = val
         else:
             kwargs[key] = _number(block, key, "solver")
+            if not kwargs[key] > 0.0:
+                raise ConfigError(f"solver.{key}: expected a positive number")
     return SolverConfig(**kwargs)
 
 
@@ -193,21 +200,13 @@ def _write_lock(out_dir: Path, command: str, cfg: dict, seed: int) -> None:
 
 def _write_diagnostics(out_dir: Path, report) -> None:
     lines = ["level,grad_norm_p,sup_norm,cond_b_max,cond_c,cond_cprime"]
-    n = len(report.levels)
-    for i in range(n):
-        b_max = max(abs(x) for x in report.cond_b[i]) if report.cond_b else \
-            float("nan")
-        c = report.cond_c[i] if i < len(report.cond_c) else float("nan")
-        cp = report.cond_cprime[i] if i < len(report.cond_cprime) else \
-            float("nan")
-        lines.append(",".join([
-            str(report.levels[i].level),
-            repr(float(report.grad_norms[i])),
-            repr(float(report.sup_norms[i])),
-            repr(float(b_max)),
-            repr(float(c)),
-            repr(float(cp)),
-        ]))
+    # run_hierarchy fills every table with one row per solved level
+    for i, lv in enumerate(report.levels):
+        row = (report.grad_norms[i], report.sup_norms[i],
+               max(abs(x) for x in report.cond_b[i]), report.cond_c[i],
+               report.cond_cprime[i])
+        lines.append(",".join([str(lv.level)]
+                              + [repr(float(x)) for x in row]))
     (out_dir / "diagnostics.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -234,20 +233,24 @@ def _run(cfg: dict, seed: int):
                          convention=convention, seed=seed)
 
 
-def _write_solutions(out_dir: Path, report) -> None:
-    for lv in report.levels:
-        write_csv(lv.solution, out_dir / f"solution_L{lv.level}.csv")
+def _write_outputs(out_dir: Path, command: str, cfg: dict, seed: int,
+                   report) -> None:
+    """Solution CSVs and diagnostics.csv as `output` asks, then the lock."""
+    # the verify --report target may lie outside --out
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out_cfg = cfg.get("output") or {}
+    if out_cfg.get("write_solutions", True):
+        for lv in report.levels:
+            write_csv(lv.solution, out_dir / f"solution_L{lv.level}.csv")
+    if out_cfg.get("write_diagnostics", True):
+        _write_diagnostics(out_dir, report)
+    _write_lock(out_dir, command, cfg, seed)
 
 
 def _cmd_solve(cfg: dict, out_dir: Path, seed: int) -> int:
     report = _run(cfg, seed)
-    out_cfg = cfg.get("output") or {}
     _write_json(out_dir / "report.json", {"hierarchy": report})
-    if out_cfg.get("write_solutions", True):
-        _write_solutions(out_dir, report)
-    if out_cfg.get("write_diagnostics", True):
-        _write_diagnostics(out_dir, report)
-    _write_lock(out_dir, "solve", cfg, seed)
+    _write_outputs(out_dir, "solve", cfg, seed, report)
     if report.failed_level is not None:
         print(report.failure_message, file=sys.stderr)
         return 3
@@ -268,7 +271,6 @@ def _cmd_verify(cfg: dict, out_dir: Path, seed: int,
             return 1
         prior = json.loads(target.read_text())
     report = _run(cfg, seed)
-    out_cfg = cfg.get("output") or {}
     payload = prior if isinstance(prior, dict) else {}
     payload["hierarchy"] = report
     if report.failed_level is not None:
@@ -279,13 +281,7 @@ def _cmd_verify(cfg: dict, out_dir: Path, seed: int,
     verdict = run_certificates(report, seed=seed)
     payload["verification"] = verdict
     _write_json(target, payload)
-    # the --report target may lie outside --out
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if out_cfg.get("write_solutions", True):
-        _write_solutions(out_dir, report)
-    if out_cfg.get("write_diagnostics", True):
-        _write_diagnostics(out_dir, report)
-    _write_lock(out_dir, "verify", cfg, seed)
+    _write_outputs(out_dir, "verify", cfg, seed, report)
     for cert in verdict["certificates"]:
         state = "skip" if cert["skipped"] else \
             ("pass" if cert["passed"] else "FAIL")

@@ -47,6 +47,17 @@ __all__ = [
 ]
 
 CONVENTIONS = ("standard", "paper")
+# relative quotient drop below which the Rayleigh descent stops, and its cap
+RAYLEIGH_TOL = 1e-8
+RAYLEIGH_MAX_ITERATIONS = 20000
+# random fields behind the 2D sup-embedding surrogate
+SOBOLEV_SAMPLES = 1000
+# relative width at which bisection stops polishing the psi root
+ROOT_REL_TOL = 1e-12
+# audit box half-width in each gradient component
+XI_BOUND = 100.0
+# audit margin below zero still counted as a pass (rounding)
+AUDIT_TOLERANCE = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +84,6 @@ class Lambda1Estimate:
     value: float
     provenance: str
     converged: bool = True
-    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -98,13 +108,12 @@ def _bump_start(space: FeSpace) -> np.ndarray:
     return vals
 
 
-def rayleigh_minimum(space: FeSpace, p: float, tol: float = 1e-8,
-                     max_iterations: int = 20000) -> Lambda1Estimate:
+def rayleigh_minimum(space: FeSpace, p: float) -> Lambda1Estimate:
     """Minimize ||grad u||_p^p / ||u||_p^p by normalized projected descent.
 
     The iterate is kept on ||u||_p = 1; a backtracking step on the quotient
     guarantees monotone decrease.  Stops when the quotient stagnates below
-    `tol` (relative) or no descent step is accepted anymore.
+    `RAYLEIGH_TOL` (relative) or no descent step is accepted anymore.
     """
     if space.dim < 1:
         raise ValueError("space has no interior degrees of freedom")
@@ -118,9 +127,7 @@ def rayleigh_minimum(space: FeSpace, p: float, tol: float = 1e-8,
     rq = quotient(u)
     step = 1.0 / max(1.0, rq)
     converged = False
-    it = 0
-    while it < max_iterations:
-        it += 1
+    for _ in range(RAYLEIGH_MAX_ITERATIONS):
         kin = power_laplacian_residual(u, p).values
         mass = _p_mass_dual(u, p)
         grad = p * (kin - rq * mass)
@@ -145,10 +152,10 @@ def rayleigh_minimum(space: FeSpace, p: float, tol: float = 1e-8,
         drop = rq - rq_trial
         u, rq = trial, rq_trial
         step *= 1.5
-        if drop <= tol * max(1.0, rq):
+        if drop <= RAYLEIGH_TOL * max(1.0, rq):
             converged = True
             break
-    return Lambda1Estimate(float(rq), "discrete-rayleigh", converged, it)
+    return Lambda1Estimate(float(rq), "discrete-rayleigh", converged)
 
 
 def estimate_lambda1(space: FeSpace, p: float) -> Lambda1Estimate:
@@ -165,7 +172,7 @@ def estimate_lambda1(space: FeSpace, p: float) -> Lambda1Estimate:
 # ---------------------------------------------------------------------------
 
 def sobolev_constant(domain: Domain, p: float, space: Optional[FeSpace] = None,
-                     samples: int = 1000, seed: int = 0) -> SobolevEstimate:
+                     seed: int = 0) -> SobolevEstimate:
     """Constant C with ||u||_sup <= C ||grad u||_p on zero-trace functions.
 
     Intervals admit the sharp value (L/2)^{(p-1)/p}.  In 2D the constant is a
@@ -181,7 +188,7 @@ def sobolev_constant(domain: Domain, p: float, space: Optional[FeSpace] = None,
         raise ValueError("the 2D surrogate needs a finite element space")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(SOBOLEV_SAMPLES):
         u = FeFunction(space, rng.standard_normal(space.dim))
         denom = grad_norm_lp(u, p)
         if denom > 0.0:
@@ -242,8 +249,7 @@ def coercivity_polynomial(problem: Problem, lambda1: float,
 
 
 def apriori_radius(problem: Problem, lambda1: float, sobolev: float,
-                   convention: str = "standard",
-                   rel_tol: float = 1e-12) -> Tuple[float, float]:
+                   convention: str = "standard") -> Tuple[float, float]:
     """(gradient radius, sup radius): the unique positive root of psi and its
     image under the sup-norm embedding.
 
@@ -270,7 +276,7 @@ def apriori_radius(problem: Problem, lambda1: float, sobolev: float,
             hi = mid
         else:
             lo = mid
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= ROOT_REL_TOL * hi:
             break
     grad_radius = hi
     return grad_radius, sobolev * grad_radius
@@ -294,23 +300,21 @@ def rhs_estimate_constant(problem: Problem, lambda1: float, sobolev: float,
 
 @dataclass(frozen=True)
 class SamplingBox:
-    """Audit box: x over the closed domain, |s| <= s_bound, |xi_k| <= xi_bound."""
+    """Audit box: x over the closed domain, |s| <= s_bound, |xi_k| <= XI_BOUND."""
 
     s_bound: float
-    xi_bound: float = 100.0
     samples: int = 10000
 
 
 @dataclass
 class HypothesisAudit:
     box: SamplingBox
-    tolerance: float
     margins: Dict[str, float] = field(default_factory=dict)
     passed: Dict[str, bool] = field(default_factory=dict)
 
     def record(self, name: str, worst: float):
         self.margins[name] = float(worst)
-        self.passed[name] = bool(worst >= -self.tolerance)
+        self.passed[name] = bool(worst >= -AUDIT_TOLERANCE)
 
     def all_passed(self) -> bool:
         return all(self.passed.values())
@@ -322,12 +326,13 @@ def _halton(dim: int, n: int, seed: int) -> np.ndarray:
     return qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
 
 
-def audit_hypotheses(problem: Problem, box: SamplingBox, seed: int = 0,
-                     tolerance: float = 1e-9) -> HypothesisAudit:
+def audit_hypotheses(problem: Problem, box: SamplingBox,
+                     seed: int = 0) -> HypothesisAudit:
     """Check every declared hypothesis pointwise on quasi-random samples.
 
     Records the worst margin (bound minus demand) per hypothesis; a margin
-    below -tolerance is a failure.  Only declared constant blocks are audited.
+    below -AUDIT_TOLERANCE is a failure.  Only declared constant blocks are
+    audited.
     """
     d = problem.domain.dim
     pts = _halton(2 * d + 1, box.samples, seed)
@@ -335,12 +340,12 @@ def audit_hypotheses(problem: Problem, box: SamplingBox, seed: int = 0,
     for axis, (lo, hi) in enumerate(problem.domain.bounds):
         x[:, axis] = lo + pts[:, axis] * (hi - lo)
     s = (2.0 * pts[:, d] - 1.0) * box.s_bound
-    xi = (2.0 * pts[:, d + 1:] - 1.0) * box.xi_bound
+    xi = (2.0 * pts[:, d + 1:] - 1.0) * XI_BOUND
     amp = np.linalg.norm(xi, axis=1)
 
     fam = problem.convection
     f = fam.evaluate(x, s, xi)
-    audit = HypothesisAudit(box=box, tolerance=tolerance)
+    audit = HypothesisAudit(box=box)
 
     ts = np.linspace(-box.s_bound, box.s_bound, 4001)
     audit.record("H1", float(np.min(problem.weight.evaluate(ts))
@@ -405,9 +410,7 @@ def compute_estimates(problem: Problem, space: FeSpace,
     else:
         lam_used = 0.5 * est.value
         provenance = est.provenance + "-x0.5-safety"
-    sob = sobolev_constant(problem.domain, problem.p,
-                           space if problem.domain.dim == 2 else None,
-                           seed=seed)
+    sob = sobolev_constant(problem.domain, problem.p, space, seed=seed)
     grad_radius, sup_radius = apriori_radius(problem, lam_used, sob.value,
                                              convention)
     rhs_c = rhs_estimate_constant(problem, lam_used, sob.value, convention)

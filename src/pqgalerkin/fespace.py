@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from .mesh import MeshLevel, QuadratureRule, quadrature_for
+from .mesh import MeshLevel, quadrature_for
 
 __all__ = [
     "FeSpace",
@@ -33,11 +33,9 @@ __all__ = [
 class FeSpace:
     """Piecewise-linear functions on a mesh level vanishing on the boundary."""
 
-    def __init__(self, mesh: MeshLevel, quadrature: Optional[QuadratureRule] = None):
+    def __init__(self, mesh: MeshLevel):
         self.mesh = mesh
-        self.quadrature = quadrature or quadrature_for(mesh.domain.dim)
-        if self.quadrature.dim != mesh.domain.dim:
-            raise ValueError("quadrature dimension does not match the mesh")
+        self.quadrature = quadrature_for(mesh.domain.dim)
         self.dofs = np.flatnonzero(~mesh.boundary)
         self.dim = int(self.dofs.size)
         self.vertex_to_dof = np.full(mesh.n_vertices, -1, dtype=np.int64)

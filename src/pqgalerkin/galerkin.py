@@ -1,4 +1,4 @@
-"""Guarded Galerkin hierarchy: level solves, condition tables, S-probe.
+"""Guarded Galerkin hierarchy: level solves and condition tables.
 
 Each level solves the discrete residual system with damped Newton (the
 operator's sparse Jacobian, Armijo line search on the residual merit).  One
@@ -38,8 +38,6 @@ __all__ = [
     "solve_level",
     "HierarchyReport",
     "run_hierarchy",
-    "SProbe",
-    "condition_S_probe",
 ]
 
 
@@ -205,14 +203,10 @@ class LevelSolve:
 
 def solve_level(op: ProblemOperator, space: FeSpace,
                 cfg: Optional[SolverConfig] = None,
-                warm: Optional[FeFunction] = None,
-                guard_radius: Optional[float] = None,
-                seed: int = 0) -> LevelSolve:
-    """Solve one Galerkin level; failure is an exception, a failed guard is data."""
+                warm: Optional[FeFunction] = None) -> LevelSolve:
+    """Solve one Galerkin level; failure is an exception.  The result has no
+    guard record: `run_hierarchy` samples the guard and sets it."""
     cfg = cfg or SolverConfig()
-    guard = None
-    if guard_radius is not None:
-        guard = brouwer_guard(op, space, guard_radius, seed=seed)
     if warm is not None:
         path, start, stages = "newton", warm, [op]
     else:
@@ -232,7 +226,7 @@ def solve_level(op: ProblemOperator, space: FeSpace,
              "residual_sup": info.residual_sup, "iterations": total})
     return LevelSolve(level=space.mesh.level, dim=space.dim, solution=u,
                       residual_sup=info.residual_sup, iterations=total,
-                      path=path, converged=True, guard=guard)
+                      path=path, converged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +280,16 @@ def _test_set(space0: FeSpace, seed: int) -> List[FeFunction]:
 
 def run_hierarchy(problem: Problem, base_cells, levels: int,
                   cfg: Optional[SolverConfig] = None,
-                  convention: str = "standard", seed: int = 0,
-                  estimate: Optional[EstimateReport] = None) -> HierarchyReport:
+                  convention: str = "standard",
+                  seed: int = 0) -> HierarchyReport:
     """Solve a nested hierarchy and tabulate the generalized-solution data.
 
-    The finest solved level stands proxy for the weak limit in every gap and
-    pairing table; tables are filled for however many levels solved, and a
-    failed level leaves `failed_level` set instead of raising.
+    Each level samples the coercivity guard on its space, then solves; a
+    failed guard is data in the level's record, while a guard or solve
+    exception fails the level.  The finest solved level stands proxy for the
+    weak limit in every gap and pairing table; tables are filled for however
+    many levels solved, and a failed level leaves `failed_level` set instead
+    of raising.
     """
     if levels < 2:
         raise ValueError("a hierarchy needs at least 2 levels")
@@ -302,8 +299,7 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
         meshes.append(refine(meshes[-1]))
     spaces = [FeSpace(m) for m in meshes]
 
-    if estimate is None:
-        estimate = compute_estimates(problem, spaces[0], convention, seed)
+    estimate = compute_estimates(problem, spaces[0], convention, seed)
     weight = truncate_weight(problem.weight, estimate.sup_radius)
     # a hair above the psi-root keeps the sampled pairing clear of rounding
     guard_radius = estimate.grad_radius * (1.0 + 1e-9)
@@ -311,21 +307,22 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
     ops = [ProblemOperator(problem, weight, sp, eps=cfg.regularization)
            for sp in spaces]
     report = HierarchyReport(
-        estimate=estimate, truncation_radius=weight.radius,
+        estimate=estimate, truncation_radius=estimate.sup_radius,
         guard_radius=guard_radius, solver_tolerance=cfg.tolerance,
         seed=seed, problem=problem, operators=ops)
 
     warm = None
     for n, (op, sp) in enumerate(zip(ops, spaces)):
         try:
-            lv = solve_level(op, sp, cfg, warm=warm, guard_radius=guard_radius,
-                             seed=seed)
+            guard = brouwer_guard(op, sp, guard_radius, seed=seed)
+            lv = solve_level(op, sp, cfg, warm=warm)
         except (SolveError, AssemblyError) as err:
             report.failed_level = n
             # a SolveError message already names its level
             report.failure_message = (str(err) if isinstance(err, SolveError)
                                       else f"level {n} failed: {err}")
             break
+        lv.guard = guard
         report.levels.append(lv)
         if n + 1 < len(spaces):
             warm = prolongate(lv.solution, spaces[n + 1])
@@ -364,52 +361,3 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
         report.convection_pairs.append(pair(-1.0 * f_part, diff))
         report.gaps.append(grad_norm_lp(diff, problem.p))
     return report
-
-
-# ---------------------------------------------------------------------------
-# condition (S) probe
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SProbe:
-    classification: str
-    pairings_vanish: bool
-    gradients_contract: bool
-    final_pairing: float
-    final_gap: float
-    gap_ratio: float
-
-
-def condition_S_probe(report: HierarchyReport, pair_tol: float = 1e-6,
-                      contract_ratio: float = 0.5) -> SProbe:
-    """Observe, never assert: do the (c)-pairings vanish and do the gradient
-    gaps contract toward the proxy limit?
-
-    Strong convergence of competing sequences is an open question, so the
-    probe only reports the observed classification.
-    """
-    if not report.cond_c or not report.gaps:
-        return SProbe("inconclusive", False, False, np.nan, np.nan, np.nan)
-    scale = max(1.0, report.grad_norms[-1] if report.grad_norms else 1.0)
-    final_pairing = report.cond_c[-1]
-    vanish = abs(final_pairing) <= pair_tol * scale
-    gaps = report.gaps
-    tiny = 1e-14 * scale
-    if all(g <= tiny for g in gaps):
-        contract = True
-        ratio = 0.0
-    elif len(gaps) >= 3 and gaps[0] > 0.0:
-        decreasing = all(gaps[i + 1] < gaps[i] + tiny for i in range(len(gaps) - 1))
-        ratio = gaps[-2] / gaps[0]
-        contract = decreasing and ratio <= contract_ratio
-    else:
-        contract = False
-        ratio = np.nan
-    if vanish and contract:
-        cls = "s-consistent: candidate weak solution"
-    elif vanish:
-        cls = "generalized only: pairings vanish without gradient contraction"
-    else:
-        cls = "inconclusive"
-    return SProbe(cls, vanish, contract, final_pairing,
-                  gaps[-2] if len(gaps) >= 2 else gaps[-1], ratio)

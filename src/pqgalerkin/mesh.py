@@ -129,13 +129,12 @@ def _cell_measures(dim: int, pts: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
-def build_mesh(domain_or_bounds, base_cells: Union[int, Tuple[int, int]]) -> MeshLevel:
+def build_mesh(domain: Domain, base_cells: Union[int, Tuple[int, int]]) -> MeshLevel:
     """Build a level-0 mesh with `base_cells` uniform cells (per side in 2D).
 
     Interval domains require an integer cell count >= 2.  Rectangles accept an
     integer (same count on both sides) or an (nx, ny) pair, each entry >= 2.
     """
-    domain = _as_domain(domain_or_bounds)
     if domain.dim == 1:
         n = _positive_count(base_cells)
         (a, b), = domain.bounds
@@ -172,14 +171,6 @@ def _positive_count(n) -> int:
     if n < 2:
         raise MeshError(f"need at least 2 cells per side, got {n}")
     return int(n)
-
-
-def _as_domain(d) -> Domain:
-    if isinstance(d, Domain):
-        return d
-    if isinstance(d, (tuple, list)) and len(d) == 2 and np.isscalar(d[0]):
-        return Domain.interval(*d)
-    raise MeshError(f"cannot interpret {d!r} as a domain")
 
 
 def refine(mesh: MeshLevel) -> MeshLevel:

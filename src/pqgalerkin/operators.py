@@ -28,7 +28,6 @@ __all__ = [
     "AssemblyError",
     "HypothesisViolation",
     "WeightFunction",
-    "TruncatedWeight",
     "truncate_weight",
     "constant_weight",
     "quadratic_weight",
@@ -95,32 +94,14 @@ def quadratic_weight(base: float, coef: float = 1.0) -> WeightFunction:
                           f"quadratic({base},{coef})")
 
 
-@dataclass(frozen=True)
-class TruncatedWeight:
+def truncate_weight(weight: WeightFunction, radius: float) -> WeightFunction:
     """g_R(t) = g(clamp(t, -R, R)): constant continuation outside [-R, R]."""
-
-    base: WeightFunction
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError(f"truncation radius must be positive, got {self.radius}")
-
-    def evaluate(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.base.evaluate(np.clip(t, -self.radius, self.radius))
-
-    @property
-    def lower_bound(self) -> float:
-        return self.base.lower_bound
-
-    @property
-    def tag(self) -> str:
-        return f"truncated({self.base.tag},R={self.radius})"
-
-
-def truncate_weight(weight: WeightFunction, radius: float) -> TruncatedWeight:
-    return TruncatedWeight(weight, float(radius))
+    radius = float(radius)
+    if not radius > 0.0:
+        raise ValueError(f"truncation radius must be positive, got {radius}")
+    return WeightFunction(lambda t: weight.fn(np.clip(t, -radius, radius)),
+                          weight.lower_bound,
+                          f"truncated({weight.tag},R={radius})")
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +418,16 @@ def assemble_matrix(space: FeSpace, blocks: np.ndarray) -> sp.csr_matrix:
                          shape=(space.dim, space.dim))
 
 
-def power_laplacian_residual(u: FeFunction, exponent: float,
-                             eps: float = DEFAULT_REGULARIZATION) -> DualVector:
+def power_laplacian_residual(u: FeFunction, exponent: float) -> DualVector:
     """Entries int |grad u|^{e-2} grad u . grad phi_i (unit weight)."""
-    flux = _power_flux(cell_gradients(u), exponent, eps)
+    flux = _power_flux(cell_gradients(u), exponent, DEFAULT_REGULARIZATION)
     return DualVector(u.space, _flux_dual(u.space, flux, u.space.cell_measures,
                                           "gradient power term"))
 
 
-def power_laplacian_pairing(u: FeFunction, v: FeFunction, exponent: float,
-                            eps: float = DEFAULT_REGULARIZATION) -> float:
-    flux = _power_flux(cell_gradients(u), exponent, eps)
+def power_laplacian_pairing(u: FeFunction, v: FeFunction,
+                            exponent: float) -> float:
+    flux = _power_flux(cell_gradients(u), exponent, DEFAULT_REGULARIZATION)
     return _flux_pairing(flux, u.space.cell_measures, cell_gradients(v))
 
 
@@ -467,7 +447,7 @@ class ProblemOperator:
     """
 
     problem: Problem
-    weight: WeightFunction | TruncatedWeight
+    weight: WeightFunction
     space: FeSpace
     load_factor: float = 1.0
     q_factor: float = 1.0

@@ -1,8 +1,8 @@
-"""Certificates over a finished hierarchy run.
+"""Certificates and the condition-(S) probe over a finished hierarchy run.
 
 Each check condenses into a `Certificate`: a named pass/fail with the
 measured quantity, the threshold it was held against, and enough detail to
-re-derive the verdict.  Checks never mutate the report.
+re-derive the verdict.  The probe only observes.  Neither mutates the report.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .fespace import (FeFunction, FeSpace, grad_norm_lp, jsonable, lr_norm,
                       sup_norm)
-from .galerkin import HierarchyReport, condition_S_probe
+from .galerkin import HierarchyReport
 from .operators import (DEFAULT_REGULARIZATION, Problem, ProblemOperator,
                         power_laplacian_pairing)
 
@@ -26,10 +26,14 @@ __all__ = [
     "check_monotonicity_inequalities",
     "weak_implies_generalized_demo",
     "run_certificates",
+    "SProbe",
+    "condition_S_probe",
 ]
 
 PAIR_TOL = 1e-6
 IDENTITY_TOL = 1e-10
+# largest gap ratio, second-to-last over first, that counts as contraction
+CONTRACT_RATIO = 0.5
 
 
 @dataclass
@@ -295,6 +299,51 @@ def _merge_truncation(report: HierarchyReport) -> Certificate:
     worst.details["per_level_measured"] = [float(c.measured) for c in certs]
     worst.passed = all(c.passed for c in certs)
     return worst
+
+
+@dataclass
+class SProbe:
+    classification: str
+    pairings_vanish: bool
+    gradients_contract: bool
+    final_pairing: float
+    final_gap: float
+    gap_ratio: float
+
+
+def condition_S_probe(report: HierarchyReport) -> SProbe:
+    """Observe, never assert: do the (c)-pairings vanish and do the gradient
+    gaps contract toward the proxy limit?
+
+    Strong convergence of competing sequences is an open question, so the
+    probe only reports the observed classification.  The pairing test is
+    the condition-c certificate's.
+    """
+    if not report.cond_c or not report.gaps:
+        return SProbe("inconclusive", False, False, np.nan, np.nan, np.nan)
+    scale = _scale(report)
+    final_pairing = report.cond_c[-1]
+    vanish = abs(final_pairing) <= PAIR_TOL * scale
+    gaps = report.gaps
+    tiny = 1e-14 * scale
+    if all(g <= tiny for g in gaps):
+        contract = True
+        ratio = 0.0
+    elif len(gaps) >= 3 and gaps[0] > 0.0:
+        decreasing = all(gaps[i + 1] < gaps[i] + tiny for i in range(len(gaps) - 1))
+        ratio = gaps[-2] / gaps[0]
+        contract = decreasing and ratio <= CONTRACT_RATIO
+    else:
+        contract = False
+        ratio = np.nan
+    if vanish and contract:
+        cls = "s-consistent: candidate weak solution"
+    elif vanish:
+        cls = "generalized only: pairings vanish without gradient contraction"
+    else:
+        cls = "inconclusive"
+    return SProbe(cls, vanish, contract, final_pairing,
+                  gaps[-2] if len(gaps) >= 2 else gaps[-1], ratio)
 
 
 def run_certificates(report: HierarchyReport, seed: int = 0) -> dict:

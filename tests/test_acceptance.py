@@ -198,7 +198,7 @@ def test_criterion_7_eigenvalue_and_embedding(capsys):
 
 
 def test_criterion_8_hypothesis_audits(capsys):
-    box = SamplingBox(s_bound=10.0, xi_bound=100.0, samples=10000)
+    box = SamplingBox(s_bound=10.0, samples=10000)
 
     good = reference_problem(0.0)
     good_audit = audit_hypotheses(good, box)

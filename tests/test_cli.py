@@ -12,7 +12,7 @@ import pqgalerkin
 from pqgalerkin.cli import build_problem, load_config, main
 from pqgalerkin.fespace import FeSpace, read_csv
 from pqgalerkin.galerkin import ProblemOperator
-from pqgalerkin.mesh import build_mesh, refine
+from pqgalerkin.mesh import Domain, build_mesh, refine
 from pqgalerkin.operators import truncate_weight
 
 
@@ -119,6 +119,102 @@ def test_removed_key_is_exit_1_without_traceback(tmp_path, capsys, dotted):
     assert_every_command_fails(
         tmp_path, capsys, removed_key_config(tmp_path, dotted), 1,
         f"config error: {block}: unknown keys ['{key}']\n")
+
+
+def config_with(path, value):
+    """base_config() with the entry at the key path set to `value`; missing
+    optional blocks are created."""
+    cfg = base_config()
+    block = cfg
+    for key in path[:-1]:
+        block = block.setdefault(key, {})
+    block[path[-1]] = value
+    return cfg
+
+
+def rectangle(bounds):
+    return {"kind": "rectangle", "bounds": bounds}
+
+
+NAN, INF = float("nan"), float("inf")
+
+# (key path, value, message after "config error: ")
+BAD_CONFIGS = {
+    "non-object-block": (("solver",), [1], "solver: expected an object"),
+    "interval-shape": (("problem", "domain", "bounds"), [0.0, 0.5, 1.0],
+                       "problem.domain.bounds: expected [a, b]"),
+    "rectangle-shape": (("problem", "domain"), rectangle([[0, 1], [0, 1, 2]]),
+                        "problem.domain.bounds: expected [[ax, bx], [ay, by]]"),
+    "weight-without-kind": (("problem", "weight"), {"value": 1.0},
+                            "problem.weight: expected an object with a kind"),
+    "weight-unknown-kind": (("problem", "weight"), {"kind": "cubic"},
+                            "problem.weight.kind: unknown kind 'cubic'"),
+    "convection-without-kind": (
+        ("problem", "convection"), {"value": 1.0},
+        "problem.convection: expected an object with a kind"),
+    "convection-unknown-kind": (
+        ("problem", "convection"), {"kind": "linear"},
+        "problem.convection.kind: unknown kind 'linear'"),
+    "fractional-max-iterations": (
+        ("solver", "max_iterations"), 2.5,
+        "solver.max_iterations: expected a positive integer"),
+    "base-cells-triple": (("mesh", "base_cells"), [2, 2, 2],
+                          "mesh.base_cells: expected int or [nx, ny]"),
+    "base-cells-string": (("mesh", "base_cells"), "4",
+                          "mesh.base_cells: expected int or [nx, ny]"),
+    "unknown-convention": (
+        ("estimates", "convention"), "odd",
+        "estimates.convention: expected one of ('standard', 'paper')"),
+    "non-boolean-output": (("output", "write_solutions"), 1,
+                           "output.write_solutions: expected a boolean"),
+    # numbers that once bypassed the number check
+    "null-bound": (("problem", "domain", "bounds"), [None, 1.0],
+                   "problem.domain.bounds.0: expected a finite number"),
+    "boolean-bounds": (("problem", "domain", "bounds"), [False, True],
+                       "problem.domain.bounds.0: expected a finite number"),
+    "string-bound": (("problem", "domain", "bounds"), ["0", 1.0],
+                     "problem.domain.bounds.0: expected a finite number"),
+    "null-rectangle-bound": (
+        ("problem", "domain"), rectangle([[0, None], [0, 1]]),
+        "problem.domain.bounds.0.1: expected a finite number"),
+    "nan-p": (("problem", "p"), NAN, "problem.p: expected a finite number"),
+    "infinite-weight": (("problem", "weight"),
+                        {"kind": "constant", "value": INF},
+                        "problem.weight.value: expected a finite number"),
+    "nan-tolerance": (("solver", "tolerance"), NAN,
+                      "solver.tolerance: expected a finite number"),
+    # solver values out of range
+    "negative-tolerance": (("solver", "tolerance"), -1.0,
+                           "solver.tolerance: expected a positive number"),
+    "zero-max-iterations": (
+        ("solver", "max_iterations"), 0,
+        "solver.max_iterations: expected a positive integer"),
+    "negative-regularization": (
+        ("solver", "regularization"), -1.0,
+        "solver.regularization: expected a positive number"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_bad_config_is_exit_1_without_traceback(tmp_path, capsys, case):
+    path, value, message = BAD_CONFIGS[case]
+    assert_every_command_fails(
+        tmp_path, capsys, write_config(tmp_path, config_with(path, value)), 1,
+        f"config error: {message}\n")
+
+
+def test_build_problem_rectangle_zero_and_adversarial():
+    block = base_config()["problem"]
+    block["domain"] = rectangle([[0.0, 2.0], [-1.0, 1.0]])
+    block["convection"] = {"kind": "zero"}
+    problem = build_problem(block)
+    assert problem.domain == Domain.rectangle(0.0, 2.0, -1.0, 1.0)
+    assert problem.convection.name == "zero"
+    # the adversarial family takes a0 from the weight's lower bound
+    block["convection"] = {"kind": "adversarial"}
+    problem = build_problem(block)
+    assert problem.convection.name == "adversarial(a0=2.0)"
+    assert problem.convection.h2.c == 4.0
 
 
 def test_psi_without_positive_root_is_exit_1_without_traceback(tmp_path,

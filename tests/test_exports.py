@@ -27,9 +27,11 @@ def test_public_names_resolve(name):
         assert getattr(pqgalerkin, attr) is getattr(module, attr)
 
 
-def _unused_imports(path: Path):
+def _unreferenced(path: Path):
+    """Top-level imports and definitions (functions, classes, assigned
+    names) that the module never reads and `__all__` does not list."""
     tree = ast.parse(path.read_text())
-    imported = []
+    imported, defined = [], []
     exported = set()
     for node in tree.body:
         if isinstance(node, ast.Import):
@@ -37,19 +39,33 @@ def _unused_imports(path: Path):
                          for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [alias.asname or alias.name for alias in node.names]
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(set(imported) - used - exported)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if "__all__" in names:
+                exported = set(ast.literal_eval(node.value))
+            defined += [n for n in names if not n.startswith("__")]
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return {"imports": sorted(set(imported) - used - exported),
+            "definitions": sorted(set(defined) - used - exported)}
 
 
-@pytest.mark.parametrize(
-    "path",
-    sorted(p for p in Path(pqgalerkin.__file__).parent.glob("*.py")
-           if p.name != "__init__.py"),
-    ids=lambda p: p.name)
+MODULE_PATHS = sorted(p for p in Path(pqgalerkin.__file__).parent.glob("*.py")
+                      if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULE_PATHS, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     # the package's lint: a top-level import the module never names
-    assert _unused_imports(path) == []
+    assert _unreferenced(path)["imports"] == []
+
+
+@pytest.mark.parametrize("path", MODULE_PATHS, ids=lambda p: p.name)
+def test_no_unreferenced_top_level_definitions(path):
+    # dead code: a module-level function, class or constant that nothing in
+    # its module reads and that the module does not export
+    assert _unreferenced(path)["definitions"] == []

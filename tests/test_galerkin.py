@@ -9,13 +9,13 @@ from pqgalerkin.estimates import compute_estimates
 from pqgalerkin.fespace import (FeFunction, FeSpace, grad_norm_lp, jsonable,
                                 prolongate)
 from pqgalerkin.galerkin import (ProblemOperator, SolveError, SolverConfig,
-                                 brouwer_guard, condition_S_probe,
-                                 run_hierarchy, solve_level)
+                                 brouwer_guard, run_hierarchy, solve_level)
 from pqgalerkin.mesh import Domain, build_mesh, refine
-from pqgalerkin.operators import (Problem, constant_convection,
-                                  constant_weight,
+from pqgalerkin.operators import (AssemblyError, Problem,
+                                  constant_convection, constant_weight,
                                   quadratic_weight, saturating_convection,
                                   truncate_weight)
+from pqgalerkin.verify import condition_S_probe
 
 UNIT = Domain.interval(0.0, 1.0)
 
@@ -105,6 +105,31 @@ def test_guard_passes_at_certified_radius():
         assert g.min_pairing > 0.0
         assert g.initial_radius == report.guard_radius
         assert g.radius == report.guard_radius
+
+
+def test_solve_level_leaves_the_guard_to_the_hierarchy():
+    op, space = single_dof_op()
+    assert solve_level(op, space).guard is None
+
+
+def test_hierarchy_guard_is_the_sampled_record_of_each_level():
+    report = run_hierarchy(offset_problem(), 4, 3, seed=5)
+    assert report.failed_level is None
+    for lv, op in zip(report.levels, report.operators):
+        expect = brouwer_guard(op, op.space, report.guard_radius, seed=5)
+        assert jsonable(lv.guard) == jsonable(expect)
+
+
+def test_guard_exception_fails_its_level(monkeypatch):
+    def broken_guard(*args, **kwargs):
+        raise AssemblyError("nonfinite guard pairing")
+
+    monkeypatch.setattr(galerkin, "brouwer_guard", broken_guard)
+    report = run_hierarchy(offset_problem(), 4, 2)
+    assert report.failed_level == 0
+    assert report.failure_message == \
+        "level 0 failed: nonfinite guard pairing"
+    assert report.levels == []
 
 
 def test_guard_doubles_past_small_radius():

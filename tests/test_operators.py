@@ -250,6 +250,10 @@ def central_difference_jacobian(op, u, step=1e-7):
     return np.stack(cols, axis=1)
 
 
+# truncation radius of the Jacobian checks: the state below reaches past it
+RADIUS = 0.5
+
+
 def jacobian_setup(dim, variant="competing", q=2.0):
     domain = UNIT if dim == 1 else Domain.rectangle(0.0, 1.0, 0.0, 1.0)
     problem = Problem(p=3.0, q=q, domain=domain, weight=quadratic_weight(2.0),
@@ -258,8 +262,8 @@ def jacobian_setup(dim, variant="competing", q=2.0):
     space = FeSpace(build_mesh(domain, 8 if dim == 1 else (4, 4)))
     # eps = 0.05 puts the flat cells of the state below in the regularized
     # branch of the q-flux when q < 2, far from the oracle's step
-    op = ProblemOperator(problem, truncate_weight(problem.weight, 0.5), space,
-                         load_factor=0.7, q_factor=0.8, eps=0.05)
+    op = ProblemOperator(problem, truncate_weight(problem.weight, RADIUS),
+                         space, load_factor=0.7, q_factor=0.8, eps=0.05)
     coeffs = np.random.default_rng(3).standard_normal(space.dim)
     coeffs[space.dim // 2:] = coeffs[space.dim // 2]
     return op, FeFunction(space, coeffs)
@@ -270,7 +274,7 @@ def jacobian_setup(dim, variant="competing", q=2.0):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_jacobian_matches_central_difference(dim, variant, q):
     op, u = jacobian_setup(dim, variant, q)
-    assert np.max(np.abs(u.coeffs)) > op.weight.radius
+    assert np.max(np.abs(u.coeffs)) > RADIUS
     assert np.any(np.linalg.norm(cell_gradients(u), axis=1) == 0.0)
     oracle = central_difference_jacobian(op, u)
     np.testing.assert_allclose(op.jacobian(u).toarray(), oracle, rtol=0.0,

@@ -20,6 +20,8 @@ from pqgalerkin.verify import (check_generalized_conditions,
                                weak_implies_generalized_demo)
 
 UNIT = Domain.interval(0.0, 1.0)
+# truncation radius of the single-dof solution
+RADIUS = 1.0
 
 
 def offset_problem():
@@ -41,7 +43,7 @@ def single_dof_solution():
     problem = Problem(p=3.0, q=2.0, domain=UNIT, weight=constant_weight(1.0),
                       convection=constant_convection(1.0),
                       variant="competing", regime="H3")
-    weight = truncate_weight(problem.weight, 1.0)
+    weight = truncate_weight(problem.weight, RADIUS)
     space = FeSpace(build_mesh(UNIT, 2))
     lv = solve_level(ProblemOperator(problem, weight, space), space)
     return problem, weight, lv.solution
@@ -49,20 +51,20 @@ def single_dof_solution():
 
 def test_truncation_consistency_on_solved_state():
     problem, weight, u = single_dof_solution()
-    cert = check_truncation_consistency(problem, u, weight.radius)
+    cert = check_truncation_consistency(problem, u, RADIUS)
     assert cert.passed
     assert cert.measured <= cert.threshold
     assert cert.details["untruncated_residual_sup"] == cert.measured
-    assert cert.details["sup_norm"] <= weight.radius
+    assert cert.details["sup_norm"] <= RADIUS
 
 
 def test_truncation_flags_state_outside_radius():
     problem, weight, u = single_dof_solution()
     big = FeFunction(u.space, np.array([5.0]))
-    cert = check_truncation_consistency(problem, big, weight.radius)
+    cert = check_truncation_consistency(problem, big, RADIUS)
     assert not cert.passed
     assert cert.measured == 5.0
-    assert cert.threshold == weight.radius
+    assert cert.threshold == RADIUS
     assert cert.details["excess"] == 4.0
 
 
@@ -206,7 +208,7 @@ def test_tampered_norm_table_fails_consistency():
 
 def test_certificate_serialization():
     problem, weight, u = single_dof_solution()
-    d = jsonable(check_truncation_consistency(problem, u, weight.radius))
+    d = jsonable(check_truncation_consistency(problem, u, RADIUS))
     assert isinstance(d["passed"], bool)
     assert isinstance(d["measured"], float)
     assert d["name"] == "truncation-consistency"
