@@ -160,8 +160,10 @@ def load_config(path: str) -> dict:
     _check_keys(cfg["mesh"], {"base_cells", "levels"},
                 {"base_cells", "levels"}, "mesh")
     levels = cfg["mesh"]["levels"]
-    if isinstance(levels, bool) or not isinstance(levels, int) or levels < 1:
+    if isinstance(levels, bool) or not isinstance(levels, int):
         raise ConfigError("mesh.levels: expected a positive integer")
+    if levels < 2:
+        raise ConfigError("mesh.levels: a hierarchy needs at least 2 levels")
     base = cfg["mesh"]["base_cells"]
     if isinstance(base, list):
         if len(base) != 2 or any(isinstance(b, bool) or not isinstance(b, int)
@@ -212,8 +214,7 @@ def _write_diagnostics(out_dir: Path, report) -> None:
 
 def _cmd_estimate(cfg: dict, out_dir: Path, seed: int) -> int:
     problem = build_problem(cfg["problem"])
-    est_cfg = cfg.get("estimates") or {}
-    convention = est_cfg.get("convention", "standard")
+    convention = (cfg.get("estimates") or {}).get("convention", "standard")
     space = FeSpace(build_mesh(problem.domain, cfg["mesh"]["base_cells"]))
     report = compute_estimates(problem, space, convention=convention,
                                seed=seed)
@@ -225,8 +226,7 @@ def _cmd_estimate(cfg: dict, out_dir: Path, seed: int) -> int:
 
 def _run(cfg: dict, seed: int):
     problem = build_problem(cfg["problem"])
-    est_cfg = cfg.get("estimates") or {}
-    convention = est_cfg.get("convention", "standard")
+    convention = (cfg.get("estimates") or {}).get("convention", "standard")
     solver = _build_solver(cfg.get("solver"))
     return run_hierarchy(problem, cfg["mesh"]["base_cells"],
                          cfg["mesh"]["levels"], cfg=solver,
@@ -262,16 +262,18 @@ def _cmd_solve(cfg: dict, out_dir: Path, seed: int) -> int:
 def _cmd_verify(cfg: dict, out_dir: Path, seed: int,
                 report_path: Optional[str]) -> int:
     # with --report, certificates are appended to an existing solve report
-    prior = None
+    payload = {}
     target = out_dir / "report.json"
     if report_path is not None:
         target = Path(report_path)
         if not target.is_file():
             print(f"missing report: {target}", file=sys.stderr)
             return 1
-        prior = json.loads(target.read_text())
+        payload = json.loads(target.read_text())
+        if not isinstance(payload, dict):
+            print(f"report is not a JSON object: {target}", file=sys.stderr)
+            return 1
     report = _run(cfg, seed)
-    payload = prior if isinstance(prior, dict) else {}
     payload["hierarchy"] = report
     if report.failed_level is not None:
         payload["verification"] = None

@@ -278,8 +278,7 @@ def apriori_radius(problem: Problem, lambda1: float, sobolev: float,
             lo = mid
         if hi - lo <= ROOT_REL_TOL * hi:
             break
-    grad_radius = hi
-    return grad_radius, sobolev * grad_radius
+    return hi, sobolev * hi
 
 
 def rhs_estimate_constant(problem: Problem, lambda1: float, sobolev: float,
@@ -405,11 +404,9 @@ def compute_estimates(problem: Problem, space: FeSpace,
     """
     est = estimate_lambda1(space, problem.p)
     if est.provenance == "analytic-1d":
-        lam_used = est.value
-        provenance = est.provenance
+        lam_used, provenance = est.value, est.provenance
     else:
-        lam_used = 0.5 * est.value
-        provenance = est.provenance + "-x0.5-safety"
+        lam_used, provenance = 0.5 * est.value, est.provenance + "-x0.5-safety"
     sob = sobolev_constant(problem.domain, problem.p, space, seed=seed)
     grad_radius, sup_radius = apriori_radius(problem, lam_used, sob.value,
                                              convention)

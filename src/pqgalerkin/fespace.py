@@ -8,19 +8,24 @@ constant, which the norm and assembly routines exploit throughout.
 from __future__ import annotations
 
 import dataclasses
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import MeshLevel, quadrature_for
 
 __all__ = [
+    "AssemblyPlan",
     "FeSpace",
     "FeFunction",
     "DualVector",
     "prolongate",
     "grad_norm_lp",
+    "field_norm_lp",
     "lr_norm",
     "sup_norm",
     "pair",
@@ -28,6 +33,14 @@ __all__ = [
     "read_csv",
     "jsonable",
 ]
+
+
+# Flat positions in (m, nv) cell arrays and (m, nv, nv) blocks, and their
+# dof and CSR-entry targets, in the order the sums run (cell order; scipy's
+# duplicate order); the first source of each CSR entry; the CSR pattern.
+AssemblyPlan = namedtuple("AssemblyPlan", [
+    "dof_sources", "dof_targets", "block_sources", "block_targets", "starts",
+    "indices", "indptr"])
 
 
 class FeSpace:
@@ -69,6 +82,32 @@ class FeSpace:
                               + eta[None, :, None] * e2[:, None, :])
         scale = self.cell_measures / rule.reference_measure
         self.qp_weights = rule.weights[None, :] * scale[:, None]   # (m, k)
+
+    @functools.cached_property
+    def plan(self) -> AssemblyPlan:
+        """The space's assembly plan, built on first use."""
+        idx, n = self.cell_dofs, self.dim
+        dof_sources = np.flatnonzero(idx >= 0)
+        rows = np.repeat(idx, idx.shape[1], axis=1).ravel()
+        cols = np.tile(idx, idx.shape[1]).ravel()
+        keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+        # entry numbers in the row-stable order of scipy's coo_tocsr; the
+        # column sort of sort_indices is the one its duplicate summation runs
+        order = np.argsort(rows[keep], kind="stable")
+        indptr = np.searchsorted(rows[keep][order], np.arange(n + 1))
+        probe = sp.csr_matrix((order.astype(float), cols[keep][order],
+                               indptr), shape=(n, n))
+        probe.sort_indices()
+        first = np.diff(probe.indices, prepend=-1) != 0
+        first[probe.indptr[:-1]] = True    # every dof row holds its diagonal
+        block_sources = keep[probe.data.astype(np.intp)]
+        probe.sum_duplicates()
+        plan = AssemblyPlan(dof_sources, idx.ravel()[dof_sources],
+                            block_sources, np.cumsum(first) - 1,
+                            np.flatnonzero(first), probe.indices, probe.indptr)
+        for arr in plan:
+            arr.flags.writeable = False
+        return plan
 
     def __repr__(self):
         return f"FeSpace(level={self.mesh.level}, dim={self.dim})"
@@ -157,7 +196,8 @@ def pair(functional: DualVector, v: FeFunction) -> float:
 
 
 def _cell_values(u: FeFunction) -> np.ndarray:
-    return u.full_values()[u.space.cells]
+    # boundary entries of cell_dofs are -1 and pick up the appended 0.0
+    return np.append(u.coeffs, 0.0)[u.space.cell_dofs]
 
 
 def cell_gradients(u: FeFunction) -> np.ndarray:
@@ -172,10 +212,15 @@ def values_at_qp(u: FeFunction) -> np.ndarray:
 
 def grad_norm_lp(u: FeFunction, p: float) -> float:
     """||grad u||_{L^p}; exact for P1 since |grad u| is cellwise constant."""
+    return field_norm_lp(u.space, cell_gradients(u), p)
+
+
+def field_norm_lp(space: FeSpace, field: np.ndarray, p: float) -> float:
+    """L^p norm of a cellwise-constant vector field of shape (m, dim)."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    amp = np.linalg.norm(cell_gradients(u), axis=1)
-    return float(np.sum(u.space.cell_measures * amp ** p) ** (1.0 / p))
+    amp = np.linalg.norm(field, axis=1)
+    return float(np.sum(space.cell_measures * amp ** p) ** (1.0 / p))
 
 
 def lr_norm(u: FeFunction, r: float) -> float:
@@ -195,8 +240,7 @@ def sup_norm(u: FeFunction) -> float:
 
 
 def _mesh_chain(coarse: MeshLevel, fine: MeshLevel) -> List[MeshLevel]:
-    chain = []
-    m = fine
+    chain, m = [], fine
     while m is not None and m is not coarse:
         chain.append(m)
         m = m.parent

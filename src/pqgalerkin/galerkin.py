@@ -91,9 +91,7 @@ def brouwer_guard(op: ProblemOperator, space: FeSpace, radius: float,
     radius up to the cap and recording the outcome.
     """
     dirs = np.random.default_rng(seed).standard_normal((samples, space.dim))
-    p = op.problem.p
-    r = float(radius)
-    doublings = 0
+    p, r, doublings = op.problem.p, float(radius), 0
     while True:
         worst = np.inf
         for row in dirs:
@@ -135,9 +133,8 @@ def _merit(F: np.ndarray) -> float:
 
 
 def _newton(op, space: FeSpace, u0: FeFunction, cfg: SolverConfig) -> tuple:
-    u = u0.copy()
+    u, its = u0.copy(), 0
     F = op.residual(u).values
-    its = 0
     while True:
         res_sup = float(np.max(np.abs(F))) if F.size else 0.0
         if res_sup <= cfg.tolerance:
@@ -269,8 +266,7 @@ def _test_set(space0: FeSpace, seed: int) -> List[FeFunction]:
     out = [FeFunction(space0, row) for row in np.eye(space0.dim)]
     rng = np.random.default_rng(seed)
     for _ in range(EXTRA_TESTS):
-        coeffs = rng.standard_normal(space0.dim)
-        v = FeFunction(space0, coeffs)
+        v = FeFunction(space0, rng.standard_normal(space0.dim))
         scale = grad_norm_lp(v, 2.0)
         if scale > 0.0:
             v = (1.0 / scale) * v

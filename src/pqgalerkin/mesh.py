@@ -57,10 +57,7 @@ class Domain:
 
     @property
     def measure(self) -> float:
-        out = 1.0
-        for lo, hi in self.bounds:
-            out *= hi - lo
-        return out
+        return float(np.prod(self.side_lengths))
 
     @property
     def side_lengths(self) -> Tuple[float, ...]:
@@ -151,18 +148,11 @@ def build_mesh(domain: Domain, base_cells: Union[int, Tuple[int, int]]) -> MeshL
     ys = np.linspace(c, d, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     verts = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    return MeshLevel(0, domain, verts, np.array(cells, dtype=np.int64))
+    # lower-left vertex of each square, row by row; two triangles per square
+    v00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    v01 = v00 + nx + 1
+    cells = np.column_stack([v00, v00 + 1, v01 + 1, v00, v01 + 1, v01])
+    return MeshLevel(0, domain, verts, cells.reshape(-1, 3))
 
 
 def _positive_count(n) -> int:
@@ -207,8 +197,7 @@ def refine(mesh: MeshLevel) -> MeshLevel:
     child_verts = np.vstack([verts, np.asarray(new_pts)])
     idx = np.empty((child_verts.shape[0], 2), dtype=np.int64)
     wts = np.empty((child_verts.shape[0], 2), dtype=float)
-    idx[:n, 0] = np.arange(n)
-    idx[:n, 1] = np.arange(n)
+    idx[:n] = np.arange(n)[:, None]
     wts[:n] = (1.0, 0.0)
     for (i, j), k in midpoint_of.items():
         idx[k] = (i, j)

@@ -45,6 +45,7 @@ __all__ = [
     "assemble_matrix",
     "power_laplacian_residual",
     "power_laplacian_pairing",
+    "power_flux_pairing",
     "ProblemOperator",
 ]
 
@@ -335,7 +336,9 @@ class Problem:
 
 def _power_flux(grad: np.ndarray, exponent: float, eps: float) -> np.ndarray:
     """|grad|^{e-2} grad, regularized to (|grad|^2+eps^2)^{(e-2)/2} grad only
-    where |grad| < eps would otherwise blow up (e < 2)."""
+    where |grad| < eps would otherwise blow up (e < 2); grad at e = 2."""
+    if exponent == 2.0:
+        return grad
     amp = np.linalg.norm(grad, axis=-1)
     if exponent >= 2.0:
         factor = amp ** (exponent - 2.0)
@@ -351,7 +354,10 @@ def _power_flux(grad: np.ndarray, exponent: float, eps: float) -> np.ndarray:
 def _flux_derivative(grad: np.ndarray, exponent: float,
                      eps: float) -> np.ndarray:
     """d(flux)/d(grad) of `_power_flux`, |g|^{e-2}(I + (e-2) g g^T/|g|^2),
-    with |g|^2 -> |g|^2 + eps^2 on the same regularized cells; (m, d, d)."""
+    with |g|^2 -> |g|^2 + eps^2 on the same regularized cells; (m, d, d).
+    At e = 2 that is 1 * (I + 0 * outer): the identity, to the bit."""
+    if exponent == 2.0:
+        return np.broadcast_to(np.eye(grad.shape[1]), grad.shape + grad.shape[1:])
     amp = np.linalg.norm(grad, axis=-1)
     sq = amp * amp
     if exponent < 2.0:
@@ -375,14 +381,24 @@ def _central_diff(fn: Callable[[np.ndarray], np.ndarray],
     return (fn(hi) - fn(lo)) / (hi - lo)
 
 
+def _gradient_blocks(G: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Cell blocks G D G^T, summed over (d, e) from 0.0 in the order of
+    einsum("cvd,cde,cwe->cvw", G, D, G), whose bits they carry."""
+    blocks = np.zeros(G.shape[:2] + G.shape[1:2])
+    for d, e in np.ndindex(D.shape[1:]):
+        blocks += (G[:, :, None, d] * D[:, None, None, d, e]) * G[:, None, :, e]
+    return blocks
+
+
 def _scatter(space: FeSpace, cell_contrib: np.ndarray, label: str) -> np.ndarray:
+    """Sum (m, nv) cell entries into the dof vector in cell order, the
+    order of the mask `cell_dofs >= 0`, which keeps it bit-reproducible."""
     if not np.all(np.isfinite(cell_contrib)):
         bad = int(np.argwhere(~np.isfinite(cell_contrib))[0][0])
         raise AssemblyError(f"nonfinite {label} contribution on cell {bad}")
-    idx = space.cell_dofs
-    mask = idx >= 0
-    # accumulation in cell-index order keeps assembly bit-reproducible
-    return np.bincount(idx[mask], weights=cell_contrib[mask],
+    plan = space.plan
+    return np.bincount(plan.dof_targets,
+                       weights=np.take(cell_contrib, plan.dof_sources),
                        minlength=space.dim)
 
 
@@ -401,20 +417,27 @@ def qp_dual(space: FeSpace, qp_values: np.ndarray, label: str) -> np.ndarray:
     """Entries int w phi_i by the cell rule for w given at the quadrature
     points; raises AssemblyError naming the first nonfinite cell."""
     weighted = space.qp_weights * qp_values
-    # summed point by point, in the order of einsum("cq,cq,vq->cv", ...)
-    contrib = sum(w[:, None] * phi
-                  for w, phi in zip(weighted.T, space.basis_qp.T))
+    # summed point by point from 0.0, as einsum("cq,cq,vq->cv", ...) does
+    contrib = np.zeros(space.cell_dofs.shape)
+    for w, phi in zip(weighted.T, space.basis_qp.T):
+        contrib += w[:, None] * phi
     return _scatter(space, contrib, label)
 
 
 def assemble_matrix(space: FeSpace, blocks: np.ndarray) -> sp.csr_matrix:
     """Sum per-cell (nv, nv) blocks into the CSR matrix over the dofs; the
-    rows and columns of boundary vertices are dropped."""
-    idx = space.cell_dofs
-    rows = np.broadcast_to(idx[:, :, None], blocks.shape)
-    cols = np.broadcast_to(idx[:, None, :], blocks.shape)
-    keep = (rows >= 0) & (cols >= 0)
-    return sp.csr_matrix((blocks[keep], (rows[keep], cols[keep])),
+    rows and columns of boundary vertices are dropped.  The bits are those
+    of `sp.csr_matrix((data, (rows, cols)))`: the plan adds duplicates in
+    scipy's order, and an all -0.0 sum keeps the sign that bincount drops."""
+    plan = space.plan
+    vals = np.take(blocks, plan.block_sources)
+    data = np.bincount(plan.block_targets, weights=vals,
+                       minlength=plan.indices.size)
+    zero = data == 0.0
+    if zero.any():
+        data[zero & np.logical_and.reduceat(np.signbit(vals),
+                                            plan.starts)] = -0.0
+    return sp.csr_matrix((data, plan.indices, plan.indptr),
                          shape=(space.dim, space.dim))
 
 
@@ -427,8 +450,14 @@ def power_laplacian_residual(u: FeFunction, exponent: float) -> DualVector:
 
 def power_laplacian_pairing(u: FeFunction, v: FeFunction,
                             exponent: float) -> float:
+    return power_flux_pairing(u, cell_gradients(v), exponent)
+
+
+def power_flux_pairing(u: FeFunction, grad_v: np.ndarray,
+                       exponent: float) -> float:
+    """int |grad u|^{e-2} grad u . grad_v for cell gradients grad_v."""
     flux = _power_flux(cell_gradients(u), exponent, DEFAULT_REGULARIZATION)
-    return _flux_pairing(flux, u.space.cell_measures, cell_gradients(v))
+    return _flux_pairing(flux, u.space.cell_measures, grad_v)
 
 
 # ---------------------------------------------------------------------------
@@ -464,16 +493,16 @@ class ProblemOperator:
                                                 grad[:, None, :])
 
     def _terms(self, u: FeFunction):
-        """(flux, cell weight) of the p- and q-terms, and f at the
-        quadrature points."""
+        """u's cell gradients and quadrature values, (flux, cell weight) of
+        the p- and q-terms, and f at the quadrature points."""
         space, pr = u.space, self.problem
         grad, u_qp = cell_gradients(u), values_at_qp(u)
-        return (self._p_term(space, grad, u_qp),
+        return ((grad, u_qp), self._p_term(space, grad, u_qp),
                 (_power_flux(grad, pr.q, self.eps), space.cell_measures),
                 self._convection(space, grad, u_qp))
 
     def _signed_parts(self, u: FeFunction):
-        (p_flux, p_w), (q_flux, q_w), fvals = self._terms(u)
+        _, (p_flux, p_w), (q_flux, q_w), fvals = self._terms(u)
         space = u.space
         return (_flux_dual(space, p_flux, p_w, "weighted p-term"),
                 self.problem.q_sign * self.q_factor
@@ -504,7 +533,7 @@ class ProblemOperator:
         D = (p_w[:, None, None] * _flux_derivative(grad, problem.p, self.eps)
              + q_w[:, None, None]
              * _flux_derivative(grad, problem.q, self.eps))
-        blocks = np.einsum("cvd,cde,cwe->cvw", G, D, G)
+        blocks = _gradient_blocks(G, D)
         # the cell weight of the p-term depends on u through g_R
         dg_w = np.einsum("cwk,ck->cw", w_phi,
                          _central_diff(self.weight.evaluate, u_qp))
@@ -527,10 +556,12 @@ class ProblemOperator:
         pair(residual(u), v) but never goes through the dual vector."""
         if v.space is not u.space:
             raise ValueError("pairing requires functions on the same space")
-        (p_flux, p_w), (q_flux, q_w), fvals = self._terms(u)
-        grad_v = cell_gradients(v)
+        pointwise, (p_flux, p_w), (q_flux, q_w), fvals = self._terms(u)
+        # the guard pairs v with itself, whose pointwise data are u's
+        grad_v, v_qp = pointwise if v is u \
+            else (cell_gradients(v), values_at_qp(v))
         return (_flux_pairing(p_flux, p_w, grad_v)
                 + self.problem.q_sign * self.q_factor
                 * _flux_pairing(q_flux, q_w, grad_v)
                 - self.load_factor * float(np.sum(
-                    u.space.qp_weights * fvals * values_at_qp(v))))
+                    u.space.qp_weights * fvals * v_qp)))

@@ -12,11 +12,11 @@ from typing import List
 
 import numpy as np
 
-from .fespace import (FeFunction, FeSpace, grad_norm_lp, jsonable, lr_norm,
-                      sup_norm)
+from .fespace import (FeFunction, FeSpace, cell_gradients, field_norm_lp,
+                      grad_norm_lp, jsonable, lr_norm, sup_norm)
 from .galerkin import HierarchyReport
 from .operators import (DEFAULT_REGULARIZATION, Problem, ProblemOperator,
-                        power_laplacian_pairing)
+                        power_flux_pairing)
 
 __all__ = [
     "Certificate",
@@ -63,24 +63,22 @@ def check_truncation_consistency(problem: Problem, u: FeFunction,
     the untruncated operator must reproduce the solver's convergence.
     """
     sup = sup_norm(u)
-    inside = sup <= radius * (1.0 + 1e-12)
     raw = ProblemOperator(problem, problem.weight, u.space,
                           eps=eps).residual(u).values
     raw_sup = float(np.max(np.abs(raw))) if raw.size else 0.0
     tol = tolerance * 10.0 + 1e-14
-    if not inside:
-        return Certificate(
-            name="truncation-consistency",
-            anchor="truncated weight inactive on the solved ball",
-            passed=False, measured=float(sup), threshold=float(radius),
-            details={"sup_norm": float(sup), "radius": float(radius),
-                     "excess": float(sup - radius)})
+    details = {"sup_norm": float(sup), "radius": float(radius)}
+    if sup <= radius * (1.0 + 1e-12):
+        passed, measured, threshold = raw_sup <= tol, raw_sup, tol
+        details["untruncated_residual_sup"] = raw_sup
+    else:
+        passed, measured, threshold = False, float(sup), float(radius)
+        details["excess"] = float(sup - radius)
     return Certificate(
         name="truncation-consistency",
         anchor="truncated weight inactive on the solved ball",
-        passed=raw_sup <= tol, measured=raw_sup, threshold=tol,
-        details={"sup_norm": float(sup), "radius": float(radius),
-                 "untruncated_residual_sup": raw_sup})
+        passed=passed, measured=measured, threshold=threshold,
+        details=details)
 
 
 def check_generalized_conditions(report: HierarchyReport) -> List[Certificate]:
@@ -120,11 +118,8 @@ def check_generalized_conditions(report: HierarchyReport) -> List[Certificate]:
         threshold=tol_pair,
         details={"sequence": [float(x) for x in report.cond_c]}))
 
-    if report.cond_c and report.cond_c_alt:
-        route_gap = max(abs(a - b) for a, b in
-                        zip(report.cond_c, report.cond_c_alt))
-    else:
-        route_gap = np.inf
+    route_gap = max((abs(a - b) for a, b in
+                     zip(report.cond_c, report.cond_c_alt)), default=np.inf)
     out.append(Certificate(
         name="condition-c-routes",
         anchor="direct integration and dual-vector routes agree",
@@ -164,12 +159,11 @@ def check_strong_condition(report: HierarchyReport) -> List[Certificate]:
     out: List[Certificate] = []
     family = report.problem.convection
     if family.h4 is None:
-        out.append(Certificate(
+        return [Certificate(
             name="condition-cprime",
             anchor="convection-free pairing vanishes against the gap",
             passed=True, measured=np.nan, threshold=np.nan, skipped=True,
-            reason="convection family declares no explicit growth exponents"))
-        return out
+            reason="convection family declares no explicit growth exponents")]
     scale = _scale(report)
     ident = max(abs(cp - cv - c) for cp, cv, c in
                 zip(report.cond_cprime, report.convection_pairs,
@@ -211,22 +205,19 @@ def check_monotonicity_inequalities(p: float, q: float, space: FeSpace,
     out: List[Certificate] = []
     rng = np.random.default_rng(seed)
 
-    def worst_margin(exponent: float) -> tuple:
-        worst = np.inf
-        violations = 0
+    def margins(exponent: float) -> List[float]:
+        found = []
         for _ in range(samples):
             u = FeFunction(space, rng.standard_normal(space.dim))
             v = FeFunction(space, rng.standard_normal(space.dim))
-            diff = u - v
-            lhs = (power_laplacian_pairing(u, diff, exponent)
-                   - power_laplacian_pairing(v, diff, exponent))
-            rhs = 2.0 ** (-exponent) * grad_norm_lp(diff, exponent) ** exponent
-            slack = 1e-12 * (1.0 + abs(lhs) + rhs)
-            margin = lhs - rhs + slack
-            worst = min(worst, margin)
-            if margin < 0.0:
-                violations += 1
-        return worst, violations
+            grad_diff = cell_gradients(u - v)
+            lhs = (power_flux_pairing(u, grad_diff, exponent)
+                   - power_flux_pairing(v, grad_diff, exponent))
+            rhs = 2.0 ** (-exponent) \
+                * field_norm_lp(space, grad_diff, exponent) ** exponent
+            # the slack absorbs rounding
+            found.append(lhs - rhs + 1e-12 * (1.0 + abs(lhs) + rhs))
+        return found
 
     for label, exponent in (("p", p), ("q", q)):
         name = f"monotonicity-{label}"
@@ -238,11 +229,12 @@ def check_monotonicity_inequalities(p: float, q: float, space: FeSpace,
                 threshold=np.nan, skipped=True,
                 reason=f"exponent {exponent} below 2, bound not applicable"))
             continue
-        worst, violations = worst_margin(exponent)
+        found = margins(exponent)
+        violations = sum(m < 0.0 for m in found)
         out.append(Certificate(
             name=name, anchor=anchor,
             passed=violations == 0,
-            measured=float(worst),
+            measured=float(min([np.inf] + found)),
             threshold=0.0,
             details={"exponent": float(exponent), "samples": samples,
                      "violations": violations}))
@@ -276,9 +268,8 @@ def _report_consistency(report: HierarchyReport) -> Certificate:
     u = report.levels[n].solution
     res_sup = float(np.max(np.abs(report.operators[n].residual(u).values)))
     grad = grad_norm_lp(u, report.problem.p)
-    gap_res = abs(res_sup - report.levels[n].residual_sup)
-    gap_grad = abs(grad - report.grad_norms[n])
-    measured = max(gap_res, gap_grad)
+    measured = max(abs(res_sup - report.levels[n].residual_sup),
+                   abs(grad - report.grad_norms[n]))
     tol = 1e-12 * max(1.0, grad)
     return Certificate(
         name="report-consistency",
@@ -327,15 +318,13 @@ def condition_S_probe(report: HierarchyReport) -> SProbe:
     gaps = report.gaps
     tiny = 1e-14 * scale
     if all(g <= tiny for g in gaps):
-        contract = True
-        ratio = 0.0
+        contract, ratio = True, 0.0
     elif len(gaps) >= 3 and gaps[0] > 0.0:
         decreasing = all(gaps[i + 1] < gaps[i] + tiny for i in range(len(gaps) - 1))
         ratio = gaps[-2] / gaps[0]
         contract = decreasing and ratio <= CONTRACT_RATIO
     else:
-        contract = False
-        ratio = np.nan
+        contract, ratio = False, np.nan
     if vanish and contract:
         cls = "s-consistent: candidate weak solution"
     elif vanish:
@@ -359,8 +348,7 @@ def run_certificates(report: HierarchyReport, seed: int = 0) -> dict:
     fine_op = report.operators[len(report.levels) - 1]
     fine_space = fine_op.space
     problem = report.problem
-    certs: List[Certificate] = []
-    certs.append(_merge_truncation(report))
+    certs = [_merge_truncation(report)]
     certs.extend(check_generalized_conditions(report))
     certs.extend(check_strong_condition(report))
     certs.extend(check_monotonicity_inequalities(

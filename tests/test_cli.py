@@ -192,6 +192,9 @@ BAD_CONFIGS = {
     "negative-regularization": (
         ("solver", "regularization"), -1.0,
         "solver.regularization: expected a positive number"),
+    # the tables compare levels, so the schema asks what run_hierarchy does
+    "one-level": (("mesh", "levels"), 1,
+                  "mesh.levels: a hierarchy needs at least 2 levels"),
 }
 
 
@@ -411,6 +414,20 @@ def test_verify_missing_report_is_exit_1(tmp_path):
     rc = main(["verify", "--config", path, "--out", str(tmp_path / "out"),
                "--report", str(tmp_path / "nowhere.json")])
     assert rc == 1
+
+
+def test_verify_report_that_is_not_an_object_is_exit_1(tmp_path, capsys):
+    path = write_config(tmp_path, base_config())
+    report = tmp_path / "list.json"
+    report.write_bytes(b"[1, 2, 3]\n")
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", path, "--out", str(out),
+               "--report", str(report)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"report is not a JSON object: {report}\n"
+    assert report.read_bytes() == b"[1, 2, 3]\n"
+    assert not out.exists()
 
 
 def test_verify_appends_to_existing_report(tmp_path):

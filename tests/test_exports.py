@@ -64,6 +64,44 @@ def test_no_unused_top_level_imports(path):
     assert _unreferenced(path)["imports"] == []
 
 
+def _private_numeric_imports(source: str):
+    """Imports of a private (`_`-prefixed) numpy or scipy module, whether
+    named in the module path or as an imported name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
+        else:
+            continue
+        found += [name for name in names
+                  if name.split(".")[0] in ("numpy", "scipy")
+                  and any(part.startswith("_")
+                          for part in name.split(".")[1:])]
+    return sorted(set(found))
+
+
+def test_private_numeric_import_check_flags_each_form():
+    source = ("import scipy.sparse._sparsetools\n"
+              "from scipy.sparse import _sparsetools, csr_matrix\n"
+              "from numpy._core import umath\n"
+              "import numpy.linalg\n"
+              "from scipy.sparse import linalg\n"
+              "from .fespace import _cell_values\n")
+    assert _private_numeric_imports(source) == [
+        "numpy._core", "numpy._core.umath", "scipy.sparse._sparsetools"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(pqgalerkin.__file__).parent.glob("*.py")),
+    ids=lambda p: p.name)
+def test_no_private_numpy_or_scipy_imports(path):
+    # the package stays on numpy's and scipy's public API
+    assert _private_numeric_imports(path.read_text()) == []
+
+
 @pytest.mark.parametrize("path", MODULE_PATHS, ids=lambda p: p.name)
 def test_no_unreferenced_top_level_definitions(path):
     # dead code: a module-level function, class or constant that nothing in

@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from pqgalerkin import operators
+from pqgalerkin import fespace, operators
 from pqgalerkin.fespace import (FeFunction, FeSpace, cell_gradients,
                                 grad_norm_lp, lr_norm, pair)
-from pqgalerkin.mesh import Domain, build_mesh
+from pqgalerkin.mesh import Domain, build_mesh, refine
 from pqgalerkin.operators import (AssemblyError, ConvectionFamily, GrowthH2,
                                   HypothesisViolation, Problem,
                                   ProblemOperator, SignH3,
-                                  adversarial_convection, constant_convection,
+                                  adversarial_convection, assemble_matrix,
+                                  constant_convection,
                                   constant_weight, power_laplacian_pairing,
                                   qp_dual, quadratic_weight,
                                   saturating_convection,
@@ -319,6 +321,105 @@ def test_assembly_kernels_match_their_references_bit_for_bit(dim):
         reference = add_at_scatter(space, np.einsum(
             "cq,cq,vq->cv", space.qp_weights, qp_values, space.basis_qp))
         assert np.array_equal(qp_dual(space, qp_values, "test"), reference)
+
+
+def signed_spread(rng, shape):
+    """`spread` with about a tenth of the entries +0.0 and a tenth -0.0."""
+    out = spread(rng, shape)
+    pick = rng.random(shape)
+    out[pick < 0.1] = 0.0
+    out[pick > 0.9] = -0.0
+    return out
+
+
+def bits(a):
+    """The float64 bit patterns, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def kernel_spaces(dim):
+    """The Jacobian-check space and two refinements of it (225 dofs in 2D)."""
+    spaces = [jacobian_setup(dim)[0].space]
+    for _ in range(2):
+        spaces.append(FeSpace(refine(spaces[-1].mesh)))
+    return spaces
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_assemble_matrix_matches_scipy_bit_for_bit(dim):
+    rng = np.random.default_rng(13)
+    for space in kernel_spaces(dim):
+        shape = space.cell_dofs.shape + space.cell_dofs.shape[1:]
+        cases = [spread(rng, shape) for _ in range(3)]
+        cases += [signed_spread(rng, shape), np.full(shape, -0.0)]
+        idx = space.cell_dofs
+        for blocks in cases:
+            # the reference: scipy's own COO-to-CSR duplicate summation
+            rows = np.broadcast_to(idx[:, :, None], blocks.shape)
+            cols = np.broadcast_to(idx[:, None, :], blocks.shape)
+            keep = (rows >= 0) & (cols >= 0)
+            reference = sp.csr_matrix(
+                (blocks[keep], (rows[keep], cols[keep])),
+                shape=(space.dim, space.dim))
+            got = assemble_matrix(space, blocks)
+            assert np.array_equal(bits(got.data), bits(reference.data))
+            assert np.array_equal(got.indices, reference.indices)
+            assert np.array_equal(got.indptr, reference.indptr)
+
+
+def test_assembly_plan_is_built_once_and_read_only():
+    space = jacobian_setup(2)[0].space
+    plan = space.plan
+    assert space.plan is plan
+    assert not any(arr.flags.writeable for arr in plan)
+    J = assemble_matrix(space, np.ones(space.cell_dofs.shape + (3,)))
+    with pytest.raises(ValueError):
+        J.indices[0] = 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gradient_blocks_match_einsum_bit_for_bit(dim):
+    rng = np.random.default_rng(14)
+    space = jacobian_setup(dim)[0].space
+    m, nv, d = space.grads.shape
+    cases = [(space.grads, signed_spread(rng, (m, d, d)))]
+    cases += [(signed_spread(rng, (m, nv, d)), signed_spread(rng, (m, d, d)))
+              for _ in range(3)]
+    for G, D in cases:
+        assert np.array_equal(bits(operators._gradient_blocks(G, D)),
+                              bits(np.einsum("cvd,cde,cwe->cvw", G, D, G)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_exponent_two_flux_matches_the_general_formula(dim):
+    grad = signed_spread(np.random.default_rng(15), (400, dim))
+    grad[:40] = 0.0
+    grad[40:60] = -0.0
+    # the e >= 2 branch, written out at e = 2
+    amp = np.linalg.norm(grad, axis=-1)
+    sq = amp * amp
+    flux = (amp ** 0.0)[..., None] * grad
+    outer = (np.einsum("cd,ce->cde", grad, grad)
+             / np.where(sq > 0.0, sq, 1.0)[:, None, None])
+    derivative = (sq ** 0.0)[:, None, None] * (np.eye(dim) + 0.0 * outer)
+    assert np.array_equal(bits(operators._power_flux(grad, 2.0, 1e-10)),
+                          bits(flux))
+    assert np.array_equal(bits(operators._flux_derivative(grad, 2.0, 1e-10)),
+                          bits(derivative))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cell_values_match_the_full_vertex_gather(dim):
+    rng = np.random.default_rng(16)
+    for space in kernel_spaces(dim):
+        u = FeFunction(space, signed_spread(rng, space.dim))
+        assert np.array_equal(bits(fespace._cell_values(u)),
+                              bits(u.full_values()[space.cells]))
+
+
+def test_self_pairing_equals_pairing_with_a_copy():
+    op, u = jacobian_setup(2)
+    assert op.pairing(u, u) == op.pairing(u, u.copy())
 
 
 def with_convection(op, fn):
