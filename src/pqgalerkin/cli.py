@@ -189,6 +189,11 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _fail(message: str, code: int = 1) -> int:
+    print(message, file=sys.stderr)
+    return code
+
+
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(jsonable(payload), sort_keys=True, indent=2)
@@ -252,8 +257,7 @@ def _cmd_solve(cfg: dict, out_dir: Path, seed: int) -> int:
     _write_json(out_dir / "report.json", {"hierarchy": report})
     _write_outputs(out_dir, "solve", cfg, seed, report)
     if report.failed_level is not None:
-        print(report.failure_message, file=sys.stderr)
-        return 3
+        return _fail(report.failure_message, 3)
     print(f"solved {len(report.levels)} levels; "
           f"finest residual sup {report.levels[-1].residual_sup:.3e}")
     return 0
@@ -267,19 +271,19 @@ def _cmd_verify(cfg: dict, out_dir: Path, seed: int,
     if report_path is not None:
         target = Path(report_path)
         if not target.is_file():
-            print(f"missing report: {target}", file=sys.stderr)
-            return 1
-        payload = json.loads(target.read_text())
+            return _fail(f"missing report: {target}")
+        try:
+            payload = json.loads(target.read_text())
+        except ValueError:  # not JSON, or bytes that are not UTF-8
+            return _fail(f"report is not JSON: {target}")
         if not isinstance(payload, dict):
-            print(f"report is not a JSON object: {target}", file=sys.stderr)
-            return 1
+            return _fail(f"report is not a JSON object: {target}")
     report = _run(cfg, seed)
     payload["hierarchy"] = report
     if report.failed_level is not None:
         payload["verification"] = None
         _write_json(target, payload)
-        print(report.failure_message, file=sys.stderr)
-        return 3
+        return _fail(report.failure_message, 3)
     verdict = run_certificates(report, seed=seed)
     payload["verification"] = verdict
     _write_json(target, payload)
@@ -312,15 +316,21 @@ def main(argv=None) -> int:
         if name == "verify":
             cmd.add_argument("--report", default=None,
                              help="report path override")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+        if args.seed < 0:
+            parser.error("argument --seed: expected a non-negative integer")
+    except SystemExit as exc:  # a usage error is exit 1, not argparse's 2
+        return 1 if exc.code else 0
     try:
         cfg = load_config(args.config)
-    except (ConfigError, json.JSONDecodeError, OSError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
+    except (ValueError, OSError) as err:  # also bad JSON and bad UTF-8
+        return _fail(f"config error: {err}")
     # the output directory is made by the first write into it, so an error
     # before that leaves nothing behind
     out_dir = Path(args.out)
+    if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
+        return _fail(f"--out is not a directory: {out_dir}")
     try:
         if args.command == "estimate":
             return _cmd_estimate(cfg, out_dir, args.seed)
@@ -328,12 +338,10 @@ def main(argv=None) -> int:
             return _cmd_solve(cfg, out_dir, args.seed)
         return _cmd_verify(cfg, out_dir, args.seed, args.report)
     except (HypothesisViolation,) as err:
-        print(f"hypothesis violation: {err}", file=sys.stderr)
-        return 2
+        return _fail(f"hypothesis violation: {err}", 2)
     except (ConfigError, MeshError, ValueError, ArithmeticError) as err:
         # ArithmeticError: no psi root bracket, or a float overflow in psi
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
+        return _fail(f"config error: {err}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ import dataclasses
 import functools
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 import scipy.sparse as sp
@@ -239,25 +238,22 @@ def sup_norm(u: FeFunction) -> float:
     return float(np.max(np.abs(u.coeffs))) if u.coeffs.size else 0.0
 
 
-def _mesh_chain(coarse: MeshLevel, fine: MeshLevel) -> List[MeshLevel]:
-    chain, m = [], fine
-    while m is not None and m is not coarse:
-        chain.append(m)
-        m = m.parent
-    if m is not coarse:
-        raise ValueError("target space is not a refinement descendant")
-    return list(reversed(chain))
-
-
 def prolongate(u: FeFunction, finer: FeSpace) -> FeFunction:
-    """Exact embedding of u into a refinement descendant space."""
-    if finer.mesh is u.space.mesh:
-        return u.copy()
+    """Exact embedding of u into a refinement descendant space.
+
+    Each refinement keeps the parent values and appends the mean of the two
+    ends of every midpoint edge; a boundary midpoint halves a boundary edge,
+    so it gets the +0.0 of its ends.
+    """
+    chain, mesh = [], finer.mesh
+    while mesh is not u.space.mesh:
+        if mesh is None:
+            raise ValueError("target space is not a refinement descendant")
+        chain.append(mesh.parent_edges)
+        mesh = mesh.parent
     vals = u.full_values()
-    for mesh in _mesh_chain(u.space.mesh, finer.mesh):
-        idx, wts = mesh.parent_indices, mesh.parent_weights
-        vals = vals[idx[:, 0]] * wts[:, 0] + vals[idx[:, 1]] * wts[:, 1]
-        vals[mesh.boundary] = 0.0
+    for a, b in (edges.T for edges in reversed(chain)):
+        vals = np.concatenate([vals, vals[a] * 0.5 + vals[b] * 0.5])
     return FeFunction(finer, vals[finer.dofs])
 
 

@@ -132,7 +132,7 @@ def _merit(F: np.ndarray) -> float:
     return scale * float(np.linalg.norm(F / scale))
 
 
-def _newton(op, space: FeSpace, u0: FeFunction, cfg: SolverConfig) -> tuple:
+def _newton(op, u0: FeFunction, cfg: SolverConfig) -> tuple:
     u, its = u0.copy(), 0
     F = op.residual(u).values
     while True:
@@ -148,7 +148,7 @@ def _newton(op, space: FeSpace, u0: FeFunction, cfg: SolverConfig) -> tuple:
         merit = _merit(F)
         lam = 1.0
         for _ in range(MAX_HALVINGS):
-            trial = FeFunction(space, u.coeffs + lam * delta)
+            trial = FeFunction(u.space, u.coeffs + lam * delta)
             Ft = op.residual(trial).values
             if _merit(Ft) <= (1.0 - 1e-4 * lam) * merit:
                 break
@@ -172,14 +172,13 @@ def _linear_predictor(op: ProblemOperator, space: FeSpace) -> FeFunction:
     return FeFunction(space, spla.spsolve(K, load))
 
 
-def _walk(stages: List[ProblemOperator], space: FeSpace, u: FeFunction,
-          cfg: SolverConfig):
+def _walk(stages: List[ProblemOperator], u: FeFunction, cfg: SolverConfig):
     """Newton through each stage from where the last one ended; stop at the
     first stage that does not converge.  Returns the last state, the last
     stage's Newton info and the iterations of every stage run."""
     total = 0
     for op in stages:
-        u, info = _newton(op, space, u, cfg)
+        u, info = _newton(op, u, cfg)
         total += info.iterations
         if not info.converged:
             break
@@ -209,11 +208,11 @@ def solve_level(op: ProblemOperator, space: FeSpace,
     else:
         path, start = "competition-ramp", _linear_predictor(op, space)
         stages = [replace(op, q_factor=float(k)) for k in RAMP]
-    u, info, total = _walk(stages, space, start, cfg)
+    u, info, total = _walk(stages, start, cfg)
     if not info.converged:
         path = "load-continuation"
         stages = [replace(op, load_factor=float(t)) for t in CONTINUATION]
-        u, info, extra = _walk(stages, space, FeFunction.zero(space), cfg)
+        u, info, extra = _walk(stages, FeFunction.zero(space), cfg)
         total += extra
     if not info.converged:
         raise SolveError(
@@ -253,8 +252,8 @@ class HierarchyReport:
     failed_level: Optional[int] = None
     failure_message: str = ""
     problem: Optional[Problem] = field(default=None, metadata={"live": True})
-    operators: List[ProblemOperator] = field(default_factory=list,
-                                             metadata={"live": True})
+    operator: Optional[ProblemOperator] = field(default=None,
+                                                metadata={"live": True})
 
     @property
     def solutions(self) -> List[FeFunction]:
@@ -300,15 +299,14 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
     # a hair above the psi-root keeps the sampled pairing clear of rounding
     guard_radius = estimate.grad_radius * (1.0 + 1e-9)
 
-    ops = [ProblemOperator(problem, weight, sp, eps=cfg.regularization)
-           for sp in spaces]
+    op = ProblemOperator(problem, weight, eps=cfg.regularization)
     report = HierarchyReport(
         estimate=estimate, truncation_radius=estimate.sup_radius,
         guard_radius=guard_radius, solver_tolerance=cfg.tolerance,
-        seed=seed, problem=problem, operators=ops)
+        seed=seed, problem=problem, operator=op)
 
     warm = None
-    for n, (op, sp) in enumerate(zip(ops, spaces)):
+    for n, sp in enumerate(spaces):
         try:
             guard = brouwer_guard(op, sp, guard_radius, seed=seed)
             lv = solve_level(op, sp, cfg, warm=warm)
@@ -323,16 +321,14 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
         if n + 1 < len(spaces):
             warm = prolongate(lv.solution, spaces[n + 1])
 
-    solved = report.levels
-    if not solved:
+    if not report.levels:
         return report
 
     tests = _test_set(spaces[0], seed)
     report.test_count = len(tests)
-    for n, lv in enumerate(solved):
-        op, sp, u = ops[n], spaces[n], lv.solution
+    for u in report.solutions:
         F = op.residual(u)
-        report.cond_b.append([pair(F, prolongate(v, sp)) for v in tests])
+        report.cond_b.append([pair(F, prolongate(v, u.space)) for v in tests])
         report.pair_un.append(pair(F, u))
         report.grad_norms.append(grad_norm_lp(u, problem.p))
         report.sup_norms.append(sup_norm(u))
@@ -342,15 +338,13 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
         report.within_sup_bound.append(
             report.sup_norms[-1] <= estimate.sup_radius * slack)
 
-    fine_space = spaces[len(solved) - 1]
-    fine_op = ops[len(solved) - 1]
-    u_star = solved[-1].solution
-    for lv in solved:
-        u_fine = prolongate(lv.solution, fine_space)
+    u_star = report.solutions[-1]
+    for u in report.solutions:
+        u_fine = prolongate(u, u_star.space)
         diff = u_fine - u_star
-        p_part, q_part, f_part = fine_op.parts(u_fine)
+        p_part, q_part, f_part = op.parts(u_fine)
         principal_pq = p_part + q_part
-        report.cond_c.append(fine_op.pairing(u_fine, diff))
+        report.cond_c.append(op.pairing(u_fine, diff))
         report.cond_c_alt.append(pair(principal_pq + f_part, diff))
         report.cond_cprime.append(pair(principal_pq, diff))
         # the f-part carries the minus sign of the convection term

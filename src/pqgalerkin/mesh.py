@@ -3,8 +3,8 @@
 Level-0 meshes partition an interval into equal cells, or an axis-aligned
 rectangle into a structured triangulation.  Refinement bisects every interval
 cell (red-refines every triangle), so each vertex of a level is either a
-parent vertex or an edge midpoint; the per-vertex parent maps record that
-embedding and make piecewise-linear prolongation exact.
+parent vertex or an edge midpoint; the midpoint edges record that embedding
+and make piecewise-linear prolongation exact.
 """
 
 from __future__ import annotations
@@ -76,20 +76,20 @@ class MeshLevel:
     boundary : (n,) bool array, True exactly for vertices on the domain boundary
     cell_measures : (m,) float array of cell lengths / areas
     parent : MeshLevel or None
-    parent_indices, parent_weights : (n, 2) arrays expressing every vertex as a
-        convex combination of at most two parent vertices (identity rows for
-        persisting vertices, 1/2-1/2 rows for edge midpoints).
+    parent_edges : (E, 2) int array or None
+        The parent vertices (lo, hi) of each parent edge, in order: vertex
+        parent.n_vertices + k is the midpoint of edge k, and the first
+        parent.n_vertices vertices are the parent's own.
     """
 
     def __init__(self, level, domain, vertices, cells, parent=None,
-                 parent_indices=None, parent_weights=None):
+                 parent_edges=None):
         self.level = int(level)
         self.domain = domain
         self.vertices = np.asarray(vertices, dtype=float)
         self.cells = np.asarray(cells, dtype=np.int64)
         self.parent: Optional[MeshLevel] = parent
-        self.parent_indices = parent_indices
-        self.parent_weights = parent_weights
+        self.parent_edges = parent_edges
         self.boundary = _boundary_mask(domain, self.vertices)
         self.cell_measures = _cell_measures(domain.dim, self.vertices, self.cells)
         if np.any(self.cell_measures <= 0.0):
@@ -163,49 +163,34 @@ def _positive_count(n) -> int:
     return int(n)
 
 
+# per dimension: a cell's local edges in visiting order, and its children as
+# local indices into (cell vertices..., edge midpoints...)
+_EDGES = {1: np.array([[0, 1]]), 2: np.array([[0, 1], [1, 2], [2, 0]])}
+_CHILDREN = {1: np.array([[0, 2], [2, 1]]),
+             2: np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])}
+
+
 def refine(mesh: MeshLevel) -> MeshLevel:
     """Uniformly refine: bisect interval cells, red-refine triangles.
 
     Parent vertices keep their indices; midpoint vertices are appended in the
-    deterministic order edges are first visited, so refinement is reproducible.
+    order their edges are first visited (cells in order, each cell's edges in
+    table order), so refinement is reproducible.
     """
-    verts = mesh.vertices
-    n = mesh.n_vertices
-    midpoint_of = {}
-    new_pts = []
-
-    def mid(i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        k = midpoint_of.get(key)
-        if k is None:
-            k = n + len(new_pts)
-            midpoint_of[key] = k
-            new_pts.append(0.5 * (verts[key[0]] + verts[key[1]]))
-        return k
-
-    child_cells = []
-    if mesh.domain.dim == 1:
-        for i, j in mesh.cells:
-            m = mid(i, j)
-            child_cells.append((i, m))
-            child_cells.append((m, j))
-    else:
-        for a, b, c in mesh.cells:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            child_cells.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-
-    child_verts = np.vstack([verts, np.asarray(new_pts)])
-    idx = np.empty((child_verts.shape[0], 2), dtype=np.int64)
-    wts = np.empty((child_verts.shape[0], 2), dtype=float)
-    idx[:n] = np.arange(n)[:, None]
-    wts[:n] = (1.0, 0.0)
-    for (i, j), k in midpoint_of.items():
-        idx[k] = (i, j)
-        wts[k] = (0.5, 0.5)
-
+    dim, n, verts = mesh.domain.dim, mesh.n_vertices, mesh.vertices
+    ends = np.sort(mesh.cells[:, _EDGES[dim]].reshape(-1, 2), axis=1)
+    _, first, inverse = np.unique(ends[:, 0] * n + ends[:, 1],
+                                  return_index=True, return_inverse=True)
+    # rank the distinct edges by their first visit
+    order = np.argsort(first)
+    edges = ends[first[order]]
+    mids = n + np.argsort(order)[inverse].reshape(mesh.n_cells, -1)
+    child_verts = np.vstack([verts, 0.5 * (verts[edges[:, 0]]
+                                           + verts[edges[:, 1]])])
+    cells = np.hstack([mesh.cells, mids])[:, _CHILDREN[dim]]
     return MeshLevel(mesh.level + 1, mesh.domain, child_verts,
-                     np.asarray(child_cells, dtype=np.int64),
-                     parent=mesh, parent_indices=idx, parent_weights=wts)
+                     cells.reshape(-1, dim + 1), parent=mesh,
+                     parent_edges=edges)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ certificates all go through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -466,18 +466,19 @@ def power_flux_pairing(u: FeFunction, grad_v: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class ProblemOperator:
-    """The truncated operator A_R on one space.
+    """The truncated operator A_R, evaluated on the space of its argument,
+    so one operator serves every level of a hierarchy.
 
     `q_factor` scales the competing/cooperative divergence term and
     `load_factor` scales the convection term; both default to the full
     problem and exist for homotopy and continuation, whose stages are
-    `dataclasses.replace` copies.  Every evaluation computes the pointwise
-    data of the three terms once.
+    `dataclasses.replace` copies.  The factors and `eps` are keyword-only.
+    Every evaluation computes the pointwise data of the three terms once.
     """
 
     problem: Problem
     weight: WeightFunction
-    space: FeSpace
+    _: KW_ONLY
     load_factor: float = 1.0
     q_factor: float = 1.0
     eps: float = DEFAULT_REGULARIZATION

@@ -63,8 +63,7 @@ def check_truncation_consistency(problem: Problem, u: FeFunction,
     the untruncated operator must reproduce the solver's convergence.
     """
     sup = sup_norm(u)
-    raw = ProblemOperator(problem, problem.weight, u.space,
-                          eps=eps).residual(u).values
+    raw = ProblemOperator(problem, problem.weight, eps=eps).residual(u).values
     raw_sup = float(np.max(np.abs(raw))) if raw.size else 0.0
     tol = tolerance * 10.0 + 1e-14
     details = {"sup_norm": float(sup), "radius": float(radius)}
@@ -266,7 +265,7 @@ def _report_consistency(report: HierarchyReport) -> Certificate:
     """Recompute one tabulated row from scratch and compare."""
     n = len(report.levels) - 1
     u = report.levels[n].solution
-    res_sup = float(np.max(np.abs(report.operators[n].residual(u).values)))
+    res_sup = float(np.max(np.abs(report.operator.residual(u).values)))
     grad = grad_norm_lp(u, report.problem.p)
     measured = max(abs(res_sup - report.levels[n].residual_sup),
                    abs(grad - report.grad_norms[n]))
@@ -283,8 +282,8 @@ def _report_consistency(report: HierarchyReport) -> Certificate:
 def _merge_truncation(report: HierarchyReport) -> Certificate:
     certs = [check_truncation_consistency(
         report.problem, lv.solution, report.truncation_radius,
-        report.solver_tolerance, op.eps)
-        for lv, op in zip(report.levels, report.operators)]
+        report.solver_tolerance, report.operator.eps)
+        for lv in report.levels]
     worst = max(certs, key=lambda c: (not c.passed,
                                       c.measured / max(c.threshold, 1e-300)))
     worst.details["per_level_measured"] = [float(c.measured) for c in certs]
@@ -345,22 +344,20 @@ def run_certificates(report: HierarchyReport, seed: int = 0) -> dict:
         raise ValueError(
             "cannot certify a hierarchy with a failed or missing level: "
             + (report.failure_message or "no levels solved"))
-    fine_op = report.operators[len(report.levels) - 1]
-    fine_space = fine_op.space
-    problem = report.problem
+    op, u_star = report.operator, report.levels[-1].solution
+    fine_space, problem = u_star.space, report.problem
     certs = [_merge_truncation(report)]
     certs.extend(check_generalized_conditions(report))
     certs.extend(check_strong_condition(report))
     certs.extend(check_monotonicity_inequalities(
         problem.p, problem.q, fine_space, samples=32, seed=seed))
     certs.append(weak_implies_generalized_demo(
-        fine_op, report.levels[-1].solution, report.solver_tolerance))
+        op, u_star, report.solver_tolerance))
 
     rng = np.random.default_rng(seed + 1)
-    fake = FeFunction(fine_space, report.levels[-1].solution.coeffs
+    fake = FeFunction(fine_space, u_star.coeffs
                       + rng.standard_normal(fine_space.dim))
-    demo = weak_implies_generalized_demo(fine_op, fake,
-                                         report.solver_tolerance)
+    demo = weak_implies_generalized_demo(op, fake, report.solver_tolerance)
     certs.append(Certificate(
         name="non-solution-contrast",
         anchor="perturbed state visibly fails the constant-sequence check",

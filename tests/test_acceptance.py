@@ -82,12 +82,12 @@ def test_criterion_2_analytic_and_multistart_oracles(capsys):
     weight = truncate_weight(problem.weight, 1.0)
 
     space1 = FeSpace(build_mesh(UNIT, 2))
-    lv1 = solve_level(ProblemOperator(problem, weight, space1), space1)
+    lv1 = solve_level(ProblemOperator(problem, weight), space1)
     golden = (1.0 + math.sqrt(2.0)) / 4.0
     err1 = abs(lv1.solution.coeffs[0] - golden)
 
     space3 = FeSpace(build_mesh(UNIT, 4))
-    op3 = ProblemOperator(problem, weight, space3)
+    op3 = ProblemOperator(problem, weight)
     lv3 = solve_level(op3, space3)
 
     def residual(x):

@@ -320,7 +320,7 @@ def test_solution_csv_round_trips_to_a_certified_state(tmp_path):
     space = FeSpace(mesh)
     u = read_csv(space, out / "solution_L2.csv")
     weight = truncate_weight(problem.weight, hier["truncation_radius"])
-    op = ProblemOperator(problem, weight, space)
+    op = ProblemOperator(problem, weight)
     res = np.max(np.abs(op.residual(u).values))
     assert res <= 10.0 * hier["solver_tolerance"]
 
@@ -427,6 +427,66 @@ def test_verify_report_that_is_not_an_object_is_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err == \
         f"report is not a JSON object: {report}\n"
     assert report.read_bytes() == b"[1, 2, 3]\n"
+    assert not out.exists()
+
+
+def test_verify_report_that_is_not_json_is_exit_1(tmp_path, capsys):
+    path = write_config(tmp_path, base_config())
+    report = tmp_path / "text.json"
+    report.write_bytes(b"not json\n")
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", path, "--out", str(out),
+               "--report", str(report)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"report is not JSON: {report}\n"
+    assert report.read_bytes() == b"not json\n"
+    assert not out.exists()
+
+
+def test_out_that_is_a_file_is_exit_1_before_solving(tmp_path, capsys):
+    path = write_config(tmp_path, base_config())
+    target = tmp_path / "taken"
+    target.write_bytes(b"keep\n")
+    for out in (target, target / "sub"):
+        assert main(["solve", "--config", path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"--out is not a directory: {out}\n"
+        # the hierarchy never ran
+        assert captured.out == ""
+    assert target.read_bytes() == b"keep\n"
+
+
+def test_config_that_is_not_utf8_is_exit_1_without_traceback(tmp_path,
+                                                             capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(bytes.fromhex("fffe7b7d"))
+    assert_every_command_fails(
+        tmp_path, capsys, str(path), 1,
+        "config error: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")
+
+
+@pytest.mark.parametrize("args, code, needle", [
+    (["solve", "--out", "OUT"], 1, "--config"),
+    (["solve", "--config", "CONFIG", "--out", "OUT", "--seed", "abc"], 1,
+     "--seed"),
+    (["solve", "--config", "CONFIG", "--out", "OUT", "--seed", "-1"], 1,
+     "--seed"),
+    (["--help"], 0, ""),
+], ids=["missing-config", "seed-not-an-integer", "negative-seed", "help"])
+def test_usage_errors_are_exit_1(tmp_path, capsys, args, code, needle):
+    # exit 2 is reserved for hypothesis violations
+    config = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    argv = [{"CONFIG": config, "OUT": str(out)}.get(a, a) for a in args]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert needle in captured.err
+    assert "Traceback" not in captured.err
+    if code == 0:
+        assert captured.out.startswith("usage: pqgalerkin")
+    else:
+        assert captured.err.splitlines()[-1].startswith("pqgalerkin")
     assert not out.exists()
 
 

@@ -185,7 +185,7 @@ def test_rhs_estimate_audit():
     h2 = fam.h2
     sigma_norm = h2.sigma * UNIT.measure ** (1.0 / h2.r1)
     rng = np.random.default_rng(1)
-    op = ProblemOperator(problem, problem.weight, space)
+    op = ProblemOperator(problem, problem.weight)
     for _ in range(500):
         u = FeFunction(space, rng.standard_normal(space.dim))
         v = FeFunction(space, rng.standard_normal(space.dim))
@@ -205,7 +205,7 @@ def test_nemytskij_surrogate_bound():
     C = rhs_estimate_constant(problem, lam, cs)
     h2 = fam.h2
     sigma_norm = h2.sigma * UNIT.measure ** (1.0 / h2.r1)
-    op = ProblemOperator(problem, problem.weight, space)
+    op = ProblemOperator(problem, problem.weight)
     rng = np.random.default_rng(2)
     basis = [FeFunction(space, row) for row in np.eye(space.dim)]
     phi_norms = np.array([grad_norm_lp(phi, p) for phi in basis])

@@ -42,6 +42,51 @@ def test_prolongation_is_exact_for_norms():
         assert math.isclose(sup_norm(v), sup_norm(u), rel_tol=1e-13)
 
 
+def reference_prolongate(u, finer):
+    """One parent-map step per level with the (n, 2) index/weight rows
+    (identity rows for parent vertices, 1/2-1/2 rows for midpoints), then
+    the boundary values set to zero."""
+    chain, mesh = [], finer.mesh
+    while mesh is not u.space.mesh:
+        chain.append(mesh)
+        mesh = mesh.parent
+    vals = u.full_values()
+    for mesh in reversed(chain):
+        n = mesh.parent.n_vertices
+        idx = np.vstack([np.repeat(np.arange(n)[:, None], 2, 1),
+                         mesh.parent_edges])
+        wts = np.vstack([np.tile([1.0, 0.0], (n, 1)),
+                         np.full(mesh.parent_edges.shape, 0.5)])
+        vals = vals[idx[:, 0]] * wts[:, 0] + vals[idx[:, 1]] * wts[:, 1]
+        vals[mesh.boundary] = 0.0
+    return vals[finer.dofs]
+
+
+@pytest.mark.parametrize("domain, cells", [
+    (Domain.interval(0.0, 1.0), 4),
+    (Domain.rectangle(0.0, 1.0, 0.0, 1.0), 3),
+    (Domain.rectangle(-1.0, 2.0, 0.5, 3.0), (3, 5)),
+])
+def test_prolongate_matches_the_parent_map_reference_bit_for_bit(domain,
+                                                                 cells):
+    spaces = [FeSpace(build_mesh(domain, cells))]
+    for _ in range(3):
+        spaces.append(FeSpace(refine(spaces[-1].mesh)))
+    rng = np.random.default_rng(21)
+    coarse = spaces[0]
+    for _ in range(5):
+        coeffs = (rng.standard_normal(coarse.dim)
+                  * 10.0 ** rng.uniform(-8, 8, coarse.dim))
+        signed_zero = rng.integers(0, 3, coarse.dim)
+        coeffs[signed_zero == 1] = 0.0
+        coeffs[signed_zero == 2] = -0.0
+        u = FeFunction(coarse, coeffs)
+        for fine in spaces:
+            got = prolongate(u, fine).coeffs
+            want = reference_prolongate(u, fine)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_prolongate_zero():
     coarse = interval_space(2)
     fine = FeSpace(refine(coarse.mesh))

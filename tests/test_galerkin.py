@@ -28,7 +28,7 @@ def single_dof_op():
                       variant="competing", regime="H3")
     weight = truncate_weight(problem.weight, 1.0)
     space = FeSpace(build_mesh(UNIT, 2))
-    return ProblemOperator(problem, weight, space), space
+    return ProblemOperator(problem, weight), space
 
 
 def offset_problem(variant="competing"):
@@ -75,7 +75,7 @@ def test_homotopy_scalings_recombine():
     problem = offset_problem()
     weight = truncate_weight(problem.weight, 2.0)
     space = FeSpace(build_mesh(UNIT, 8))
-    op = ProblemOperator(problem, weight, space)
+    op = ProblemOperator(problem, weight)
     rng = np.random.default_rng(5)
     u = FeFunction(space, rng.standard_normal(space.dim))
     p_d, q_d, f_d = op.parts(u)
@@ -115,8 +115,9 @@ def test_solve_level_leaves_the_guard_to_the_hierarchy():
 def test_hierarchy_guard_is_the_sampled_record_of_each_level():
     report = run_hierarchy(offset_problem(), 4, 3, seed=5)
     assert report.failed_level is None
-    for lv, op in zip(report.levels, report.operators):
-        expect = brouwer_guard(op, op.space, report.guard_radius, seed=5)
+    for lv in report.levels:
+        expect = brouwer_guard(report.operator, lv.solution.space,
+                               report.guard_radius, seed=5)
         assert jsonable(lv.guard) == jsonable(expect)
 
 
@@ -137,7 +138,7 @@ def test_guard_doubles_past_small_radius():
     space = FeSpace(build_mesh(UNIT, 8))
     est = compute_estimates(problem, space)
     weight = truncate_weight(problem.weight, est.sup_radius)
-    op = ProblemOperator(problem, weight, space)
+    op = ProblemOperator(problem, weight)
     small = est.grad_radius / 5.0
     rec = brouwer_guard(op, space, small, samples=16, seed=0)
     assert rec.passed
@@ -151,7 +152,7 @@ def test_guard_is_deterministic():
     space = FeSpace(build_mesh(UNIT, 4))
     est = compute_estimates(problem, space)
     op = ProblemOperator(problem, truncate_weight(problem.weight,
-                                                  est.sup_radius), space)
+                                                  est.sup_radius))
     a = brouwer_guard(op, space, est.grad_radius, samples=16, seed=7)
     b = brouwer_guard(op, space, est.grad_radius, samples=16, seed=7)
     assert a.min_pairing == b.min_pairing
@@ -164,8 +165,8 @@ def test_warm_start_agrees_with_cold():
     est = compute_estimates(problem, space0)
     weight = truncate_weight(problem.weight, est.sup_radius)
     space1 = FeSpace(refine(space0.mesh))
-    op0 = ProblemOperator(problem, weight, space0)
-    op1 = ProblemOperator(problem, weight, space1)
+    op0 = ProblemOperator(problem, weight)
+    op1 = ProblemOperator(problem, weight)
     cold0 = solve_level(op0, space0)
     warm = solve_level(op1, space1, warm=prolongate(cold0.solution, space1))
     cold1 = solve_level(op1, space1)
@@ -180,7 +181,7 @@ def test_solve_level_raises_when_capped():
     problem = offset_problem()
     space = FeSpace(build_mesh(UNIT, 8))
     weight = truncate_weight(problem.weight, 2.0)
-    op = ProblemOperator(problem, weight, space)
+    op = ProblemOperator(problem, weight)
     cfg = SolverConfig(max_iterations=1)
     with pytest.raises(SolveError) as exc:
         solve_level(op, space, cfg)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pqgalerkin.mesh import (Domain, MeshError, build_mesh, gauss2_rule,
-                             quadrature_for, refine, triangle_rule_degree4)
+from pqgalerkin.mesh import (Domain, MeshError, MeshLevel, build_mesh,
+                             gauss2_rule, quadrature_for, refine,
+                             triangle_rule_degree4)
 
 
 def test_interval_two_cells_vertices():
@@ -60,12 +61,85 @@ def test_parent_vertices_persist():
 
 
 def test_refine_weights_are_identity_or_midpoint():
-    mesh = build_mesh(Domain.interval(0.0, 1.0), 2)
-    fine = refine(mesh)
-    for i in range(fine.n_vertices):
-        w = fine.parent_weights[i]
-        assert math.isclose(w.sum(), 1.0, abs_tol=1e-15)
-        assert set(np.round(w, 12)) <= {0.0, 0.5, 1.0}
+    # parent vertices persist; each appended vertex is the midpoint of its
+    # parent edge, an edge of some parent cell
+    for mesh in (build_mesh(Domain.interval(0.0, 1.0), 2),
+                 build_mesh(Domain.rectangle(0.0, 1.0, 0.0, 1.0), 2)):
+        fine = refine(mesh)
+        n = mesh.n_vertices
+        assert fine.parent_edges.shape == (fine.n_vertices - n, 2)
+        np.testing.assert_array_equal(fine.vertices[:n], mesh.vertices)
+        a, b = fine.parent_edges.T
+        np.testing.assert_array_equal(
+            fine.vertices[n:], 0.5 * (mesh.vertices[a] + mesh.vertices[b]))
+        cell_edges = {tuple(sorted(e)) for cell in mesh.cells
+                      for e in zip(cell, np.roll(cell, -1))}
+        assert set(map(tuple, fine.parent_edges)) <= cell_edges
+        assert np.all(a < b)
+
+
+def reference_refine(mesh):
+    """Refinement as a loop over cells with a dict of midpoints: the
+    children and the (n, 2) index/weight parent rows, identity rows for the
+    parent vertices and 1/2-1/2 rows for the edge midpoints."""
+    verts = mesh.vertices
+    n = mesh.n_vertices
+    midpoint_of = {}
+    new_pts = []
+
+    def mid(i, j):
+        key = (i, j) if i < j else (j, i)
+        k = midpoint_of.get(key)
+        if k is None:
+            k = n + len(new_pts)
+            midpoint_of[key] = k
+            new_pts.append(0.5 * (verts[key[0]] + verts[key[1]]))
+        return k
+
+    child_cells = []
+    if mesh.domain.dim == 1:
+        for i, j in mesh.cells:
+            m = mid(i, j)
+            child_cells.append((i, m))
+            child_cells.append((m, j))
+    else:
+        for a, b, c in mesh.cells:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            child_cells.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c),
+                                (ab, bc, ca)])
+
+    child_verts = np.vstack([verts, np.asarray(new_pts)])
+    idx = np.empty((child_verts.shape[0], 2), dtype=np.int64)
+    wts = np.empty((child_verts.shape[0], 2), dtype=float)
+    idx[:n] = np.arange(n)[:, None]
+    wts[:n] = (1.0, 0.0)
+    for (i, j), k in midpoint_of.items():
+        idx[k] = (i, j)
+        wts[k] = (0.5, 0.5)
+    fine = MeshLevel(mesh.level + 1, mesh.domain, child_verts,
+                     np.asarray(child_cells, dtype=np.int64), parent=mesh)
+    return fine, idx, wts
+
+
+@pytest.mark.parametrize("domain, cells", [
+    (Domain.interval(0.0, 1.0), 4),
+    (Domain.rectangle(0.0, 1.0, 0.0, 1.0), 2),
+    (Domain.rectangle(-1.0, 2.0, 0.5, 3.0), (3, 5)),
+])
+def test_refine_matches_the_loop_reference_bit_for_bit(domain, cells):
+    mesh = ref = build_mesh(domain, cells)
+    for _ in range(4):
+        n = mesh.n_vertices
+        mesh = refine(mesh)
+        ref, idx, wts = reference_refine(ref)
+        for name in ("vertices", "cells", "boundary", "cell_measures"):
+            got, want = getattr(mesh, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the reference's midpoint rows are the parent edges; the rows
+        # before them are identities
+        assert np.array_equal(mesh.parent_edges, idx[n:])
+        assert np.all(wts[n:] == 0.5)
+        assert np.array_equal(idx[:n], np.repeat(np.arange(n)[:, None], 2, 1))
 
 
 def test_degenerate_cell_rejected():

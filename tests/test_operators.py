@@ -55,16 +55,27 @@ def test_weight_needs_positive_floor():
         constant_weight(0.0)
 
 
+def test_operator_takes_no_space_and_keyword_only_factors():
+    problem, gr, space = single_dof_setup()
+    # a space passed where the old signature had one would otherwise bind
+    # to load_factor
+    with pytest.raises(TypeError):
+        ProblemOperator(problem, gr, space)
+    with pytest.raises(TypeError):
+        ProblemOperator(problem, gr, 0.5)
+    assert "space" not in {f.name for f in dataclasses.fields(ProblemOperator)}
+
+
 def test_zero_state_zero_residual():
     problem, gr, space = single_dof_setup()
-    F = ProblemOperator(problem, gr, space).residual(FeFunction.zero(space))
+    F = ProblemOperator(problem, gr).residual(FeFunction.zero(space))
     np.testing.assert_array_equal(F.values, 0.0)
 
 
 def test_single_dof_residual_no_load():
     problem, gr, space = single_dof_setup()
     for t in (0.1, 0.25, 0.8):
-        F = ProblemOperator(problem, gr, space).residual(
+        F = ProblemOperator(problem, gr).residual(
             FeFunction(space, np.array([t])))
         assert math.isclose(F.values[0], 8 * t * t - 4 * t, rel_tol=1e-13)
 
@@ -72,7 +83,7 @@ def test_single_dof_residual_no_load():
 def test_single_dof_residual_unit_load():
     problem, gr, space = single_dof_setup(f_value=1.0)
     for t in (0.25, 0.7, -0.3):
-        F = ProblemOperator(problem, gr, space).residual(
+        F = ProblemOperator(problem, gr).residual(
             FeFunction(space, np.array([t])))
         expect = 8 * t * abs(t) - 4 * t - 0.5
         assert math.isclose(F.values[0], expect, rel_tol=1e-13, abs_tol=1e-15)
@@ -82,7 +93,7 @@ def test_single_dof_self_pairing():
     problem, gr, space = single_dof_setup(f_value=1.0)
     t = 0.25
     u = FeFunction(space, np.array([t]))
-    val = ProblemOperator(problem, gr, space).pairing(u, u)
+    val = ProblemOperator(problem, gr).pairing(u, u)
     assert math.isclose(val, 8 * t ** 3 - 4 * t ** 2 - t / 2, rel_tol=1e-13)
 
 
@@ -93,7 +104,7 @@ def test_pairing_consistency_random():
                       variant="competing", regime="H3")
     gr = truncate_weight(weight, 2.0)
     space = FeSpace(build_mesh(UNIT, 8))
-    op = ProblemOperator(problem, gr, space)
+    op = ProblemOperator(problem, gr)
     rng = np.random.default_rng(0)
     for _ in range(25):
         u = FeFunction(space, rng.standard_normal(space.dim))
@@ -112,8 +123,8 @@ def test_variants_differ_by_twice_q_term():
                    variant="competing", regime="H3")
     coop = Problem(p=3.0, q=2.0, domain=UNIT, weight=weight, convection=conv,
                    variant="cooperative", regime="H3")
-    comp_op = ProblemOperator(comp, gr, space)
-    coop_op = ProblemOperator(coop, gr, space)
+    comp_op = ProblemOperator(comp, gr)
+    coop_op = ProblemOperator(coop, gr)
     rng = np.random.default_rng(2)
     for _ in range(10):
         u = FeFunction(space, rng.standard_normal(space.dim))
@@ -143,7 +154,7 @@ def test_coercivity_floor():
     p = 3.0
     problem = Problem(p=p, q=2.0, domain=UNIT, weight=weight,
                       convection=zero_convection())
-    op = ProblemOperator(problem, gr, space)
+    op = ProblemOperator(problem, gr)
     rng = np.random.default_rng(3)
     for _ in range(200):
         u = FeFunction(space, rng.standard_normal(space.dim))
@@ -166,7 +177,7 @@ def test_growth_bound_discrete():
     C = rhs_estimate_constant(problem, lam, cs)
     h2 = fam.h2
     sigma_norm = h2.sigma * UNIT.measure ** (1.0 / h2.r1)
-    op = ProblemOperator(problem, problem.weight, space)
+    op = ProblemOperator(problem, problem.weight)
     rng = np.random.default_rng(4)
     for _ in range(200):
         u = FeFunction(space, rng.standard_normal(space.dim))
@@ -235,7 +246,7 @@ def test_nonfinite_integrand_names_cell():
     gr = truncate_weight(problem.weight, 1.0)
     space = FeSpace(build_mesh(UNIT, 2))
     with pytest.raises(AssemblyError, match="cell"):
-        ProblemOperator(problem, gr, space).residual(
+        ProblemOperator(problem, gr).residual(
             FeFunction(space, np.array([0.5])))
 
 
@@ -265,7 +276,7 @@ def jacobian_setup(dim, variant="competing", q=2.0):
     # eps = 0.05 puts the flat cells of the state below in the regularized
     # branch of the q-flux when q < 2, far from the oracle's step
     op = ProblemOperator(problem, truncate_weight(problem.weight, RADIUS),
-                         space, load_factor=0.7, q_factor=0.8, eps=0.05)
+                         load_factor=0.7, q_factor=0.8, eps=0.05)
     coeffs = np.random.default_rng(3).standard_normal(space.dim)
     coeffs[space.dim // 2:] = coeffs[space.dim // 2]
     return op, FeFunction(space, coeffs)
@@ -286,9 +297,9 @@ def test_jacobian_matches_central_difference(dim, variant, q):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_jacobian_keeps_the_p1_stencil(dim):
     op, u = jacobian_setup(dim)
-    pairs = {(a, b) for row in op.space.cell_dofs for a in row for b in row
+    pairs = {(a, b) for row in u.space.cell_dofs for a in row for b in row
              if a >= 0 and b >= 0}
-    for state in (u, FeFunction.zero(op.space)):
+    for state in (u, FeFunction.zero(u.space)):
         J = op.jacobian(state)
         assert J.format == "csr"
         assert J.nnz == len(pairs)
@@ -311,7 +322,7 @@ def spread(rng, shape):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_assembly_kernels_match_their_references_bit_for_bit(dim):
-    space = jacobian_setup(dim)[0].space
+    space = jacobian_setup(dim)[1].space
     rng = np.random.default_rng(11)
     for _ in range(5):
         contrib = spread(rng, space.cell_dofs.shape)
@@ -339,7 +350,7 @@ def bits(a):
 
 def kernel_spaces(dim):
     """The Jacobian-check space and two refinements of it (225 dofs in 2D)."""
-    spaces = [jacobian_setup(dim)[0].space]
+    spaces = [jacobian_setup(dim)[1].space]
     for _ in range(2):
         spaces.append(FeSpace(refine(spaces[-1].mesh)))
     return spaces
@@ -368,7 +379,7 @@ def test_assemble_matrix_matches_scipy_bit_for_bit(dim):
 
 
 def test_assembly_plan_is_built_once_and_read_only():
-    space = jacobian_setup(2)[0].space
+    space = jacobian_setup(2)[1].space
     plan = space.plan
     assert space.plan is plan
     assert not any(arr.flags.writeable for arr in plan)
@@ -380,7 +391,7 @@ def test_assembly_plan_is_built_once_and_read_only():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_gradient_blocks_match_einsum_bit_for_bit(dim):
     rng = np.random.default_rng(14)
-    space = jacobian_setup(dim)[0].space
+    space = jacobian_setup(dim)[1].space
     m, nv, d = space.grads.shape
     cases = [(space.grads, signed_spread(rng, (m, d, d)))]
     cases += [(signed_spread(rng, (m, nv, d)), signed_spread(rng, (m, d, d)))
@@ -442,7 +453,7 @@ def test_per_cell_convection_keeps_every_bit(dim, family):
 
     reference = with_convection(op, on_broadcast_xi)
     rng = np.random.default_rng(12)
-    states = [u] + [FeFunction(op.space, rng.standard_normal(op.space.dim))
+    states = [u] + [FeFunction(u.space, rng.standard_normal(u.space.dim))
                     for _ in range(3)]
     for state in states:
         assert np.array_equal(op.residual(state).values,
@@ -465,5 +476,5 @@ def test_convection_gets_one_gradient_per_cell(dim):
     spied.residual(u)
     spied.jacobian(u)
     spied.pairing(u, u)
-    m, k = op.space.qp_weights.shape
+    m, k = u.space.qp_weights.shape
     assert shapes == {((m, k, dim), (m, k), (m, 1, dim))}

@@ -45,7 +45,7 @@ def single_dof_solution():
                       variant="competing", regime="H3")
     weight = truncate_weight(problem.weight, RADIUS)
     space = FeSpace(build_mesh(UNIT, 2))
-    lv = solve_level(ProblemOperator(problem, weight, space), space)
+    lv = solve_level(ProblemOperator(problem, weight), space)
     return problem, weight, lv.solution
 
 
@@ -131,7 +131,7 @@ def test_monotonicity_skips_subquadratic_exponent():
 def test_weak_implies_generalized_demo_passes():
     problem, weight, u = single_dof_solution()
     cert = weak_implies_generalized_demo(
-        ProblemOperator(problem, weight, u.space), u)
+        ProblemOperator(problem, weight), u)
     assert cert.passed
     assert cert.details["c_value"] == 0.0
     assert cert.details["b_max"] == cert.measured
@@ -141,7 +141,7 @@ def test_weak_implies_generalized_demo_rejects_perturbed():
     problem, weight, u = single_dof_solution()
     fake = FeFunction(u.space, u.coeffs + 0.5)
     cert = weak_implies_generalized_demo(
-        ProblemOperator(problem, weight, u.space), fake)
+        ProblemOperator(problem, weight), fake)
     assert not cert.passed
     assert cert.measured > 100.0 * cert.threshold
 
