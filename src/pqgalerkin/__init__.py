@@ -10,9 +10,9 @@ from .operators import (AssemblyError, ConvectionFamily, GrowthH2, GrowthH4,
                         HypothesisViolation, Problem, ProblemOperator, SignH3,
                         SignH3a, WeightFunction, adversarial_convection,
                         constant_convection, constant_weight,
-                        power_laplacian_pairing, power_laplacian_residual,
-                        qp_dual, quadratic_weight, saturating_convection,
-                        truncate_weight, zero_convection)
+                        power_laplacian_residual, qp_dual, quadratic_weight,
+                        saturating_convection, truncate_weight,
+                        zero_convection)
 from .estimates import (CONVENTIONS, EstimateReport, HypothesisAudit,
                         Lambda1Estimate, SamplingBox, SobolevEstimate,
                         apriori_radius, audit_hypotheses,

@@ -2,7 +2,7 @@
 
 Configs are strict JSON: unknown keys are rejected so a typo cannot silently
 fall back to a default.  All outputs are deterministic for a fixed config and
-seed (sorted JSON keys, repr floats, no timestamps).
+seed (sorted JSON keys, repr floats, non-finite floats as null, no timestamps).
 
 Exit codes: 0 success, 1 config or parse error, 2 hypothesis or regime
 precondition violation, 3 level-solve failure, 4 certification failure.
@@ -75,46 +75,37 @@ def _build_domain(block: dict) -> Domain:
     raise ConfigError(f"problem.domain.kind: unknown kind {kind!r}")
 
 
-def _build_weight(block: dict):
-    if not isinstance(block, dict) or "kind" not in block:
-        raise ConfigError("problem.weight: expected an object with a kind")
-    kind = block["kind"]
-    if kind == "constant":
-        _check_keys(block, {"kind", "value"}, {"kind", "value"},
-                    "problem.weight")
-        return constant_weight(_number(block, "value", "problem.weight"))
-    if kind == "quadratic":
-        _check_keys(block, {"kind", "base", "coef"}, {"kind", "base"},
-                    "problem.weight")
-        coef = _number(block, "coef", "problem.weight") \
-            if "coef" in block else 1.0
-        return quadratic_weight(_number(block, "base", "problem.weight"), coef)
-    raise ConfigError(f"problem.weight.kind: unknown kind {kind!r}")
+# Config kinds: block -> kind -> (factory, problem data it takes, required
+# keys, optional keys).  The factory gets the data and the block's keys as
+# keyword arguments, so an omitted optional key takes the factory's default.
+KINDS = {
+    "weight": {
+        "constant": (constant_weight, (), {"value"}, set()),
+        "quadratic": (quadratic_weight, (), {"base"}, {"coef"}),
+    },
+    "convection": {
+        "zero": (zero_convection, (), set(), set()),
+        "constant": (constant_convection, (), {"value"}, set()),
+        "saturating": (saturating_convection, ("p",), set(),
+                       {"alpha", "h_bound", "offset"}),
+        "adversarial": (adversarial_convection, ("a0", "p"), set(), set()),
+    },
+}
 
 
-def _build_convection(block: dict, p: float, a0: float):
+def _build_kind(block, name: str, **data):
+    where = f"problem.{name}"
     if not isinstance(block, dict) or "kind" not in block:
-        raise ConfigError("problem.convection: expected an object with a kind")
+        raise ConfigError(f"{where}: expected an object with a kind")
     kind = block["kind"]
-    where = "problem.convection"
-    if kind == "zero":
-        _check_keys(block, {"kind"}, {"kind"}, where)
-        return zero_convection()
-    if kind == "constant":
-        _check_keys(block, {"kind", "value"}, {"kind", "value"}, where)
-        return constant_convection(_number(block, "value", where))
-    if kind == "saturating":
-        _check_keys(block, {"kind", "alpha", "h_bound", "offset"},
-                    {"kind"}, where)
-        alpha = _number(block, "alpha", where) if "alpha" in block else 2.0
-        h_bound = _number(block, "h_bound", where) if "h_bound" in block else 1.0
-        offset = _number(block, "offset", where) if "offset" in block else 0.0
-        return saturating_convection(p, alpha=alpha, h_bound=h_bound,
-                                     offset=offset)
-    if kind == "adversarial":
-        _check_keys(block, {"kind"}, {"kind"}, where)
-        return adversarial_convection(a0, p)
-    raise ConfigError(f"problem.convection.kind: unknown kind {kind!r}")
+    if not isinstance(kind, str) or kind not in KINDS[name]:
+        raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
+    factory, takes, required, optional = KINDS[name][kind]
+    _check_keys(block, {"kind"} | required | optional, {"kind"} | required,
+                where)
+    return factory(**{key: data[key] for key in takes},
+                   **{key: _number(block, key, where)
+                      for key in block if key != "kind"})
 
 
 def build_problem(block: dict) -> Problem:
@@ -125,8 +116,9 @@ def build_problem(block: dict) -> Problem:
     p = _number(block, "p", "problem")
     q = _number(block, "q", "problem")
     domain = _build_domain(block["domain"])
-    weight = _build_weight(block["weight"])
-    convection = _build_convection(block["convection"], p, weight.lower_bound)
+    weight = _build_kind(block["weight"], "weight")
+    convection = _build_kind(block["convection"], "convection", p=p,
+                             a0=weight.lower_bound)
     variant = block.get("variant", "competing")
     regime = block.get("regime", "H3")
     return Problem(p=p, q=q, domain=domain, weight=weight,
@@ -195,9 +187,12 @@ def _fail(message: str, code: int = 1) -> int:
 
 
 def _write_json(path: Path, payload) -> None:
+    # json writes non-finite floats as NaN and Infinity, which strict JSON
+    # (RFC 8259) forbids; read back as None, they are written as null
+    data = json.loads(json.dumps(jsonable(payload)),
+                      parse_constant=lambda _: None)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(jsonable(payload), sort_keys=True, indent=2)
-                    + "\n")
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def _write_lock(out_dir: Path, command: str, cfg: dict, seed: int) -> None:
@@ -217,9 +212,8 @@ def _write_diagnostics(out_dir: Path, report) -> None:
     (out_dir / "diagnostics.csv").write_text("\n".join(lines) + "\n")
 
 
-def _cmd_estimate(cfg: dict, out_dir: Path, seed: int) -> int:
-    problem = build_problem(cfg["problem"])
-    convention = (cfg.get("estimates") or {}).get("convention", "standard")
+def _cmd_estimate(cfg: dict, problem: Problem, convention: str,
+                  out_dir: Path, seed: int) -> int:
     space = FeSpace(build_mesh(problem.domain, cfg["mesh"]["base_cells"]))
     report = compute_estimates(problem, space, convention=convention,
                                seed=seed)
@@ -229,18 +223,22 @@ def _cmd_estimate(cfg: dict, out_dir: Path, seed: int) -> int:
     return 0
 
 
-def _run(cfg: dict, seed: int):
-    problem = build_problem(cfg["problem"])
-    convention = (cfg.get("estimates") or {}).get("convention", "standard")
-    solver = _build_solver(cfg.get("solver"))
-    return run_hierarchy(problem, cfg["mesh"]["base_cells"],
-                         cfg["mesh"]["levels"], cfg=solver,
-                         convention=convention, seed=seed)
-
-
-def _write_outputs(out_dir: Path, command: str, cfg: dict, seed: int,
-                   report) -> None:
-    """Solution CSVs and diagnostics.csv as `output` asks, then the lock."""
+def _cmd_solve(command: str, cfg: dict, problem: Problem, convention: str,
+               out_dir: Path, seed: int, target: Path, payload: dict) -> int:
+    """`solve`, and for `verify` the certificates of a solved hierarchy.
+    The report goes into `payload` and to `target`; the solution CSVs and
+    diagnostics.csv follow as `output` asks, then the lock, whatever the
+    exit code."""
+    report = run_hierarchy(problem, cfg["mesh"]["base_cells"],
+                           cfg["mesh"]["levels"],
+                           cfg=_build_solver(cfg.get("solver")),
+                           convention=convention, seed=seed)
+    payload["hierarchy"] = report
+    failed = report.failed_level is not None
+    if command == "verify":
+        payload["verification"] = None if failed \
+            else run_certificates(report, seed=seed)
+    _write_json(target, payload)
     # the verify --report target may lie outside --out
     out_dir.mkdir(parents=True, exist_ok=True)
     out_cfg = cfg.get("output") or {}
@@ -250,53 +248,20 @@ def _write_outputs(out_dir: Path, command: str, cfg: dict, seed: int,
     if out_cfg.get("write_diagnostics", True):
         _write_diagnostics(out_dir, report)
     _write_lock(out_dir, command, cfg, seed)
-
-
-def _cmd_solve(cfg: dict, out_dir: Path, seed: int) -> int:
-    report = _run(cfg, seed)
-    _write_json(out_dir / "report.json", {"hierarchy": report})
-    _write_outputs(out_dir, "solve", cfg, seed, report)
-    if report.failed_level is not None:
+    if failed:
         return _fail(report.failure_message, 3)
-    print(f"solved {len(report.levels)} levels; "
-          f"finest residual sup {report.levels[-1].residual_sup:.3e}")
-    return 0
-
-
-def _cmd_verify(cfg: dict, out_dir: Path, seed: int,
-                report_path: Optional[str]) -> int:
-    # with --report, certificates are appended to an existing solve report
-    payload = {}
-    target = out_dir / "report.json"
-    if report_path is not None:
-        target = Path(report_path)
-        if not target.is_file():
-            return _fail(f"missing report: {target}")
-        try:
-            payload = json.loads(target.read_text())
-        except ValueError:  # not JSON, or bytes that are not UTF-8
-            return _fail(f"report is not JSON: {target}")
-        if not isinstance(payload, dict):
-            return _fail(f"report is not a JSON object: {target}")
-    report = _run(cfg, seed)
-    payload["hierarchy"] = report
-    if report.failed_level is not None:
-        payload["verification"] = None
-        _write_json(target, payload)
-        return _fail(report.failure_message, 3)
-    verdict = run_certificates(report, seed=seed)
-    payload["verification"] = verdict
-    _write_json(target, payload)
-    _write_outputs(out_dir, "verify", cfg, seed, report)
+    if command == "solve":
+        print(f"solved {len(report.levels)} levels; "
+              f"finest residual sup {report.levels[-1].residual_sup:.3e}")
+        return 0
+    verdict = payload["verification"]
     for cert in verdict["certificates"]:
         state = "skip" if cert["skipped"] else \
             ("pass" if cert["passed"] else "FAIL")
         print(f"[{state}] {cert['name']}: measured {cert['measured']:.3e} "
               f"vs threshold {cert['threshold']:.3e}")
     print(f"s-probe: {verdict['s_probe']['classification']}")
-    if not verdict["all_passed"]:
-        return 4
-    return 0
+    return 0 if verdict["all_passed"] else 4
 
 
 def main(argv=None) -> int:
@@ -331,12 +296,26 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
         return _fail(f"--out is not a directory: {out_dir}")
+    target, payload = out_dir / "report.json", {}
+    if args.command == "verify" and args.report is not None:
+        # the certificates are appended to an existing report
+        target = Path(args.report)
+        if not target.is_file():
+            return _fail(f"missing report: {target}")
+        try:
+            payload = json.loads(target.read_text())
+        except ValueError:  # not JSON, or bytes that are not UTF-8
+            return _fail(f"report is not JSON: {target}")
+        if not isinstance(payload, dict):
+            return _fail(f"report is not a JSON object: {target}")
     try:
+        problem = build_problem(cfg["problem"])
+        convention = (cfg.get("estimates") or {}).get("convention",
+                                                      "standard")
         if args.command == "estimate":
-            return _cmd_estimate(cfg, out_dir, args.seed)
-        if args.command == "solve":
-            return _cmd_solve(cfg, out_dir, args.seed)
-        return _cmd_verify(cfg, out_dir, args.seed, args.report)
+            return _cmd_estimate(cfg, problem, convention, out_dir, args.seed)
+        return _cmd_solve(args.command, cfg, problem, convention, out_dir,
+                          args.seed, target, payload)
     except (HypothesisViolation,) as err:
         return _fail(f"hypothesis violation: {err}", 2)
     except (ConfigError, MeshError, ValueError, ArithmeticError) as err:

@@ -210,21 +210,13 @@ def poincare_factor(lambda1: float, alpha: float, p: float,
     return lambda1 ** (-alpha)
 
 
-def _regime_constants(problem: Problem) -> Tuple[float, float, float]:
-    if problem.regime == "H3":
-        h3 = problem.convection.h3
-        return h3.c0, h3.c1, h3.alpha
-    h3a = problem.convection.h3a
-    return h3a.c0, h3a.c1, problem.p
-
-
 def coercivity_polynomial(problem: Problem, lambda1: float,
                           convention: str = "standard") -> Callable[[float], float]:
     """psi(t) such that <A(u), u> >= psi(||grad u||_p) under the hypotheses."""
     p, q = problem.p, problem.q
     measure = problem.domain.measure
     a0 = problem.weight.lower_bound
-    c0, c1, alpha = _regime_constants(problem)
+    c0, c1, alpha = problem.sign_constants
     lead = a0 - c0
     b_coef = measure ** ((p - q) / p)
     const = c1 * measure

@@ -153,9 +153,6 @@ class FeFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return FeFunction(self.space, -self.coeffs)
-
 
 @dataclass
 class DualVector:

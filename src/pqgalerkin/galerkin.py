@@ -200,10 +200,13 @@ class LevelSolve:
 def solve_level(op: ProblemOperator, space: FeSpace,
                 cfg: Optional[SolverConfig] = None,
                 warm: Optional[FeFunction] = None) -> LevelSolve:
-    """Solve one Galerkin level; failure is an exception.  The result has no
-    guard record: `run_hierarchy` samples the guard and sets it."""
+    """Solve one Galerkin level; failure is an exception.  A warm start
+    must live on `space`.  The result has no guard record: `run_hierarchy`
+    samples the guard and sets it."""
     cfg = cfg or SolverConfig()
     if warm is not None:
+        if warm.space is not space:
+            raise ValueError("a warm start must live on the level's space")
         path, start, stages = "newton", warm, [op]
     else:
         path, start = "competition-ramp", _linear_predictor(op, space)
@@ -251,7 +254,6 @@ class HierarchyReport:
     within_sup_bound: List[bool] = field(default_factory=list)
     failed_level: Optional[int] = None
     failure_message: str = ""
-    problem: Optional[Problem] = field(default=None, metadata={"live": True})
     operator: Optional[ProblemOperator] = field(default=None,
                                                 metadata={"live": True})
 
@@ -303,7 +305,7 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
     report = HierarchyReport(
         estimate=estimate, truncation_radius=estimate.sup_radius,
         guard_radius=guard_radius, solver_tolerance=cfg.tolerance,
-        seed=seed, problem=problem, operator=op)
+        seed=seed, operator=op)
 
     warm = None
     for n, sp in enumerate(spaces):

@@ -44,7 +44,6 @@ __all__ = [
     "qp_dual",
     "assemble_matrix",
     "power_laplacian_residual",
-    "power_laplacian_pairing",
     "power_flux_pairing",
     "ProblemOperator",
 ]
@@ -280,7 +279,12 @@ REGIMES = ("H3", "H3a")
 @dataclass(frozen=True)
 class Problem:
     """Dirichlet problem data: exponents p > q > 1, domain with dim < p,
-    weight, convection family, operator variant, and coercivity regime."""
+    weight, convection family, operator variant, and coercivity regime.
+
+    `sign_constants` gives the (c0, c1, alpha) of the regime's sign
+    condition, and construction checks them: the block is declared, alpha
+    lies in [1, p) under (H3), and c0 < a0, the weight's lower bound.
+    """
 
     p: float
     q: float
@@ -301,24 +305,26 @@ class Problem:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}")
+        c0, _, alpha = self.sign_constants
+        if self.regime == "H3" and not 1.0 <= alpha < self.p:
+            raise HypothesisViolation(
+                f"(H3) requires alpha in [1, p), got alpha={alpha}")
         a0 = self.weight.lower_bound
-        if self.regime == "H3":
-            h3 = self.convection.h3
-            if h3 is None:
-                raise HypothesisViolation("(H3) constants missing from the family")
-            if not 1.0 <= h3.alpha < self.p:
-                raise HypothesisViolation(
-                    f"(H3) requires alpha in [1, p), got alpha={h3.alpha}")
-            if not h3.c0 < a0:
-                raise HypothesisViolation(
-                    f"(H3) requires c0 < a0, got c0={h3.c0}, a0={a0}")
-        else:
-            h3a = self.convection.h3a
-            if h3a is None:
-                raise HypothesisViolation("(H3a) constants missing from the family")
-            if not h3a.c0 < a0:
-                raise HypothesisViolation(
-                    f"(H3a) requires c0 < a0, got c0={h3a.c0}, a0={a0}")
+        if not c0 < a0:
+            raise HypothesisViolation(
+                f"({self.regime}) requires c0 < a0, got c0={c0}, a0={a0}")
+
+    @property
+    def sign_constants(self) -> Tuple[float, float, float]:
+        """(c0, c1, alpha) of the regime's sign condition; alpha is p under
+        (H3a), whose |s|^p term has no separate power."""
+        block = self.convection.h3 if self.regime == "H3" \
+            else self.convection.h3a
+        if block is None:
+            raise HypothesisViolation(
+                f"({self.regime}) constants missing from the family")
+        return (block.c0, block.c1,
+                block.alpha if self.regime == "H3" else self.p)
 
     @property
     def q_sign(self) -> float:
@@ -446,11 +452,6 @@ def power_laplacian_residual(u: FeFunction, exponent: float) -> DualVector:
     flux = _power_flux(cell_gradients(u), exponent, DEFAULT_REGULARIZATION)
     return DualVector(u.space, _flux_dual(u.space, flux, u.space.cell_measures,
                                           "gradient power term"))
-
-
-def power_laplacian_pairing(u: FeFunction, v: FeFunction,
-                            exponent: float) -> float:
-    return power_flux_pairing(u, cell_gradients(v), exponent)
 
 
 def power_flux_pairing(u: FeFunction, grad_v: np.ndarray,

@@ -7,7 +7,7 @@ re-derive the verdict.  The probe only observes.  Neither mutates the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List
 
 import numpy as np
@@ -15,8 +15,7 @@ import numpy as np
 from .fespace import (FeFunction, FeSpace, cell_gradients, field_norm_lp,
                       grad_norm_lp, jsonable, lr_norm, sup_norm)
 from .galerkin import HierarchyReport
-from .operators import (DEFAULT_REGULARIZATION, Problem, ProblemOperator,
-                        power_flux_pairing)
+from .operators import ProblemOperator, power_flux_pairing
 
 __all__ = [
     "Certificate",
@@ -52,18 +51,19 @@ def _scale(report: HierarchyReport) -> float:
     return max(1.0, report.grad_norms[-1]) if report.grad_norms else 1.0
 
 
-def check_truncation_consistency(problem: Problem, u: FeFunction,
-                                 radius: float, tolerance: float = 1e-10,
-                                 eps: float = DEFAULT_REGULARIZATION
+def check_truncation_consistency(raw_op: ProblemOperator, u: FeFunction,
+                                 radius: float, tolerance: float = 1e-10
                                  ) -> Certificate:
     """The truncation is inactive on a solved state.
 
-    When the sup norm stays at or below the truncation radius, the raw weight
-    agrees with the truncated one along the state, so the residual against
-    the untruncated operator must reproduce the solver's convergence.
+    `raw_op` is the untruncated operator, the run's operator with the
+    problem's own weight in place of g_R.  When the sup norm stays at or
+    below the truncation radius, the raw weight agrees with the truncated
+    one along the state, so the residual of `raw_op` must reproduce the
+    solver's convergence.
     """
     sup = sup_norm(u)
-    raw = ProblemOperator(problem, problem.weight, eps=eps).residual(u).values
+    raw = raw_op.residual(u).values
     raw_sup = float(np.max(np.abs(raw))) if raw.size else 0.0
     tol = tolerance * 10.0 + 1e-14
     details = {"sup_norm": float(sup), "radius": float(radius)}
@@ -156,7 +156,7 @@ def check_strong_condition(report: HierarchyReport) -> List[Certificate]:
     rounding, and both final-level entries must vanish.
     """
     out: List[Certificate] = []
-    family = report.problem.convection
+    family = report.operator.problem.convection
     if family.h4 is None:
         return [Certificate(
             name="condition-cprime",
@@ -266,7 +266,7 @@ def _report_consistency(report: HierarchyReport) -> Certificate:
     n = len(report.levels) - 1
     u = report.levels[n].solution
     res_sup = float(np.max(np.abs(report.operator.residual(u).values)))
-    grad = grad_norm_lp(u, report.problem.p)
+    grad = grad_norm_lp(u, report.operator.problem.p)
     measured = max(abs(res_sup - report.levels[n].residual_sup),
                    abs(grad - report.grad_norms[n]))
     tol = 1e-12 * max(1.0, grad)
@@ -280,10 +280,11 @@ def _report_consistency(report: HierarchyReport) -> Certificate:
 
 
 def _merge_truncation(report: HierarchyReport) -> Certificate:
+    op = report.operator
+    raw_op = replace(op, weight=op.problem.weight)
     certs = [check_truncation_consistency(
-        report.problem, lv.solution, report.truncation_radius,
-        report.solver_tolerance, report.operator.eps)
-        for lv in report.levels]
+        raw_op, lv.solution, report.truncation_radius,
+        report.solver_tolerance) for lv in report.levels]
     worst = max(certs, key=lambda c: (not c.passed,
                                       c.measured / max(c.threshold, 1e-300)))
     worst.details["per_level_measured"] = [float(c.measured) for c in certs]
@@ -345,7 +346,7 @@ def run_certificates(report: HierarchyReport, seed: int = 0) -> dict:
             "cannot certify a hierarchy with a failed or missing level: "
             + (report.failure_message or "no levels solved"))
     op, u_star = report.operator, report.levels[-1].solution
-    fine_space, problem = u_star.space, report.problem
+    fine_space, problem = u_star.space, op.problem
     certs = [_merge_truncation(report)]
     certs.extend(check_generalized_conditions(report))
     certs.extend(check_strong_condition(report))

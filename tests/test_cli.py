@@ -9,11 +9,14 @@ import pytest
 
 import pqgalerkin
 
-from pqgalerkin.cli import build_problem, load_config, main
+from pqgalerkin.cli import KINDS, build_problem, load_config, main
 from pqgalerkin.fespace import FeSpace, read_csv
 from pqgalerkin.galerkin import ProblemOperator
 from pqgalerkin.mesh import Domain, build_mesh, refine
-from pqgalerkin.operators import truncate_weight
+from pqgalerkin.operators import (adversarial_convection, constant_convection,
+                                  constant_weight, quadratic_weight,
+                                  saturating_convection, truncate_weight,
+                                  zero_convection)
 
 
 def base_config(**overrides):
@@ -220,6 +223,42 @@ def test_build_problem_rectangle_zero_and_adversarial():
     assert problem.convection.h2.c == 4.0
 
 
+# every config kind with only its required keys, and the factory call with
+# the library's defaults that it must reproduce (p = 3, weight bound a0 = 2)
+MINIMAL_KINDS = {
+    ("weight", "constant"): ({"value": 2.0}, lambda: constant_weight(2.0)),
+    ("weight", "quadratic"): ({"base": 2.0}, lambda: quadratic_weight(2.0)),
+    ("convection", "zero"): ({}, zero_convection),
+    ("convection", "constant"): ({"value": 1.0},
+                                 lambda: constant_convection(1.0)),
+    ("convection", "saturating"): ({}, lambda: saturating_convection(3.0)),
+    ("convection", "adversarial"): ({},
+                                    lambda: adversarial_convection(2.0, 3.0)),
+}
+
+
+def test_minimal_kinds_cover_every_config_kind():
+    assert set(MINIMAL_KINDS) == {(name, kind) for name, kinds in KINDS.items()
+                                  for kind in kinds}
+
+
+@pytest.mark.parametrize("name, kind", list(MINIMAL_KINDS))
+def test_omitted_optional_keys_take_the_library_defaults(name, kind):
+    keys, factory = MINIMAL_KINDS[name, kind]
+    block = base_config()["problem"]
+    block[name] = {"kind": kind, **keys}
+    built, expected = getattr(build_problem(block), name), factory()
+    if name == "weight":
+        assert (built.tag, built.lower_bound) == \
+            (expected.tag, expected.lower_bound)
+        ts = np.linspace(-2.0, 2.0, 9)
+        assert np.array_equal(built.evaluate(ts), expected.evaluate(ts))
+    else:
+        assert built.name == expected.name
+        for hypothesis in ("h2", "h3", "h3a", "h4"):
+            assert getattr(built, hypothesis) == getattr(expected, hypothesis)
+
+
 def test_psi_without_positive_root_is_exit_1_without_traceback(tmp_path,
                                                                capsys):
     # a0 - c0 barely positive and p barely above q: psi stays negative on
@@ -344,6 +383,53 @@ def test_solve_failure_is_exit_3_with_partial_report(tmp_path):
     hier = json.loads((out / "report.json").read_text())["hierarchy"]
     assert hier["failed_level"] == 0
     assert "failed" in hier["failure_message"]
+
+
+def test_level_failure_leaves_the_same_files_for_solve_and_verify(tmp_path,
+                                                                  capsys):
+    path = write_config(tmp_path, base_config(solver={"max_iterations": 1}))
+    outs = {}
+    for command in ("solve", "verify"):
+        outs[command] = out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == 3
+        lock = json.loads((out / "run.lock.json").read_text())
+        assert lock["command"] == command
+    files = {c: sorted(f.name for f in out.iterdir())
+             for c, out in outs.items()}
+    assert files["solve"] == files["verify"] == [
+        "diagnostics.csv", "report.json", "run.lock.json"]
+    for name in ("report.json", "diagnostics.csv"):
+        solved = (outs["solve"] / name).read_text()
+        verified = (outs["verify"] / name).read_text()
+        if name == "report.json":
+            solved, verified = json.loads(solved), json.loads(verified)
+            assert verified.pop("verification") is None
+        assert solved == verified
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == err[1]
+
+
+def test_report_is_strict_json_when_a_certificate_is_skipped(tmp_path,
+                                                            capsys):
+    # q < 2 skips monotonicity-q, whose measured value and threshold are NaN
+    cfg = base_config()
+    cfg["problem"]["q"] = 1.5
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in strict JSON")
+
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=reject)
+    cert = next(c for c in report["verification"]["certificates"]
+                if c["name"] == "monotonicity-q")
+    assert cert["skipped"]
+    assert cert["measured"] is None and cert["threshold"] is None
+    # the stdout line still shows the certificate's own values
+    assert "[skip] monotonicity-q: measured nan vs threshold nan" \
+        in capsys.readouterr().out
 
 
 def assembly_error_config():

@@ -107,3 +107,45 @@ def test_no_unreferenced_top_level_definitions(path):
     # dead code: a module-level function, class or constant that nothing in
     # its module reads and that the module does not export
     assert _unreferenced(path)["definitions"] == []
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _dead_methods(class_sources, reader_sources):
+    """`Class.name` for every non-dunder method or property of the classes
+    in `class_sources` whose name no source in `reader_sources` reads as
+    an attribute."""
+    trees = [ast.parse(source) for source in reader_sources]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted(
+        f"{node.name}.{item.name}"
+        for source in class_sources for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body if isinstance(item, ast.FunctionDef)
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+        and item.name not in read)
+
+
+def test_dead_method_check_flags_an_unread_method():
+    source = ("class A:\n"
+              "    def read(self): ...\n"
+              "    def written(self): ...\n"
+              "    def unread(self): ...\n"
+              "    @property\n"
+              "    def prop(self): ...\n"
+              "    def __neg__(self): ...\n")
+    reader = "a.read()\nb.prop\nc.written = 1\n"
+    assert _dead_methods([source], [source, reader]) == [
+        "A.unread", "A.written"]
+
+
+def test_no_dead_methods():
+    # dead code: a method or property of a package class that nothing in
+    # the package, its tests or its benchmark reads
+    classes = [p.read_text() for p in MODULE_PATHS]
+    readers = [p.read_text() for folder in ("src", "tests", "bench")
+               for p in sorted((REPO / folder).rglob("*.py"))]
+    assert _dead_methods(classes, readers) == []

@@ -177,6 +177,14 @@ def test_warm_start_agrees_with_cold():
                                atol=1e-9)
 
 
+def test_warm_start_from_another_space_is_rejected():
+    op, space0 = single_dof_op()
+    space1 = FeSpace(refine(space0.mesh))
+    coarse = solve_level(op, space0).solution
+    with pytest.raises(ValueError, match="warm start"):
+        solve_level(op, space1, warm=coarse)
+
+
 def test_solve_level_raises_when_capped():
     problem = offset_problem()
     space = FeSpace(build_mesh(UNIT, 8))

@@ -14,7 +14,7 @@ from pqgalerkin.operators import (AssemblyError, ConvectionFamily, GrowthH2,
                                   ProblemOperator, SignH3,
                                   adversarial_convection, assemble_matrix,
                                   constant_convection,
-                                  constant_weight, power_laplacian_pairing,
+                                  constant_weight, power_flux_pairing,
                                   qp_dual, quadratic_weight,
                                   saturating_convection,
                                   truncate_weight, zero_convection)
@@ -193,8 +193,8 @@ def test_p_monotonicity_hand_case():
     space = FeSpace(build_mesh(UNIT, 2))
     u = FeFunction(space, np.array([1.0]))
     v = FeFunction.zero(space)
-    lhs = (power_laplacian_pairing(u, u - v, 4.0)
-           - power_laplacian_pairing(v, u - v, 4.0))
+    lhs = (power_flux_pairing(u, cell_gradients(u - v), 4.0)
+           - power_flux_pairing(v, cell_gradients(u - v), 4.0))
     assert math.isclose(lhs, 16.0, rel_tol=1e-13)
     rhs = 2.0 ** (-4.0) * grad_norm_lp(u - v, 4.0) ** 4.0
     assert math.isclose(rhs, 1.0, rel_tol=1e-13)
@@ -225,6 +225,19 @@ def test_problem_h3a_requires_block():
     with pytest.raises(HypothesisViolation, match=r"\(H3a\)"):
         Problem(p=3.0, q=2.0, domain=UNIT, weight=weight, convection=fam,
                 regime="H3a")
+
+
+def test_sign_constants_follow_the_regime():
+    weight = constant_weight(1.0)
+    # saturating p = 3: c0 = 1/2, c1 = max(1 + |offset|, 2^2 + h + |offset|)
+    h3 = Problem(p=3.0, q=2.0, domain=UNIT, weight=weight,
+                 convection=saturating_convection(3.0, offset=1.0))
+    assert h3.sign_constants == (0.5, 6.0, 2.0)
+    # under (H3a) the |s|^alpha power is |s|^p
+    h3a = Problem(p=3.0, q=2.0, domain=UNIT, weight=weight,
+                  convection=saturating_convection(3.0, alpha=3.0),
+                  regime="H3a")
+    assert h3a.sign_constants == (0.5, 5.0, 3.0)
 
 
 def test_saturating_alpha_range():

@@ -51,7 +51,8 @@ def single_dof_solution():
 
 def test_truncation_consistency_on_solved_state():
     problem, weight, u = single_dof_solution()
-    cert = check_truncation_consistency(problem, u, RADIUS)
+    cert = check_truncation_consistency(
+        ProblemOperator(problem, problem.weight), u, RADIUS)
     assert cert.passed
     assert cert.measured <= cert.threshold
     assert cert.details["untruncated_residual_sup"] == cert.measured
@@ -61,7 +62,8 @@ def test_truncation_consistency_on_solved_state():
 def test_truncation_flags_state_outside_radius():
     problem, weight, u = single_dof_solution()
     big = FeFunction(u.space, np.array([5.0]))
-    cert = check_truncation_consistency(problem, big, RADIUS)
+    cert = check_truncation_consistency(
+        ProblemOperator(problem, problem.weight), big, RADIUS)
     assert not cert.passed
     assert cert.measured == 5.0
     assert cert.threshold == RADIUS
@@ -73,7 +75,8 @@ def test_truncation_zero_state_without_load():
                       convection=zero_convection(),
                       variant="competing", regime="H3")
     space = FeSpace(build_mesh(UNIT, 4))
-    cert = check_truncation_consistency(problem, FeFunction.zero(space), 1.0)
+    cert = check_truncation_consistency(
+        ProblemOperator(problem, problem.weight), FeFunction.zero(space), 1.0)
     assert cert.passed
     assert cert.measured == 0.0
 
@@ -103,7 +106,8 @@ def test_strong_condition_skipped_without_declared_growth():
     bare = Problem(p=3.0, q=2.0, domain=UNIT, weight=constant_weight(2.0),
                    convection=adversarial_convection(1.0, 3.0),
                    variant="competing", regime="H3")
-    certs = check_strong_condition(dataclasses.replace(report, problem=bare))
+    certs = check_strong_condition(dataclasses.replace(
+        report, operator=dataclasses.replace(report.operator, problem=bare)))
     assert len(certs) == 1
     assert certs[0].skipped and certs[0].passed
     assert "growth exponents" in certs[0].reason
@@ -208,7 +212,8 @@ def test_tampered_norm_table_fails_consistency():
 
 def test_certificate_serialization():
     problem, weight, u = single_dof_solution()
-    d = jsonable(check_truncation_consistency(problem, u, RADIUS))
+    d = jsonable(check_truncation_consistency(
+        ProblemOperator(problem, problem.weight), u, RADIUS))
     assert isinstance(d["passed"], bool)
     assert isinstance(d["measured"], float)
     assert d["name"] == "truncation-consistency"
