@@ -215,8 +215,7 @@ def _write_diagnostics(out_dir: Path, report) -> None:
 def _cmd_estimate(cfg: dict, problem: Problem, convention: str,
                   out_dir: Path, seed: int) -> int:
     space = FeSpace(build_mesh(problem.domain, cfg["mesh"]["base_cells"]))
-    report = compute_estimates(problem, space, convention=convention,
-                               seed=seed)
+    report = compute_estimates(problem, space, convention=convention)
     _write_json(out_dir / "estimates.json", report)
     _write_lock(out_dir, "estimate", cfg, seed)
     print(f"wrote {out_dir / 'estimates.json'}")

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .fespace import (FeFunction, FeSpace, grad_norm_lp, lr_norm, sup_norm,
-                      values_at_qp)
+from .fespace import FeFunction, FeSpace, grad_norm_lp, lr_norm, values_at_qp
 from .mesh import Domain
 from .operators import (HypothesisViolation, Problem, power_laplacian_residual,
                         qp_dual)
@@ -50,8 +49,6 @@ CONVENTIONS = ("standard", "paper")
 # relative quotient drop below which the Rayleigh descent stops, and its cap
 RAYLEIGH_TOL = 1e-8
 RAYLEIGH_MAX_ITERATIONS = 20000
-# random fields behind the 2D sup-embedding surrogate
-SOBOLEV_SAMPLES = 1000
 # relative width at which bisection stops polishing the psi root
 ROOT_REL_TOL = 1e-12
 # audit box half-width in each gradient component
@@ -171,29 +168,25 @@ def estimate_lambda1(space: FeSpace, p: float) -> Lambda1Estimate:
 # sup-norm embedding constant
 # ---------------------------------------------------------------------------
 
-def sobolev_constant(domain: Domain, p: float, space: Optional[FeSpace] = None,
-                     seed: int = 0) -> SobolevEstimate:
+def sobolev_constant(domain: Domain, p: float) -> SobolevEstimate:
     """Constant C with ||u||_sup <= C ||grad u||_p on zero-trace functions.
 
-    Intervals admit the sharp value (L/2)^{(p-1)/p}.  In 2D the constant is a
-    sampled surrogate (largest observed ratio over random fields, doubled);
-    its provenance flags it as heuristic.
+    In 2D, C is the constant of Gilbarg & Trudinger, Elliptic PDEs of Second
+    Order, Lemma 7.12 with the potential bound of Lemma 7.14 (proof of
+    Thm 7.10): C = (n w_n)^{-1} w_n^{1-1/n} ((1-1/p)/(1/n-1/p))^{1-1/p}
+    |O|^{1/n-1/p} with n = 2, w_2 = pi.  At n = 1 (w_1 = 2) the same formula
+    gives the sharp L^{(p-1)/p} / 2, attained by the tent min(x, L-x);
+    intervals keep the valid bound (L/2)^{(p-1)/p}, which is 2^{1/p} above it.
     """
     if p <= domain.dim:
         raise ValueError("sup-norm control needs p > dimension")
     if domain.dim == 1:
         length = domain.side_lengths[0]
         return SobolevEstimate((0.5 * length) ** ((p - 1.0) / p), "analytic-1d")
-    if space is None:
-        raise ValueError("the 2D surrogate needs a finite element space")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(SOBOLEV_SAMPLES):
-        u = FeFunction(space, rng.standard_normal(space.dim))
-        denom = grad_norm_lp(u, p)
-        if denom > 0.0:
-            worst = max(worst, sup_norm(u) / denom)
-    return SobolevEstimate(2.0 * worst, "discrete-surrogate-x2")
+    return SobolevEstimate(
+        math.sqrt(math.pi) / (2.0 * math.pi)
+        * (2.0 * (p - 1.0) / (p - 2.0)) ** ((p - 1.0) / p)
+        * domain.measure ** (0.5 - 1.0 / p), "analytic-2d")
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +379,7 @@ class EstimateReport:
 
 
 def compute_estimates(problem: Problem, space: FeSpace,
-                      convention: str = "standard",
-                      seed: int = 0) -> EstimateReport:
+                      convention: str = "standard") -> EstimateReport:
     """All constants feeding the Galerkin run.
 
     The radius needs a lower bound on lambda1: intervals use the analytic
@@ -399,7 +391,7 @@ def compute_estimates(problem: Problem, space: FeSpace,
         lam_used, provenance = est.value, est.provenance
     else:
         lam_used, provenance = 0.5 * est.value, est.provenance + "-x0.5-safety"
-    sob = sobolev_constant(problem.domain, problem.p, space, seed=seed)
+    sob = sobolev_constant(problem.domain, problem.p)
     grad_radius, sup_radius = apriori_radius(problem, lam_used, sob.value,
                                              convention)
     rhs_c = rhs_estimate_constant(problem, lam_used, sob.value, convention)

@@ -261,13 +261,11 @@ def prolongate(u: FeFunction, finer: FeSpace) -> FeFunction:
 
 def write_csv(u: FeFunction, path) -> None:
     mesh = u.space.mesh
-    full = u.full_values()
     header = "x,value" if mesh.domain.dim == 1 else "x,y,value"
+    rows = np.column_stack((mesh.vertices, u.full_values())).tolist()
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for pt, val in zip(mesh.vertices, full):
-            coords = ",".join(repr(float(c)) for c in pt)
-            fh.write(f"{coords},{float(val)!r}\n")
+        fh.write("\n".join([header] + [",".join(map(repr, row))
+                                       for row in rows]) + "\n")
 
 
 def read_csv(space: FeSpace, path) -> FeFunction:

@@ -1,0 +1,84 @@
+"""Golden outputs: the bytes the CLI writes for a fixed set of configs.
+
+    python tests/golden/regenerate.py
+
+runs `estimate`, `solve` and `verify` at seed 0 on every config under
+`configs/` and rewrites `manifest.json`: per run the exit code and the
+sha256 of stdout, stderr and every output file, plus the numpy and scipy
+versions the hashes were made with.  The package is imported from this
+checkout's `src/`.  `tests/test_golden.py` reruns each case in-process and
+names the first output that differs; a change of output bytes is reviewed
+as the diff of `manifest.json`.
+
+The configs: the three bench workloads merged with their common block, the
+criterion-9 config, and one each of q = 1.5, the (H3a) regime, the
+adversarial convection and `max_iterations: 1` (a level failure, exit 3).
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from importlib import metadata
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+CONFIGS = HERE / "configs"
+MANIFEST = HERE / "manifest.json"
+COMMANDS = ("estimate", "solve", "verify")
+SEED = 0
+
+
+def versions() -> dict:
+    return {name: metadata.version(name) for name in ("numpy", "scipy")}
+
+
+def cases() -> list:
+    """(config name, command) pairs, in manifest order."""
+    return [(path.stem, command) for path in sorted(CONFIGS.glob("*.json"))
+            for command in COMMANDS]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(name: str, command: str, work: Path) -> dict:
+    """Run one command in-process with its output directory under `work`.
+
+    The output directory's path is printed on stdout; it is replaced by
+    `<out>` before hashing, so the hash does not depend on `work`.
+    """
+    from pqgalerkin.cli import main
+    out = work / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = main([command, "--config", str(CONFIGS / f"{name}.json"),
+                     "--out", str(out), "--seed", str(SEED)])
+    streams = {key: _sha256(buf.getvalue().replace(str(out), "<out>")
+                            .encode())
+               for key, buf in (("stdout", stdout), ("stderr", stderr))}
+    files = {path.name: _sha256(path.read_bytes())
+             for path in sorted(out.iterdir())} if out.is_dir() else {}
+    return {"exit_code": code, **streams, "files": files}
+
+
+def main() -> int:
+    sys.path.insert(0, str(HERE.parents[1] / "src"))
+    manifest = {"seed": SEED, "versions": versions(), "cases": {}}
+    for name, command in cases():
+        with tempfile.TemporaryDirectory() as work:
+            manifest["cases"].setdefault(name, {})[command] = \
+                run_case(name, command, Path(work))
+        print(f"{name} {command}: exit "
+              f"{manifest['cases'][name][command]['exit_code']}")
+    MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {MANIFEST}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -633,6 +633,23 @@ def test_seed_is_recorded_and_changes_lock(tmp_path):
     assert lock["seed"] == 7
 
 
+def test_2d_estimates_do_not_depend_on_the_seed(tmp_path):
+    # the estimates draw no random numbers: the 2D embedding constant is
+    # analytic, so the seed reaches only the lock
+    cfg = base_config()
+    cfg["problem"]["domain"] = {"kind": "rectangle",
+                                "bounds": [[0.0, 2.0], [0.0, 1.0]]}
+    cfg["mesh"]["base_cells"] = [4, 2]
+    path = write_config(tmp_path, cfg)
+    outs = [tmp_path / f"seed{seed}" for seed in (0, 7)]
+    for seed, out in zip((0, 7), outs):
+        assert main(["estimate", "--config", path, "--out", str(out),
+                     "--seed", str(seed)]) == 0
+    est = [(out / "estimates.json").read_bytes() for out in outs]
+    assert est[0] == est[1]
+    assert json.loads(est[0])["sobolev_provenance"] == "analytic-2d"
+
+
 def test_load_config_normalizes_2d_cells(tmp_path):
     cfg = base_config()
     cfg["problem"]["domain"] = {"kind": "rectangle",

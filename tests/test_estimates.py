@@ -10,8 +10,8 @@ from pqgalerkin.estimates import (SamplingBox, apriori_radius,
                                   rayleigh_minimum, rhs_estimate_constant,
                                   sobolev_constant)
 from pqgalerkin.fespace import (FeFunction, FeSpace, grad_norm_lp, jsonable,
-                                lr_norm, pair)
-from pqgalerkin.mesh import Domain, build_mesh
+                                lr_norm, pair, sup_norm)
+from pqgalerkin.mesh import Domain, build_mesh, refine
 from pqgalerkin.operators import (HypothesisViolation, Problem,
                                   ProblemOperator, adversarial_convection,
                                   constant_weight, quadratic_weight,
@@ -81,7 +81,59 @@ def test_sobolev_constant_guards():
     with pytest.raises(ValueError):
         sobolev_constant(UNIT, 1.0)
     with pytest.raises(ValueError):
-        sobolev_constant(Domain.rectangle(0, 1, 0, 1), 3.0)
+        sobolev_constant(Domain.rectangle(0, 1, 0, 1), 2.0)
+
+
+@pytest.mark.parametrize("length,p", [(1.0, 3.0), (3.0, 1.5), (0.5, 6.0)])
+def test_tent_attains_the_sharp_1d_constant(length, p):
+    # min(x, L - x) is a P1 function on a mesh with a vertex at L/2; its
+    # ratio sup / ||u'||_p is the sharp L^{(p-1)/p} / 2, below the returned
+    # bound (L/2)^{(p-1)/p} by the factor 2^{-1/p}
+    domain = Domain.interval(0.0, length)
+    space = FeSpace(build_mesh(domain, 8))
+    x = space.mesh.vertices[space.dofs, 0]
+    tent = FeFunction(space, np.minimum(x, length - x))
+    ratio = sup_norm(tent) / grad_norm_lp(tent, p)
+    sharp = length ** ((p - 1.0) / p) / 2.0
+    assert math.isclose(ratio, sharp, rel_tol=1e-13)
+    bound = sobolev_constant(domain, p).value
+    assert ratio < bound
+    assert math.isclose(bound / sharp, 2.0 ** (1.0 / p), rel_tol=1e-13)
+
+
+def test_sobolev_constant_unit_square():
+    est = sobolev_constant(Domain.rectangle(0, 1, 0, 1), 3.0)
+    assert est.provenance == "analytic-2d"
+    assert math.isclose(est.value, 0.7108343324432403, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 6.0])
+def test_sobolev_constant_scales_with_area(p):
+    unit = sobolev_constant(Domain.rectangle(0, 1, 0, 1), p).value
+    for bounds, area in [((0, 4, 0, 1), 4.0), ((-1, 2, 0, 0.5), 1.5),
+                         ((0, 0.2, 0, 0.1), 0.02)]:
+        value = sobolev_constant(Domain.rectangle(*bounds), p).value
+        assert math.isclose(value, unit * area ** (0.5 - 1.0 / p),
+                            rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 6.0])
+@pytest.mark.parametrize("bounds,cells", [
+    ((0.0, 1.0, 0.0, 1.0), (4, 4)),
+    ((0.0, 4.0, 0.0, 1.0), (8, 2)),
+], ids=["unit-square", "four-by-one"])
+def test_sobolev_constant_2d_audit(bounds, cells, p):
+    # sup_norm <= C grad_norm_lp over 1000 random fields, twice refined
+    domain = Domain.rectangle(*bounds)
+    space = FeSpace(refine(refine(build_mesh(domain, cells))))
+    cs = sobolev_constant(domain, p).value
+    rng = np.random.default_rng(0)
+    violations = 0
+    for _ in range(1000):
+        u = FeFunction(space, rng.standard_normal(space.dim))
+        if sup_norm(u) > cs * grad_norm_lp(u, p) * (1.0 + 1e-12):
+            violations += 1
+    assert violations == 0
 
 
 def test_poincare_audit_zero_violations():

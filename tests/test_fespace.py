@@ -194,6 +194,36 @@ def test_csv_round_trip(tmp_path):
     assert header == "x,y,value"
 
 
+def reference_write_csv(u, path):
+    """The per-row writer `write_csv` replaced: its bytes are the contract."""
+    mesh = u.space.mesh
+    full = u.full_values()
+    header = "x,value" if mesh.domain.dim == 1 else "x,y,value"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for pt, val in zip(mesh.vertices, full):
+            coords = ",".join(repr(float(c)) for c in pt)
+            fh.write(f"{coords},{float(val)!r}\n")
+
+
+@pytest.mark.parametrize("domain,cells", [
+    (Domain.interval(-1.0, 2.0), 6),
+    (Domain.rectangle(0.0, 1.0, -0.5, 0.5), (3, 5)),
+], ids=["interval", "rectangle"])
+def test_csv_bytes_match_the_per_row_writer(tmp_path, domain, cells):
+    space = FeSpace(refine(build_mesh(domain, cells)))
+    rng = np.random.default_rng(6)
+    coeffs = rng.standard_normal(space.dim) * 10.0 ** rng.integers(
+        -300, 300, space.dim)
+    coeffs[:3] = [-0.0, 1e-320, 1.0 / 3.0]
+    u = FeFunction(space, coeffs)
+    write_csv(u, tmp_path / "new.csv")
+    reference_write_csv(u, tmp_path / "old.csv")
+    data = (tmp_path / "new.csv").read_bytes()
+    assert data == (tmp_path / "old.csv").read_bytes()
+    assert b",-0.0\n" in data
+
+
 def test_csv_rejects_nonzero_boundary(tmp_path):
     space = interval_space(2)
     path = tmp_path / "bad.csv"

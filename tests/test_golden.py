@@ -1,0 +1,62 @@
+"""Every golden case reproduces the bytes recorded in tests/golden/manifest.json.
+
+A deliberate change of output bytes reruns `tests/golden/regenerate.py` and
+shows up as the diff of the manifest.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_regenerate", Path(__file__).parent / "golden" / "regenerate.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+MANIFEST = json.loads(golden.MANIFEST.read_text())
+
+
+def first_difference(expected: dict, actual: dict):
+    """Name of the first output (exit code, stdout, stderr, then files in
+    name order) whose recorded and produced values differ, or None."""
+    for key in ("exit_code", "stdout", "stderr"):
+        if expected[key] != actual[key]:
+            return key
+    for name in sorted(set(expected["files"]) | set(actual["files"])):
+        if expected["files"].get(name) != actual["files"].get(name):
+            return name
+    return None
+
+
+def test_manifest_covers_every_case():
+    assert MANIFEST["seed"] == golden.SEED
+    assert sorted((name, command) for name, runs in MANIFEST["cases"].items()
+                  for command in runs) == sorted(golden.cases())
+
+
+@pytest.mark.parametrize("name,command", golden.cases(),
+                         ids=[f"{n}.{c}" for n, c in golden.cases()])
+def test_golden_outputs(name, command, tmp_path):
+    recorded, running = MANIFEST["versions"], golden.versions()
+    assert recorded == running, (
+        f"golden hashes were made with {recorded}, this run has {running}; "
+        "rerun tests/golden/regenerate.py")
+    actual = golden.run_case(name, command, tmp_path)
+    differs = first_difference(MANIFEST["cases"][name][command], actual)
+    assert differs is None, f"{name} {command}: {differs} differs"
+
+
+def test_first_difference_names_the_first_file():
+    base = {"exit_code": 0, "stdout": "a", "stderr": "b",
+            "files": {"report.json": "c", "run.lock.json": "d"}}
+    assert first_difference(base, json.loads(json.dumps(base))) is None
+    changed = json.loads(json.dumps(base))
+    changed["files"]["run.lock.json"] = "x"
+    changed["files"]["report.json"] = "y"
+    assert first_difference(base, changed) == "report.json"
+    missing = json.loads(json.dumps(base))
+    del missing["files"]["run.lock.json"]
+    assert first_difference(base, missing) == "run.lock.json"
+    assert first_difference(base, dict(base, exit_code=3)) == "exit_code"
