@@ -10,16 +10,14 @@ from .operators import (AssemblyError, ConvectionFamily, GrowthH2, GrowthH4,
                         HypothesisViolation, Problem, ProblemOperator, SignH3,
                         SignH3a, WeightFunction, adversarial_convection,
                         constant_convection, constant_weight,
-                        power_laplacian_residual, qp_dual, quadratic_weight,
-                        saturating_convection, truncate_weight,
-                        zero_convection)
+                        qp_dual, quadratic_weight, saturating_convection,
+                        truncate_weight, zero_convection)
 from .estimates import (CONVENTIONS, EstimateReport, HypothesisAudit,
                         Lambda1Estimate, SamplingBox, SobolevEstimate,
                         apriori_radius, audit_hypotheses,
                         coercivity_polynomial, compute_estimates,
                         estimate_lambda1, lambda1_interval, poincare_factor,
-                        rayleigh_minimum, rhs_estimate_constant,
-                        sobolev_constant)
+                        rhs_estimate_constant, sobolev_constant)
 from .galerkin import (GuardRecord, HierarchyReport, LevelSolve, SolveError,
                        SolverConfig, brouwer_guard, run_hierarchy, solve_level)
 from .verify import (Certificate, SProbe, check_generalized_conditions,

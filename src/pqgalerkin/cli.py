@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import Optional
 
 from .estimates import CONVENTIONS, compute_estimates
-from .fespace import FeSpace, jsonable, write_csv
+from .fespace import jsonable, write_csv
 from .galerkin import SolverConfig, run_hierarchy
-from .mesh import Domain, MeshError, build_mesh
+from .mesh import Domain, MeshError
 from .operators import (HypothesisViolation, Problem, adversarial_convection,
                         constant_convection, constant_weight,
                         quadratic_weight, saturating_convection,
@@ -157,13 +157,15 @@ def load_config(path: str) -> dict:
     if levels < 2:
         raise ConfigError("mesh.levels: a hierarchy needs at least 2 levels")
     base = cfg["mesh"]["base_cells"]
-    if isinstance(base, list):
-        if len(base) != 2 or any(isinstance(b, bool) or not isinstance(b, int)
-                                 for b in base):
-            raise ConfigError("mesh.base_cells: expected int or [nx, ny]")
-        cfg["mesh"]["base_cells"] = tuple(base)
-    elif isinstance(base, bool) or not isinstance(base, int):
+    counts = base if isinstance(base, list) else [base]
+    if (isinstance(base, list) and len(base) != 2) or any(
+            isinstance(b, bool) or not isinstance(b, int) for b in counts):
         raise ConfigError("mesh.base_cells: expected int or [nx, ny]")
+    if min(counts) < 2:
+        raise ConfigError("mesh.base_cells: a mesh needs at least 2 cells "
+                          "per side")
+    if isinstance(base, list):
+        cfg["mesh"]["base_cells"] = tuple(base)
     est = cfg.get("estimates")
     if est is not None:
         _check_keys(est, {"convention"}, set(), "estimates")
@@ -214,8 +216,7 @@ def _write_diagnostics(out_dir: Path, report) -> None:
 
 def _cmd_estimate(cfg: dict, problem: Problem, convention: str,
                   out_dir: Path, seed: int) -> int:
-    space = FeSpace(build_mesh(problem.domain, cfg["mesh"]["base_cells"]))
-    report = compute_estimates(problem, space, convention=convention)
+    report = compute_estimates(problem, convention=convention)
     _write_json(out_dir / "estimates.json", report)
     _write_lock(out_dir, "estimate", cfg, seed)
     print(f"wrote {out_dir / 'estimates.json'}")
@@ -309,6 +310,9 @@ def main(argv=None) -> int:
             return _fail(f"report is not a JSON object: {target}")
     try:
         problem = build_problem(cfg["problem"])
+        if problem.domain.dim == 1 and \
+                isinstance(cfg["mesh"]["base_cells"], tuple):
+            raise ConfigError("mesh.base_cells: expected int on an interval")
         convention = (cfg.get("estimates") or {}).get("convention",
                                                       "standard")
         if args.command == "estimate":

@@ -1,5 +1,8 @@
 """A priori estimates: first eigenvalue, embedding constants, radii, audits.
 
+The eigenvalue bound, the embedding constant and the radii are closed forms,
+a function of the problem and the convention alone: no mesh, no sampling.
+
 The gradient-norm radius is the positive root of
 
     psi(t) = (a0 - c0) t^p - |O|^{(p-q)/p} t^q
@@ -22,14 +25,11 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .fespace import FeFunction, FeSpace, grad_norm_lp, lr_norm, values_at_qp
 from .mesh import Domain
-from .operators import (HypothesisViolation, Problem, power_laplacian_residual,
-                        qp_dual)
+from .operators import HypothesisViolation, Problem
 
 __all__ = [
     "lambda1_interval",
-    "rayleigh_minimum",
     "estimate_lambda1",
     "sobolev_constant",
     "poincare_factor",
@@ -46,9 +46,6 @@ __all__ = [
 ]
 
 CONVENTIONS = ("standard", "paper")
-# relative quotient drop below which the Rayleigh descent stops, and its cap
-RAYLEIGH_TOL = 1e-8
-RAYLEIGH_MAX_ITERATIONS = 20000
 # relative width at which bisection stops polishing the psi root
 ROOT_REL_TOL = 1e-12
 # audit box half-width in each gradient component
@@ -66,9 +63,9 @@ def lambda1_interval(length: float, p: float) -> float:
     lambda1 = (p-1) (pi_p / L)^p with pi_p = 2 pi / (p sin(pi/p)).
 
     The pairing of prefactor and pi_p matters: the convention that folds
-    (p-1)^{1/p} into pi_p drops the outer p-1.  Mixing them overstates the
-    infimum by a factor of p-1, which the discrete Rayleigh quotient refutes
-    for p != 2 (conforming minimizers land below the mixed value).
+    (p-1)^{1/p} into pi_p drops the outer p-1.  Mixing them scales the value
+    by p-1; for p > 2 the Rayleigh quotient of the sine interpolant lands
+    below the mixed value, so that value is no lower bound.
     """
     if length <= 0.0 or p <= 1.0:
         raise ValueError("need positive length and p > 1")
@@ -80,7 +77,6 @@ def lambda1_interval(length: float, p: float) -> float:
 class Lambda1Estimate:
     value: float
     provenance: str
-    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -89,79 +85,21 @@ class SobolevEstimate:
     provenance: str
 
 
-def _p_mass_dual(u: FeFunction, p: float) -> np.ndarray:
-    """Entries int |u|^{p-2} u phi_i by the cell rule."""
-    vals = values_at_qp(u)
-    return qp_dual(u.space, np.sign(vals) * np.abs(vals) ** (p - 1.0),
-                   "p-mass term")
+def estimate_lambda1(domain: Domain, p: float) -> Lambda1Estimate:
+    """A value at most the first Dirichlet eigenvalue of the p-Laplacian.
 
-
-def _bump_start(space: FeSpace) -> np.ndarray:
-    """Product-of-sines interpolant: a positive bump to seed the descent."""
-    pts = space.mesh.vertices[space.dofs]
-    vals = np.ones(space.dim)
-    for axis, (lo, hi) in enumerate(space.mesh.domain.bounds):
-        vals *= np.sin(math.pi * (pts[:, axis] - lo) / (hi - lo))
-    return vals
-
-
-def rayleigh_minimum(space: FeSpace, p: float) -> Lambda1Estimate:
-    """Minimize ||grad u||_p^p / ||u||_p^p by normalized projected descent.
-
-    The iterate is kept on ||u||_p = 1; a backtracking step on the quotient
-    guarantees monotone decrease.  Stops when the quotient stagnates below
-    `RAYLEIGH_TOL` (relative) or no descent step is accepted anymore.
+    Intervals get the exact value.  Rectangles get lambda1(L_x) + lambda1(L_y):
+    the interval inequality along every line in x and every line in y, added,
+    bounds int |d_x u|^p + |d_y u|^p, and (a^2 + b^2)^{p/2} >= |a|^p + |b|^p
+    for p >= 2 bounds that by int |grad u|^p.  `Problem` requires
+    p > dimension, so the bound holds for every 2D problem; at p = 2 it is
+    the exact eigenvalue pi^2 (L_x^-2 + L_y^-2).
     """
-    if space.dim < 1:
-        raise ValueError("space has no interior degrees of freedom")
-    coeffs = _bump_start(space)
-    u = FeFunction(space, coeffs)
-    u = (1.0 / lr_norm(u, p)) * u
-
-    def quotient(v: FeFunction) -> float:
-        return grad_norm_lp(v, p) ** p
-
-    rq = quotient(u)
-    step = 1.0 / max(1.0, rq)
-    converged = False
-    for _ in range(RAYLEIGH_MAX_ITERATIONS):
-        kin = power_laplacian_residual(u, p).values
-        mass = _p_mass_dual(u, p)
-        grad = p * (kin - rq * mass)
-        gn = float(np.linalg.norm(grad))
-        if gn == 0.0:
-            converged = True
-            break
-        accepted = False
-        for _ in range(60):
-            trial = FeFunction(space, u.coeffs - step * grad)
-            nrm = lr_norm(trial, p)
-            if nrm > 0.0:
-                trial = (1.0 / nrm) * trial
-                rq_trial = quotient(trial)
-                if rq_trial < rq:
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
-            converged = True
-            break
-        drop = rq - rq_trial
-        u, rq = trial, rq_trial
-        step *= 1.5
-        if drop <= RAYLEIGH_TOL * max(1.0, rq):
-            converged = True
-            break
-    return Lambda1Estimate(float(rq), "discrete-rayleigh", converged)
-
-
-def estimate_lambda1(space: FeSpace, p: float) -> Lambda1Estimate:
-    """Analytic value on intervals, discrete Rayleigh minimum otherwise."""
-    domain = space.mesh.domain
-    if domain.dim == 1:
-        return Lambda1Estimate(lambda1_interval(domain.side_lengths[0], p),
-                               "analytic-1d")
-    return rayleigh_minimum(space, p)
+    if domain.dim == 2 and p < 2.0:
+        raise ValueError("the 2D eigenvalue bound needs p >= 2")
+    return Lambda1Estimate(
+        sum(lambda1_interval(length, p) for length in domain.side_lengths),
+        "analytic-1d" if domain.dim == 1 else "lower-bound-2d")
 
 
 # ---------------------------------------------------------------------------
@@ -378,28 +316,24 @@ class EstimateReport:
     convention: str
 
 
-def compute_estimates(problem: Problem, space: FeSpace,
+def compute_estimates(problem: Problem,
                       convention: str = "standard") -> EstimateReport:
-    """All constants feeding the Galerkin run.
+    """All constants feeding the Galerkin run, in closed form.
 
-    The radius needs a lower bound on lambda1: intervals use the analytic
-    eigenvalue; in 2D the discrete Rayleigh value is halved as a safety factor
-    and flagged by its provenance string.
+    The radius needs a lower bound on lambda1, which `estimate_lambda1`
+    gives in both dimensions; the report's `lambda1_raw` (equal to
+    `lambda1`) and `lambda1_converged` (always true) keep its schema.
     """
-    est = estimate_lambda1(space, problem.p)
-    if est.provenance == "analytic-1d":
-        lam_used, provenance = est.value, est.provenance
-    else:
-        lam_used, provenance = 0.5 * est.value, est.provenance + "-x0.5-safety"
+    lam = estimate_lambda1(problem.domain, problem.p)
     sob = sobolev_constant(problem.domain, problem.p)
-    grad_radius, sup_radius = apriori_radius(problem, lam_used, sob.value,
+    grad_radius, sup_radius = apriori_radius(problem, lam.value, sob.value,
                                              convention)
-    rhs_c = rhs_estimate_constant(problem, lam_used, sob.value, convention)
+    rhs_c = rhs_estimate_constant(problem, lam.value, sob.value, convention)
     return EstimateReport(
-        lambda1=lam_used,
-        lambda1_provenance=provenance,
-        lambda1_raw=est.value,
-        lambda1_converged=est.converged,
+        lambda1=lam.value,
+        lambda1_provenance=lam.provenance,
+        lambda1_raw=lam.value,
+        lambda1_converged=True,
         sobolev=sob.value,
         sobolev_provenance=sob.provenance,
         rhs_constant=rhs_c,

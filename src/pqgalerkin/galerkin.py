@@ -296,7 +296,7 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
         meshes.append(refine(meshes[-1]))
     spaces = [FeSpace(m) for m in meshes]
 
-    estimate = compute_estimates(problem, spaces[0], convention)
+    estimate = compute_estimates(problem, convention)
     weight = truncate_weight(problem.weight, estimate.sup_radius)
     # a hair above the psi-root keeps the sampled pairing clear of rounding
     guard_radius = estimate.grad_radius * (1.0 + 1e-9)

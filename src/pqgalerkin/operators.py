@@ -43,7 +43,6 @@ __all__ = [
     "Problem",
     "qp_dual",
     "assemble_matrix",
-    "power_laplacian_residual",
     "power_flux_pairing",
     "ProblemOperator",
 ]
@@ -445,13 +444,6 @@ def assemble_matrix(space: FeSpace, blocks: np.ndarray) -> sp.csr_matrix:
                                             plan.starts)] = -0.0
     return sp.csr_matrix((data, plan.indices, plan.indptr),
                          shape=(space.dim, space.dim))
-
-
-def power_laplacian_residual(u: FeFunction, exponent: float) -> DualVector:
-    """Entries int |grad u|^{e-2} grad u . grad phi_i (unit weight)."""
-    flux = _power_flux(cell_gradients(u), exponent, DEFAULT_REGULARIZATION)
-    return DualVector(u.space, _flux_dual(u.space, flux, u.space.cell_measures,
-                                          "gradient power term"))
 
 
 def power_flux_pairing(u: FeFunction, grad_v: np.ndarray,

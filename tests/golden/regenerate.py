@@ -5,8 +5,10 @@
 runs `estimate`, `solve` and `verify` at seed 0 on every config under
 `configs/` and rewrites `manifest.json`: per run the exit code and the
 sha256 of stdout, stderr and every output file, plus the numpy and scipy
-versions the hashes were made with.  The package is imported from this
-checkout's `src/`.  `tests/test_golden.py` reruns each case in-process and
+versions the hashes were made with.  For each run it prints `unchanged` or
+the outputs whose hash moved against the manifest it replaces, then the
+number of changed runs.  The package is imported from this checkout's
+`src/`.  `tests/test_golden.py` reruns each case in-process and
 names the first output that differs; a change of output bytes is reviewed
 as the diff of `manifest.json`.
 
@@ -45,6 +47,16 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def changed_outputs(old: dict, new: dict) -> list:
+    """Names of the outputs (exit code, stdout, stderr, then files in name
+    order) whose values differ between two runs; `old` may be empty."""
+    keys = [key for key in ("exit_code", "stdout", "stderr")
+            if old.get(key) != new[key]]
+    files = old.get("files", {})
+    return keys + [name for name in sorted(set(files) | set(new["files"]))
+                   if files.get(name) != new["files"].get(name)]
+
+
 def run_case(name: str, command: str, work: Path) -> dict:
     """Run one command in-process with its output directory under `work`.
 
@@ -68,15 +80,20 @@ def run_case(name: str, command: str, work: Path) -> dict:
 
 def main() -> int:
     sys.path.insert(0, str(HERE.parents[1] / "src"))
+    old = json.loads(MANIFEST.read_text())["cases"] \
+        if MANIFEST.exists() else {}
     manifest = {"seed": SEED, "versions": versions(), "cases": {}}
+    changed = 0
     for name, command in cases():
         with tempfile.TemporaryDirectory() as work:
-            manifest["cases"].setdefault(name, {})[command] = \
-                run_case(name, command, Path(work))
-        print(f"{name} {command}: exit "
-              f"{manifest['cases'][name][command]['exit_code']}")
+            run = run_case(name, command, Path(work))
+        manifest["cases"].setdefault(name, {})[command] = run
+        moved = changed_outputs(old.get(name, {}).get(command, {}), run)
+        changed += bool(moved)
+        print(f"{name} {command}: exit {run['exit_code']}, "
+              f"{', '.join(moved) or 'unchanged'}")
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {MANIFEST}")
+    print(f"{changed} of {len(cases())} changed; wrote {MANIFEST}")
     return 0
 
 

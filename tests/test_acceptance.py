@@ -16,8 +16,8 @@ import scipy.optimize
 
 from pqgalerkin.cli import main
 from pqgalerkin.estimates import (SamplingBox, audit_hypotheses,
-                                  coercivity_polynomial, lambda1_interval,
-                                  rayleigh_minimum, sobolev_constant)
+                                  coercivity_polynomial, estimate_lambda1,
+                                  lambda1_interval, sobolev_constant)
 from pqgalerkin.fespace import (FeFunction, FeSpace, cell_gradients,
                                 grad_norm_lp, lr_norm, sup_norm)
 from pqgalerkin.galerkin import ProblemOperator, run_hierarchy, solve_level
@@ -29,6 +29,7 @@ from pqgalerkin.operators import (ConvectionFamily, HypothesisViolation,
                                   saturating_convection, truncate_weight)
 from pqgalerkin.verify import (check_generalized_conditions,
                                check_truncation_consistency)
+from test_estimates import sine_quotient
 
 UNIT = Domain.interval(0.0, 1.0)
 
@@ -177,8 +178,14 @@ def test_criterion_6_monotonicity_suite(capsys):
 
 
 def test_criterion_7_eigenvalue_and_embedding(capsys):
-    est = rayleigh_minimum(FeSpace(build_mesh(UNIT, 64)), 2.0)
-    rayleigh_err = abs(est.value - math.pi ** 2) / math.pi ** 2
+    square = Domain.rectangle(0.0, 1.0, 0.0, 1.0)
+    exact_err = max(
+        abs(estimate_lambda1(UNIT, 2.0).value - math.pi ** 2) / math.pi ** 2,
+        abs(estimate_lambda1(square, 2.0).value - 2.0 * math.pi ** 2)
+        / (2.0 * math.pi ** 2))
+    below = all(estimate_lambda1(domain, 3.0).value
+                <= sine_quotient(FeSpace(build_mesh(domain, cells)), 3.0)
+                for domain, cells in ((UNIT, 64), (square, 32)))
 
     p = 3.0
     lam = lambda1_interval(1.0, p)
@@ -193,11 +200,13 @@ def test_criterion_7_eigenvalue_and_embedding(capsys):
             poincare_viol += 1
         if sup_norm(u) > cs * grad * (1.0 + 1e-12):
             sobolev_viol += 1
-    ok = (est.converged and rayleigh_err < 0.01
+    ok = (exact_err <= 1e-14 and below
           and poincare_viol == 0 and sobolev_viol == 0)
-    _criterion(capsys, 7, f"p=2 Rayleigh minimum within 1% of pi^2 at h=1/64 "
-               f"({rayleigh_err:.2%}); Poincare and sup-embedding audits "
-               "clean over 1000 samples", ok)
+    _criterion(capsys, 7, "lambda1 is pi^2 on the unit interval and 2 pi^2 "
+               f"on the unit square at p=2 (error {exact_err:.1e}), below the "
+               "sine interpolant's quotient at p=3 (h=1/64, h=1/32); "
+               "Poincare and sup-embedding audits clean over 1000 samples",
+               ok)
 
 
 def test_criterion_8_hypothesis_audits(capsys):

@@ -165,6 +165,16 @@ BAD_CONFIGS = {
                           "mesh.base_cells: expected int or [nx, ny]"),
     "base-cells-string": (("mesh", "base_cells"), "4",
                           "mesh.base_cells: expected int or [nx, ny]"),
+    # estimate builds no mesh, so the schema asks what build_mesh does
+    "one-base-cell": (("mesh", "base_cells"), 1,
+                      "mesh.base_cells: a mesh needs at least 2 cells per "
+                      "side"),
+    "one-base-cell-in-y": (("mesh", "base_cells"), [4, 1],
+                           "mesh.base_cells: a mesh needs at least 2 cells "
+                           "per side"),
+    "base-cells-pair-on-interval": (("mesh", "base_cells"), [4, 2],
+                                    "mesh.base_cells: expected int on an "
+                                    "interval"),
     "unknown-convention": (
         ("estimates", "convention"), "odd",
         "estimates.convention: expected one of ('standard', 'paper')"),

@@ -7,8 +7,7 @@ from pqgalerkin.estimates import (SamplingBox, apriori_radius,
                                   audit_hypotheses, coercivity_polynomial,
                                   compute_estimates, estimate_lambda1,
                                   lambda1_interval, poincare_factor,
-                                  rayleigh_minimum, rhs_estimate_constant,
-                                  sobolev_constant)
+                                  rhs_estimate_constant, sobolev_constant)
 from pqgalerkin.fespace import (FeFunction, FeSpace, grad_norm_lp, jsonable,
                                 lr_norm, pair, sup_norm)
 from pqgalerkin.mesh import Domain, build_mesh, refine
@@ -43,31 +42,64 @@ def test_lambda1_length_scaling():
                             base / length ** p, rel_tol=1e-12)
 
 
-def test_lambda1_is_infimum_of_discrete_quotients():
-    # conforming spaces can only overshoot the true eigenvalue
-    for p in (2.0, 2.5, 3.0):
-        analytic = lambda1_interval(1.0, p)
-        space = FeSpace(build_mesh(UNIT, 64))
-        discrete = rayleigh_minimum(space, p).value
-        assert discrete >= analytic * (1.0 - 1e-10)
-        assert discrete <= analytic * 1.01
+def sine_quotient(space, p):
+    """||grad u||_p^p / ||u||_p^p for u the interpolant of the product over
+    the axes of sin(pi (x - lo) / L)."""
+    pts = space.mesh.vertices[space.dofs]
+    vals = np.ones(space.dim)
+    for axis, (lo, hi) in enumerate(space.mesh.domain.bounds):
+        vals *= np.sin(math.pi * (pts[:, axis] - lo) / (hi - lo))
+    u = FeFunction(space, vals)
+    return (grad_norm_lp(u, p) / lr_norm(u, p)) ** p
 
 
-def test_single_hat_rayleigh_quotient():
-    # one dof: quotient is fixed, int |u'|^2 / int |u|^2 = 4 / (1/3)
-    space = FeSpace(build_mesh(UNIT, 2))
-    est = rayleigh_minimum(space, 2.0)
-    assert math.isclose(est.value, 12.0, rel_tol=1e-10)
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 6.0])
+@pytest.mark.parametrize("domain,cells", [
+    (UNIT, 64),
+    (Domain.rectangle(0.0, 1.0, 0.0, 1.0), 32),
+    (Domain.rectangle(0.0, 4.0, 0.0, 1.0), (32, 8)),
+], ids=["interval", "unit-square", "four-by-one"])
+def test_lambda1_below_sine_interpolant_quotient(domain, cells, p):
+    # a conforming function's quotient is at least the eigenvalue, which is
+    # at least the bound; at p = 2 the bound is the eigenvalue itself
+    lam = estimate_lambda1(domain, p).value
+    quotient = sine_quotient(FeSpace(build_mesh(domain, cells)), p)
+    assert lam <= quotient
+    if p == 2.0:
+        assert quotient <= lam * 1.02
 
 
 def test_estimate_lambda1_provenance():
-    space = FeSpace(build_mesh(UNIT, 4))
-    est = estimate_lambda1(space, 3.0)
+    est = estimate_lambda1(UNIT, 3.0)
     assert est.provenance == "analytic-1d"
-    assert math.isclose(est.value, lambda1_interval(1.0, 3.0), rel_tol=1e-14)
-    space2 = FeSpace(build_mesh(Domain.rectangle(0, 1, 0, 1), 4))
-    est2 = estimate_lambda1(space2, 3.0)
-    assert est2.provenance == "discrete-rayleigh"
+    assert est.value == lambda1_interval(1.0, 3.0)
+    est2 = estimate_lambda1(Domain.rectangle(0, 1, 0, 1), 3.0)
+    assert est2.provenance == "lower-bound-2d"
+    with pytest.raises(ValueError, match="p >= 2"):
+        estimate_lambda1(Domain.rectangle(0, 1, 0, 1), 1.9)
+
+
+def test_lambda1_2d_is_exact_at_p_2():
+    unit = estimate_lambda1(Domain.rectangle(0, 1, 0, 1), 2.0).value
+    assert math.isclose(unit, 2.0 * math.pi ** 2, rel_tol=1e-14)
+    long = estimate_lambda1(Domain.rectangle(0, 4, 0, 1), 2.0).value
+    assert math.isclose(long, math.pi ** 2 * (1.0 / 16.0 + 1.0),
+                        rel_tol=1e-14)
+
+
+def test_lambda1_unit_square_p3():
+    est = estimate_lambda1(Domain.rectangle(0, 1, 0, 1), 3.0)
+    assert math.isclose(est.value, 56.5775239520051, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 6.0])
+def test_lambda1_scales_as_t_to_minus_p(p):
+    for bounds in ((0, 1), (0, 1, 0, 1), (-1, 2, 0, 0.5)):
+        make = Domain.interval if len(bounds) == 2 else Domain.rectangle
+        base = estimate_lambda1(make(*bounds), p).value
+        for t in (0.25, 3.0):
+            scaled = estimate_lambda1(make(*(t * b for b in bounds)), p)
+            assert math.isclose(scaled.value, t ** -p * base, rel_tol=1e-13)
 
 
 def test_sobolev_constant_interval():
@@ -134,6 +166,27 @@ def test_sobolev_constant_2d_audit(bounds, cells, p):
         if sup_norm(u) > cs * grad_norm_lp(u, p) * (1.0 + 1e-12):
             violations += 1
     assert violations == 0
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 6.0])
+@pytest.mark.parametrize("bounds,cells", [
+    ((0.0, 1.0, 0.0, 1.0), (4, 4)),
+    ((0.0, 4.0, 0.0, 1.0), (8, 2)),
+], ids=["unit-square", "four-by-one"])
+def test_lambda1_2d_poincare_audit(bounds, cells, p):
+    # lambda1 ||u||_p^p <= ||grad u||_p^p over 1000 random fields and the
+    # sine product, twice refined
+    domain = Domain.rectangle(*bounds)
+    space = FeSpace(refine(refine(build_mesh(domain, cells))))
+    lam = estimate_lambda1(domain, p).value
+    rng = np.random.default_rng(0)
+    fields = [FeFunction(space, rng.standard_normal(space.dim))
+              for _ in range(1000)]
+    violations = sum(lam * lr_norm(u, p) ** p
+                     > grad_norm_lp(u, p) ** p * (1.0 + 1e-12)
+                     for u in fields)
+    assert violations == 0
+    assert lam <= sine_quotient(space, p)
 
 
 def test_poincare_audit_zero_violations():
@@ -299,9 +352,10 @@ def test_audit_zero_family_trivial():
 def test_compute_estimates_1d():
     problem = make_problem(conv=saturating_convection(3.0, alpha=2.0),
                            weight=quadratic_weight(2.0))
-    space = FeSpace(build_mesh(UNIT, 4))
-    rep = compute_estimates(problem, space)
+    rep = compute_estimates(problem)
     assert rep.lambda1_provenance == "analytic-1d"
+    assert rep.lambda1 == rep.lambda1_raw == lambda1_interval(1.0, 3.0)
+    assert rep.lambda1_converged
     assert rep.grad_radius > 0.0
     assert math.isclose(rep.sup_radius, rep.grad_radius * rep.sobolev,
                         rel_tol=1e-13)
@@ -310,11 +364,12 @@ def test_compute_estimates_1d():
     assert d["convention"] == "standard"
 
 
-def test_compute_estimates_2d_safety_flag():
+def test_compute_estimates_2d_lower_bound():
     domain = Domain.rectangle(0.0, 1.0, 0.0, 1.0)
     problem = make_problem(conv=saturating_convection(3.0, alpha=2.0),
                            weight=quadratic_weight(2.0), domain=domain)
-    space = FeSpace(build_mesh(domain, 4))
-    rep = compute_estimates(problem, space)
-    assert rep.lambda1_provenance.endswith("-x0.5-safety")
-    assert math.isclose(rep.lambda1, 0.5 * rep.lambda1_raw, rel_tol=1e-14)
+    rep = compute_estimates(problem)
+    assert rep.lambda1_provenance == "lower-bound-2d"
+    assert rep.lambda1 == rep.lambda1_raw
+    assert rep.lambda1 == estimate_lambda1(domain, 3.0).value
+    assert rep.lambda1_converged

@@ -136,7 +136,7 @@ def test_guard_exception_fails_its_level(monkeypatch):
 def test_guard_doubles_past_small_radius():
     problem = offset_problem()
     space = FeSpace(build_mesh(UNIT, 8))
-    est = compute_estimates(problem, space)
+    est = compute_estimates(problem)
     weight = truncate_weight(problem.weight, est.sup_radius)
     op = ProblemOperator(problem, weight)
     small = est.grad_radius / 5.0
@@ -150,7 +150,7 @@ def test_guard_doubles_past_small_radius():
 def test_guard_is_deterministic():
     problem = offset_problem()
     space = FeSpace(build_mesh(UNIT, 4))
-    est = compute_estimates(problem, space)
+    est = compute_estimates(problem)
     op = ProblemOperator(problem, truncate_weight(problem.weight,
                                                   est.sup_radius))
     a = brouwer_guard(op, space, est.grad_radius, samples=16, seed=7)
@@ -162,7 +162,7 @@ def test_guard_is_deterministic():
 def test_warm_start_agrees_with_cold():
     problem = offset_problem()
     space0 = FeSpace(build_mesh(UNIT, 4))
-    est = compute_estimates(problem, space0)
+    est = compute_estimates(problem)
     weight = truncate_weight(problem.weight, est.sup_radius)
     space1 = FeSpace(refine(space0.mesh))
     op0 = ProblemOperator(problem, weight)

@@ -21,13 +21,7 @@ MANIFEST = json.loads(golden.MANIFEST.read_text())
 def first_difference(expected: dict, actual: dict):
     """Name of the first output (exit code, stdout, stderr, then files in
     name order) whose recorded and produced values differ, or None."""
-    for key in ("exit_code", "stdout", "stderr"):
-        if expected[key] != actual[key]:
-            return key
-    for name in sorted(set(expected["files"]) | set(actual["files"])):
-        if expected["files"].get(name) != actual["files"].get(name):
-            return name
-    return None
+    return next(iter(golden.changed_outputs(expected, actual)), None)
 
 
 def test_manifest_covers_every_case():
@@ -60,3 +54,17 @@ def test_first_difference_names_the_first_file():
     del missing["files"]["run.lock.json"]
     assert first_difference(base, missing) == "run.lock.json"
     assert first_difference(base, dict(base, exit_code=3)) == "exit_code"
+
+
+def test_changed_outputs_names_every_moved_output():
+    base = {"exit_code": 0, "stdout": "a", "stderr": "b",
+            "files": {"report.json": "c", "run.lock.json": "d"}}
+    assert golden.changed_outputs(base, base) == []
+    changed = dict(base, stdout="z", files={"report.json": "y",
+                                            "run.lock.json": "d",
+                                            "solution_L0.csv": "e"})
+    assert golden.changed_outputs(base, changed) == \
+        ["stdout", "report.json", "solution_L0.csv"]
+    # a case the replaced manifest lacks: every output is new
+    assert golden.changed_outputs({}, base) == \
+        ["exit_code", "stdout", "stderr", "report.json", "run.lock.json"]

@@ -172,7 +172,7 @@ def test_growth_bound_discrete():
     problem = Problem(p=p, q=2.0, domain=UNIT, weight=constant_weight(1.0),
                       convection=fam, variant="competing", regime="H3")
     space = FeSpace(build_mesh(UNIT, 8))
-    lam = estimate_lambda1(space, p).value
+    lam = estimate_lambda1(UNIT, p).value
     cs = sobolev_constant(UNIT, p).value
     C = rhs_estimate_constant(problem, lam, cs)
     h2 = fam.h2
