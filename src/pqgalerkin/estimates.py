@@ -25,6 +25,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
+from .fespace import vector_norm
 from .mesh import Domain
 from .operators import HypothesisViolation, Problem
 
@@ -263,7 +264,7 @@ def audit_hypotheses(problem: Problem, box: SamplingBox,
         x[:, axis] = lo + pts[:, axis] * (hi - lo)
     s = (2.0 * pts[:, d] - 1.0) * box.s_bound
     xi = (2.0 * pts[:, d + 1:] - 1.0) * XI_BOUND
-    amp = np.linalg.norm(xi, axis=1)
+    amp = vector_norm(xi)
 
     fam = problem.convection
     f = fam.evaluate(x, s, xi)

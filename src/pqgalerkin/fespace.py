@@ -28,6 +28,11 @@ __all__ = [
     "lr_norm",
     "sup_norm",
     "pair",
+    "vector_norm",
+    "last_axis_sum",
+    "state_sums",
+    "CHUNK_BYTES",
+    "row_slices",
     "write_csv",
     "read_csv",
     "jsonable",
@@ -108,22 +113,45 @@ class FeSpace:
             arr.flags.writeable = False
         return plan
 
+    @functools.cached_property
+    def gradient_operator(self) -> sp.csr_matrix:
+        """CSR matrix of shape (m*d, n) taking coefficients to cell
+        gradients, built on first use.  Row c*d + j holds grads[c, v, j] at
+        the dof of every interior vertex v of cell c, in vertex order; a
+        product sums each row from +0.0 in that order, as
+        einsum("cv,cvd->cd") does, and the boundary terms it skips are the
+        +-0.0 that add nothing to such a sum."""
+        m, nv, d = self.grads.shape
+        cols = np.repeat(self.cell_dofs, d, axis=0)              # (m*d, nv)
+        keep = cols >= 0
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        vals = self.grads.transpose(0, 2, 1).reshape(m * d, nv)
+        return sp.csr_matrix((vals[keep], cols[keep], indptr),
+                             shape=(m * d, self.dim))
+
     def __repr__(self):
         return f"FeSpace(level={self.mesh.level}, dim={self.dim})"
 
 
 @dataclass
 class FeFunction:
-    """Coefficients over the interior dofs of a space."""
+    """Coefficients over the interior dofs of a space.
+
+    A (B, n) array of coefficients stacks B states; gradients, quadrature
+    values, gradient norms and the operator pairing then get one leading
+    axis of length B.  Any other shape is flattened to one state.
+    """
 
     space: FeSpace
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.array(self.coeffs, dtype=float).reshape(-1)
-        if self.coeffs.size != self.space.dim:
-            raise ValueError(
-                f"expected {self.space.dim} coefficients, got {self.coeffs.size}")
+        self.coeffs = np.array(self.coeffs, dtype=float)
+        if self.coeffs.ndim != 2:
+            self.coeffs = self.coeffs.reshape(-1)
+        if self.coeffs.shape[-1] != self.space.dim:
+            raise ValueError(f"expected {self.space.dim} coefficients, "
+                             f"got {self.coeffs.shape[-1]}")
 
     @classmethod
     def zero(cls, space: FeSpace) -> "FeFunction":
@@ -193,30 +221,82 @@ def pair(functional: DualVector, v: FeFunction) -> float:
 
 def _cell_values(u: FeFunction) -> np.ndarray:
     # boundary entries of cell_dofs are -1 and pick up the appended 0.0
-    return np.append(u.coeffs, 0.0)[u.space.cell_dofs]
+    padded = np.concatenate([u.coeffs, np.zeros(u.coeffs.shape[:-1] + (1,))],
+                            axis=-1)
+    return padded[..., u.space.cell_dofs]
+
+
+def last_axis_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis from +0.0 in axis order.  That is the order in
+    which np.sum(a, axis=-1) runs over the short component and quadrature
+    axes of cell arrays, so the bits are its bits, at a fraction of its
+    cost."""
+    total = 0.0 + a[..., 0]
+    for j in range(1, a.shape[-1]):
+        total = total + a[..., j]
+    return total
+
+
+def vector_norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, the square root of the sum of
+    squares in axis order: the bits of np.linalg.norm(a, axis=-1) on the
+    one- and two-component vectors of the package's domains."""
+    return np.sqrt(last_axis_sum(a * a))
+
+
+# bytes of one pointwise (rows, m, k) float array of a stack of states; a
+# stack is evaluated that many rows at a time, which bounds peak memory and
+# keeps a chunk's arrays in cache
+CHUNK_BYTES = 256 * 1024
+
+
+def row_slices(space: FeSpace, rows: int) -> list:
+    """Consecutive slices of `rows` stacked states on `space`, each as many
+    rows as keep one (rows, m, k) float array within CHUNK_BYTES, and at
+    least one."""
+    step = max(1, CHUNK_BYTES // (space.qp_weights.size * 8))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def state_sums(a: np.ndarray, state_ndim: int):
+    """np.sum of one state's array, whose dimension is `state_ndim`, or the
+    array of such sums over a stack with one leading axis.  A stack is
+    summed row by row: numpy runs a reduction over the trailing axes of a
+    stack in another order than the pairwise sum of one state."""
+    if a.ndim == state_ndim:
+        return np.sum(a)
+    return np.array([np.sum(row) for row in a])
 
 
 def cell_gradients(u: FeFunction) -> np.ndarray:
-    """Constant gradient of u on every cell, shape (m, dim)."""
-    return np.einsum("cv,cvd->cd", _cell_values(u), u.space.grads)
+    """Constant gradient of u on every cell, shape (m, dim), or (B, m, dim)
+    for a stack: one product with the space's gradient operator."""
+    m, _, d = u.space.grads.shape
+    flat = u.space.gradient_operator @ u.coeffs.T
+    return flat.T.reshape(u.coeffs.shape[:-1] + (m, d))
 
 
 def values_at_qp(u: FeFunction) -> np.ndarray:
-    """u evaluated at all physical quadrature points, shape (m, k)."""
+    """u evaluated at all physical quadrature points, shape (m, k), or
+    (B, m, k) for a stack."""
     return _cell_values(u) @ u.space.basis_qp
 
 
-def grad_norm_lp(u: FeFunction, p: float) -> float:
+def grad_norm_lp(u: FeFunction, p: float):
     """||grad u||_{L^p}; exact for P1 since |grad u| is cellwise constant."""
     return field_norm_lp(u.space, cell_gradients(u), p)
 
 
-def field_norm_lp(space: FeSpace, field: np.ndarray, p: float) -> float:
-    """L^p norm of a cellwise-constant vector field of shape (m, dim)."""
+def field_norm_lp(space: FeSpace, field: np.ndarray, p: float):
+    """L^p norm of a cellwise-constant vector field of shape (m, dim); a
+    (B, m, dim) stack gives an array of B norms.  Each p-th root is taken
+    per scalar, since array and scalar pow can differ in the last bit."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    amp = np.linalg.norm(field, axis=1)
-    return float(np.sum(space.cell_measures * amp ** p) ** (1.0 / p))
+    totals = state_sums(space.cell_measures * vector_norm(field) ** p, 1)
+    if np.ndim(totals) == 0:
+        return float(totals ** (1.0 / p))
+    return np.array([t ** (1.0 / p) for t in totals])
 
 
 def lr_norm(u: FeFunction, r: float) -> float:

@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .estimates import EstimateReport, compute_estimates
 from .fespace import (FeFunction, FeSpace, grad_norm_lp, pair, prolongate,
-                      sup_norm)
+                      row_slices, sup_norm)
 from .mesh import build_mesh, refine
 from .operators import (DEFAULT_REGULARIZATION, AssemblyError, Problem,
                         ProblemOperator, assemble_matrix, truncate_weight)
@@ -91,16 +91,16 @@ def brouwer_guard(op: ProblemOperator, space: FeSpace, radius: float,
     radius up to the cap and recording the outcome.
     """
     dirs = np.random.default_rng(seed).standard_normal((samples, space.dim))
-    p, r, doublings = op.problem.p, float(radius), 0
+    scales = np.empty(samples)
+    for rows in row_slices(space, samples):
+        scales[rows] = grad_norm_lp(FeFunction(space, dirs[rows]),
+                                    op.problem.p)
+    dirs, scales = dirs[scales != 0.0], scales[scales != 0.0]
+    r, doublings = float(radius), 0
     while True:
-        worst = np.inf
-        for row in dirs:
-            v = FeFunction(space, row)
-            scale = grad_norm_lp(v, p)
-            if scale == 0.0:
-                continue
-            v = (r / scale) * v
-            worst = min(worst, op.pairing(v, v))
+        v = FeFunction(space, dirs * (r / scales)[:, None])
+        # min over the floats in sample order, so a NaN pairing is skipped
+        worst = min([np.inf, *op.pairing(v, v).tolist()])
         if worst >= 0.0 or doublings >= MAX_DOUBLINGS:
             return GuardRecord(initial_radius=float(radius), radius=r,
                                min_pairing=float(worst), samples=samples,
@@ -344,9 +344,9 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
     for u in report.solutions:
         u_fine = prolongate(u, u_star.space)
         diff = u_fine - u_star
-        p_part, q_part, f_part = op.parts(u_fine)
+        (p_part, q_part, f_part), direct = op.parts_and_pairing(u_fine, diff)
         principal_pq = p_part + q_part
-        report.cond_c.append(op.pairing(u_fine, diff))
+        report.cond_c.append(direct)
         report.cond_c_alt.append(pair(principal_pq + f_part, diff))
         report.cond_cprime.append(pair(principal_pq, diff))
         # the f-part carries the minus sign of the convection term

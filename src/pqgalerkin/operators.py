@@ -21,7 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fespace import (DualVector, FeFunction, FeSpace, cell_gradients,
-                      values_at_qp)
+                      last_axis_sum, row_slices, state_sums, values_at_qp,
+                      vector_norm)
 from .mesh import Domain
 
 __all__ = [
@@ -157,8 +158,9 @@ class ConvectionFamily:
     The evaluator broadcasts over leading axes.  The operator passes x of
     shape (m, k, d) and s of shape (m, k), the k quadrature points of m
     cells, and xi of shape (m, 1, d), one gradient per cell; the result has
-    the shape of s.  Constants for the different hypotheses are stored
-    separately and never substituted for one another.
+    the shape of s.  A stack of B states adds one leading axis to s and xi,
+    (B, m, k) and (B, m, 1, d).  Constants for the different hypotheses are
+    stored separately and never substituted for one another.
     """
 
     name: str
@@ -228,7 +230,7 @@ def saturating_convection(p: float, alpha: float = 2.0, h_bound: float = 1.0,
         raise ValueError("h bound must be nonnegative")
 
     def fn(x, s, xi):
-        amp = np.linalg.norm(xi, axis=-1)
+        amp = vector_norm(xi)
         power = np.sign(s) * np.abs(s) ** (alpha - 1.0)
         return power + s / (1.0 + s * s) * (amp ** (p - 1.0) + h_bound) + offset
 
@@ -256,7 +258,7 @@ def adversarial_convection(a0: float, p: float) -> ConvectionFamily:
     a0, p = float(a0), float(p)
 
     def fn(x, s, xi):
-        amp = np.linalg.norm(xi, axis=-1)
+        amp = vector_norm(xi)
         return 2.0 * a0 * amp ** p * np.sign(s) / (1.0 + np.abs(s))
 
     return ConvectionFamily(
@@ -344,7 +346,7 @@ def _power_flux(grad: np.ndarray, exponent: float, eps: float) -> np.ndarray:
     where |grad| < eps would otherwise blow up (e < 2); grad at e = 2."""
     if exponent == 2.0:
         return grad
-    amp = np.linalg.norm(grad, axis=-1)
+    amp = vector_norm(grad)
     if exponent >= 2.0:
         factor = amp ** (exponent - 2.0)
     else:
@@ -363,7 +365,7 @@ def _flux_derivative(grad: np.ndarray, exponent: float,
     At e = 2 that is 1 * (I + 0 * outer): the identity, to the bit."""
     if exponent == 2.0:
         return np.broadcast_to(np.eye(grad.shape[1]), grad.shape + grad.shape[1:])
-    amp = np.linalg.norm(grad, axis=-1)
+    amp = vector_norm(grad)
     sq = amp * amp
     if exponent < 2.0:
         sq = np.where(amp < eps, sq + eps * eps, sq)
@@ -407,15 +409,31 @@ def _scatter(space: FeSpace, cell_contrib: np.ndarray, label: str) -> np.ndarray
                        minlength=space.dim)
 
 
+def _dot_grads(flux: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """flux . grad phi_v per cell and vertex, (m, nv), summed over d from
+    0.0 in the order of einsum("cd,cvd->cv", flux, G), whose bits it
+    carries."""
+    out = np.zeros(G.shape[:2])
+    for d in range(G.shape[-1]):
+        out += flux[:, None, d] * G[:, :, d]
+    return out
+
+
 def _flux_dual(space: FeSpace, flux: np.ndarray, cell_w: np.ndarray,
                label: str) -> np.ndarray:
-    contrib = np.einsum("cd,cvd->cv", flux, space.grads) * cell_w[:, None]
+    contrib = _dot_grads(flux, space.grads) * cell_w[:, None]
     return _scatter(space, contrib, label)
 
 
 def _flux_pairing(flux: np.ndarray, cell_w: np.ndarray,
-                  grad_v: np.ndarray) -> float:
-    return float(np.sum(cell_w * np.einsum("cd,cd->c", flux, grad_v)))
+                  grad_v: np.ndarray):
+    """int cell_w flux . grad_v over the cells; fluxes and gradients of
+    shape (..., m, d) give one value per leading index.  The cellwise dot
+    sums over d from 0.0 as einsum("cd,cd->c") does."""
+    dot = np.zeros(grad_v.shape[:-1])
+    for d in range(grad_v.shape[-1]):
+        dot += flux[..., d] * grad_v[..., d]
+    return state_sums(cell_w * dot, 1)
 
 
 def qp_dual(space: FeSpace, qp_values: np.ndarray, label: str) -> np.ndarray:
@@ -446,9 +464,9 @@ def assemble_matrix(space: FeSpace, blocks: np.ndarray) -> sp.csr_matrix:
                          shape=(space.dim, space.dim))
 
 
-def power_flux_pairing(u: FeFunction, grad_v: np.ndarray,
-                       exponent: float) -> float:
-    """int |grad u|^{e-2} grad u . grad_v for cell gradients grad_v."""
+def power_flux_pairing(u: FeFunction, grad_v: np.ndarray, exponent: float):
+    """int |grad u|^{e-2} grad u . grad_v for cell gradients grad_v; a stack
+    u with (B, m, d) gradients grad_v gives B values."""
     flux = _power_flux(cell_gradients(u), exponent, DEFAULT_REGULARIZATION)
     return _flux_pairing(flux, u.space.cell_measures, grad_v)
 
@@ -466,7 +484,8 @@ class ProblemOperator:
     `load_factor` scales the convection term; both default to the full
     problem and exist for homotopy and continuation, whose stages are
     `dataclasses.replace` copies.  The factors and `eps` are keyword-only.
-    Every evaluation computes the pointwise data of the three terms once.
+    Every evaluation computes the pointwise data of the three terms once;
+    the pointwise kernels broadcast over one leading axis of stacked states.
     """
 
     problem: Problem
@@ -478,13 +497,14 @@ class ProblemOperator:
 
     def _p_term(self, space: FeSpace, grad: np.ndarray, u_qp: np.ndarray):
         """(flux, cell weight) of the p-term; g_R enters the cell weight."""
-        g_int = np.sum(space.qp_weights * self.weight.evaluate(u_qp), axis=1)
+        g_int = last_axis_sum(space.qp_weights * self.weight.evaluate(u_qp))
         return _power_flux(grad, self.problem.p, self.eps), g_int
 
     def _convection(self, space: FeSpace, grad: np.ndarray, u_qp: np.ndarray):
-        """f at the quadrature points, xi the (m, 1, d) cell gradients."""
+        """f at the quadrature points, xi the (..., m, 1, d) cell
+        gradients."""
         return self.problem.convection.evaluate(space.qp_points, u_qp,
-                                                grad[:, None, :])
+                                                grad[..., None, :])
 
     def _terms(self, u: FeFunction):
         """u's cell gradients and quadrature values, (flux, cell weight) of
@@ -495,20 +515,42 @@ class ProblemOperator:
                 (_power_flux(grad, pr.q, self.eps), space.cell_measures),
                 self._convection(space, grad, u_qp))
 
-    def _signed_parts(self, u: FeFunction):
-        _, (p_flux, p_w), (q_flux, q_w), fvals = self._terms(u)
-        space = u.space
+    def _signed_parts(self, space: FeSpace, terms):
+        _, (p_flux, p_w), (q_flux, q_w), fvals = terms
         return (_flux_dual(space, p_flux, p_w, "weighted p-term"),
                 self.problem.q_sign * self.q_factor
                 * _flux_dual(space, q_flux, q_w, "gradient power term"),
                 -self.load_factor * qp_dual(space, fvals, "convection term"))
 
+    def _direct(self, u: FeFunction, terms, v: FeFunction):
+        """<A_R(u), v> by direct integration from u's pointwise data; one
+        value per row of a stack."""
+        pointwise, (p_flux, p_w), (q_flux, q_w), fvals = terms
+        # the guard pairs v with itself, whose pointwise data are u's
+        grad_v, v_qp = pointwise if v is u \
+            else (cell_gradients(v), values_at_qp(v))
+        return (_flux_pairing(p_flux, p_w, grad_v)
+                + self.problem.q_sign * self.q_factor
+                * _flux_pairing(q_flux, q_w, grad_v)
+                - self.load_factor
+                * state_sums(u.space.qp_weights * fvals * v_qp, 2))
+
     def parts(self, u: FeFunction) -> Tuple[DualVector, DualVector, DualVector]:
         """Signed p-, q- and f-parts; they sum to `residual(u)`."""
-        return tuple(DualVector(u.space, part) for part in self._signed_parts(u))
+        return tuple(DualVector(u.space, part)
+                     for part in self._signed_parts(u.space, self._terms(u)))
+
+    def parts_and_pairing(self, u: FeFunction, v: FeFunction):
+        """`parts(u)` and `pairing(u, v)` from one evaluation of u's
+        pointwise data: the dual-vector and direct routes that the
+        condition-(c) table compares."""
+        terms = self._terms(u)
+        return (tuple(DualVector(u.space, part)
+                      for part in self._signed_parts(u.space, terms)),
+                float(self._direct(u, terms, v)))
 
     def residual(self, u: FeFunction) -> DualVector:
-        p_part, q_part, f_part = self._signed_parts(u)
+        p_part, q_part, f_part = self._signed_parts(u.space, self._terms(u))
         return DualVector(u.space, p_part + q_part + f_part)
 
     def jacobian(self, u: FeFunction) -> sp.csr_matrix:
@@ -531,7 +573,7 @@ class ProblemOperator:
         # the cell weight of the p-term depends on u through g_R
         dg_w = np.einsum("cwk,ck->cw", w_phi,
                          _central_diff(self.weight.evaluate, u_qp))
-        p_dot = np.einsum("cd,cvd->cv", p_flux, G)
+        p_dot = _dot_grads(p_flux, G)
         blocks += p_dot[:, :, None] * dg_w[:, None, :]
 
         f_s = _central_diff(lambda s: self._convection(space, grad, s), u_qp)
@@ -545,17 +587,22 @@ class ProblemOperator:
         blocks -= self.load_factor * np.einsum("cvk,ckw->cvw", w_phi, f_w)
         return assemble_matrix(space, blocks)
 
-    def pairing(self, u: FeFunction, v: FeFunction) -> float:
+    def pairing(self, u: FeFunction, v: FeFunction):
         """<A_R(u), v> by direct integration; agrees with
-        pair(residual(u), v) but never goes through the dual vector."""
-        if v.space is not u.space:
-            raise ValueError("pairing requires functions on the same space")
-        pointwise, (p_flux, p_w), (q_flux, q_w), fvals = self._terms(u)
-        # the guard pairs v with itself, whose pointwise data are u's
-        grad_v, v_qp = pointwise if v is u \
-            else (cell_gradients(v), values_at_qp(v))
-        return (_flux_pairing(p_flux, p_w, grad_v)
-                + self.problem.q_sign * self.q_factor
-                * _flux_pairing(q_flux, q_w, grad_v)
-                - self.load_factor * float(np.sum(
-                    u.space.qp_weights * fvals * v_qp)))
+        pair(residual(u), v) but never goes through the dual vector.
+
+        Stacks u and v of B states give the array of the B row pairings,
+        evaluated in the chunks of `row_slices`; every row has the bits of
+        its own single-state pairing.
+        """
+        if v.space is not u.space or v.coeffs.shape != u.coeffs.shape:
+            raise ValueError("pairing requires functions of one shape on "
+                             "the same space")
+        if u.coeffs.ndim == 1:
+            return float(self._direct(u, self._terms(u), v))
+        out = np.empty(u.coeffs.shape[0])
+        for rows in row_slices(u.space, out.size):
+            u_rows = FeFunction(u.space, u.coeffs[rows])
+            v_rows = u_rows if v is u else FeFunction(v.space, v.coeffs[rows])
+            out[rows] = self._direct(u_rows, self._terms(u_rows), v_rows)
+        return out

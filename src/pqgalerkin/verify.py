@@ -13,7 +13,7 @@ from typing import List
 import numpy as np
 
 from .fespace import (FeFunction, FeSpace, cell_gradients, field_norm_lp,
-                      grad_norm_lp, jsonable, lr_norm, sup_norm)
+                      grad_norm_lp, jsonable, lr_norm, row_slices, sup_norm)
 from .galerkin import HierarchyReport
 from .operators import ProblemOperator, power_flux_pairing
 
@@ -205,17 +205,20 @@ def check_monotonicity_inequalities(p: float, q: float, space: FeSpace,
     rng = np.random.default_rng(seed)
 
     def margins(exponent: float) -> List[float]:
+        # rows alternate u, v: the stream of one draw per state in turn
+        draws = rng.standard_normal((2 * samples, space.dim))
         found = []
-        for _ in range(samples):
-            u = FeFunction(space, rng.standard_normal(space.dim))
-            v = FeFunction(space, rng.standard_normal(space.dim))
+        for rows in row_slices(space, samples):
+            u = FeFunction(space, draws[0::2][rows])
+            v = FeFunction(space, draws[1::2][rows])
             grad_diff = cell_gradients(u - v)
             lhs = (power_flux_pairing(u, grad_diff, exponent)
                    - power_flux_pairing(v, grad_diff, exponent))
-            rhs = 2.0 ** (-exponent) \
-                * field_norm_lp(space, grad_diff, exponent) ** exponent
-            # the slack absorbs rounding
-            found.append(lhs - rhs + 1e-12 * (1.0 + abs(lhs) + rhs))
+            norms = field_norm_lp(space, grad_diff, exponent)
+            for left, norm in zip(lhs.tolist(), norms.tolist()):
+                rhs = 2.0 ** (-exponent) * norm ** exponent
+                # the slack absorbs rounding
+                found.append(left - rhs + 1e-12 * (1.0 + abs(left) + rhs))
         return found
 
     for label, exponent in (("p", p), ("q", q)):

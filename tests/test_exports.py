@@ -149,3 +149,39 @@ def test_no_dead_methods():
     readers = [p.read_text() for folder in ("src", "tests", "bench")
                for p in sorted((REPO / folder).rglob("*.py"))]
     assert _dead_methods(classes, readers) == []
+
+
+def _axis_norm_calls(source: str):
+    """Line numbers of `linalg.norm` calls given more than the array: an
+    `ord` or an `axis`, by keyword or by position."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "norm"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "linalg"
+        and (len(node.args) > 1 or node.keywords))
+
+
+def test_axis_norm_check_flags_each_form():
+    source = ("np.linalg.norm(F)\n"
+              "np.linalg.norm(xi, axis=-1)\n"
+              "numpy.linalg.norm(g, None, 1)\n"
+              "vector_norm(xi)\n")
+    assert _axis_norm_calls(source) == [2, 3]
+
+
+@pytest.mark.parametrize("path", MODULE_PATHS, ids=lambda p: p.name)
+def test_per_cell_norms_go_through_vector_norm(path):
+    # a whole-vector norm, like the Newton merit, is the only linalg.norm
+    assert _axis_norm_calls(path.read_text()) == []
+
+
+def test_cell_gradients_use_the_gradient_operator():
+    tree = ast.parse((Path(pqgalerkin.__file__).parent / "fespace.py")
+                     .read_text())
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == "cell_gradients"]
+    attrs = {node.attr for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute)}
+    assert "gradient_operator" in attrs and "einsum" not in attrs

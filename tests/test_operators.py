@@ -1,11 +1,12 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pqgalerkin import fespace, operators
+from pqgalerkin import cli, fespace, operators
 from pqgalerkin.fespace import (FeFunction, FeSpace, cell_gradients,
                                 grad_norm_lp, lr_norm, pair)
 from pqgalerkin.mesh import Domain, build_mesh, refine
@@ -491,3 +492,182 @@ def test_convection_gets_one_gradient_per_cell(dim):
     spied.pairing(u, u)
     m, k = u.space.qp_weights.shape
     assert shapes == {((m, k, dim), (m, k), (m, 1, dim))}
+
+
+def einsum_gradients(space, coeffs):
+    """The reference: the full vertex gather contracted by einsum."""
+    full = FeFunction(space, coeffs).full_values()
+    return np.einsum("cv,cvd->cd", full[space.cells], space.grads)
+
+
+def general_gradient_spaces(dim, rng):
+    """The kernel spaces, and copies whose hat gradients are random: on
+    these meshes each gradient component has at most two nonzero terms, so
+    only general gradients show the order of a sum."""
+    for space in kernel_spaces(dim):
+        yield space
+        skewed = FeSpace(space.mesh)
+        skewed.grads = signed_spread(rng, space.grads.shape)
+        yield skewed
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gradient_operator_matches_einsum_bit_for_bit(dim):
+    rng = np.random.default_rng(17)
+    for space in general_gradient_spaces(dim, rng):
+        G = space.gradient_operator
+        m, nv, d = space.grads.shape
+        interior = int(np.sum(space.cell_dofs >= 0))
+        assert space.gradient_operator is G
+        assert G.shape == (m * d, space.dim) and G.nnz == interior * d
+        # boundary cells exist, so some rows skip a vertex
+        assert interior < space.cell_dofs.size
+        cases = [signed_spread(rng, space.dim) for _ in range(3)]
+        cases += [np.full(space.dim, -0.0), np.zeros(space.dim)]
+        for coeffs in cases:
+            got = cell_gradients(FeFunction(space, coeffs))
+            assert np.array_equal(bits(got), bits(einsum_gradients(space,
+                                                                   coeffs)))
+        block = np.array(cases)
+        got = cell_gradients(FeFunction(space, block))
+        assert got.shape == (len(cases), m, d)
+        for row, coeffs in zip(got, cases):
+            assert np.array_equal(bits(row), bits(einsum_gradients(space,
+                                                                   coeffs)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_vector_norm_matches_numpy_bit_for_bit(dim):
+    rng = np.random.default_rng(18)
+    for shape in [(500, dim), (7, 60, 1, dim)]:
+        a = signed_spread(rng, shape)
+        a.flat[:3] = [1e200, -1e-200, np.inf]
+        with np.errstate(over="ignore", under="ignore"):
+            assert np.array_equal(bits(fespace.vector_norm(a)),
+                                  bits(np.linalg.norm(a, axis=-1)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_last_axis_sum_matches_numpy_bit_for_bit(k):
+    rng = np.random.default_rng(19)
+    for shape in [(300, k), (4, 300, k)]:
+        a = signed_spread(rng, shape)
+        assert np.array_equal(bits(fespace.last_axis_sum(a)),
+                              bits(np.sum(a, axis=-1)))
+
+
+def rows_per_chunk(space):
+    return fespace.row_slices(space, 10 ** 6)[0].stop
+
+
+@pytest.mark.parametrize("variant", ["competing", "cooperative"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_block_pairing_matches_row_by_row_bit_for_bit(dim, variant):
+    op = jacobian_setup(dim, variant)[0]
+    rng = np.random.default_rng(20)
+    for space in kernel_spaces(dim)[::2]:
+        step = rows_per_chunk(space)
+        for rows in sorted({1, step + 1, 32}):
+            U = spread(rng, (rows, space.dim))
+            V = signed_spread(rng, (rows, space.dim))
+            block_u, block_v = FeFunction(space, U), FeFunction(space, V)
+            self_pairs = op.pairing(block_u, block_u)
+            cross_pairs = op.pairing(block_u, block_v)
+            assert self_pairs.shape == cross_pairs.shape == (rows,)
+            for i in range(rows):
+                u, v = FeFunction(space, U[i]), FeFunction(space, V[i])
+                assert bits(self_pairs[i]) == bits(op.pairing(u, u))
+                assert bits(cross_pairs[i]) == bits(op.pairing(u, v))
+
+
+def test_block_pairing_hands_the_family_one_leading_axis():
+    op, u = jacobian_setup(2)
+    fn, shapes = op.problem.convection.fn, set()
+
+    def spy(x, s, xi):
+        shapes.add((x.shape, s.shape, xi.shape))
+        return fn(x, s, xi)
+
+    block = FeFunction(u.space, np.stack([u.coeffs, -u.coeffs, u.coeffs]))
+    with_convection(op, spy).pairing(block, block)
+    m, k = u.space.qp_weights.shape
+    assert shapes == {((m, k, 2), (3, m, k), (3, m, 1, 2))}
+
+
+def test_block_pairing_needs_matching_blocks():
+    op, u = jacobian_setup(1)
+    block = FeFunction(u.space, np.stack([u.coeffs, u.coeffs]))
+    with pytest.raises(ValueError, match="one shape"):
+        op.pairing(block, u)
+    empty = FeFunction(u.space, np.zeros((0, u.space.dim)))
+    assert op.pairing(empty, empty).shape == (0,)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_block_norms_and_flux_pairings_match_row_by_row(dim):
+    rng = np.random.default_rng(21)
+    space = kernel_spaces(dim)[-1]
+    U = spread(rng, (5, space.dim))
+    G = cell_gradients(FeFunction(space, U[::-1]))
+    for exponent in (1.5, 2.0, 3.0):
+        norms = grad_norm_lp(FeFunction(space, U), exponent)
+        pairs = power_flux_pairing(FeFunction(space, U), G, exponent)
+        for i, row in enumerate(U):
+            u = FeFunction(space, row)
+            assert bits(norms[i]) == bits(grad_norm_lp(u, exponent))
+            assert bits(pairs[i]) == bits(power_flux_pairing(u, G[i],
+                                                             exponent))
+
+
+def test_parts_and_pairing_match_the_two_routes():
+    op, u = jacobian_setup(2)
+    v = FeFunction(u.space, np.random.default_rng(22).standard_normal(
+        u.space.dim))
+    parts, direct = op.parts_and_pairing(u, v)
+    assert direct == op.pairing(u, v)
+    for got, ref in zip(parts, op.parts(u)):
+        assert np.array_equal(bits(got.values), bits(ref.values))
+
+
+GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
+
+
+@pytest.mark.parametrize("workload",
+                         ["coop-1d-deep", "coop-2d", "compete-2d-load"])
+def test_pairing_chunks_stay_within_the_byte_budget(workload):
+    cfg = cli.load_config(GOLDEN_CONFIGS / f"{workload}.json")
+    problem = cli.build_problem(cfg["problem"])
+    mesh = build_mesh(problem.domain, cfg["mesh"]["base_cells"])
+    for _ in range(cfg["mesh"]["levels"] - 1):
+        mesh = refine(mesh)
+    space = FeSpace(mesh)
+    row_bytes = space.qp_weights.size * 8
+    slices = fespace.row_slices(space, 40)
+    rows = slices[0].stop
+    assert rows >= 1
+    assert rows == 1 or rows * row_bytes <= fespace.CHUNK_BYTES
+    assert [i for s in slices for i in range(40)[s]] == list(range(40))
+    if row_bytes > fespace.CHUNK_BYTES:
+        # one state above the budget is still one chunk, and evaluates
+        assert rows == 1
+        op = ProblemOperator(problem, truncate_weight(problem.weight, 1.0))
+        U = np.random.default_rng(23).standard_normal((2, space.dim))
+        block = op.pairing(FeFunction(space, U), FeFunction(space, U))
+        for i in range(2):
+            u = FeFunction(space, U[i])
+            assert bits(block[i]) == bits(op.pairing(u, u))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_flux_contractions_match_einsum_bit_for_bit(dim):
+    rng = np.random.default_rng(24)
+    m, nv = 300, dim + 1
+    for _ in range(3):
+        flux = signed_spread(rng, (m, dim))
+        grad_v = signed_spread(rng, (m, dim))
+        G, cell_w = signed_spread(rng, (m, nv, dim)), spread(rng, m)
+        assert np.array_equal(bits(operators._dot_grads(flux, G)),
+                              bits(np.einsum("cd,cvd->cv", flux, G)))
+        reference = np.sum(cell_w * np.einsum("cd,cd->c", flux, grad_v))
+        assert bits(operators._flux_pairing(flux, cell_w, grad_v)) \
+            == bits(reference)

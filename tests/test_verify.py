@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from pqgalerkin.fespace import FeFunction, FeSpace, jsonable
+from pqgalerkin import fespace
+from pqgalerkin.fespace import (FeFunction, FeSpace, cell_gradients,
+                                field_norm_lp, jsonable)
 from pqgalerkin.galerkin import SolverConfig, run_hierarchy, solve_level
 from pqgalerkin.galerkin import ProblemOperator
-from pqgalerkin.mesh import Domain, build_mesh
+from pqgalerkin.mesh import Domain, build_mesh, refine
 from pqgalerkin.operators import (Problem, adversarial_convection,
                                   constant_convection, constant_weight,
+                                  power_flux_pairing,
                                   quadratic_weight, saturating_convection,
                                   truncate_weight, zero_convection)
 from pqgalerkin.verify import (check_generalized_conditions,
@@ -218,3 +221,39 @@ def test_certificate_serialization():
     assert isinstance(d["measured"], float)
     assert d["name"] == "truncation-consistency"
     assert d["skipped"] is False
+
+
+def per_sample_margins(exponent, space, samples, rng):
+    """The monotonicity margins drawn and evaluated one pair at a time."""
+    found = []
+    for _ in range(samples):
+        u = FeFunction(space, rng.standard_normal(space.dim))
+        v = FeFunction(space, rng.standard_normal(space.dim))
+        grad_diff = cell_gradients(u - v)
+        lhs = (power_flux_pairing(u, grad_diff, exponent)
+               - power_flux_pairing(v, grad_diff, exponent))
+        rhs = 2.0 ** (-exponent) \
+            * field_norm_lp(space, grad_diff, exponent) ** exponent
+        found.append(lhs - rhs + 1e-12 * (1.0 + abs(lhs) + rhs))
+    return found
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_monotonicity_matches_the_per_sample_loop(dim, chunk_bytes,
+                                                          monkeypatch):
+    if chunk_bytes is not None:
+        # one row per chunk
+        monkeypatch.setattr(fespace, "CHUNK_BYTES", chunk_bytes)
+    domain = UNIT if dim == 1 else Domain.rectangle(0.0, 1.0, 0.0, 1.0)
+    mesh = build_mesh(domain, 16 if dim == 1 else (4, 4))
+    space = FeSpace(refine(refine(mesh)))
+    for seed in (0, 5):
+        certs = check_monotonicity_inequalities(3.0, 2.5, space, samples=32,
+                                                seed=seed)
+        rng = np.random.default_rng(seed)
+        for cert, exponent in zip(certs, (3.0, 2.5)):
+            found = per_sample_margins(exponent, space, 32, rng)
+            assert np.float64(cert.measured).view(np.int64) \
+                == np.float64(min(found)).view(np.int64)
+            assert cert.details["violations"] == sum(m < 0.0 for m in found)
