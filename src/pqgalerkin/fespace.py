@@ -60,6 +60,9 @@ class FeSpace:
         self.cells = mesh.cells
         self.cell_measures = mesh.cell_measures
         self.cell_dofs = self.vertex_to_dof[self.cells]
+        # SuperLU's column order for the plan's pattern, recorded by the
+        # first sparse factorization on the space (see galerkin)
+        self.column_order = None
         self._build_geometry()
 
     def _build_geometry(self):

@@ -14,7 +14,8 @@ certificates all go through it.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
+import weakref
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -231,7 +232,10 @@ def saturating_convection(p: float, alpha: float = 2.0, h_bound: float = 1.0,
 
     def fn(x, s, xi):
         amp = vector_norm(xi)
-        power = np.sign(s) * np.abs(s) ** (alpha - 1.0)
+        # at alpha = 2, s + 0.0 has the bits of sign(s) |s|^1 in one pass:
+        # -0.0 becomes +0.0, and NaN and +-inf pass through
+        power = s + 0.0 if alpha == 2.0 \
+            else np.sign(s) * np.abs(s) ** (alpha - 1.0)
         return power + s / (1.0 + s * s) * (amp ** (p - 1.0) + h_bound) + offset
 
     if alpha >= 2.0:
@@ -440,11 +444,12 @@ def qp_dual(space: FeSpace, qp_values: np.ndarray, label: str) -> np.ndarray:
     """Entries int w phi_i by the cell rule for w given at the quadrature
     points; raises AssemblyError naming the first nonfinite cell."""
     weighted = space.qp_weights * qp_values
-    # summed point by point from 0.0, as einsum("cq,cq,vq->cv", ...) does
-    contrib = np.zeros(space.cell_dofs.shape)
+    # summed point by point from 0.0, as einsum("cq,cq,vq->cv", ...) does,
+    # into (nv, m) rows: numpy runs fastest along the long cell axis
+    contrib = np.zeros(space.cell_dofs.shape[::-1])
     for w, phi in zip(weighted.T, space.basis_qp.T):
-        contrib += w[:, None] * phi
-    return _scatter(space, contrib, label)
+        contrib += phi[:, None] * w
+    return _scatter(space, contrib.T, label)
 
 
 def assemble_matrix(space: FeSpace, blocks: np.ndarray) -> sp.csr_matrix:
@@ -486,6 +491,8 @@ class ProblemOperator:
     `dataclasses.replace` copies.  The factors and `eps` are keyword-only.
     Every evaluation computes the pointwise data of the three terms once;
     the pointwise kernels broadcast over one leading axis of stacked states.
+    The data of the last single state evaluated are kept, so the Jacobian
+    at Newton's accepted trial reuses what the trial's residual computed.
     """
 
     problem: Problem
@@ -494,6 +501,9 @@ class ProblemOperator:
     load_factor: float = 1.0
     q_factor: float = 1.0
     eps: float = DEFAULT_REGULARIZATION
+    # [space, coefficient bytes, terms, weak reference to the state] of the
+    # last single state evaluated; emptied when that state is collected
+    _last: list = field(default_factory=list, init=False, repr=False)
 
     def _p_term(self, space: FeSpace, grad: np.ndarray, u_qp: np.ndarray):
         """(flux, cell weight) of the p-term; g_R enters the cell weight."""
@@ -508,12 +518,24 @@ class ProblemOperator:
 
     def _terms(self, u: FeFunction):
         """u's cell gradients and quadrature values, (flux, cell weight) of
-        the p- and q-terms, and f at the quadrature points."""
-        space, pr = u.space, self.problem
+        the p- and q-terms, and f at the quadrature points.  A single state
+        whose space and coefficient bits are those of the last one gets the
+        last one's data."""
+        space, pr, last = u.space, self.problem, self._last
+        key = u.coeffs.tobytes() if u.coeffs.ndim == 1 else None
+        if last and last[0] is space and last[1] == key:
+            return last[2]
+        last.clear()
         grad, u_qp = cell_gradients(u), values_at_qp(u)
-        return ((grad, u_qp), self._p_term(space, grad, u_qp),
-                (_power_flux(grad, pr.q, self.eps), space.cell_measures),
-                self._convection(space, grad, u_qp))
+        terms = ((grad, u_qp), self._p_term(space, grad, u_qp),
+                 (_power_flux(grad, pr.q, self.eps), space.cell_measures),
+                 self._convection(space, grad, u_qp))
+        if key is not None:
+            # kept no longer than the state, so the stage copies of a
+            # continuation do not each hold their last state's data
+            last[:] = [space, key, terms,
+                       weakref.ref(u, lambda _: last.clear())]
+        return terms
 
     def _signed_parts(self, space: FeSpace, terms):
         _, (p_flux, p_w), (q_flux, q_w), fvals = terms
@@ -561,8 +583,10 @@ class ProblemOperator:
         points, so their error does not grow as the mesh refines.
         """
         space, problem = u.space, self.problem
-        grad, u_qp = cell_gradients(u), values_at_qp(u)
-        p_flux, p_w = self._p_term(space, grad, u_qp)
+        (grad, u_qp), (p_flux, p_w), _, _ = self._terms(u)
+        # the kept data have served the Newton step; free them before the
+        # step's factorization
+        self._last.clear()
         G, phi = space.grads, space.basis_qp
         w_phi = space.qp_weights[:, None, :] * phi              # (m, nv, k)
         q_w = problem.q_sign * self.q_factor * space.cell_measures

@@ -185,3 +185,35 @@ def test_cell_gradients_use_the_gradient_operator():
     attrs = {node.attr for node in ast.walk(fn)
              if isinstance(node, ast.Attribute)}
     assert "gradient_operator" in attrs and "einsum" not in attrs
+
+
+def _spsolve_uses(source: str):
+    """Line numbers where `spsolve` is named: imported, called or read."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.split(".")[-1] == "spsolve"
+                   for alias in node.names):
+                found.add(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "spsolve") \
+                or (isinstance(node, ast.Name) and node.id == "spsolve"):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_spsolve_check_flags_each_form():
+    source = ("from scipy.sparse.linalg import spsolve\n"
+              "x = spla.spsolve(A, b)\n"
+              "solve = scipy.sparse.linalg.spsolve\n"
+              "y = spsolve(A, b)\n"
+              "z = _sparse_solve(space, A, b)\n")
+    assert _spsolve_uses(source) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(pqgalerkin.__file__).parent.glob("*.py")),
+    ids=lambda p: p.name)
+def test_sparse_solves_share_the_factor_path(path):
+    # every sparse solve goes through galerkin's one splu path, which
+    # reuses each space's column order
+    assert _spsolve_uses(path.read_text()) == []

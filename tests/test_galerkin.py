@@ -1,17 +1,21 @@
 import dataclasses
 import math
+import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from pqgalerkin import galerkin
+from pqgalerkin import cli, galerkin
 from pqgalerkin.estimates import compute_estimates
 from pqgalerkin.fespace import (FeFunction, FeSpace, grad_norm_lp, jsonable,
                                 prolongate)
 from pqgalerkin.galerkin import (ProblemOperator, SolveError, SolverConfig,
                                  brouwer_guard, run_hierarchy, solve_level)
 from pqgalerkin.mesh import Domain, build_mesh, refine
-from pqgalerkin.operators import (AssemblyError, Problem,
+from pqgalerkin.operators import (AssemblyError, Problem, assemble_matrix,
                                   constant_convection, constant_weight,
                                   quadratic_weight, saturating_convection,
                                   truncate_weight)
@@ -352,3 +356,103 @@ def test_level_solves_on_load_continuation():
     assert lv.path == "load-continuation"
     assert lv.iterations == 41
     assert lv.residual_sup <= report.solver_tolerance
+
+
+GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def workload_levels(workload):
+    """The operator and the level spaces of a bench workload's config."""
+    cfg = cli.load_config(GOLDEN_CONFIGS / f"{workload}.json")
+    problem = cli.build_problem(cfg["problem"])
+    meshes = [build_mesh(problem.domain, cfg["mesh"]["base_cells"])]
+    for _ in range(cfg["mesh"]["levels"] - 1):
+        meshes.append(refine(meshes[-1]))
+    est = compute_estimates(problem)
+    op = ProblemOperator(problem, truncate_weight(problem.weight,
+                                                  est.sup_radius))
+    return op, [FeSpace(mesh) for mesh in meshes]
+
+
+@pytest.mark.parametrize("workload",
+                         ["coop-1d-deep", "coop-2d", "compete-2d-load"])
+def test_sparse_solve_matches_spsolve_bit_for_bit(workload, monkeypatch):
+    op, spaces = workload_levels(workload)
+    solves, solve = [], galerkin._sparse_solve
+
+    def spy(space, A, b):
+        x = solve(space, A, b)
+        solves.append((A, b, x))
+        return x
+
+    monkeypatch.setattr(galerkin, "_sparse_solve", spy)
+    rng = np.random.default_rng(31)
+    for space in spaces:
+        # the predictor's stiffness matrix is the space's first factor, so
+        # the Jacobians after it take the recorded column order
+        galerkin._linear_predictor(op, space)
+        assert len(solves) == 1 and space.column_order is not None
+        for _ in range(2):
+            u = FeFunction(space, 0.5 * rng.standard_normal(space.dim))
+            galerkin._sparse_solve(space, op.jacobian(u),
+                                   rng.standard_normal(space.dim))
+        for A, b, x in solves:
+            assert np.array_equal(bits(x), bits(spla.spsolve(A, b)))
+        solves.clear()
+
+
+def test_colamd_runs_once_per_space(monkeypatch):
+    specs, splu = Counter(), spla.splu
+
+    def counting(A, permc_spec=None, **kwargs):
+        specs[permc_spec, A.shape[0]] += 1
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    report = run_hierarchy(offset_problem(), 4, 3)
+    assert report.failed_level is None
+    dims = [lv.dim for lv in report.levels]
+    assert {dim for _, dim in specs} == set(dims)
+    for dim, lv in zip(dims, report.levels):
+        assert specs["COLAMD", dim] == 1
+        # one factorization per Newton iteration and one for a cold
+        # start's predictor; all but the first take the recorded order
+        assert specs["NATURAL", dim] == lv.iterations - (lv.path == "newton")
+    assert set(spec for spec, _ in specs) == {"COLAMD", "NATURAL"}
+
+
+class SingularJacobian:
+    """The operator's residual with an all-zero Jacobian in its pattern."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def residual(self, u):
+        return self.op.residual(u)
+
+    def jacobian(self, u):
+        nv = u.space.cell_dofs.shape[1]
+        return assemble_matrix(u.space,
+                               np.zeros(u.space.cell_dofs.shape + (nv,)))
+
+
+def test_exactly_singular_jacobian_is_a_degenerate_step():
+    op, _ = single_dof_op()
+    space = FeSpace(build_mesh(UNIT, 6))
+    u = FeFunction(space, np.linspace(0.1, 0.5, space.dim))
+    stub = SingularJacobian(op)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # first on a fresh space (column order computed), then once the
+        # space has recorded its order
+        for recorded in (False, True):
+            assert (space.column_order is not None) == recorded
+            _, info = galerkin._newton(stub, u, SolverConfig())
+            assert not info.converged
+            assert info.message == "degenerate step"
+            assert info.iterations == 0
+            galerkin._sparse_solve(space, op.jacobian(u), np.ones(space.dim))

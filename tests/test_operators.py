@@ -671,3 +671,87 @@ def test_flux_contractions_match_einsum_bit_for_bit(dim):
         reference = np.sum(cell_w * np.einsum("cd,cd->c", flux, grad_v))
         assert bits(operators._flux_pairing(flux, cell_w, grad_v)) \
             == bits(reference)
+
+
+def saturating_reference(p, alpha, h_bound, offset):
+    """The saturating family's formula with the general power term."""
+    def fn(x, s, xi):
+        amp = fespace.vector_norm(xi)
+        power = np.sign(s) * np.abs(s) ** (alpha - 1.0)
+        return power + s / (1.0 + s * s) * (amp ** (p - 1.0) + h_bound) \
+            + offset
+    return fn
+
+
+def same_floats(a, b):
+    """Equal bit patterns, except that any NaN matches any NaN."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(bits(a[~nan]), bits(b[~nan])))
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_saturating_power_keeps_the_general_formulas_bits(alpha):
+    rng = np.random.default_rng(25)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                        -5e-324, 2.2e-308, -1e-310])
+    s = np.concatenate([special, spread(rng, 391)]).reshape(100, 4)
+    xi = spread(rng, (100, 1, 2))
+    x = np.zeros(s.shape + (2,))
+    # the one-pass form used at alpha = 2 is the general power term there
+    assert np.array_equal(s + 0.0, np.sign(s) * np.abs(s) ** 1.0,
+                          equal_nan=True)
+    assert same_floats(s + 0.0, np.sign(s) * np.abs(s) ** 1.0)
+    for offset in (0.0, 1.0):
+        family = saturating_convection(3.0, alpha=alpha, h_bound=1.0,
+                                       offset=offset)
+        reference = saturating_reference(3.0, alpha, 1.0, offset)
+        # inf / inf in the saturating factor is NaN in both
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = family.fn(x, s, xi), reference(x, s, xi)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert same_floats(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_jacobian_reuses_the_residuals_pointwise_data(dim, monkeypatch):
+    op, u = jacobian_setup(dim)
+    moved = u.copy()
+    moved.coeffs[0] = -moved.coeffs[0]
+    zero = FeFunction.zero(u.space)
+    signed = -1.0 * zero
+    expected = {id(v): dataclasses.replace(op).jacobian(v).data
+                for v in (u, moved, signed)}
+    calls = []
+    monkeypatch.setattr(operators, "cell_gradients",
+                        lambda v: calls.append(1) or cell_gradients(v))
+    # the data are found by the space and the coefficient bits
+    op.residual(u)
+    assert np.array_equal(bits(op.jacobian(u.copy()).data),
+                          bits(expected[id(u)]))
+    assert len(calls) == 1
+    # the Jacobian frees them
+    op.jacobian(u)
+    assert len(calls) == 2
+    op.residual(zero)
+    assert np.array_equal(bits(op.jacobian(signed).data),
+                          bits(expected[id(signed)]))
+    assert len(calls) == 4
+    state = u.copy()
+    op.residual(state)
+    state.coeffs[0] = -state.coeffs[0]
+    assert np.array_equal(bits(op.jacobian(state).data),
+                          bits(expected[id(moved)]))
+    assert len(calls) == 6
+    # a stack is evaluated afresh and drops them
+    stack = FeFunction(u.space, np.stack([u.coeffs, -u.coeffs]))
+    op.residual(u)
+    op.pairing(stack, stack)
+    op.jacobian(u)
+    assert len(calls) == 9
+    # they live no longer than their state
+    state = u.copy()
+    op.residual(state)
+    assert op._last
+    del state
+    assert not op._last
