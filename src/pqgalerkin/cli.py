@@ -1,8 +1,9 @@
 """Command line front end: estimate, solve, verify.
 
-Configs are strict JSON: unknown keys are rejected so a typo cannot silently
-fall back to a default.  All outputs are deterministic for a fixed config and
-seed (sorted JSON keys, repr floats, non-finite floats as null, no timestamps).
+Configs are strict JSON: unknown and repeated keys are rejected so a typo
+cannot silently fall back to a default.  All outputs are deterministic for a
+fixed config and seed (sorted JSON keys, repr floats, non-finite floats as
+null, no timestamps).
 
 Exit codes: 0 success, 1 config or parse error, 2 hypothesis or regime
 precondition violation, 3 level-solve failure, 4 certification failure.
@@ -144,9 +145,18 @@ def _build_solver(block: Optional[dict]) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
+def _unique_keys(pairs: list) -> dict:
+    block = {}
+    for key, value in pairs:
+        if key in block:
+            raise ConfigError(f"duplicate key {key!r}")
+        block[key] = value
+    return block
+
+
 def load_config(path: str) -> dict:
     text = Path(path).read_text()
-    cfg = json.loads(text)
+    cfg = json.loads(text, object_pairs_hook=_unique_keys)
     _check_keys(cfg, {"problem", "mesh", "solver", "estimates", "output"},
                 {"problem", "mesh"}, "config")
     _check_keys(cfg["mesh"], {"base_cells", "levels"},

@@ -42,8 +42,7 @@ __all__ = [
     "audit_hypotheses",
     "EstimateReport",
     "compute_estimates",
-    "Lambda1Estimate",
-    "SobolevEstimate",
+    "ConstantEstimate",
 ]
 
 CONVENTIONS = ("standard", "paper")
@@ -75,18 +74,14 @@ def lambda1_interval(length: float, p: float) -> float:
 
 
 @dataclass(frozen=True)
-class Lambda1Estimate:
+class ConstantEstimate:
+    """A closed-form constant and the name of the bound it comes from."""
+
     value: float
     provenance: str
 
 
-@dataclass(frozen=True)
-class SobolevEstimate:
-    value: float
-    provenance: str
-
-
-def estimate_lambda1(domain: Domain, p: float) -> Lambda1Estimate:
+def estimate_lambda1(domain: Domain, p: float) -> ConstantEstimate:
     """A value at most the first Dirichlet eigenvalue of the p-Laplacian.
 
     Intervals get the exact value.  Rectangles get lambda1(L_x) + lambda1(L_y):
@@ -98,7 +93,7 @@ def estimate_lambda1(domain: Domain, p: float) -> Lambda1Estimate:
     """
     if domain.dim == 2 and p < 2.0:
         raise ValueError("the 2D eigenvalue bound needs p >= 2")
-    return Lambda1Estimate(
+    return ConstantEstimate(
         sum(lambda1_interval(length, p) for length in domain.side_lengths),
         "analytic-1d" if domain.dim == 1 else "lower-bound-2d")
 
@@ -107,7 +102,7 @@ def estimate_lambda1(domain: Domain, p: float) -> Lambda1Estimate:
 # sup-norm embedding constant
 # ---------------------------------------------------------------------------
 
-def sobolev_constant(domain: Domain, p: float) -> SobolevEstimate:
+def sobolev_constant(domain: Domain, p: float) -> ConstantEstimate:
     """Constant C with ||u||_sup <= C ||grad u||_p on zero-trace functions.
 
     In 2D, C is the constant of Gilbarg & Trudinger, Elliptic PDEs of Second
@@ -121,8 +116,8 @@ def sobolev_constant(domain: Domain, p: float) -> SobolevEstimate:
         raise ValueError("sup-norm control needs p > dimension")
     if domain.dim == 1:
         length = domain.side_lengths[0]
-        return SobolevEstimate((0.5 * length) ** ((p - 1.0) / p), "analytic-1d")
-    return SobolevEstimate(
+        return ConstantEstimate((0.5 * length) ** ((p - 1.0) / p), "analytic-1d")
+    return ConstantEstimate(
         math.sqrt(math.pi) / (2.0 * math.pi)
         * (2.0 * (p - 1.0) / (p - 2.0)) ** ((p - 1.0) / p)
         * domain.measure ** (0.5 - 1.0 / p), "analytic-2d")

@@ -2,7 +2,9 @@
 
 Degrees of freedom are the interior vertices in vertex-index order; boundary
 vertices always carry the value 0.  Gradients of P1 hats are cellwise
-constant, which the norm and assembly routines exploit throughout.
+constant, which the norm and assembly routines exploit throughout.  Each
+space owns its sparse matrices: the assembly plan, the assembly of cell
+blocks into it, and the sparse solve in the pattern of that plan.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .mesh import MeshLevel, quadrature_for
 
 __all__ = [
     "AssemblyPlan",
+    "assemble_matrix",
+    "sparse_solve",
     "FeSpace",
     "FeFunction",
     "DualVector",
@@ -29,7 +34,7 @@ __all__ = [
     "sup_norm",
     "pair",
     "vector_norm",
-    "last_axis_sum",
+    "axis_dot",
     "state_sums",
     "CHUNK_BYTES",
     "row_slices",
@@ -61,8 +66,8 @@ class FeSpace:
         self.cell_measures = mesh.cell_measures
         self.cell_dofs = self.vertex_to_dof[self.cells]
         # SuperLU's column order for the plan's pattern, recorded by the
-        # first sparse factorization on the space (see galerkin)
-        self.column_order = None
+        # first `sparse_solve` on the space
+        self._recorded_order = None
         self._build_geometry()
 
     def _build_geometry(self):
@@ -134,6 +139,74 @@ class FeSpace:
 
     def __repr__(self):
         return f"FeSpace(level={self.mesh.level}, dim={self.dim})"
+
+
+def assemble_matrix(space: FeSpace, blocks: np.ndarray) -> sp.csr_matrix:
+    """Sum per-cell (nv, nv) blocks into the CSR matrix over the dofs; the
+    rows and columns of boundary vertices are dropped.  The bits are those
+    of `sp.csr_matrix((data, (rows, cols)))`: the plan adds duplicates in
+    scipy's order, and an all -0.0 sum keeps the sign that bincount drops."""
+    plan = space.plan
+    vals = np.take(blocks, plan.block_sources)
+    data = np.bincount(plan.block_targets, weights=vals,
+                       minlength=plan.indices.size)
+    zero = data == 0.0
+    if zero.any():
+        data[zero & np.logical_and.reduceat(np.signbit(vals),
+                                            plan.starts)] = -0.0
+    return sp.csr_matrix((data, plan.indices, plan.indptr),
+                         shape=(space.dim, space.dim))
+
+
+# SuperLU's column order of a space's plan pattern: the inverse
+# permutation, the positions of the CSR data in that column order, and the
+# CSC pattern of the transpose with its columns in that order
+_ColumnOrder = namedtuple("_ColumnOrder",
+                          ["inverse", "take", "indices", "indptr"])
+
+
+def _column_order(plan: AssemblyPlan, inverse: np.ndarray) -> _ColumnOrder:
+    lengths = np.diff(plan.indptr)[inverse]
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intc)
+    take = (np.repeat(plan.indptr[:-1][inverse] - indptr[:-1], lengths)
+            + np.arange(indptr[-1]))
+    return _ColumnOrder(inverse, take, plan.indices[take], indptr)
+
+
+def sparse_solve(space: FeSpace, A: sp.csr_matrix,
+                 b: np.ndarray) -> np.ndarray:
+    """x with A x = b for a CSR matrix in the space's assembly pattern;
+    all NaN where A is exactly singular.
+
+    As spla.spsolve does for a CSR matrix, SuperLU factors the CSC view of
+    A^T and solves the transposed system.  Its fill-reducing column order
+    (COLAMD, then a column elimination tree postorder) depends on the
+    pattern alone, so the first factorization on a space records it on the
+    space; every later one takes the data into that order and factors in
+    natural order, which skips the ordering.  No factor is kept.  On every
+    level of the bench workloads each solve has the bits of spsolve.
+    """
+    order = space._recorded_order
+    if order is None:
+        data, indices, indptr, spec = A.data, A.indices, A.indptr, "COLAMD"
+    else:
+        data, indices, indptr = (np.take(A.data, order.take), order.indices,
+                                 order.indptr)
+        spec, b = "NATURAL", b[order.inverse]
+    try:
+        lu = spla.splu(sp.csc_matrix((data, indices, indptr), shape=A.shape),
+                       permc_spec=spec)
+    except RuntimeError:
+        # SuperLU raises on an exactly singular factor
+        return np.full(space.dim, np.nan)
+    x = lu.solve(b, trans="T")
+    if order is None:
+        inverse = np.argsort(lu.perm_c)
+        # free the factor first, so building the order adds nothing to the
+        # peak memory of the factorization
+        del lu
+        space._recorded_order = _column_order(space.plan, inverse)
+    return x
 
 
 @dataclass
@@ -229,14 +302,15 @@ def _cell_values(u: FeFunction) -> np.ndarray:
     return padded[..., u.space.cell_dofs]
 
 
-def last_axis_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the last axis from +0.0 in axis order.  That is the order in
-    which np.sum(a, axis=-1) runs over the short component and quadrature
-    axes of cell arrays, so the bits are its bits, at a fraction of its
-    cost."""
-    total = 0.0 + a[..., 0]
+def axis_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a[..., j] * b[..., j] over the last axis, which the two share,
+    with the leading axes broadcast.  The sum runs from +0.0 in axis order,
+    the order in which np.sum(a * b, axis=-1) runs over the short component
+    and quadrature axes of cell arrays, so the bits are its bits, at a
+    fraction of its cost."""
+    total = 0.0 + a[..., 0] * b[..., 0]
     for j in range(1, a.shape[-1]):
-        total = total + a[..., j]
+        total += a[..., j] * b[..., j]
     return total
 
 
@@ -244,7 +318,7 @@ def vector_norm(a: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis, the square root of the sum of
     squares in axis order: the bits of np.linalg.norm(a, axis=-1) on the
     one- and two-component vectors of the package's domains."""
-    return np.sqrt(last_axis_sum(a * a))
+    return np.sqrt(axis_dot(a, a))
 
 
 # bytes of one pointwise (rows, m, k) float array of a stack of states; a

@@ -15,20 +15,17 @@ term up from a zero start.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .estimates import EstimateReport, compute_estimates
-from .fespace import (FeFunction, FeSpace, grad_norm_lp, pair, prolongate,
-                      row_slices, sup_norm)
+from .fespace import (FeFunction, FeSpace, assemble_matrix, grad_norm_lp,
+                      pair, prolongate, row_slices, sparse_solve, sup_norm)
 from .mesh import build_mesh, refine
 from .operators import (DEFAULT_REGULARIZATION, AssemblyError, Problem,
-                        ProblemOperator, assemble_matrix, truncate_weight)
+                        ProblemOperator, truncate_weight)
 
 __all__ = [
     "SolveError",
@@ -112,61 +109,6 @@ def brouwer_guard(op: ProblemOperator, space: FeSpace, radius: float,
 
 
 # ---------------------------------------------------------------------------
-# sparse linear solves
-# ---------------------------------------------------------------------------
-
-# SuperLU's column order of a space's matrix pattern: the inverse
-# permutation, the positions of the CSR data in that column order, and the
-# CSC pattern of the transpose with its columns in that order
-_ColumnOrder = namedtuple("_ColumnOrder",
-                          ["inverse", "take", "indices", "indptr"])
-
-
-def _column_order(A: sp.csr_matrix, inverse: np.ndarray) -> _ColumnOrder:
-    lengths = np.diff(A.indptr)[inverse]
-    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intc)
-    take = (np.repeat(A.indptr[:-1][inverse] - indptr[:-1], lengths)
-            + np.arange(indptr[-1]))
-    return _ColumnOrder(inverse, take, A.indices[take], indptr)
-
-
-def _sparse_solve(space: FeSpace, A: sp.csr_matrix,
-                  b: np.ndarray) -> np.ndarray:
-    """x with A x = b for a CSR matrix in the space's assembly pattern;
-    all NaN where A is exactly singular.
-
-    As spla.spsolve does for a CSR matrix, SuperLU factors the CSC view of
-    A^T and solves the transposed system.  Its fill-reducing column order
-    (COLAMD, then a column elimination tree postorder) depends on the
-    pattern alone, so the first factorization on a space records it on the
-    space; every later one takes the data into that order and factors in
-    natural order, which skips the ordering.  No factor is kept.  On every
-    level of the bench workloads each solve has the bits of spsolve.
-    """
-    order = space.column_order
-    if order is None:
-        data, indices, indptr, spec = A.data, A.indices, A.indptr, "COLAMD"
-    else:
-        data, indices, indptr = (np.take(A.data, order.take), order.indices,
-                                 order.indptr)
-        spec, b = "NATURAL", b[order.inverse]
-    try:
-        lu = spla.splu(sp.csc_matrix((data, indices, indptr), shape=A.shape),
-                       permc_spec=spec)
-    except RuntimeError:
-        # SuperLU raises on an exactly singular factor
-        return np.full(space.dim, np.nan)
-    x = lu.solve(b, trans="T")
-    if order is None:
-        inverse = np.argsort(lu.perm_c)
-        # free the factor first, so building the order adds nothing to the
-        # peak memory of the factorization
-        del lu
-        space.column_order = _column_order(A, inverse)
-    return x
-
-
-# ---------------------------------------------------------------------------
 # damped Newton
 # ---------------------------------------------------------------------------
 
@@ -199,7 +141,7 @@ def _newton(op, u0: FeFunction, cfg: SolverConfig) -> tuple:
         if its >= cfg.max_iterations:
             return u, _NewtonInfo(False, its, res_sup, "iteration cap")
         # a singular Jacobian gives a NaN step
-        delta = _sparse_solve(u.space, op.jacobian(u), -F)
+        delta = sparse_solve(u.space, op.jacobian(u), -F)
         if not np.all(np.isfinite(delta)) or not np.any(delta):
             return u, _NewtonInfo(False, its, res_sup, "degenerate step")
         merit = _merit(F)
@@ -219,14 +161,14 @@ def _newton(op, u0: FeFunction, cfg: SolverConfig) -> tuple:
 def _linear_predictor(op: ProblemOperator, space: FeSpace) -> FeFunction:
     """Seed for the monotone core: solve a0 * stiffness = load at zero."""
     zero = FeFunction.zero(space)
-    # the f-part of the residual is minus the scaled load
-    load = -op.parts(zero)[2].values
+    # at zero the residual is its f-part, minus the scaled load
+    load = -op.residual(zero).values
     if not np.any(load):
         return zero
     stiffness = (np.einsum("cvd,cwd->cvw", space.grads, space.grads)
                  * space.cell_measures[:, None, None])
     K = op.weight.lower_bound * assemble_matrix(space, stiffness)
-    return FeFunction(space, _sparse_solve(space, K, load))
+    return FeFunction(space, sparse_solve(space, K, load))
 
 
 def _walk(stages: List[ProblemOperator], u: FeFunction, cfg: SolverConfig):

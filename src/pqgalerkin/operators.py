@@ -21,9 +21,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import (DualVector, FeFunction, FeSpace, cell_gradients,
-                      last_axis_sum, row_slices, state_sums, values_at_qp,
-                      vector_norm)
+from .fespace import (DualVector, FeFunction, FeSpace, assemble_matrix,
+                      axis_dot, cell_gradients, row_slices, state_sums,
+                      values_at_qp, vector_norm)
 from .mesh import Domain
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "adversarial_convection",
     "Problem",
     "qp_dual",
-    "assemble_matrix",
     "power_flux_pairing",
     "ProblemOperator",
 ]
@@ -413,19 +412,11 @@ def _scatter(space: FeSpace, cell_contrib: np.ndarray, label: str) -> np.ndarray
                        minlength=space.dim)
 
 
-def _dot_grads(flux: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """flux . grad phi_v per cell and vertex, (m, nv), summed over d from
-    0.0 in the order of einsum("cd,cvd->cv", flux, G), whose bits it
-    carries."""
-    out = np.zeros(G.shape[:2])
-    for d in range(G.shape[-1]):
-        out += flux[:, None, d] * G[:, :, d]
-    return out
-
-
 def _flux_dual(space: FeSpace, flux: np.ndarray, cell_w: np.ndarray,
                label: str) -> np.ndarray:
-    contrib = _dot_grads(flux, space.grads) * cell_w[:, None]
+    # flux . grad phi_v per cell and vertex, the bits of
+    # einsum("cd,cvd->cv", flux, grads)
+    contrib = axis_dot(flux[:, None, :], space.grads) * cell_w[:, None]
     return _scatter(space, contrib, label)
 
 
@@ -433,40 +424,18 @@ def _flux_pairing(flux: np.ndarray, cell_w: np.ndarray,
                   grad_v: np.ndarray):
     """int cell_w flux . grad_v over the cells; fluxes and gradients of
     shape (..., m, d) give one value per leading index.  The cellwise dot
-    sums over d from 0.0 as einsum("cd,cd->c") does."""
-    dot = np.zeros(grad_v.shape[:-1])
-    for d in range(grad_v.shape[-1]):
-        dot += flux[..., d] * grad_v[..., d]
-    return state_sums(cell_w * dot, 1)
+    has the bits of einsum("cd,cd->c")."""
+    return state_sums(cell_w * axis_dot(flux, grad_v), 1)
 
 
 def qp_dual(space: FeSpace, qp_values: np.ndarray, label: str) -> np.ndarray:
     """Entries int w phi_i by the cell rule for w given at the quadrature
     points; raises AssemblyError naming the first nonfinite cell."""
     weighted = space.qp_weights * qp_values
-    # summed point by point from 0.0, as einsum("cq,cq,vq->cv", ...) does,
-    # into (nv, m) rows: numpy runs fastest along the long cell axis
-    contrib = np.zeros(space.cell_dofs.shape[::-1])
-    for w, phi in zip(weighted.T, space.basis_qp.T):
-        contrib += phi[:, None] * w
+    # the bits of einsum("cq,cq,vq->cv", ...), summed into (nv, m) rows:
+    # numpy runs fastest along the long cell axis
+    contrib = axis_dot(space.basis_qp[:, None, :], weighted)
     return _scatter(space, contrib.T, label)
-
-
-def assemble_matrix(space: FeSpace, blocks: np.ndarray) -> sp.csr_matrix:
-    """Sum per-cell (nv, nv) blocks into the CSR matrix over the dofs; the
-    rows and columns of boundary vertices are dropped.  The bits are those
-    of `sp.csr_matrix((data, (rows, cols)))`: the plan adds duplicates in
-    scipy's order, and an all -0.0 sum keeps the sign that bincount drops."""
-    plan = space.plan
-    vals = np.take(blocks, plan.block_sources)
-    data = np.bincount(plan.block_targets, weights=vals,
-                       minlength=plan.indices.size)
-    zero = data == 0.0
-    if zero.any():
-        data[zero & np.logical_and.reduceat(np.signbit(vals),
-                                            plan.starts)] = -0.0
-    return sp.csr_matrix((data, plan.indices, plan.indptr),
-                         shape=(space.dim, space.dim))
 
 
 def power_flux_pairing(u: FeFunction, grad_v: np.ndarray, exponent: float):
@@ -507,7 +476,7 @@ class ProblemOperator:
 
     def _p_term(self, space: FeSpace, grad: np.ndarray, u_qp: np.ndarray):
         """(flux, cell weight) of the p-term; g_R enters the cell weight."""
-        g_int = last_axis_sum(space.qp_weights * self.weight.evaluate(u_qp))
+        g_int = axis_dot(space.qp_weights, self.weight.evaluate(u_qp))
         return _power_flux(grad, self.problem.p, self.eps), g_int
 
     def _convection(self, space: FeSpace, grad: np.ndarray, u_qp: np.ndarray):
@@ -557,15 +526,11 @@ class ProblemOperator:
                 - self.load_factor
                 * state_sums(u.space.qp_weights * fvals * v_qp, 2))
 
-    def parts(self, u: FeFunction) -> Tuple[DualVector, DualVector, DualVector]:
-        """Signed p-, q- and f-parts; they sum to `residual(u)`."""
-        return tuple(DualVector(u.space, part)
-                     for part in self._signed_parts(u.space, self._terms(u)))
-
     def parts_and_pairing(self, u: FeFunction, v: FeFunction):
-        """`parts(u)` and `pairing(u, v)` from one evaluation of u's
-        pointwise data: the dual-vector and direct routes that the
-        condition-(c) table compares."""
+        """The signed p-, q- and f-parts of u, which sum to `residual(u)`,
+        and `pairing(u, v)`, from one evaluation of u's pointwise data: the
+        dual-vector and direct routes that the condition-(c) table
+        compares."""
         terms = self._terms(u)
         return (tuple(DualVector(u.space, part)
                       for part in self._signed_parts(u.space, terms)),
@@ -597,7 +562,7 @@ class ProblemOperator:
         # the cell weight of the p-term depends on u through g_R
         dg_w = np.einsum("cwk,ck->cw", w_phi,
                          _central_diff(self.weight.evaluate, u_qp))
-        p_dot = _dot_grads(p_flux, G)
+        p_dot = axis_dot(p_flux[:, None, :], G)
         blocks += p_dot[:, :, None] * dg_w[:, None, :]
 
         f_s = _central_diff(lambda s: self._convection(space, grad, s), u_qp)

@@ -124,6 +124,17 @@ def test_removed_key_is_exit_1_without_traceback(tmp_path, capsys, dotted):
         f"config error: {block}: unknown keys ['{key}']\n")
 
 
+def test_repeated_key_is_exit_1_without_traceback(tmp_path, capsys):
+    # json.loads would keep the last of the two and solve 2 levels
+    text = json.dumps(base_config()).replace(
+        '"levels": 3', '"levels": 6, "levels": 2')
+    assert '"levels": 6, "levels": 2' in text
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert_every_command_fails(tmp_path, capsys, str(path), 1,
+                               "config error: duplicate key 'levels'\n")
+
+
 def config_with(path, value):
     """base_config() with the entry at the key path set to `value`; missing
     optional blocks are created."""

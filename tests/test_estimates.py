@@ -294,7 +294,7 @@ def test_rhs_estimate_audit():
     for _ in range(500):
         u = FeFunction(space, rng.standard_normal(space.dim))
         v = FeFunction(space, rng.standard_normal(space.dim))
-        lhs = abs(pair(op.parts(u)[2], v))
+        lhs = abs(pair(op.parts_and_pairing(u, u)[0][2], v))
         rhs = C * (sigma_norm + lr_norm(u, h2.r2) ** h2.r2
                    + grad_norm_lp(u, p) ** (p - 1.0)) * grad_norm_lp(v, p)
         assert lhs <= rhs * (1.0 + 1e-12)
@@ -316,7 +316,7 @@ def test_nemytskij_surrogate_bound():
     phi_norms = np.array([grad_norm_lp(phi, p) for phi in basis])
     for _ in range(100):
         u = FeFunction(space, rng.standard_normal(space.dim))
-        dual = op.parts(u)[2]
+        dual = op.parts_and_pairing(u, u)[0][2]
         surrogate = float(np.max(np.abs(dual.values) / phi_norms))
         bound = C * (sigma_norm + lr_norm(u, h2.r2) ** h2.r2
                      + grad_norm_lp(u, p) ** (p - 1.0))

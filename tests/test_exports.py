@@ -206,7 +206,7 @@ def test_spsolve_check_flags_each_form():
               "x = spla.spsolve(A, b)\n"
               "solve = scipy.sparse.linalg.spsolve\n"
               "y = spsolve(A, b)\n"
-              "z = _sparse_solve(space, A, b)\n")
+              "z = sparse_solve(space, A, b)\n")
     assert _spsolve_uses(source) == [1, 2, 3, 4]
 
 
@@ -214,6 +214,62 @@ def test_spsolve_check_flags_each_form():
     "path", sorted(Path(pqgalerkin.__file__).parent.glob("*.py")),
     ids=lambda p: p.name)
 def test_sparse_solves_share_the_factor_path(path):
-    # every sparse solve goes through galerkin's one splu path, which
+    # every sparse solve goes through fespace's one splu path, which
     # reuses each space's column order
     assert _spsolve_uses(path.read_text()) == []
+
+
+def _sparse_linalg_imports(source: str):
+    """Line numbers of imports of scipy.sparse.linalg, by module path or as
+    an imported name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
+        else:
+            continue
+        if any(name.startswith("scipy.sparse.linalg") for name in names):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_sparse_linalg_import_check_flags_each_form():
+    source = ("import scipy.sparse.linalg as spla\n"
+              "from scipy.sparse.linalg import splu\n"
+              "from scipy.sparse import linalg\n"
+              "import scipy.sparse.linalg\n"
+              "import scipy.sparse as sp\n"
+              "from scipy.sparse import csr_matrix\n")
+    assert _sparse_linalg_imports(source) == [1, 2, 3, 4]
+
+
+def _recorded_order_uses(source: str):
+    """Line numbers where a space's recorded column order is read or
+    written, under its present or its former public name."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in ("_recorded_order", "column_order")})
+
+
+def test_recorded_order_check_flags_each_form():
+    source = ("order = space._recorded_order\n"
+              "space._recorded_order = None\n"
+              "space.column_order = order\n"
+              "order = _column_order(plan, inverse)\n")
+    assert _recorded_order_uses(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", MODULE_PATHS, ids=lambda p: p.name)
+def test_only_fespace_factors_sparse_matrices(path):
+    # fespace owns each space's sparse matrices: it alone loads SuperLU
+    # and it alone reads or writes the column order a space records
+    if path.name == "fespace.py":
+        source = path.read_text()
+        assert _sparse_linalg_imports(source) != []
+        assert _recorded_order_uses(source) != []
+    else:
+        assert _sparse_linalg_imports(path.read_text()) == []
+        assert _recorded_order_uses(path.read_text()) == []

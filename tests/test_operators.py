@@ -7,13 +7,13 @@ import pytest
 import scipy.sparse as sp
 
 from pqgalerkin import cli, fespace, operators
-from pqgalerkin.fespace import (FeFunction, FeSpace, cell_gradients,
-                                grad_norm_lp, lr_norm, pair)
+from pqgalerkin.fespace import (FeFunction, FeSpace, assemble_matrix,
+                                cell_gradients, grad_norm_lp, lr_norm, pair)
 from pqgalerkin.mesh import Domain, build_mesh, refine
 from pqgalerkin.operators import (AssemblyError, ConvectionFamily, GrowthH2,
                                   HypothesisViolation, Problem,
                                   ProblemOperator, SignH3,
-                                  adversarial_convection, assemble_matrix,
+                                  adversarial_convection,
                                   constant_convection,
                                   constant_weight, power_flux_pairing,
                                   qp_dual, quadratic_weight,
@@ -130,7 +130,7 @@ def test_variants_differ_by_twice_q_term():
     for _ in range(10):
         u = FeFunction(space, rng.standard_normal(space.dim))
         # the cooperative q-part carries the + sign
-        _, q_dual, _ = coop_op.parts(u)
+        _, q_dual, _ = coop_op.parts_and_pairing(u, u)[0]
         diff = coop_op.residual(u).values - comp_op.residual(u).values
         np.testing.assert_allclose(diff, 2.0 * q_dual.values,
                                    rtol=1e-12, atol=1e-13)
@@ -159,7 +159,7 @@ def test_coercivity_floor():
     rng = np.random.default_rng(3)
     for _ in range(200):
         u = FeFunction(space, rng.standard_normal(space.dim))
-        energy = pair(op.parts(u)[0], u)
+        energy = pair(op.parts_and_pairing(u, u)[0][0], u)
         floor = gr.lower_bound * grad_norm_lp(u, p) ** p
         assert energy >= floor * (1.0 - 1e-12)
 
@@ -183,7 +183,7 @@ def test_growth_bound_discrete():
     for _ in range(200):
         u = FeFunction(space, rng.standard_normal(space.dim))
         v = FeFunction(space, rng.standard_normal(space.dim))
-        lhs = abs(pair(op.parts(u)[2], v))
+        lhs = abs(pair(op.parts_and_pairing(u, u)[0][2], v))
         rhs = C * (sigma_norm + lr_norm(u, h2.r2) ** h2.r2
                    + grad_norm_lp(u, p) ** (p - 1.0)) * grad_norm_lp(v, p)
         assert lhs <= rhs * (1.0 + 1e-12)
@@ -547,13 +547,21 @@ def test_vector_norm_matches_numpy_bit_for_bit(dim):
                                   bits(np.linalg.norm(a, axis=-1)))
 
 
+@pytest.mark.parametrize("shapes", [((300,), (300,)),
+                                    ((4, 300), (4, 300)),
+                                    ((300,), (4, 300)),
+                                    # qp_dual's (nv, 1, k) x (m, k)
+                                    ((3, 1), (300,))],
+                         ids=["cells", "stack", "broadcast", "qp-dual"])
 @pytest.mark.parametrize("k", [1, 2, 6])
-def test_last_axis_sum_matches_numpy_bit_for_bit(k):
+def test_axis_dot_matches_numpy_bit_for_bit(k, shapes):
     rng = np.random.default_rng(19)
-    for shape in [(300, k), (4, 300, k)]:
-        a = signed_spread(rng, shape)
-        assert np.array_equal(bits(fespace.last_axis_sum(a)),
-                              bits(np.sum(a, axis=-1)))
+    a_shape, b_shape = (shape + (k,) for shape in shapes)
+    a, b = signed_spread(rng, a_shape), signed_spread(rng, b_shape)
+    assert np.array_equal(bits(fespace.axis_dot(a, np.ones(k))),
+                          bits(np.sum(a, axis=-1)))
+    assert np.array_equal(bits(fespace.axis_dot(a, b)),
+                          bits(np.sum(a * b, axis=-1)))
 
 
 def rows_per_chunk(space):
@@ -625,8 +633,11 @@ def test_parts_and_pairing_match_the_two_routes():
         u.space.dim))
     parts, direct = op.parts_and_pairing(u, v)
     assert direct == op.pairing(u, v)
-    for got, ref in zip(parts, op.parts(u)):
+    for got, ref in zip(parts, op.parts_and_pairing(u, u)[0]):
         assert np.array_equal(bits(got.values), bits(ref.values))
+    p_part, q_part, f_part = parts
+    assert np.array_equal(bits((p_part + q_part + f_part).values),
+                          bits(op.residual(u).values))
 
 
 GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
@@ -666,8 +677,10 @@ def test_flux_contractions_match_einsum_bit_for_bit(dim):
         flux = signed_spread(rng, (m, dim))
         grad_v = signed_spread(rng, (m, dim))
         G, cell_w = signed_spread(rng, (m, nv, dim)), spread(rng, m)
-        assert np.array_equal(bits(operators._dot_grads(flux, G)),
+        assert np.array_equal(bits(fespace.axis_dot(flux[:, None, :], G)),
                               bits(np.einsum("cd,cvd->cv", flux, G)))
+        assert np.array_equal(bits(fespace.axis_dot(flux, grad_v)),
+                              bits(np.einsum("cd,cd->c", flux, grad_v)))
         reference = np.sum(cell_w * np.einsum("cd,cd->c", flux, grad_v))
         assert bits(operators._flux_pairing(flux, cell_w, grad_v)) \
             == bits(reference)
