@@ -137,6 +137,14 @@ class FeSpace:
         return sp.csr_matrix((vals[keep], cols[keep], indptr),
                              shape=(m * d, self.dim))
 
+    @functools.cached_property
+    def stiffness_blocks(self) -> np.ndarray:
+        """Cell blocks G G^T of shape (m, nv, nv), grad phi_v . grad phi_w
+        without the cell measure, built on first use; read-only."""
+        blocks = np.einsum("cvd,cwd->cvw", self.grads, self.grads)
+        blocks.flags.writeable = False
+        return blocks
+
     def __repr__(self):
         return f"FeSpace(level={self.mesh.level}, dim={self.dim})"
 

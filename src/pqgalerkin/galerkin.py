@@ -165,8 +165,7 @@ def _linear_predictor(op: ProblemOperator, space: FeSpace) -> FeFunction:
     load = -op.residual(zero).values
     if not np.any(load):
         return zero
-    stiffness = (np.einsum("cvd,cwd->cvw", space.grads, space.grads)
-                 * space.cell_measures[:, None, None])
+    stiffness = space.stiffness_blocks * space.cell_measures[:, None, None]
     K = op.weight.lower_bound * assemble_matrix(space, stiffness)
     return FeFunction(space, sparse_solve(space, K, load))
 

@@ -65,9 +65,12 @@ class HypothesisViolation(ValueError):
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Continuous weight t -> g(t) bounded below by `lower_bound` > 0."""
+    """Continuous weight t -> g(t) bounded below by `lower_bound` > 0,
+    with its declared derivative t -> g'(t), which the Jacobian integrates
+    in place of differencing g.  Both maps are elementwise."""
 
     fn: Callable[[np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray], np.ndarray]
     lower_bound: float
     tag: str
 
@@ -82,7 +85,8 @@ class WeightFunction:
 
 def constant_weight(value: float) -> WeightFunction:
     value = float(value)
-    return WeightFunction(lambda t: np.full_like(t, value), value, f"constant({value})")
+    return WeightFunction(lambda t: np.full_like(t, value), np.zeros_like,
+                          value, f"constant({value})")
 
 
 def quadratic_weight(base: float, coef: float = 1.0) -> WeightFunction:
@@ -90,17 +94,28 @@ def quadratic_weight(base: float, coef: float = 1.0) -> WeightFunction:
     base, coef = float(base), float(coef)
     if coef < 0.0:
         raise HypothesisViolation("(H1) needs coef >= 0 for a quadratic weight")
-    return WeightFunction(lambda t: base + coef * t * t, base,
+    return WeightFunction(lambda t: base + coef * t * t,
+                          lambda t: 2.0 * coef * t, base,
                           f"quadratic({base},{coef})")
 
 
 def truncate_weight(weight: WeightFunction, radius: float) -> WeightFunction:
-    """g_R(t) = g(clamp(t, -R, R)): constant continuation outside [-R, R]."""
+    """g_R(t) = g(clamp(t, -R, R)): constant continuation outside [-R, R].
+
+    Its derivative is g'(t) for |t| < R and 0 for |t| >= R.  At the kinks
+    t = +-R, where the one-sided slopes are g'(+-R) and 0, the declared 0 is
+    a generalized derivative: it lies in Clarke's interval between them.
+    """
     radius = float(radius)
     if not radius > 0.0:
         raise ValueError(f"truncation radius must be positive, got {radius}")
+
+    def derivative(t):
+        return np.where(np.abs(t) < radius,
+                        weight.derivative(np.clip(t, -radius, radius)), 0.0)
+
     return WeightFunction(lambda t: weight.fn(np.clip(t, -radius, radius)),
-                          weight.lower_bound,
+                          derivative, weight.lower_bound,
                           f"truncated({weight.tag},R={radius})")
 
 
@@ -153,18 +168,24 @@ class GrowthH4:
 
 @dataclass(frozen=True)
 class ConvectionFamily:
-    """Right-hand side f(x, s, xi) together with its declared growth data.
+    """Right-hand side f(x, s, xi) together with its declared partial
+    derivatives and growth data.
 
-    The evaluator broadcasts over leading axes.  The operator passes x of
+    The evaluators broadcast over leading axes.  The operator passes x of
     shape (m, k, d) and s of shape (m, k), the k quadrature points of m
-    cells, and xi of shape (m, 1, d), one gradient per cell; the result has
-    the shape of s.  A stack of B states adds one leading axis to s and xi,
-    (B, m, k) and (B, m, 1, d).  Constants for the different hypotheses are
-    stored separately and never substituted for one another.
+    cells, and xi of shape (m, 1, d), one gradient per cell; `fn` and `ds`,
+    which gives df/ds, return the shape of s, and `dxi`, which gives df/dxi,
+    returns that shape with a trailing d axis.  A stack of B states adds one
+    leading axis to s and xi, (B, m, k) and (B, m, 1, d).  Where f has a
+    kink, the partials declare a generalized value there and the family's
+    docstring names it.  Constants for the different hypotheses are stored
+    separately and never substituted for one another.
     """
 
     name: str
     fn: Callable[..., np.ndarray]
+    ds: Callable[..., np.ndarray]
+    dxi: Callable[..., np.ndarray]
     h2: GrowthH2
     h3: Optional[SignH3] = None
     h3a: Optional[SignH3a] = None
@@ -176,6 +197,25 @@ class ConvectionFamily:
                                   np.asarray(xi, dtype=float)), dtype=float)
 
 
+def _no_slope(x, s, xi):
+    return np.zeros_like(s)
+
+
+def _no_gradient_slope(x, s, xi):
+    return np.zeros(np.shape(s) + np.shape(xi)[-1:])
+
+
+def _times_unit_power(c, xi, exponent: float, scale: float):
+    """c[..., None] scale |xi|^{e-2} xi, with |xi|^{e-2} xi taken as 0 at
+    xi = 0, where it has no limit for e < 2.  The component axis is
+    outermost in memory, so each component is one contiguous array."""
+    amp = vector_norm(xi)
+    nonzero = amp > 0.0
+    factor = np.where(nonzero, scale * np.where(nonzero, amp, 1.0)
+                      ** (exponent - 2.0), 0.0)
+    return np.moveaxis(c * np.moveaxis(factor[..., None] * xi, -1, 0), 0, -1)
+
+
 def zero_convection() -> ConvectionFamily:
     def fn(x, s, xi):
         return np.zeros_like(s)
@@ -183,6 +223,8 @@ def zero_convection() -> ConvectionFamily:
     return ConvectionFamily(
         name="zero",
         fn=fn,
+        ds=_no_slope,
+        dxi=_no_gradient_slope,
         h2=GrowthH2(0.0, 0.0, 0.0, 1.0, 1.0),
         h3=SignH3(0.0, 0.0, 1.0),
         h3a=SignH3a(0.0, 0.0),
@@ -200,6 +242,8 @@ def constant_convection(value: float) -> ConvectionFamily:
     return ConvectionFamily(
         name=f"constant({value})",
         fn=fn,
+        ds=_no_slope,
+        dxi=_no_gradient_slope,
         h2=GrowthH2(mag, 0.0, 0.0, 1.0, 1.0),
         h3=SignH3(0.0, mag, 1.0),
         h3a=SignH3a(0.0, mag),
@@ -219,6 +263,12 @@ def saturating_convection(p: float, alpha: float = 2.0, h_bound: float = 1.0,
     and |xi|^{p-1} <= |xi|^p / 2 + 2^{p-1} translates these into the declared
     constants below (for alpha < 2 the power |s|^{alpha-1} <= 1 + |s| shifts
     one unit into the constant term).
+
+    The partials are df/ds = (alpha-1)|s|^{alpha-2} + (1-s^2)/(1+s^2)^2
+    (|xi|^{p-1} + h) and df/dxi = s/(1+s^2) (p-1)|xi|^{p-3} xi, the latter
+    taken as 0 at xi = 0.  For alpha < 2 the power term has an infinite
+    slope at s = 0; its declared slope there is 0, a generalized value that
+    drops the power term from the Jacobian where u vanishes.
     """
     p, alpha, h_bound, offset = map(float, (p, alpha, h_bound, offset))
     if p <= 1.0:
@@ -237,6 +287,22 @@ def saturating_convection(p: float, alpha: float = 2.0, h_bound: float = 1.0,
             else np.sign(s) * np.abs(s) ** (alpha - 1.0)
         return power + s / (1.0 + s * s) * (amp ** (p - 1.0) + h_bound) + offset
 
+    def ds(x, s, xi):
+        sq = s * s
+        den = 1.0 + sq
+        slope = (1.0 - sq) / (den * den) * (vector_norm(xi) ** (p - 1.0)
+                                            + h_bound)
+        if alpha == 2.0:
+            return slope + 1.0
+        mag = np.abs(s)
+        nonzero = mag > 0.0
+        return slope + np.where(
+            nonzero, (alpha - 1.0) * np.where(nonzero, mag, 1.0)
+            ** (alpha - 2.0), 0.0)
+
+    def dxi(x, s, xi):
+        return _times_unit_power(s / (1.0 + s * s), xi, p - 1.0, p - 1.0)
+
     if alpha >= 2.0:
         sigma2 = 0.5 * h_bound + abs(offset)
         r2 = alpha - 1.0
@@ -252,21 +318,37 @@ def saturating_convection(p: float, alpha: float = 2.0, h_bound: float = 1.0,
                   s_exponent=max(alpha - 1.0, 1.0), xi_exponent=p - 1.0)
     return ConvectionFamily(
         name=f"saturating(alpha={alpha},h={h_bound},offset={offset})",
-        fn=fn, h2=h2, h3=h3, h3a=h3a, h4=h4)
+        fn=fn, ds=ds, dxi=dxi, h2=h2, h3=h3, h3a=h3a, h4=h4)
 
 
 def adversarial_convection(a0: float, p: float) -> ConvectionFamily:
     """f = 2 a0 |xi|^p sign(s) / (1 + |s|): grows too fast for any valid
-    sign condition because f s approaches 2 a0 |xi|^p > c0 |xi|^p."""
+    sign condition because f s approaches 2 a0 |xi|^p > c0 |xi|^p.
+
+    For s != 0 the partials are df/ds = -2 a0 |xi|^p / (1 + |s|)^2 and
+    df/dxi = 2 a0 p |xi|^{p-2} xi sign(s) / (1 + |s|).  f jumps at s = 0;
+    the declared df/ds there is -2 a0 |xi|^p, the common limit of the two
+    one-sided slopes, and df/dxi there is 0, the slope of f(x, 0, .) = 0.
+    """
     a0, p = float(a0), float(p)
 
     def fn(x, s, xi):
         amp = vector_norm(xi)
         return 2.0 * a0 * amp ** p * np.sign(s) / (1.0 + np.abs(s))
 
+    def ds(x, s, xi):
+        den = 1.0 + np.abs(s)
+        return -2.0 * a0 * vector_norm(xi) ** p / (den * den)
+
+    def dxi(x, s, xi):
+        return _times_unit_power(np.sign(s) / (1.0 + np.abs(s)), xi, p,
+                                 2.0 * a0 * p)
+
     return ConvectionFamily(
         name=f"adversarial(a0={a0})",
         fn=fn,
+        ds=ds,
+        dxi=dxi,
         h2=GrowthH2(0.0, 0.0, 2.0 * a0, 1.0, 1.0),
         h3=SignH3(c0=0.5 * a0, c1=1.0, alpha=1.0),
     )
@@ -361,43 +443,18 @@ def _power_flux(grad: np.ndarray, exponent: float, eps: float) -> np.ndarray:
     return factor[..., None] * grad
 
 
-def _flux_derivative(grad: np.ndarray, exponent: float,
-                     eps: float) -> np.ndarray:
-    """d(flux)/d(grad) of `_power_flux`, |g|^{e-2}(I + (e-2) g g^T/|g|^2),
-    with |g|^2 -> |g|^2 + eps^2 on the same regularized cells; (m, d, d).
-    At e = 2 that is 1 * (I + 0 * outer): the identity, to the bit."""
+def _flux_slopes(amp: np.ndarray, exponent: float, eps: float):
+    """(c_I, c_o) with d(flux)/d(grad) = c_I I + c_o g g^T for the
+    `_power_flux` of cell gradients g of norm `amp`: |g|^{e-2} and
+    (e-2)|g|^{e-4}, with |g|^2 -> |g|^2 + eps^2 on the same regularized
+    cells, and c_o = 0 where g = 0; (1, 0) at e = 2."""
     if exponent == 2.0:
-        return np.broadcast_to(np.eye(grad.shape[1]), grad.shape + grad.shape[1:])
-    amp = vector_norm(grad)
+        return 1.0, 0.0
     sq = amp * amp
     if exponent < 2.0:
         sq = np.where(amp < eps, sq + eps * eps, sq)
-    outer = (np.einsum("cd,ce->cde", grad, grad)
-             / np.where(sq > 0.0, sq, 1.0)[:, None, None])
-    return (sq ** (0.5 * (exponent - 2.0)))[:, None, None] * (
-        np.eye(grad.shape[-1]) + (exponent - 2.0) * outer)
-
-
-# about the cube root of the machine epsilon, which balances the truncation
-# and rounding errors of a central difference
-_DIFF_STEP = 6e-6
-
-
-def _central_diff(fn: Callable[[np.ndarray], np.ndarray],
-                  x: np.ndarray) -> np.ndarray:
-    """Derivative of an elementwise map at x, step scaled to max(1, |x|)."""
-    h = _DIFF_STEP * np.maximum(1.0, np.abs(x))
-    hi, lo = x + h, x - h
-    return (fn(hi) - fn(lo)) / (hi - lo)
-
-
-def _gradient_blocks(G: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Cell blocks G D G^T, summed over (d, e) from 0.0 in the order of
-    einsum("cvd,cde,cwe->cvw", G, D, G), whose bits they carry."""
-    blocks = np.zeros(G.shape[:2] + G.shape[1:2])
-    for d, e in np.ndindex(D.shape[1:]):
-        blocks += (G[:, :, None, d] * D[:, None, None, d, e]) * G[:, None, :, e]
-    return blocks
+    c_id = sq ** (0.5 * (exponent - 2.0))
+    return c_id, (exponent - 2.0) * c_id / np.where(sq > 0.0, sq, 1.0)
 
 
 def _scatter(space: FeSpace, cell_contrib: np.ndarray, label: str) -> np.ndarray:
@@ -541,39 +598,47 @@ class ProblemOperator:
         return DualVector(u.space, p_part + q_part + f_part)
 
     def jacobian(self, u: FeFunction) -> sp.csr_matrix:
-        """CSR matrix of dF_i/du_j for F = residual(u).
+        """CSR matrix of dF_i/du_j for F = residual(u), in closed form.
 
-        The flux derivatives are in closed form; g_R' and the partial
-        derivatives of f are pointwise central differences at the quadrature
-        points, so their error does not grow as the mesh refines.
+        On a P1 cell with gradient rows G, basis values Phi at the
+        quadrature points and weights w, the flux derivative is
+        c_I I + c_o g g^T, so G D G^T is c_I (G G^T) + c_o (G g)(G g)^T;
+        the g_R' term is (G . flux_p) x ((w g_R') Phi^T), and the
+        convection term is (w f_s)(Phi x Phi) + sum_d ((w f_xi,d) Phi^T) x
+        G_d.  g_R', f_s and f_xi are the declared derivatives, so neither
+        the weight nor the convection is evaluated here; at their kinks the
+        declared generalized values make Newton a semismooth Newton method.
         """
-        space, problem = u.space, self.problem
-        (grad, u_qp), (p_flux, p_w), _, _ = self._terms(u)
+        space, problem, family = u.space, self.problem, self.problem.convection
+        (grad, u_qp), (_, p_w), _, _ = self._terms(u)
         # the kept data have served the Newton step; free them before the
         # step's factorization
         self._last.clear()
-        G, phi = space.grads, space.basis_qp
-        w_phi = space.qp_weights[:, None, :] * phi              # (m, nv, k)
-        q_w = problem.q_sign * self.q_factor * space.cell_measures
-        D = (p_w[:, None, None] * _flux_derivative(grad, problem.p, self.eps)
-             + q_w[:, None, None]
-             * _flux_derivative(grad, problem.q, self.eps))
-        blocks = _gradient_blocks(G, D)
-        # the cell weight of the p-term depends on u through g_R
-        dg_w = np.einsum("cwk,ck->cw", w_phi,
-                         _central_diff(self.weight.evaluate, u_qp))
-        p_dot = axis_dot(p_flux[:, None, :], G)
-        blocks += p_dot[:, :, None] * dg_w[:, None, :]
-
-        f_s = _central_diff(lambda s: self._convection(space, grad, s), u_qp)
-        f_w = np.einsum("ck,wk->ckw", f_s, phi)
-        comp = np.arange(grad.shape[-1])
-        for d in comp:
-            # perturb component d of the one gradient of each cell
-            f_xi = _central_diff(lambda t: self._convection(
-                space, np.where(comp == d, t, grad), u_qp), grad[:, d, None])
-            f_w += np.einsum("ck,cw->ckw", f_xi, G[:, :, d])
-        blocks -= self.load_factor * np.einsum("cvk,ckw->cvw", w_phi, f_w)
+        G, phi, w = space.grads, space.basis_qp, space.qp_weights
+        # cell coefficients as (m, 1) columns; scalars at exponent 2
+        amp = vector_norm(grad)[:, None]
+        p_id, p_outer = _flux_slopes(amp, problem.p, self.eps)
+        q_id, q_outer = _flux_slopes(amp, problem.q, self.eps)
+        p_w = p_w[:, None]
+        q_w = (problem.q_sign * self.q_factor * space.cell_measures)[:, None]
+        blocks = (p_w * p_id + q_w * q_id)[:, :, None] * space.stiffness_blocks
+        # both rank-one terms share the row factor G g: the outer-product
+        # part of the flux derivatives, and the p-flux term G . flux_p =
+        # c_I(p) G g times the cell weight's derivative through g_R
+        g_dot = axis_dot(grad[:, None, :], G)                   # (m, nv)
+        dg_w = (w * self.weight.derivative(u_qp)) @ phi.T
+        cols = (p_w * p_outer + q_w * q_outer) * g_dot + p_id * dg_w
+        blocks += g_dot[:, :, None] * cols[:, None, :]
+        # f is -load_factor times the convection against the basis
+        xi = grad[:, None, :]
+        lw = -self.load_factor * w
+        products = (phi[:, None, :] * phi[None, :, :]).reshape(-1, w.shape[1])
+        blocks += ((lw * family.ds(space.qp_points, u_qp, xi))
+                   @ products.T).reshape(blocks.shape)
+        f_xi = family.dxi(space.qp_points, u_qp, xi)
+        for d in range(G.shape[-1]):
+            blocks += ((lw * f_xi[..., d]) @ phi.T)[:, :, None] \
+                * G[:, None, :, d]
         return assemble_matrix(space, blocks)
 
     def pairing(self, u: FeFunction, v: FeFunction):

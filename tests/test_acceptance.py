@@ -225,7 +225,8 @@ def test_criterion_8_hypothesis_audits(capsys):
     # exact smallness gate: with lambda1 = 2 and p = 3 the factor 2^-3 is
     # exact, so c1 = 8 (a0 - c0) sits exactly on the boundary
     sat = saturating_convection(3.0, alpha=3.0)
-    boundary = ConvectionFamily(name="gate", fn=sat.fn, h2=sat.h2, h3=None,
+    boundary = ConvectionFamily(name="gate", fn=sat.fn, ds=sat.ds, dxi=sat.dxi,
+                                h2=sat.h2, h3=None,
                                 h3a=SignH3a(c0=0.5, c1=8.0), h4=sat.h4)
     gated = Problem(p=3.0, q=2.0, domain=UNIT, weight=constant_weight(1.5),
                     convection=boundary, variant="competing", regime="H3a")
@@ -235,7 +236,8 @@ def test_criterion_8_hypothesis_audits(capsys):
         gate_rejects = "(H3a)" in str(err)
     else:
         gate_rejects = False
-    below = ConvectionFamily(name="gate", fn=sat.fn, h2=sat.h2, h3=None,
+    below = ConvectionFamily(name="gate", fn=sat.fn, ds=sat.ds, dxi=sat.dxi,
+                             h2=sat.h2, h3=None,
                              h3a=SignH3a(c0=0.5, c1=8.0 * (1.0 - 1e-9)),
                              h4=sat.h4)
     ok_problem = Problem(p=3.0, q=2.0, domain=UNIT,

@@ -212,7 +212,8 @@ def test_apriori_radius_closed_form_case():
     # a0=2, c0=1, c1=0, |domain|=4 -> psi = t^3 - 4^{1/3} t^2, root 4^{1/3}
     domain = Domain.interval(0.0, 4.0)
     fam = adversarial_convection(2.0, 3.0)  # c0 = 1, but force c1 = 0
-    fam = type(fam)(name="halfsign", fn=fam.fn, h2=fam.h2,
+    fam = type(fam)(name="halfsign", fn=fam.fn, ds=fam.ds, dxi=fam.dxi,
+                    h2=fam.h2,
                     h3=type(fam.h3)(c0=1.0, c1=0.0, alpha=1.0))
     problem = make_problem(weight=constant_weight(2.0), conv=fam,
                            domain=domain)
@@ -267,7 +268,7 @@ def test_rhs_constant_example():
     domain = Domain.interval(0.0, 2.0)
     fam = saturating_convection(2.0, alpha=2.0, h_bound=0.0)
     # declared H2: b = 1, r1 = 1, c = 0.5; drop c to mirror the worked case
-    fam = type(fam)(name="trimmed", fn=fam.fn,
+    fam = type(fam)(name="trimmed", fn=fam.fn, ds=fam.ds, dxi=fam.dxi,
                     h2=type(fam.h2)(sigma=0.0, b=1.0, c=0.0, r1=1.0, r2=1.0),
                     h3=fam.h3, h3a=fam.h3a, h4=fam.h4)
     problem = make_problem(conv=fam, domain=domain, p=2.0, q=1.5,

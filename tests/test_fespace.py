@@ -238,3 +238,15 @@ def test_csv_rejects_wrong_vertices(tmp_path):
     path.write_text("x,value\n0.0,0.0\n0.4,1.0\n1.0,0.0\n")
     with pytest.raises(ValueError):
         read_csv(space, path)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stiffness_blocks_are_built_once_with_the_einsum_bits(dim):
+    domain = Domain.interval(0.0, 1.0) if dim == 1 \
+        else Domain.rectangle(0.0, 1.0, 0.0, 1.0)
+    space = FeSpace(build_mesh(domain, 6 if dim == 1 else (3, 3)))
+    blocks = space.stiffness_blocks
+    assert space.stiffness_blocks is blocks
+    assert not blocks.flags.writeable
+    reference = np.einsum("cvd,cwd->cvw", space.grads, space.grads)
+    assert np.array_equal(blocks.view(np.int64), reference.view(np.int64))
