@@ -10,7 +10,7 @@ from .operators import (AssemblyError, ConvectionFamily, GrowthH2, GrowthH4,
                         HypothesisViolation, Problem, ProblemOperator, SignH3,
                         SignH3a, WeightFunction, adversarial_convection,
                         constant_convection, constant_weight,
-                        qp_dual, quadratic_weight, saturating_convection,
+                        quadratic_weight, saturating_convection,
                         truncate_weight, zero_convection)
 from .estimates import (CONVENTIONS, ConstantEstimate, EstimateReport,
                         HypothesisAudit, SamplingBox, apriori_radius,

@@ -3,8 +3,10 @@
 Degrees of freedom are the interior vertices in vertex-index order; boundary
 vertices always carry the value 0.  Gradients of P1 hats are cellwise
 constant, which the norm and assembly routines exploit throughout.  Each
-space owns its sparse matrices: the assembly plan, the assembly of cell
-blocks into it, and the sparse solve in the pattern of that plan.
+space owns its sparse matrices: the cell operators G and E, which map dof
+vectors to cell gradients and vertex values and back by their transposes,
+the assembly plan, the assembly of cell blocks into it, and the sparse
+solve in the pattern of that plan.
 """
 
 from __future__ import annotations
@@ -44,12 +46,11 @@ __all__ = [
 ]
 
 
-# Flat positions in (m, nv) cell arrays and (m, nv, nv) blocks, and their
-# dof and CSR-entry targets, in the order the sums run (cell order; scipy's
-# duplicate order); the first source of each CSR entry; the CSR pattern.
+# Flat positions in (m, nv, nv) cell blocks and their CSR-entry targets, in
+# the order the sums run (scipy's duplicate order); the first source of each
+# CSR entry; the CSR pattern.
 AssemblyPlan = namedtuple("AssemblyPlan", [
-    "dof_sources", "dof_targets", "block_sources", "block_targets", "starts",
-    "indices", "indptr"])
+    "block_sources", "block_targets", "starts", "indices", "indptr"])
 
 
 class FeSpace:
@@ -99,7 +100,6 @@ class FeSpace:
     def plan(self) -> AssemblyPlan:
         """The space's assembly plan, built on first use."""
         idx, n = self.cell_dofs, self.dim
-        dof_sources = np.flatnonzero(idx >= 0)
         rows = np.repeat(idx, idx.shape[1], axis=1).ravel()
         cols = np.tile(idx, idx.shape[1]).ravel()
         keep = np.flatnonzero((rows >= 0) & (cols >= 0))
@@ -114,8 +114,7 @@ class FeSpace:
         first[probe.indptr[:-1]] = True    # every dof row holds its diagonal
         block_sources = keep[probe.data.astype(np.intp)]
         probe.sum_duplicates()
-        plan = AssemblyPlan(dof_sources, idx.ravel()[dof_sources],
-                            block_sources, np.cumsum(first) - 1,
+        plan = AssemblyPlan(block_sources, np.cumsum(first) - 1,
                             np.flatnonzero(first), probe.indices, probe.indptr)
         for arr in plan:
             arr.flags.writeable = False
@@ -123,19 +122,42 @@ class FeSpace:
 
     @functools.cached_property
     def gradient_operator(self) -> sp.csr_matrix:
-        """CSR matrix of shape (m*d, n) taking coefficients to cell
+        """G, the CSR matrix of shape (m*d, n) taking coefficients to cell
         gradients, built on first use.  Row c*d + j holds grads[c, v, j] at
         the dof of every interior vertex v of cell c, in vertex order; a
         product sums each row from +0.0 in that order, as
         einsum("cv,cvd->cd") does, and the boundary terms it skips are the
         +-0.0 that add nothing to such a sum."""
         m, nv, d = self.grads.shape
-        cols = np.repeat(self.cell_dofs, d, axis=0)              # (m*d, nv)
+        return self._cell_operator(np.repeat(self.cell_dofs, d, axis=0),
+                                   self.grads.transpose(0, 2, 1)
+                                   .reshape(m * d, nv))
+
+    @functools.cached_property
+    def incidence_operator(self) -> sp.csr_matrix:
+        """E, the CSR matrix of shape (m*nv, n) taking coefficients to the
+        values at each cell's vertices, built on first use.  Row c*nv + v
+        holds 1.0 at the dof of vertex v of cell c and is empty for a
+        boundary vertex, which reads +0.0; so does a -0.0 coefficient."""
+        cols = self.cell_dofs.reshape(-1, 1)
+        return self._cell_operator(cols, np.ones(cols.shape))
+
+    def _cell_operator(self, cols: np.ndarray, vals: np.ndarray):
+        # row r holds vals[r, j] at column cols[r, j] >= 0, in j order
         keep = cols >= 0
         indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-        vals = self.grads.transpose(0, 2, 1).reshape(m * d, nv)
         return sp.csr_matrix((vals[keep], cols[keep], indptr),
-                             shape=(m * d, self.dim))
+                             shape=(cols.shape[0], self.dim))
+
+    @functools.cached_property
+    def gradient_transpose(self) -> sp.csc_matrix:
+        """G^T, a view on G's arrays, which sums cell rows in cell order."""
+        return self.gradient_operator.T
+
+    @functools.cached_property
+    def incidence_transpose(self) -> sp.csc_matrix:
+        """E^T, a view on E's arrays, which sums cell rows in cell order."""
+        return self.incidence_operator.T
 
     @functools.cached_property
     def stiffness_blocks(self) -> np.ndarray:
@@ -303,13 +325,6 @@ def pair(functional: DualVector, v: FeFunction) -> float:
     return float(functional.values @ v.coeffs)
 
 
-def _cell_values(u: FeFunction) -> np.ndarray:
-    # boundary entries of cell_dofs are -1 and pick up the appended 0.0
-    padded = np.concatenate([u.coeffs, np.zeros(u.coeffs.shape[:-1] + (1,))],
-                            axis=-1)
-    return padded[..., u.space.cell_dofs]
-
-
 def axis_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sum of a[..., j] * b[..., j] over the last axis, which the two share,
     with the leading axes broadcast.  The sum runs from +0.0 in axis order,
@@ -355,7 +370,7 @@ def state_sums(a: np.ndarray, state_ndim: int):
 
 def cell_gradients(u: FeFunction) -> np.ndarray:
     """Constant gradient of u on every cell, shape (m, dim), or (B, m, dim)
-    for a stack: one product with the space's gradient operator."""
+    for a stack: one product with the space's gradient operator G."""
     m, _, d = u.space.grads.shape
     flat = u.space.gradient_operator @ u.coeffs.T
     return flat.T.reshape(u.coeffs.shape[:-1] + (m, d))
@@ -363,8 +378,10 @@ def cell_gradients(u: FeFunction) -> np.ndarray:
 
 def values_at_qp(u: FeFunction) -> np.ndarray:
     """u evaluated at all physical quadrature points, shape (m, k), or
-    (B, m, k) for a stack."""
-    return _cell_values(u) @ u.space.basis_qp
+    (B, m, k) for a stack: the vertex values E u times the basis."""
+    m, nv = u.space.cells.shape
+    flat = u.space.incidence_operator @ u.coeffs.T
+    return flat.T.reshape(u.coeffs.shape[:-1] + (m, nv)) @ u.space.basis_qp
 
 
 def grad_norm_lp(u: FeFunction, p: float):
@@ -440,6 +457,8 @@ def read_csv(space: FeSpace, path) -> FeFunction:
     data = np.array([[float(tok) for tok in row.split(",")] for row in rows[1:]])
     if data.shape != (mesh.n_vertices, mesh.domain.dim + 1):
         raise ValueError(f"{path}: expected {mesh.n_vertices} vertex rows")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite value")
     if not np.allclose(data[:, :-1], mesh.vertices, rtol=0.0, atol=1e-12):
         raise ValueError(f"{path}: vertex coordinates do not match the mesh")
     if np.max(np.abs(data[mesh.boundary, -1]), initial=0.0) > 0.0:

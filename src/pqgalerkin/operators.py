@@ -43,7 +43,6 @@ __all__ = [
     "saturating_convection",
     "adversarial_convection",
     "Problem",
-    "qp_dual",
     "power_flux_pairing",
     "ProblemOperator",
 ]
@@ -422,9 +421,10 @@ class Problem:
 # ---------------------------------------------------------------------------
 #
 # A divergence term is a cellwise-constant flux with a cell weight; the
-# convection term is f at the quadrature points.  Either is scattered against
-# every basis hat (the dual-vector route) or integrated against one test
-# function (the direct route).
+# convection term is f at the quadrature points.  Either is tested against
+# every basis hat, a transposed product with one of the space's cell
+# operators (the dual-vector route), or integrated against one test function
+# (the direct route).
 
 def _power_flux(grad: np.ndarray, exponent: float, eps: float) -> np.ndarray:
     """|grad|^{e-2} grad, regularized to (|grad|^2+eps^2)^{(e-2)/2} grad only
@@ -457,24 +457,14 @@ def _flux_slopes(amp: np.ndarray, exponent: float, eps: float):
     return c_id, (exponent - 2.0) * c_id / np.where(sq > 0.0, sq, 1.0)
 
 
-def _scatter(space: FeSpace, cell_contrib: np.ndarray, label: str) -> np.ndarray:
-    """Sum (m, nv) cell entries into the dof vector in cell order, the
-    order of the mask `cell_dofs >= 0`, which keeps it bit-reproducible."""
-    if not np.all(np.isfinite(cell_contrib)):
-        bad = int(np.argwhere(~np.isfinite(cell_contrib))[0][0])
+def _dual(transpose: sp.csc_matrix, rows: np.ndarray, label: str):
+    """The dof vector transpose @ rows of (m, ...) cell rows, for the
+    transpose of one of the space's cell operators; raises AssemblyError
+    naming the first nonfinite cell."""
+    if not np.all(np.isfinite(rows)):
+        bad = int(np.argwhere(~np.isfinite(rows))[0][0])
         raise AssemblyError(f"nonfinite {label} contribution on cell {bad}")
-    plan = space.plan
-    return np.bincount(plan.dof_targets,
-                       weights=np.take(cell_contrib, plan.dof_sources),
-                       minlength=space.dim)
-
-
-def _flux_dual(space: FeSpace, flux: np.ndarray, cell_w: np.ndarray,
-               label: str) -> np.ndarray:
-    # flux . grad phi_v per cell and vertex, the bits of
-    # einsum("cd,cvd->cv", flux, grads)
-    contrib = axis_dot(flux[:, None, :], space.grads) * cell_w[:, None]
-    return _scatter(space, contrib, label)
+    return transpose @ rows.ravel()
 
 
 def _flux_pairing(flux: np.ndarray, cell_w: np.ndarray,
@@ -483,16 +473,6 @@ def _flux_pairing(flux: np.ndarray, cell_w: np.ndarray,
     shape (..., m, d) give one value per leading index.  The cellwise dot
     has the bits of einsum("cd,cd->c")."""
     return state_sums(cell_w * axis_dot(flux, grad_v), 1)
-
-
-def qp_dual(space: FeSpace, qp_values: np.ndarray, label: str) -> np.ndarray:
-    """Entries int w phi_i by the cell rule for w given at the quadrature
-    points; raises AssemblyError naming the first nonfinite cell."""
-    weighted = space.qp_weights * qp_values
-    # the bits of einsum("cq,cq,vq->cv", ...), summed into (nv, m) rows:
-    # numpy runs fastest along the long cell axis
-    contrib = axis_dot(space.basis_qp[:, None, :], weighted)
-    return _scatter(space, contrib.T, label)
 
 
 def power_flux_pairing(u: FeFunction, grad_v: np.ndarray, exponent: float):
@@ -531,31 +511,24 @@ class ProblemOperator:
     # last single state evaluated; emptied when that state is collected
     _last: list = field(default_factory=list, init=False, repr=False)
 
-    def _p_term(self, space: FeSpace, grad: np.ndarray, u_qp: np.ndarray):
-        """(flux, cell weight) of the p-term; g_R enters the cell weight."""
-        g_int = axis_dot(space.qp_weights, self.weight.evaluate(u_qp))
-        return _power_flux(grad, self.problem.p, self.eps), g_int
-
-    def _convection(self, space: FeSpace, grad: np.ndarray, u_qp: np.ndarray):
-        """f at the quadrature points, xi the (..., m, 1, d) cell
-        gradients."""
-        return self.problem.convection.evaluate(space.qp_points, u_qp,
-                                                grad[..., None, :])
-
     def _terms(self, u: FeFunction):
         """u's cell gradients and quadrature values, (flux, cell weight) of
-        the p- and q-terms, and f at the quadrature points.  A single state
-        whose space and coefficient bits are those of the last one gets the
-        last one's data."""
+        the p- and q-terms, and f at the quadrature points, where xi is the
+        (..., m, 1, d) cell gradients; g_R enters the p-term's cell weight.
+        A single state whose space and coefficient bits are those of the
+        last one gets the last one's data."""
         space, pr, last = u.space, self.problem, self._last
         key = u.coeffs.tobytes() if u.coeffs.ndim == 1 else None
         if last and last[0] is space and last[1] == key:
             return last[2]
         last.clear()
         grad, u_qp = cell_gradients(u), values_at_qp(u)
-        terms = ((grad, u_qp), self._p_term(space, grad, u_qp),
+        terms = ((grad, u_qp),
+                 (_power_flux(grad, pr.p, self.eps),
+                  axis_dot(space.qp_weights, self.weight.evaluate(u_qp))),
                  (_power_flux(grad, pr.q, self.eps), space.cell_measures),
-                 self._convection(space, grad, u_qp))
+                 pr.convection.evaluate(space.qp_points, u_qp,
+                                        grad[..., None, :]))
         if key is not None:
             # kept no longer than the state, so the stage copies of a
             # continuation do not each hold their last state's data
@@ -565,10 +538,14 @@ class ProblemOperator:
 
     def _signed_parts(self, space: FeSpace, terms):
         _, (p_flux, p_w), (q_flux, q_w), fvals = terms
-        return (_flux_dual(space, p_flux, p_w, "weighted p-term"),
+        G_T, phi = space.gradient_transpose, space.basis_qp[:, None, :]
+        return (_dual(G_T, p_w[:, None] * p_flux, "weighted p-term"),
                 self.problem.q_sign * self.q_factor
-                * _flux_dual(space, q_flux, q_w, "gradient power term"),
-                -self.load_factor * qp_dual(space, fvals, "convection term"))
+                * _dual(G_T, q_w[:, None] * q_flux, "gradient power term"),
+                -self.load_factor * _dual(
+                    space.incidence_transpose,
+                    axis_dot(phi, space.qp_weights * fvals).T,
+                    "convection term"))
 
     def _direct(self, u: FeFunction, terms, v: FeFunction):
         """<A_R(u), v> by direct integration from u's pointwise data; one
@@ -609,10 +586,13 @@ class ProblemOperator:
         the weight nor the convection is evaluated here; at their kinks the
         declared generalized values make Newton a semismooth Newton method.
         """
+        # the kept data and the blocks' pointwise arrays are freed before the
+        # assembly, which builds the space's plan on first use
+        return assemble_matrix(u.space, self._cell_blocks(u))
+
+    def _cell_blocks(self, u: FeFunction) -> np.ndarray:
         space, problem, family = u.space, self.problem, self.problem.convection
         (grad, u_qp), (_, p_w), _, _ = self._terms(u)
-        # the kept data have served the Newton step; free them before the
-        # step's factorization
         self._last.clear()
         G, phi, w = space.grads, space.basis_qp, space.qp_weights
         # cell coefficients as (m, 1) columns; scalars at exponent 2
@@ -639,7 +619,7 @@ class ProblemOperator:
         for d in range(G.shape[-1]):
             blocks += ((lw * f_xi[..., d]) @ phi.T)[:, :, None] \
                 * G[:, None, :, d]
-        return assemble_matrix(space, blocks)
+        return blocks
 
     def pairing(self, u: FeFunction, v: FeFunction):
         """<A_R(u), v> by direct integration; agrees with

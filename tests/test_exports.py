@@ -89,7 +89,7 @@ def test_private_numeric_import_check_flags_each_form():
               "from numpy._core import umath\n"
               "import numpy.linalg\n"
               "from scipy.sparse import linalg\n"
-              "from .fespace import _cell_values\n")
+              "from .fespace import _column_order\n")
     assert _private_numeric_imports(source) == [
         "numpy._core", "numpy._core.umath", "scipy.sparse._sparsetools"]
 
@@ -185,6 +185,49 @@ def test_cell_gradients_use_the_gradient_operator():
     attrs = {node.attr for node in ast.walk(fn)
              if isinstance(node, ast.Attribute)}
     assert "gradient_operator" in attrs and "einsum" not in attrs
+
+
+def test_values_at_qp_use_the_incidence_operator():
+    tree = ast.parse((Path(pqgalerkin.__file__).parent / "fespace.py")
+                     .read_text())
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == "values_at_qp"]
+    attrs = {node.attr for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute)}
+    assert "incidence_operator" in attrs and "cell_dofs" not in attrs
+
+
+def _cell_map_uses(source: str):
+    """Line numbers where a space's cell-to-dof map or assembly plan is
+    read, or bincount is named: imported, called or read."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name == "bincount" for alias in node.names):
+                found.add(node.lineno)
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in ("cell_dofs", "plan", "bincount")) \
+                or (isinstance(node, ast.Name) and node.id == "bincount"):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_cell_map_check_flags_each_form():
+    source = ("idx = space.cell_dofs\n"
+              "plan = u.space.plan\n"
+              "y = np.bincount(t, weights=w)\n"
+              "from numpy import bincount\n"
+              "y = space.gradient_transpose @ r\n"
+              "planned = space.planned\n")
+    assert _cell_map_uses(source) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", MODULE_PATHS, ids=lambda p: p.name)
+def test_only_fespace_reads_the_cell_to_dof_map(path):
+    # fespace owns the map between dof vectors and cell arrays: every other
+    # module goes through the products of its cell operators
+    uses = _cell_map_uses(path.read_text())
+    assert (uses != []) if path.name == "fespace.py" else (uses == [])
 
 
 def _spsolve_uses(source: str):

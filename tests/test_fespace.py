@@ -232,6 +232,19 @@ def test_csv_rejects_nonzero_boundary(tmp_path):
         read_csv(space, path)
 
 
+@pytest.mark.parametrize("rows", [
+    "0.0,nan\n0.5,1.0\n1.0,0.0\n",
+    "0.0,0.0\n0.5,inf\n1.0,0.0\n",
+    "0.0,0.0\n0.5,nan\n1.0,0.0\n",
+], ids=["boundary-nan", "interior-inf", "interior-nan"])
+def test_csv_rejects_nonfinite_values(tmp_path, rows):
+    space = interval_space(2)
+    path = tmp_path / "bad.csv"
+    path.write_text("x,value\n" + rows)
+    with pytest.raises(ValueError, match="bad.csv: non-finite value"):
+        read_csv(space, path)
+
+
 def test_csv_rejects_wrong_vertices(tmp_path):
     space = interval_space(2)
     path = tmp_path / "bad.csv"

@@ -16,7 +16,7 @@ from pqgalerkin.operators import (AssemblyError, ConvectionFamily, GrowthH2,
                                   adversarial_convection,
                                   constant_convection,
                                   constant_weight, power_flux_pairing,
-                                  qp_dual, quadratic_weight,
+                                  quadratic_weight,
                                   saturating_convection,
                                   truncate_weight, zero_convection)
 
@@ -264,6 +264,21 @@ def test_nonfinite_integrand_names_cell():
             FeFunction(space, np.array([0.5])))
 
 
+def test_nonfinite_q_term_names_its_label_and_cell():
+    # without regularization the q < 2 flux is 0 * inf on a flat cell,
+    # while the p = 3 flux there is a finite 0
+    problem = Problem(p=3.0, q=1.5, domain=UNIT, weight=constant_weight(1.0),
+                      convection=zero_convection(), variant="competing",
+                      regime="H3")
+    space = FeSpace(build_mesh(UNIT, 4))
+    op = ProblemOperator(problem, truncate_weight(problem.weight, 1.0),
+                         eps=0.0)
+    with np.errstate(all="ignore"), pytest.raises(
+            AssemblyError, match="nonfinite gradient power term contribution"
+                                 " on cell 1$"):
+        op.residual(FeFunction(space, np.array([0.5, 0.5, 1.0])))
+
+
 def central_difference_jacobian(op, u, step=1e-7):
     """Dense oracle: column j is (F(u + h e_j) - F(u - h e_j)) / 2h.
 
@@ -469,12 +484,38 @@ def test_assembly_kernels_match_their_references_bit_for_bit(dim):
     rng = np.random.default_rng(11)
     for _ in range(5):
         contrib = spread(rng, space.cell_dofs.shape)
-        assert np.array_equal(operators._scatter(space, contrib, "test"),
+        assert np.array_equal(space.incidence_transpose @ contrib.ravel(),
                               add_at_scatter(space, contrib))
-        qp_values = spread(rng, space.qp_weights.shape)
+    assert space.incidence_transpose is space.incidence_transpose
+    assert space.gradient_transpose is space.gradient_transpose
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dual_vectors_match_the_einsum_references(dim):
+    # the signed parts that parts_and_pairing builds from its kept terms
+    op = jacobian_setup(dim)[0]
+    q_scale = op.problem.q_sign * op.q_factor
+    rng = np.random.default_rng(21)
+    for space in kernel_spaces(dim):
+        u = FeFunction(space, rng.standard_normal(space.dim))
+        p_part, q_part, f_part = op.parts_and_pairing(u, u)[0]
+        _, (p_flux, p_w), (q_flux, q_w), fvals = op._terms(u)
+        # the f-part keeps the bits of the einsum and add_at reference
         reference = add_at_scatter(space, np.einsum(
-            "cq,cq,vq->cv", space.qp_weights, qp_values, space.basis_qp))
-        assert np.array_equal(qp_dual(space, qp_values, "test"), reference)
+            "cq,cq,vq->cv", space.qp_weights, fvals, space.basis_qp))
+        assert np.array_equal(bits(f_part.values),
+                              bits(-op.load_factor * reference))
+        # G^T sums (w * flux_j) * g_j, not (flux . g) * w: each entry is
+        # within rounding of the sum of its terms' magnitudes
+        for got, scale, flux, cell_w in [(p_part, 1.0, p_flux, p_w),
+                                         (q_part, q_scale, q_flux, q_w)]:
+            reference = scale * add_at_scatter(space, np.einsum(
+                "cd,cvd->cv", flux, space.grads) * cell_w[:, None])
+            size = abs(scale) * add_at_scatter(space, np.einsum(
+                "cd,cvd->cv", np.abs(flux), np.abs(space.grads))
+                * np.abs(cell_w)[:, None])
+            assert np.all(np.abs(got.values - reference)
+                          <= 16 * np.finfo(float).eps * size)
 
 
 def signed_spread(rng, shape):
@@ -548,8 +589,18 @@ def test_cell_values_match_the_full_vertex_gather(dim):
     rng = np.random.default_rng(16)
     for space in kernel_spaces(dim):
         u = FeFunction(space, signed_spread(rng, space.dim))
-        assert np.array_equal(bits(fespace._cell_values(u)),
-                              bits(u.full_values()[space.cells]))
+        E = space.incidence_operator
+        assert space.incidence_operator is E
+        assert E.shape == (space.cells.size, space.dim)
+        assert E.nnz == int(np.sum(space.cell_dofs >= 0))
+        # a product sums from +0.0, so a -0.0 coefficient reads +0.0
+        assert np.array_equal(bits(E @ u.coeffs),
+                              bits(u.full_values()[space.cells].ravel()
+                                   + 0.0))
+        block = np.array([u.coeffs, -u.coeffs])
+        assert np.array_equal(
+            bits(fespace.values_at_qp(FeFunction(space, block))[1]),
+            bits(fespace.values_at_qp(FeFunction(space, -u.coeffs))))
 
 
 def test_self_pairing_equals_pairing_with_a_copy():
@@ -672,7 +723,7 @@ def test_vector_norm_matches_numpy_bit_for_bit(dim):
 @pytest.mark.parametrize("shapes", [((300,), (300,)),
                                     ((4, 300), (4, 300)),
                                     ((300,), (4, 300)),
-                                    # qp_dual's (nv, 1, k) x (m, k)
+                                    # the f-dual's (nv, 1, k) x (m, k)
                                     ((3, 1), (300,))],
                          ids=["cells", "stack", "broadcast", "qp-dual"])
 @pytest.mark.parametrize("k", [1, 2, 6])
