@@ -4,9 +4,10 @@ Degrees of freedom are the interior vertices in vertex-index order; boundary
 vertices always carry the value 0.  Gradients of P1 hats are cellwise
 constant, which the norm and assembly routines exploit throughout.  Each
 space owns its sparse matrices: the cell operators G and E, which map dof
-vectors to cell gradients and vertex values and back by their transposes,
-the assembly plan, the assembly of cell blocks into it, and the sparse
-solve in the pattern of that plan.
+vectors to cell gradients and vertex values and back by their transposes;
+the assembly plan, whose summation operator S sums (nv, nv) cell blocks
+into the CSR pattern over the dofs in one product; and the sparse solve in
+that pattern.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import scipy.sparse.linalg as spla
 from .mesh import MeshLevel, quadrature_for
 
 __all__ = [
-    "AssemblyPlan",
     "assemble_matrix",
     "sparse_solve",
     "FeSpace",
@@ -46,11 +46,10 @@ __all__ = [
 ]
 
 
-# Flat positions in (m, nv, nv) cell blocks and their CSR-entry targets, in
-# the order the sums run (scipy's duplicate order); the first source of each
-# CSR entry; the CSR pattern.
-AssemblyPlan = namedtuple("AssemblyPlan", [
-    "block_sources", "block_targets", "starts", "indices", "indptr"])
+# The summation matrix S of shape (nnz, m*nv*nv), whose row k holds 1.0 at
+# every flat position of the (m, nv, nv) cell blocks that sums into CSR
+# entry k, in cell order; and the CSR pattern over the dofs.
+AssemblyPlan = namedtuple("AssemblyPlan", ["S", "indices", "indptr"])
 
 
 class FeSpace:
@@ -98,25 +97,27 @@ class FeSpace:
 
     @functools.cached_property
     def plan(self) -> AssemblyPlan:
-        """The space's assembly plan, built on first use."""
+        """The space's assembly plan, built on first use; read-only."""
         idx, n = self.cell_dofs, self.dim
-        rows = np.repeat(idx, idx.shape[1], axis=1).ravel()
-        cols = np.tile(idx, idx.shape[1]).ravel()
-        keep = np.flatnonzero((rows >= 0) & (cols >= 0))
-        # entry numbers in the row-stable order of scipy's coo_tocsr; the
-        # column sort of sort_indices is the one its duplicate summation runs
-        order = np.argsort(rows[keep], kind="stable")
-        indptr = np.searchsorted(rows[keep][order], np.arange(n + 1))
-        probe = sp.csr_matrix((order.astype(float), cols[keep][order],
-                               indptr), shape=(n, n))
-        probe.sort_indices()
-        first = np.diff(probe.indices, prepend=-1) != 0
-        first[probe.indptr[:-1]] = True    # every dof row holds its diagonal
-        block_sources = keep[probe.data.astype(np.intp)]
-        probe.sum_duplicates()
-        plan = AssemblyPlan(block_sources, np.cumsum(first) - 1,
-                            np.flatnonzero(first), probe.indices, probe.indptr)
-        for arr in plan:
+        nv = idx.shape[1]
+        inside = idx >= 0
+        keep = np.flatnonzero(inside[:, :, None] & inside[:, None, :])
+        # the row and column dof of every kept block position; scipy's int32
+        # index arrays, made one at a time, bound the peak memory
+        rows = np.repeat(idx, nv, axis=1).ravel()[keep].astype(np.intc)
+        cols = np.tile(idx, nv).ravel()[keep].astype(np.intc)
+        keep = keep.astype(np.intc)
+        # scipy's own pattern of the summed blocks, whose data become the
+        # entry numbers that each block position looks up
+        pattern = sp.csr_array((np.ones(keep.size, np.int8), (rows, cols)),
+                               shape=(n, n))
+        pattern.data = np.arange(pattern.nnz, dtype=np.intc)
+        targets = pattern[rows, cols]
+        del rows, cols
+        S = sp.csr_matrix((np.ones(keep.size), (targets, keep)),
+                          shape=(pattern.nnz, idx.size * nv))
+        plan = AssemblyPlan(S, pattern.indices, pattern.indptr)
+        for arr in (S.data, S.indices, S.indptr, plan.indices, plan.indptr):
             arr.flags.writeable = False
         return plan
 
@@ -173,18 +174,11 @@ class FeSpace:
 
 def assemble_matrix(space: FeSpace, blocks: np.ndarray) -> sp.csr_matrix:
     """Sum per-cell (nv, nv) blocks into the CSR matrix over the dofs; the
-    rows and columns of boundary vertices are dropped.  The bits are those
-    of `sp.csr_matrix((data, (rows, cols)))`: the plan adds duplicates in
-    scipy's order, and an all -0.0 sum keeps the sign that bincount drops."""
+    rows and columns of boundary vertices are dropped.  The pattern is that
+    of `sp.csr_matrix((data, (rows, cols)))`, and each entry sums its blocks
+    from +0.0 in cell order: one product with the plan's S."""
     plan = space.plan
-    vals = np.take(blocks, plan.block_sources)
-    data = np.bincount(plan.block_targets, weights=vals,
-                       minlength=plan.indices.size)
-    zero = data == 0.0
-    if zero.any():
-        data[zero & np.logical_and.reduceat(np.signbit(vals),
-                                            plan.starts)] = -0.0
-    return sp.csr_matrix((data, plan.indices, plan.indptr),
+    return sp.csr_matrix((plan.S @ blocks.ravel(), plan.indices, plan.indptr),
                          shape=(space.dim, space.dim))
 
 
@@ -206,7 +200,8 @@ def _column_order(plan: AssemblyPlan, inverse: np.ndarray) -> _ColumnOrder:
 def sparse_solve(space: FeSpace, A: sp.csr_matrix,
                  b: np.ndarray) -> np.ndarray:
     """x with A x = b for a CSR matrix in the space's assembly pattern;
-    all NaN where A is exactly singular.
+    all NaN where A is exactly singular.  A matrix in any other pattern
+    raises a ValueError.
 
     As spla.spsolve does for a CSR matrix, SuperLU factors the CSC view of
     A^T and solves the transposed system.  Its fill-reducing column order
@@ -216,6 +211,10 @@ def sparse_solve(space: FeSpace, A: sp.csr_matrix,
     natural order, which skips the ordering.  No factor is kept.  On every
     level of the bench workloads each solve has the bits of spsolve.
     """
+    plan = space.plan
+    if not (np.array_equal(A.indptr, plan.indptr)
+            and np.array_equal(A.indices, plan.indices)):
+        raise ValueError(f"the matrix is not in the pattern of {space}")
     order = space._recorded_order
     if order is None:
         data, indices, indptr, spec = A.data, A.indices, A.indptr, "COLAMD"
@@ -235,7 +234,7 @@ def sparse_solve(space: FeSpace, A: sp.csr_matrix,
         # free the factor first, so building the order adds nothing to the
         # peak memory of the factorization
         del lu
-        space._recorded_order = _column_order(space.plan, inverse)
+        space._recorded_order = _column_order(plan, inverse)
     return x
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from pqgalerkin import cli, fespace, galerkin
@@ -467,3 +468,20 @@ def test_exactly_singular_jacobian_is_a_degenerate_step():
             assert info.message == "degenerate step"
             assert info.iterations == 0
             fespace.sparse_solve(space, op.jacobian(u), np.ones(space.dim))
+
+
+def test_sparse_solve_rejects_a_matrix_outside_the_pattern():
+    space = FeSpace(refine(build_mesh(Domain.rectangle(0, 1, 0, 1), 4)))
+    assert space.dim == 49
+    stiffness = space.stiffness_blocks * space.cell_measures[:, None, None]
+    K = assemble_matrix(space, stiffness)
+    # scipy's sum drops the exact zeros that K stores
+    shifted = K + sp.identity(space.dim, format="csr")
+    assert shifted.nnz < K.nnz
+    rhs = np.ones(space.dim)
+    # on a fresh space, and once the space has recorded its column order
+    for recorded in (False, True):
+        with pytest.raises(ValueError, match="not in the pattern"):
+            fespace.sparse_solve(space, shifted, rhs)
+        assert (space._recorded_order is not None) == recorded
+        fespace.sparse_solve(space, K, rhs)

@@ -541,32 +541,43 @@ def kernel_spaces(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_assemble_matrix_matches_scipy_bit_for_bit(dim):
+def test_assemble_matrix_matches_add_at_bit_for_bit(dim):
     rng = np.random.default_rng(13)
     for space in kernel_spaces(dim):
         shape = space.cell_dofs.shape + space.cell_dofs.shape[1:]
         cases = [spread(rng, shape) for _ in range(3)]
         cases += [signed_spread(rng, shape), np.full(shape, -0.0)]
         idx = space.cell_dofs
+        rows = np.broadcast_to(idx[:, :, None], shape)
+        cols = np.broadcast_to(idx[:, None, :], shape)
+        keep = (rows >= 0) & (cols >= 0)
+        # the pattern is scipy's own COO-to-CSR conversion
+        pattern = sp.csr_matrix(
+            (np.ones(int(keep.sum())), (rows[keep], cols[keep])),
+            shape=(space.dim, space.dim))
         for blocks in cases:
-            # the reference: scipy's own COO-to-CSR duplicate summation
-            rows = np.broadcast_to(idx[:, :, None], blocks.shape)
-            cols = np.broadcast_to(idx[:, None, :], blocks.shape)
-            keep = (rows >= 0) & (cols >= 0)
-            reference = sp.csr_matrix(
-                (blocks[keep], (rows[keep], cols[keep])),
-                shape=(space.dim, space.dim))
+            # the reference: each entry sums its blocks from +0.0 in cell
+            # order, so an all -0.0 sum reads +0.0
+            dense = np.zeros((space.dim, space.dim))
+            np.add.at(dense, (rows[keep], cols[keep]), blocks[keep])
             got = assemble_matrix(space, blocks)
-            assert np.array_equal(bits(got.data), bits(reference.data))
-            assert np.array_equal(got.indices, reference.indices)
-            assert np.array_equal(got.indptr, reference.indptr)
+            assert np.array_equal(got.indices, pattern.indices)
+            assert np.array_equal(got.indptr, pattern.indptr)
+            reference = dense[np.repeat(np.arange(space.dim),
+                                        np.diff(got.indptr)), got.indices]
+            assert np.array_equal(bits(got.data), bits(reference))
+        assert not np.signbit(
+            assemble_matrix(space, np.full(shape, -0.0)).data).any()
 
 
 def test_assembly_plan_is_built_once_and_read_only():
     space = jacobian_setup(2)[1].space
     plan = space.plan
     assert space.plan is plan
-    assert not any(arr.flags.writeable for arr in plan)
+    S = plan.S
+    assert S.shape == (plan.indices.size, space.cell_dofs.size * 3)
+    assert not any(arr.flags.writeable for arr in
+                   (S.data, S.indices, S.indptr, plan.indices, plan.indptr))
     J = assemble_matrix(space, np.ones(space.cell_dofs.shape + (3,)))
     with pytest.raises(ValueError):
         J.indices[0] = 0
