@@ -5,12 +5,13 @@ operator's sparse Jacobian, Armijo line search on the residual merit).  One
 walker runs Newton through a list of operator stages, each starting where the
 last one ended, and stops at the first stage that does not converge; every
 solve path is such a list.  Warm starts (prolongated coarser solutions) are a
-single stage.  The competing operator is nonmonotone and admits spurious
-branches reachable from a zero start, so cold starts walk the competition
-ramp: a linear predictor seeds Newton on the monotone core (the competing
-divergence term switched off), then the competing term is ramped back to full
-strength.  When either path stalls, load continuation ramps the convection
-term up from a zero start.
+single stage, whose line search gives up below a step of 1/64; every cold
+stage tries 40 steps, down to 2**-39.  The competing operator is nonmonotone
+and admits spurious branches reachable from a zero start, so cold starts walk
+the competition ramp: a linear predictor seeds Newton on the monotone core
+(the competing divergence term switched off), then the competing term is
+ramped back to full strength.  When either path stalls, load continuation
+ramps the convection term up from a zero start.
 """
 
 from __future__ import annotations
@@ -55,8 +56,14 @@ class SolverConfig:
     regularization: float = DEFAULT_REGULARIZATION
 
 
-# step halvings before the Newton line search counts as stalled
+# line-search trials (lambda = 1, 1/2, ...) before a cold stage counts as
+# stalled
 MAX_HALVINGS = 40
+# trials of the warm stage, lambda = 1 down to 1/64: a converging warm step
+# halves at most once, so this minimum step sits a factor of 32 below the
+# smallest accepted warm step, and a failing warm attempt, whose state load
+# continuation never uses, gives up early instead of crawling
+WARM_HALVINGS = 7
 # q_factor stages of the competition ramp, from the monotone core to full
 RAMP = np.linspace(0.0, 1.0, 5)
 # load_factor stages of load continuation
@@ -131,7 +138,8 @@ def _merit(F: np.ndarray) -> float:
     return scale * float(np.linalg.norm(F / scale))
 
 
-def _newton(op, u0: FeFunction, cfg: SolverConfig) -> tuple:
+def _newton(op, u0: FeFunction, cfg: SolverConfig,
+            max_halvings: int = MAX_HALVINGS) -> tuple:
     u, its = u0.copy(), 0
     F = op.residual(u).values
     while True:
@@ -146,7 +154,7 @@ def _newton(op, u0: FeFunction, cfg: SolverConfig) -> tuple:
             return u, _NewtonInfo(False, its, res_sup, "degenerate step")
         merit = _merit(F)
         lam = 1.0
-        for _ in range(MAX_HALVINGS):
+        for _ in range(max_halvings):
             trial = FeFunction(u.space, u.coeffs + lam * delta)
             Ft = op.residual(trial).values
             if _merit(Ft) <= (1.0 - 1e-4 * lam) * merit:
@@ -170,13 +178,14 @@ def _linear_predictor(op: ProblemOperator, space: FeSpace) -> FeFunction:
     return FeFunction(space, sparse_solve(space, K, load))
 
 
-def _walk(stages: List[ProblemOperator], u: FeFunction, cfg: SolverConfig):
+def _walk(stages: List[ProblemOperator], u: FeFunction, cfg: SolverConfig,
+          max_halvings: int = MAX_HALVINGS):
     """Newton through each stage from where the last one ended; stop at the
     first stage that does not converge.  Returns the last state, the last
     stage's Newton info and the iterations of every stage run."""
     total = 0
     for op in stages:
-        u, info = _newton(op, u, cfg)
+        u, info = _newton(op, u, cfg, max_halvings)
         total += info.iterations
         if not info.converged:
             break
@@ -206,10 +215,12 @@ def solve_level(op: ProblemOperator, space: FeSpace,
         if warm.space is not space:
             raise ValueError("a warm start must live on the level's space")
         path, start, stages = "newton", warm, [op]
+        halvings = WARM_HALVINGS
     else:
         path, start = "competition-ramp", _linear_predictor(op, space)
         stages = [replace(op, q_factor=float(k)) for k in RAMP]
-    u, info, total = _walk(stages, start, cfg)
+        halvings = MAX_HALVINGS
+    u, info, total = _walk(stages, start, cfg, halvings)
     if not info.converged:
         path = "load-continuation"
         stages = [replace(op, load_factor=float(t)) for t in CONTINUATION]

@@ -344,7 +344,7 @@ def test_report_solutions_property():
 def test_level_solves_on_load_continuation():
     # the 2D competing problem with a load: warm Newton stalls on level 1
     # and load continuation reaches the zero; the iteration count includes
-    # the failed warm attempt
+    # the failed warm attempt, whose line search stops at WARM_HALVINGS
     conv = saturating_convection(3.0, alpha=2.0, h_bound=1.0, offset=1.0)
     problem = Problem(p=3.0, q=2.0,
                       domain=Domain.rectangle(0.0, 1.0, 0.0, 1.0),
@@ -355,7 +355,7 @@ def test_level_solves_on_load_continuation():
     lv = report.levels[1]
     assert lv.dim == 9
     assert lv.path == "load-continuation"
-    assert lv.iterations == 41
+    assert lv.iterations == 32
     assert lv.residual_sup <= report.solver_tolerance
 
 
@@ -406,12 +406,16 @@ def test_sparse_solve_matches_spsolve_bit_for_bit(workload, monkeypatch):
         solves.clear()
 
 
+def compete_2d_load_report():
+    cfg = cli.load_config(GOLDEN_CONFIGS / "compete-2d-load.json")
+    return run_hierarchy(cli.build_problem(cfg["problem"]),
+                         cfg["mesh"]["base_cells"], cfg["mesh"]["levels"])
+
+
 @pytest.mark.xfail(strict=True, reason="compete-2d-load level 3 stalls "
                    "in the line search (ROADMAP item 1)")
 def test_compete_2d_load_solves_every_level():
-    cfg = cli.load_config(GOLDEN_CONFIGS / "compete-2d-load.json")
-    report = run_hierarchy(cli.build_problem(cfg["problem"]),
-                           cfg["mesh"]["base_cells"], cfg["mesh"]["levels"])
+    report = compete_2d_load_report()
     assert report.failure_message == ""
     assert len(report.levels) == 4
     assert all(0.54 <= sup <= 0.59 for sup in report.sup_norms)
@@ -485,3 +489,83 @@ def test_sparse_solve_rejects_a_matrix_outside_the_pattern():
             fespace.sparse_solve(space, shifted, rhs)
         assert (space._recorded_order is not None) == recorded
         fespace.sparse_solve(space, K, rhs)
+
+
+class NoDescent:
+    """The operator's Jacobian with a residual frozen at the start state, so
+    the merit never falls along any step."""
+
+    def __init__(self, op, u0):
+        self.op, self.frozen, self.residuals = op, op.residual(u0), 0
+
+    def residual(self, u):
+        self.residuals += 1
+        return self.frozen
+
+    def jacobian(self, u):
+        return self.op.jacobian(u)
+
+
+@pytest.mark.parametrize("limit,residuals", [
+    ((galerkin.WARM_HALVINGS,), 1 + 7),  # lambda = 1, 1/2, ..., 1/64
+    ((), 1 + 40),                        # the default, MAX_HALVINGS
+])
+def test_stalled_line_search_evaluates_one_residual_per_trial(limit,
+                                                             residuals):
+    op, _ = single_dof_op()
+    space = FeSpace(build_mesh(UNIT, 6))
+    u = FeFunction(space, np.linspace(0.1, 0.5, space.dim))
+    stub = NoDescent(op, u)
+    _, info = galerkin._newton(stub, u, SolverConfig(), *limit)
+    assert not info.converged
+    assert info.message == "line search stalled"
+    assert info.iterations == 0
+    # the start state's residual, then one per trial step
+    assert stub.residuals == residuals
+
+
+def test_only_the_warm_stage_gets_the_warm_limit(monkeypatch):
+    calls, newton = [], galerkin._newton
+
+    def spy(op, u0, cfg, max_halvings=galerkin.MAX_HALVINGS):
+        calls.append((u0.space.mesh.level, op, max_halvings))
+        return newton(op, u0, cfg, max_halvings)
+
+    monkeypatch.setattr(galerkin, "_newton", spy)
+    report = compete_2d_load_report()
+    assert [lv.path for lv in report.levels] == \
+        ["competition-ramp", "newton", "load-continuation"]
+    assert report.failed_level == 3
+    for level in range(4):
+        stages = [(op, limit) for lv, op, limit in calls if lv == level]
+        if level == 0:
+            # cold: the competition ramp, monotone core to full strength
+            assert [op.q_factor for op, _ in stages] == list(galerkin.RAMP)
+        else:
+            # one warm stage on the run's operator; on levels 2 and 3 it
+            # stalls and load continuation follows from zero
+            warm_op, limit = stages.pop(0)
+            assert warm_op is report.operator
+            assert limit == galerkin.WARM_HALVINGS
+            loads = [op.load_factor for op, _ in stages]
+            assert loads == list(galerkin.CONTINUATION[:len(loads)])
+            assert bool(loads) == (level >= 2)
+        assert all(limit == galerkin.MAX_HALVINGS for _, limit in stages)
+
+
+def test_compete_2d_load_residual_and_jacobian_counts(monkeypatch):
+    counts = Counter()
+    for name in ("residual", "jacobian"):
+        method = getattr(ProblemOperator, name)
+
+        def counting(self, u, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(self, u)
+
+        monkeypatch.setattr(ProblemOperator, name, counting)
+    report = compete_2d_load_report()
+    assert report.failed_level == 3
+    # a warm line search tries at most 7 steps; with 40 trials, as on a
+    # cold stage, this run took 1 024 residuals and 143 Jacobians
+    assert counts["residual"] <= 400
+    assert counts["jacobian"] <= 120

@@ -25,7 +25,7 @@ RAMP, NEWTON = "competition-ramp", "newton"
 TRAJECTORIES = {
     "adversarial": (0, [(RAMP, 0), (NEWTON, 0), (NEWTON, 0)], ""),
     "compete-2d-load": (
-        3, [(RAMP, 25), (NEWTON, 7), ("load-continuation", 49)],
+        3, [(RAMP, 25), (NEWTON, 7), ("load-continuation", 38)],
         "level 3 failed: line search stalled (residual sup 2.263e-04)"),
     "coop-1d-deep": (0, [(RAMP, 20), (NEWTON, 4)] + [(NEWTON, 3)] * 4
                      + [(NEWTON, 2)] * 4, ""),
