@@ -243,8 +243,9 @@ class FeFunction:
     """Coefficients over the interior dofs of a space.
 
     A (B, n) array of coefficients stacks B states; gradients, quadrature
-    values, gradient norms and the operator pairing then get one leading
-    axis of length B.  Any other shape is flattened to one state.
+    and vertex values, gradient norms, prolongation and the operator
+    pairing then get one leading axis of length B.  Any other shape is
+    flattened to one state.
     """
 
     space: FeSpace
@@ -263,8 +264,9 @@ class FeFunction:
         return cls(space, np.zeros(space.dim))
 
     def full_values(self) -> np.ndarray:
-        out = np.zeros(self.space.mesh.n_vertices)
-        out[self.space.dofs] = self.coeffs
+        """Values at every vertex, +0.0 on the boundary."""
+        out = np.zeros(self.coeffs.shape[:-1] + (self.space.mesh.n_vertices,))
+        out[..., self.space.dofs] = self.coeffs
         return out
 
     def copy(self) -> "FeFunction":
@@ -417,7 +419,8 @@ def sup_norm(u: FeFunction) -> float:
 
 
 def prolongate(u: FeFunction, finer: FeSpace) -> FeFunction:
-    """Exact embedding of u into a refinement descendant space.
+    """Exact embedding of u into a refinement descendant space; a stack
+    gives the stack of its rows' embeddings, each with its own bits.
 
     Each refinement keeps the parent values and appends the mean of the two
     ends of every midpoint edge; a boundary midpoint halves a boundary edge,
@@ -431,8 +434,9 @@ def prolongate(u: FeFunction, finer: FeSpace) -> FeFunction:
         mesh = mesh.parent
     vals = u.full_values()
     for a, b in (edges.T for edges in reversed(chain)):
-        vals = np.concatenate([vals, vals[a] * 0.5 + vals[b] * 0.5])
-    return FeFunction(finer, vals[finer.dofs])
+        vals = np.concatenate([vals, vals[..., a] * 0.5 + vals[..., b] * 0.5],
+                              axis=-1)
+    return FeFunction(finer, vals[..., finer.dofs])
 
 
 # ---------------------------------------------------------------------------

@@ -271,17 +271,16 @@ class HierarchyReport:
         return [lv.solution for lv in self.levels]
 
 
-def _test_set(space0: FeSpace, seed: int) -> List[FeFunction]:
-    """Full coarse basis plus a few fixed random coarse functions."""
-    out = [FeFunction(space0, row) for row in np.eye(space0.dim)]
-    rng = np.random.default_rng(seed)
-    for _ in range(EXTRA_TESTS):
-        v = FeFunction(space0, rng.standard_normal(space0.dim))
-        scale = grad_norm_lp(v, 2.0)
+def _test_set(space0: FeSpace, seed: int) -> FeFunction:
+    """One stack of the full coarse basis plus a few fixed random coarse
+    functions, each of unit L^2 gradient norm."""
+    extra = np.random.default_rng(seed).standard_normal((EXTRA_TESTS,
+                                                         space0.dim))
+    scales = grad_norm_lp(FeFunction(space0, extra), 2.0)
+    for row, scale in zip(extra, scales):
         if scale > 0.0:
-            v = (1.0 / scale) * v
-        out.append(v)
-    return out
+            row *= 1.0 / scale
+    return FeFunction(space0, np.concatenate([np.eye(space0.dim), extra]))
 
 
 def run_hierarchy(problem: Problem, base_cells, levels: int,
@@ -336,10 +335,11 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
         return report
 
     tests = _test_set(spaces[0], seed)
-    report.test_count = len(tests)
+    report.test_count = tests.coeffs.shape[0]
     for u in report.solutions:
         F = op.residual(u)
-        report.cond_b.append([pair(F, prolongate(v, u.space)) for v in tests])
+        report.cond_b.append([pair(F, FeFunction(u.space, row)) for row
+                              in prolongate(tests, u.space).coeffs])
         report.pair_un.append(pair(F, u))
         report.grad_norms.append(grad_norm_lp(u, problem.p))
         report.sup_norms.append(sup_norm(u))

@@ -14,8 +14,7 @@ certificates all go through it.
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -495,10 +494,9 @@ class ProblemOperator:
     `load_factor` scales the convection term; both default to the full
     problem and exist for homotopy and continuation, whose stages are
     `dataclasses.replace` copies.  The factors and `eps` are keyword-only.
-    Every evaluation computes the pointwise data of the three terms once;
-    the pointwise kernels broadcast over one leading axis of stacked states.
-    The data of the last single state evaluated are kept, so the Jacobian
-    at Newton's accepted trial reuses what the trial's residual computed.
+    The operator keeps no evaluation state: every call computes its
+    argument's pointwise data afresh, and the pointwise kernels broadcast
+    over one leading axis of stacked states.
     """
 
     problem: Problem
@@ -507,34 +505,25 @@ class ProblemOperator:
     load_factor: float = 1.0
     q_factor: float = 1.0
     eps: float = DEFAULT_REGULARIZATION
-    # [space, coefficient bytes, terms, weak reference to the state] of the
-    # last single state evaluated; emptied when that state is collected
-    _last: list = field(default_factory=list, init=False, repr=False)
+
+    def _pointwise(self, u: FeFunction):
+        """u's cell gradients, its quadrature values and the p-term's cell
+        weight, the quadrature sum of g_R(u)."""
+        grad, u_qp = cell_gradients(u), values_at_qp(u)
+        return grad, u_qp, axis_dot(u.space.qp_weights,
+                                    self.weight.evaluate(u_qp))
 
     def _terms(self, u: FeFunction):
         """u's cell gradients and quadrature values, (flux, cell weight) of
         the p- and q-terms, and f at the quadrature points, where xi is the
-        (..., m, 1, d) cell gradients; g_R enters the p-term's cell weight.
-        A single state whose space and coefficient bits are those of the
-        last one gets the last one's data."""
-        space, pr, last = u.space, self.problem, self._last
-        key = u.coeffs.tobytes() if u.coeffs.ndim == 1 else None
-        if last and last[0] is space and last[1] == key:
-            return last[2]
-        last.clear()
-        grad, u_qp = cell_gradients(u), values_at_qp(u)
-        terms = ((grad, u_qp),
-                 (_power_flux(grad, pr.p, self.eps),
-                  axis_dot(space.qp_weights, self.weight.evaluate(u_qp))),
-                 (_power_flux(grad, pr.q, self.eps), space.cell_measures),
-                 pr.convection.evaluate(space.qp_points, u_qp,
-                                        grad[..., None, :]))
-        if key is not None:
-            # kept no longer than the state, so the stage copies of a
-            # continuation do not each hold their last state's data
-            last[:] = [space, key, terms,
-                       weakref.ref(u, lambda _: last.clear())]
-        return terms
+        (..., m, 1, d) cell gradients."""
+        space, pr = u.space, self.problem
+        grad, u_qp, p_w = self._pointwise(u)
+        return ((grad, u_qp),
+                (_power_flux(grad, pr.p, self.eps), p_w),
+                (_power_flux(grad, pr.q, self.eps), space.cell_measures),
+                pr.convection.evaluate(space.qp_points, u_qp,
+                                       grad[..., None, :]))
 
     def _signed_parts(self, space: FeSpace, terms):
         _, (p_flux, p_w), (q_flux, q_w), fvals = terms
@@ -582,18 +571,19 @@ class ProblemOperator:
         c_I I + c_o g g^T, so G D G^T is c_I (G G^T) + c_o (G g)(G g)^T;
         the g_R' term is (G . flux_p) x ((w g_R') Phi^T), and the
         convection term is (w f_s)(Phi x Phi) + sum_d ((w f_xi,d) Phi^T) x
-        G_d.  g_R', f_s and f_xi are the declared derivatives, so neither
-        the weight nor the convection is evaluated here; at their kinks the
-        declared generalized values make Newton a semismooth Newton method.
+        G_d.  g_R', f_s and f_xi are the declared derivatives, so nothing is
+        differenced: the weight is evaluated once, at u's quadrature values,
+        for the p-term's cell weight, and the convection is not evaluated.
+        At their kinks the declared generalized values make Newton a
+        semismooth Newton method.  The matrix depends on u alone.
         """
-        # the kept data and the blocks' pointwise arrays are freed before the
-        # assembly, which builds the space's plan on first use
+        # the blocks' pointwise arrays are freed before the assembly, which
+        # builds the space's plan on first use
         return assemble_matrix(u.space, self._cell_blocks(u))
 
     def _cell_blocks(self, u: FeFunction) -> np.ndarray:
         space, problem, family = u.space, self.problem, self.problem.convection
-        (grad, u_qp), (_, p_w), _, _ = self._terms(u)
-        self._last.clear()
+        grad, u_qp, p_w = self._pointwise(u)
         G, phi, w = space.grads, space.basis_qp, space.qp_weights
         # cell coefficients as (m, 1) columns; scalars at exponent 2
         amp = vector_norm(grad)[:, None]

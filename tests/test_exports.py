@@ -1,10 +1,12 @@
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
 import pqgalerkin
+from pqgalerkin.operators import ProblemOperator
 
 MODULES = ["mesh", "fespace", "operators", "estimates", "galerkin", "verify",
            "cli"]
@@ -316,3 +318,35 @@ def test_only_fespace_factors_sparse_matrices(path):
     else:
         assert _sparse_linalg_imports(path.read_text()) == []
         assert _recorded_order_uses(path.read_text()) == []
+
+
+
+def _imported_modules(source: str):
+    """Top-level names of the modules a source imports, in any form."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imported_modules_check_flags_each_form():
+    source = ("import weakref\n"
+              "from weakref import ref\n"
+              "import os.path as osp\n"
+              "from .fespace import weakref\n")
+    assert _imported_modules(source) == {"weakref", "os"}
+
+
+def test_problem_operator_keeps_no_hidden_state():
+    # every field of the operator is a constructor argument, and nothing
+    # tracks the states it evaluated: each call depends on its arguments
+    # alone
+    fields = dataclasses.fields(ProblemOperator)
+    assert all(f.init for f in fields)
+    assert [f.name for f in fields] == ["problem", "weight", "load_factor",
+                                        "q_factor", "eps"]
+    source = (Path(pqgalerkin.__file__).parent / "operators.py").read_text()
+    assert "weakref" not in _imported_modules(source)

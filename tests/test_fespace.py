@@ -74,17 +74,27 @@ def test_prolongate_matches_the_parent_map_reference_bit_for_bit(domain,
         spaces.append(FeSpace(refine(spaces[-1].mesh)))
     rng = np.random.default_rng(21)
     coarse = spaces[0]
+    rows = []
     for _ in range(5):
         coeffs = (rng.standard_normal(coarse.dim)
                   * 10.0 ** rng.uniform(-8, 8, coarse.dim))
         signed_zero = rng.integers(0, 3, coarse.dim)
         coeffs[signed_zero == 1] = 0.0
         coeffs[signed_zero == 2] = -0.0
+        rows.append(coeffs)
         u = FeFunction(coarse, coeffs)
         for fine in spaces:
             got = prolongate(u, fine).coeffs
             want = reference_prolongate(u, fine)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the drawn rows as one stack: each row has its single-state bits
+    stack = FeFunction(coarse, np.stack(rows))
+    for fine in spaces:
+        got = prolongate(stack, fine).coeffs
+        assert got.shape == (len(rows), fine.dim)
+        for row, coeffs in zip(got, rows):
+            want = prolongate(FeFunction(coarse, coeffs), fine).coeffs
+            assert np.array_equal(row.view(np.int64), want.view(np.int64))
 
 
 def test_prolongate_zero():

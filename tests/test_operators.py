@@ -438,18 +438,27 @@ def test_truncated_weight_derivative_on_both_sides_of_the_radius():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_jacobian_evaluates_neither_the_weight_nor_the_convection(
         dim, monkeypatch):
+    # nothing is differenced: the weight is evaluated once, at the state's
+    # own quadrature values, for the p-term's cell weight, and the
+    # convection not at all
     op, u = jacobian_setup(dim)
     expected = dataclasses.replace(op).jacobian(u)
-    op.residual(u)
+    weight_fn, seen = op.weight.fn, []
+
+    def recorded(t):
+        seen.append(bits(t).copy())
+        return weight_fn(t)
 
     def forbidden(*args):
-        raise AssertionError("the Jacobian evaluated what it differentiates")
+        raise AssertionError("the Jacobian evaluated the convection")
 
     # the instance fields of the frozen weight and family
-    monkeypatch.setitem(vars(op.weight), "fn", forbidden)
+    monkeypatch.setitem(vars(op.weight), "fn", recorded)
     monkeypatch.setitem(vars(op.problem.convection), "fn", forbidden)
     J = op.jacobian(u)
     assert np.array_equal(bits(J.data), bits(expected.data))
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], bits(fespace.values_at_qp(u)))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -911,44 +920,24 @@ def test_saturating_power_keeps_the_general_formulas_bits(alpha):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_jacobian_reuses_the_residuals_pointwise_data(dim, monkeypatch):
+def test_jacobian_does_not_depend_on_call_history(dim):
     op, u = jacobian_setup(dim)
-    moved = u.copy()
-    moved.coeffs[0] = -moved.coeffs[0]
     zero = FeFunction.zero(u.space)
-    signed = -1.0 * zero
-    expected = {id(v): dataclasses.replace(op).jacobian(v).data
-                for v in (u, moved, signed)}
-    calls = []
-    monkeypatch.setattr(operators, "cell_gradients",
-                        lambda v: calls.append(1) or cell_gradients(v))
-    # the data are found by the space and the coefficient bits
-    op.residual(u)
-    assert np.array_equal(bits(op.jacobian(u.copy()).data),
-                          bits(expected[id(u)]))
-    assert len(calls) == 1
-    # the Jacobian frees them
-    op.jacobian(u)
-    assert len(calls) == 2
-    op.residual(zero)
-    assert np.array_equal(bits(op.jacobian(signed).data),
-                          bits(expected[id(signed)]))
-    assert len(calls) == 4
-    state = u.copy()
-    op.residual(state)
-    state.coeffs[0] = -state.coeffs[0]
-    assert np.array_equal(bits(op.jacobian(state).data),
-                          bits(expected[id(moved)]))
-    assert len(calls) == 6
-    # a stack is evaluated afresh and drops them
     stack = FeFunction(u.space, np.stack([u.coeffs, -u.coeffs]))
-    op.residual(u)
-    op.pairing(stack, stack)
-    op.jacobian(u)
-    assert len(calls) == 9
-    # they live no longer than their state
-    state = u.copy()
-    op.residual(state)
-    assert op._last
-    del state
-    assert not op._last
+
+    def fresh(v):
+        return bits(dataclasses.replace(op).jacobian(v).data)
+
+    expected = fresh(u)
+    assert np.array_equal(bits(op.jacobian(u).data), expected)
+    for before in (lambda: op.residual(u), lambda: op.residual(zero),
+                   lambda: op.pairing(stack, stack)):
+        before()
+        assert np.array_equal(bits(op.jacobian(u).data), expected)
+    # a sign flip in place after a residual at the state: one entry, and
+    # every entry of zero, whose +0.0 become -0.0
+    for state, flip in ((u.copy(), 0), (zero.copy(), slice(None))):
+        op.residual(state)
+        state.coeffs[flip] = -state.coeffs[flip]
+        assert np.array_equal(bits(op.jacobian(state).data), fresh(state))
+    assert np.all(bits(state.coeffs) == bits(np.array(-0.0)))
