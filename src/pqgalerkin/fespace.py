@@ -31,7 +31,6 @@ __all__ = [
     "DualVector",
     "prolongate",
     "grad_norm_lp",
-    "field_norm_lp",
     "lr_norm",
     "sup_norm",
     "pair",
@@ -386,20 +385,14 @@ def values_at_qp(u: FeFunction) -> np.ndarray:
 
 
 def grad_norm_lp(u: FeFunction, p: float):
-    """||grad u||_{L^p}; exact for P1 since |grad u| is cellwise constant."""
-    return field_norm_lp(u.space, cell_gradients(u), p)
-
-
-def field_norm_lp(space: FeSpace, field: np.ndarray, p: float):
-    """L^p norm of a cellwise-constant vector field of shape (m, dim); a
-    (B, m, dim) stack gives an array of B norms.  Each p-th root is taken
-    per scalar, since array and scalar pow can differ in the last bit."""
+    """||grad u||_{L^p}, exact for P1; a stack gives B norms.  Each p-th
+    root is per scalar: array and scalar pow can differ in the last bit."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    totals = state_sums(space.cell_measures * vector_norm(field) ** p, 1)
-    if np.ndim(totals) == 0:
-        return float(totals ** (1.0 / p))
-    return np.array([t ** (1.0 / p) for t in totals])
+    amp = vector_norm(cell_gradients(u))
+    totals = state_sums(u.space.cell_measures * amp ** p, 1)
+    roots = [t ** (1.0 / p) for t in np.atleast_1d(totals)]
+    return float(roots[0]) if np.ndim(totals) == 0 else np.array(roots)
 
 
 def lr_norm(u: FeFunction, r: float) -> float:

@@ -156,9 +156,13 @@ def _newton(op, u0: FeFunction, cfg: SolverConfig,
         lam = 1.0
         for _ in range(max_halvings):
             trial = FeFunction(u.space, u.coeffs + lam * delta)
-            Ft = op.residual(trial).values
-            if _merit(Ft) <= (1.0 - 1e-4 * lam) * merit:
-                break
+            try:  # a trial with a nonfinite residual is a rejected trial
+                with np.errstate(over="ignore", invalid="ignore"):
+                    Ft = op.residual(trial).values
+                if _merit(Ft) <= (1.0 - 1e-4 * lam) * merit:
+                    break
+            except AssemblyError:
+                pass
             lam *= 0.5
         else:
             return u, _NewtonInfo(False, its, res_sup, "line search stalled")

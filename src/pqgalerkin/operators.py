@@ -42,6 +42,7 @@ __all__ = [
     "saturating_convection",
     "adversarial_convection",
     "Problem",
+    "power_flux",
     "power_flux_pairing",
     "ProblemOperator",
 ]
@@ -425,9 +426,9 @@ class Problem:
 # operators (the dual-vector route), or integrated against one test function
 # (the direct route).
 
-def _power_flux(grad: np.ndarray, exponent: float, eps: float) -> np.ndarray:
-    """|grad|^{e-2} grad, regularized to (|grad|^2+eps^2)^{(e-2)/2} grad only
-    where |grad| < eps would otherwise blow up (e < 2); grad at e = 2."""
+def power_flux(grad, exponent: float, eps: float = DEFAULT_REGULARIZATION):
+    """|grad|^{e-2} grad over the last axis; where |grad| < eps at e < 2, the
+    regularized (|grad|^2 + eps^2)^{(e-2)/2} grad; grad itself at e = 2."""
     if exponent == 2.0:
         return grad
     amp = vector_norm(grad)
@@ -444,7 +445,7 @@ def _power_flux(grad: np.ndarray, exponent: float, eps: float) -> np.ndarray:
 
 def _flux_slopes(amp: np.ndarray, exponent: float, eps: float):
     """(c_I, c_o) with d(flux)/d(grad) = c_I I + c_o g g^T for the
-    `_power_flux` of cell gradients g of norm `amp`: |g|^{e-2} and
+    `power_flux` of cell gradients g of norm `amp`: |g|^{e-2} and
     (e-2)|g|^{e-4}, with |g|^2 -> |g|^2 + eps^2 on the same regularized
     cells, and c_o = 0 where g = 0; (1, 0) at e = 2."""
     if exponent == 2.0:
@@ -477,7 +478,7 @@ def _flux_pairing(flux: np.ndarray, cell_w: np.ndarray,
 def power_flux_pairing(u: FeFunction, grad_v: np.ndarray, exponent: float):
     """int |grad u|^{e-2} grad u . grad_v for cell gradients grad_v; a stack
     u with (B, m, d) gradients grad_v gives B values."""
-    flux = _power_flux(cell_gradients(u), exponent, DEFAULT_REGULARIZATION)
+    flux = power_flux(cell_gradients(u), exponent)
     return _flux_pairing(flux, u.space.cell_measures, grad_v)
 
 
@@ -520,8 +521,8 @@ class ProblemOperator:
         space, pr = u.space, self.problem
         grad, u_qp, p_w = self._pointwise(u)
         return ((grad, u_qp),
-                (_power_flux(grad, pr.p, self.eps), p_w),
-                (_power_flux(grad, pr.q, self.eps), space.cell_measures),
+                (power_flux(grad, pr.p, self.eps), p_w),
+                (power_flux(grad, pr.q, self.eps), space.cell_measures),
                 pr.convection.evaluate(space.qp_points, u_qp,
                                        grad[..., None, :]))
 

@@ -350,3 +350,58 @@ def test_problem_operator_keeps_no_hidden_state():
                                         "q_factor", "eps"]
     source = (Path(pqgalerkin.__file__).parent / "operators.py").read_text()
     assert "weakref" not in _imported_modules(source)
+
+
+def _exponent_minus_two_powers(source: str):
+    """Line numbers of `**` powers whose exponent subtracts the constant 2,
+    such as `amp ** (e - 2.0)`: a copy of the power-law flux."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        and any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Sub)
+                and isinstance(sub.right, ast.Constant)
+                and sub.right.value == 2
+                for sub in ast.walk(node.right)))
+
+
+def test_exponent_minus_two_check_flags_each_form():
+    source = ("f = amp ** (exponent - 2.0)\n"
+              "c = sq ** (0.5 * (p - 2))\n"
+              "r = 2.0 ** -exponent * gap ** exponent\n"
+              "s = 2.0 ** (2.0 - e)\n"
+              "d = (e - 2.0) * amp\n")
+    assert _exponent_minus_two_powers(source) == [1, 2]
+
+
+def _space_sampling_uses(source: str):
+    """Line numbers where fespace's space type or its stack chunking is
+    imported or read: what sampling functions on a space needs."""
+    names = ("FeSpace", "row_slices")
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[-1] == "fespace":
+            if any(alias.name in names for alias in node.names):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_space_sampling_check_flags_each_form():
+    source = ("from .fespace import FeSpace, axis_dot\n"
+              "from pqgalerkin.fespace import row_slices\n"
+              "from .fespace import vector_norm\n"
+              "rows = fespace.row_slices(space, 4)\n"
+              "from .galerkin import FeSpace\n")
+    assert _space_sampling_uses(source) == [1, 2, 4]
+
+
+def test_monotonicity_certificate_reads_the_one_flux_kernel():
+    # the certificate checks the pointwise lemma on fixed pairs through
+    # operators' flux kernel: no copy of the flux, no sampling on a space
+    here = Path(pqgalerkin.__file__).parent
+    source = (here / "verify.py").read_text()
+    assert _exponent_minus_two_powers(source) == []
+    assert _space_sampling_uses(source) == []
+    assert _exponent_minus_two_powers((here / "operators.py").read_text())

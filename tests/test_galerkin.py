@@ -524,6 +524,40 @@ def test_stalled_line_search_evaluates_one_residual_per_trial(limit,
     assert stub.residuals == residuals
 
 
+class CountingFailures:
+    """The operator, counting the residuals that raise AssemblyError."""
+
+    def __init__(self, op):
+        self.op, self.failures = op, 0
+
+    def residual(self, u):
+        try:
+            return self.op.residual(u)
+        except AssemblyError:
+            self.failures += 1
+            raise
+
+    def jacobian(self, u):
+        return self.op.jacobian(u)
+
+
+def test_nonfinite_line_search_trial_is_a_rejected_trial():
+    # p = 40 under a load of 1e6: from zero, full Newton steps overflow
+    # |grad u|^38 in the p-term, and each such trial halves the step instead
+    # of ending the solve; no overflow warning escapes either
+    problem = Problem(p=40.0, q=2.0, domain=UNIT, weight=constant_weight(1.0),
+                      convection=constant_convection(1e6),
+                      variant="competing", regime="H3")
+    radius = compute_estimates(problem).sup_radius
+    stub = CountingFailures(
+        ProblemOperator(problem, truncate_weight(problem.weight, radius)))
+    space = FeSpace(build_mesh(UNIT, 4))
+    _, info = galerkin._newton(stub, FeFunction.zero(space),
+                               SolverConfig(max_iterations=400))
+    assert isinstance(info, galerkin._NewtonInfo)
+    assert stub.failures > 0
+
+
 def test_only_the_warm_stage_gets_the_warm_limit(monkeypatch):
     calls, newton = [], galerkin._newton
 

@@ -600,7 +600,7 @@ def test_exponent_two_flux_matches_the_general_formula(dim):
     # the e >= 2 branch, written out at e = 2
     amp = np.linalg.norm(grad, axis=-1)
     flux = (amp ** 0.0)[..., None] * grad
-    assert np.array_equal(bits(operators._power_flux(grad, 2.0, 1e-10)),
+    assert np.array_equal(bits(operators.power_flux(grad, 2.0, 1e-10)),
                           bits(flux))
 
 

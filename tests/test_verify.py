@@ -4,15 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from pqgalerkin import fespace
-from pqgalerkin.fespace import (FeFunction, FeSpace, cell_gradients,
-                                field_norm_lp, jsonable)
+from pqgalerkin import operators, verify
+from pqgalerkin.fespace import FeFunction, FeSpace, jsonable
 from pqgalerkin.galerkin import SolverConfig, run_hierarchy, solve_level
 from pqgalerkin.galerkin import ProblemOperator
-from pqgalerkin.mesh import Domain, build_mesh, refine
+from pqgalerkin.mesh import Domain, build_mesh
 from pqgalerkin.operators import (Problem, adversarial_convection,
                                   constant_convection, constant_weight,
-                                  power_flux_pairing,
                                   quadratic_weight, saturating_convection,
                                   truncate_weight, zero_convection)
 from pqgalerkin.verify import (check_generalized_conditions,
@@ -117,8 +115,7 @@ def test_strong_condition_skipped_without_declared_growth():
 
 
 def test_monotonicity_certificates():
-    space = FeSpace(build_mesh(UNIT, 8))
-    certs = check_monotonicity_inequalities(4.0, 2.0, space, samples=50)
+    certs = check_monotonicity_inequalities(4.0, 2.0, UNIT.dim)
     assert [c.name for c in certs] == ["monotonicity-p", "monotonicity-q"]
     for c in certs:
         assert c.passed and not c.skipped
@@ -127,8 +124,7 @@ def test_monotonicity_certificates():
 
 
 def test_monotonicity_skips_subquadratic_exponent():
-    space = FeSpace(build_mesh(UNIT, 4))
-    certs = check_monotonicity_inequalities(3.0, 1.5, space, samples=10)
+    certs = check_monotonicity_inequalities(3.0, 1.5, UNIT.dim)
     q_cert = certs[1]
     assert q_cert.skipped and q_cert.passed
     assert math.isnan(q_cert.measured)
@@ -223,37 +219,51 @@ def test_certificate_serialization():
     assert d["skipped"] is False
 
 
-def per_sample_margins(exponent, space, samples, rng):
-    """The monotonicity margins drawn and evaluated one pair at a time."""
-    found = []
-    for _ in range(samples):
-        u = FeFunction(space, rng.standard_normal(space.dim))
-        v = FeFunction(space, rng.standard_normal(space.dim))
-        grad_diff = cell_gradients(u - v)
-        lhs = (power_flux_pairing(u, grad_diff, exponent)
-               - power_flux_pairing(v, grad_diff, exponent))
-        rhs = 2.0 ** (-exponent) \
-            * field_norm_lp(space, grad_diff, exponent) ** exponent
-        found.append(lhs - rhs + 1e-12 * (1.0 + abs(lhs) + rhs))
-    return found
-
-
-@pytest.mark.parametrize("chunk_bytes", [None, 1])
+@pytest.mark.parametrize("exponent", [2.0, 2.5, 3.0, 4.0, 7.5, 40.0])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_batched_monotonicity_matches_the_per_sample_loop(dim, chunk_bytes,
-                                                          monkeypatch):
-    if chunk_bytes is not None:
-        # one row per chunk
-        monkeypatch.setattr(fespace, "CHUNK_BYTES", chunk_bytes)
-    domain = UNIT if dim == 1 else Domain.rectangle(0.0, 1.0, 0.0, 1.0)
-    mesh = build_mesh(domain, 16 if dim == 1 else (4, 4))
-    space = FeSpace(refine(refine(mesh)))
-    for seed in (0, 5):
-        certs = check_monotonicity_inequalities(3.0, 2.5, space, samples=32,
-                                                seed=seed)
-        rng = np.random.default_rng(seed)
-        for cert, exponent in zip(certs, (3.0, 2.5)):
-            found = per_sample_margins(exponent, space, 32, rng)
-            assert np.float64(cert.measured).view(np.int64) \
-                == np.float64(min(found)).view(np.int64)
-            assert cert.details["violations"] == sum(m < 0.0 for m in found)
+def test_opposite_gradients_attain_the_sharp_lemma_ratio(dim, exponent):
+    a, _ = verify._lemma_pairs(dim, exponent)
+    a = a[np.any(a != 0.0, axis=-1)]
+    # b = -a attains the sharp constant 2^{2-e}: four times the checked one
+    ratios = verify._lemma_ratios(a, -a, exponent)
+    assert np.allclose(ratios, 4.0, rtol=1e-14, atol=0.0)
+    (cert, _) = check_monotonicity_inequalities(exponent, 1.5, dim)
+    assert cert.passed and cert.details["violations"] == 0
+    assert cert.measured == pytest.approx(4.0, rel=1e-14)
+    assert cert.threshold == 1.0
+    assert cert.details["constant"] == 2.0 ** -exponent
+    assert cert.details["sharp_constant"] == 4.0 * 2.0 ** -exponent
+
+
+def test_monotonicity_skips_both_exponents_below_two():
+    for cert in check_monotonicity_inequalities(1.8, 1.5, 1):
+        assert cert.skipped and cert.passed
+        assert math.isnan(cert.measured) and math.isnan(cert.threshold)
+        assert cert.details == {}
+
+
+def test_monotonicity_certificate_reads_the_operators_flux_kernel(
+        monkeypatch):
+    assert verify.power_flux is operators.power_flux
+    kernel = operators.power_flux
+    a, b = verify._lemma_pairs(2, 3.0)
+    # the certificate's constant has a factor 4 in hand, so a kernel at an
+    # eighth of its value fails on every pair whose true ratio is below 8
+    short = int(np.sum(verify._lemma_ratios(a, b, 3.0) < 8.0))
+    assert 0 < short < a.shape[0]
+    monkeypatch.setattr(verify, "power_flux",
+                        lambda grad, e, eps=1e-10: 0.125 * kernel(grad, e,
+                                                                  eps))
+    cert_p, cert_q = check_monotonicity_inequalities(3.0, 2.5, 2)
+    assert not cert_p.passed and not cert_q.passed
+    assert cert_p.details["violations"] == short
+    assert cert_p.measured == pytest.approx(0.5, rel=1e-14)
+
+
+def test_nonfinite_lemma_ratio_is_a_violation(monkeypatch):
+    monkeypatch.setattr(verify, "power_flux",
+                        lambda grad, e, eps=1e-10: np.full_like(grad, np.inf))
+    (cert, _) = check_monotonicity_inequalities(3.0, 1.5, 1)
+    assert not cert.passed
+    assert cert.details["violations"] == cert.details["pairs"]
+    assert math.isnan(cert.measured)
