@@ -301,8 +301,6 @@ def audit_hypotheses(problem: Problem, box: SamplingBox,
 class EstimateReport:
     lambda1: float
     lambda1_provenance: str
-    lambda1_raw: float
-    lambda1_converged: bool
     sobolev: float
     sobolev_provenance: str
     rhs_constant: float
@@ -317,8 +315,7 @@ def compute_estimates(problem: Problem,
     """All constants feeding the Galerkin run, in closed form.
 
     The radius needs a lower bound on lambda1, which `estimate_lambda1`
-    gives in both dimensions; the report's `lambda1_raw` (equal to
-    `lambda1`) and `lambda1_converged` (always true) keep its schema.
+    gives in both dimensions.
     """
     lam = estimate_lambda1(problem.domain, problem.p)
     sob = sobolev_constant(problem.domain, problem.p)
@@ -328,8 +325,6 @@ def compute_estimates(problem: Problem,
     return EstimateReport(
         lambda1=lam.value,
         lambda1_provenance=lam.provenance,
-        lambda1_raw=lam.value,
-        lambda1_converged=True,
         sobolev=sob.value,
         sobolev_provenance=sob.provenance,
         rhs_constant=rhs_c,

@@ -386,12 +386,19 @@ def values_at_qp(u: FeFunction) -> np.ndarray:
 
 def grad_norm_lp(u: FeFunction, p: float):
     """||grad u||_{L^p}, exact for P1; a stack gives B norms.  Each p-th
-    root is per scalar: array and scalar pow can differ in the last bit."""
+    root is per scalar: array and scalar pow can differ in the last bit.  A
+    row whose plain sum over- or underflows is summed again with its
+    gradients divided by the largest, so no other row moves a bit."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     amp = vector_norm(cell_gradients(u))
-    totals = state_sums(u.space.cell_measures * amp ** p, 1)
+    with np.errstate(over="ignore"):
+        totals = state_sums(u.space.cell_measures * amp ** p, 1)
     roots = [t ** (1.0 / p) for t in np.atleast_1d(totals)]
+    for b, row in enumerate(amp.reshape(len(roots), -1)):
+        if not 0.0 < roots[b] < np.inf and (top := np.max(row)) > 0.0:
+            total = np.sum(u.space.cell_measures * (row / top) ** p)
+            roots[b] = top * total ** (1.0 / p)
     return float(roots[0]) if np.ndim(totals) == 0 else np.array(roots)
 
 

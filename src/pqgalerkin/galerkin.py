@@ -68,8 +68,8 @@ WARM_HALVINGS = 7
 RAMP = np.linspace(0.0, 1.0, 5)
 # load_factor stages of load continuation
 CONTINUATION = np.linspace(0.0, 1.0, 11)[1:]
-# radius doublings the coercivity guard tries before it records a failure
-MAX_DOUBLINGS = 8
+# Gaussian directions the coercivity guard pairs on its sphere
+GUARD_SAMPLES = 32
 # random coarse functions added to the coarse basis in the condition-(b) table
 EXTRA_TESTS = 5
 
@@ -80,39 +80,28 @@ EXTRA_TESTS = 5
 
 @dataclass
 class GuardRecord:
-    initial_radius: float
-    radius: float
     min_pairing: float
-    samples: int
-    doublings: int
     passed: bool
 
 
 def brouwer_guard(op: ProblemOperator, space: FeSpace, radius: float,
-                  samples: int = 32, seed: int = 0) -> GuardRecord:
-    """Sample <A(v), v> on the sphere ||grad v||_p = radius.
+                  seed: int = 0) -> GuardRecord:
+    """Pair <A(v), v> at GUARD_SAMPLES Gaussian directions, scaled onto the
+    sphere ||grad v||_p = radius (the a-priori radius), as one stack.
 
-    A nonnegative minimum supports the zero-of-degree argument for a solution
-    inside the ball; a negative minimum is data, answered by doubling the
-    radius up to the cap and recording the outcome.
+    A nonnegative minimum supports the acute-angle argument for a zero
+    inside the ball; a negative minimum is data, recorded as a failed guard.
     """
-    dirs = np.random.default_rng(seed).standard_normal((samples, space.dim))
-    scales = np.empty(samples)
-    for rows in row_slices(space, samples):
+    dirs = np.random.default_rng(seed).standard_normal((GUARD_SAMPLES,
+                                                        space.dim))
+    scales = np.empty(GUARD_SAMPLES)
+    for rows in row_slices(space, GUARD_SAMPLES):
         scales[rows] = grad_norm_lp(FeFunction(space, dirs[rows]),
                                     op.problem.p)
-    dirs, scales = dirs[scales != 0.0], scales[scales != 0.0]
-    r, doublings = float(radius), 0
-    while True:
-        v = FeFunction(space, dirs * (r / scales)[:, None])
-        # min over the floats in sample order, so a NaN pairing is skipped
-        worst = min([np.inf, *op.pairing(v, v).tolist()])
-        if worst >= 0.0 or doublings >= MAX_DOUBLINGS:
-            return GuardRecord(initial_radius=float(radius), radius=r,
-                               min_pairing=float(worst), samples=samples,
-                               doublings=doublings, passed=bool(worst >= 0.0))
-        r *= 2.0
-        doublings += 1
+    v = FeFunction(space, dirs * (float(radius) / scales)[:, None])
+    # min over the floats in sample order, so a NaN pairing is skipped
+    worst = min([np.inf, *op.pairing(v, v).tolist()])
+    return GuardRecord(min_pairing=float(worst), passed=bool(worst >= 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +130,10 @@ def _merit(F: np.ndarray) -> float:
 def _newton(op, u0: FeFunction, cfg: SolverConfig,
             max_halvings: int = MAX_HALVINGS) -> tuple:
     u, its = u0.copy(), 0
-    F = op.residual(u).values
+    try:  # a start with a nonfinite residual ends the stage
+        F = op.residual(u).values
+    except AssemblyError as err:
+        return u, _NewtonInfo(False, its, np.inf, str(err))
     while True:
         res_sup = float(np.max(np.abs(F))) if F.size else 0.0
         if res_sup <= cfg.tolerance:
@@ -267,6 +259,7 @@ class HierarchyReport:
     within_sup_bound: List[bool] = field(default_factory=list)
     failed_level: Optional[int] = None
     failure_message: str = ""
+    failed_guard: Optional[GuardRecord] = None
     operator: Optional[ProblemOperator] = field(default=None,
                                                 metadata={"live": True})
 
@@ -297,8 +290,8 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
     failed guard is data in the level's record, while a guard or solve
     exception fails the level.  The finest solved level stands proxy for the
     weak limit in every gap and pairing table; tables are filled for however
-    many levels solved, and a failed level leaves `failed_level` set instead
-    of raising.
+    many levels solved, and a failed level, instead of raising, sets
+    `failed_level` and, unless its guard raised, `failed_guard`.
     """
     if levels < 2:
         raise ValueError("a hierarchy needs at least 2 levels")
@@ -321,11 +314,12 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
 
     warm = None
     for n, sp in enumerate(spaces):
+        guard = None
         try:
             guard = brouwer_guard(op, sp, guard_radius, seed=seed)
             lv = solve_level(op, sp, cfg, warm=warm)
         except (SolveError, AssemblyError) as err:
-            report.failed_level = n
+            report.failed_level, report.failed_guard = n, guard
             # a SolveError message already names its level
             report.failure_message = (str(err) if isinstance(err, SolveError)
                                       else f"level {n} failed: {err}")

@@ -126,6 +126,20 @@ def test_hat_gradient_norm_scaling():
                         rel_tol=1e-14)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gradient_norm_rescales_only_rows_whose_sum_leaves_the_floats():
+    space = interval_space(8)
+    g = np.random.default_rng(3).standard_normal(space.dim)
+    for p in (3.0, 400.0):
+        plain = grad_norm_lp(FeFunction(space, g), p)
+        # 1e120 overflows the sum of |grad|^p, 1e-120 underflows it to 0
+        norms = grad_norm_lp(FeFunction(space, np.stack(
+            [g, 1e120 * g, 1e-120 * g])), p)
+        assert norms[0] == plain
+        np.testing.assert_allclose(norms[1:], [1e120 * plain, 1e-120 * plain],
+                                   rtol=1e-13)
+
+
 def test_hat_lr_norms():
     space = interval_space(2)
     u = hat(space)

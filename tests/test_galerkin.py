@@ -102,14 +102,13 @@ def test_linear_predictor_zero_load_is_zero():
 
 def test_guard_passes_at_certified_radius():
     report = offset_report()
-    assert report.failed_level is None
+    assert report.failed_level is None and report.failed_guard is None
     for lv in report.levels:
         g = lv.guard
         assert g is not None and g.passed
-        assert g.doublings == 0
         assert g.min_pairing > 0.0
-        assert g.initial_radius == report.guard_radius
-        assert g.radius == report.guard_radius
+    assert [f.name for f in dataclasses.fields(galerkin.GuardRecord)] == \
+        ["min_pairing", "passed"]
 
 
 def test_solve_level_leaves_the_guard_to_the_hierarchy():
@@ -136,20 +135,53 @@ def test_guard_exception_fails_its_level(monkeypatch):
     assert report.failure_message == \
         "level 0 failed: nonfinite guard pairing"
     assert report.levels == []
+    assert report.failed_guard is None
 
 
-def test_guard_doubles_past_small_radius():
+@pytest.fixture
+def paired(monkeypatch):
+    """The first argument of every `ProblemOperator.pairing` call."""
+    calls, pairing = [], ProblemOperator.pairing
+
+    def recorded(self, u, v):
+        calls.append(u)
+        return pairing(self, u, v)
+
+    monkeypatch.setattr(ProblemOperator, "pairing", recorded)
+    return calls
+
+
+def test_guard_records_a_failure_below_the_certified_radius(paired):
     problem = offset_problem()
     space = FeSpace(build_mesh(UNIT, 8))
     est = compute_estimates(problem)
     weight = truncate_weight(problem.weight, est.sup_radius)
     op = ProblemOperator(problem, weight)
-    small = est.grad_radius / 5.0
-    rec = brouwer_guard(op, space, small, samples=16, seed=0)
-    assert rec.passed
-    assert rec.doublings >= 1
-    assert rec.radius == small * 2.0 ** rec.doublings
-    assert rec.min_pairing >= 0.0
+    rec = brouwer_guard(op, space, est.grad_radius / 5.0, seed=0)
+    assert not rec.passed
+    assert rec.min_pairing < 0.0
+    assert len(paired) == 1
+
+
+@pytest.mark.parametrize("p", [400.0, 800.0])
+def test_guard_directions_lie_on_the_sphere_at_large_exponent(p, paired):
+    # the plain sum of |grad v|^p of a raw Gaussian direction overflows
+    # here; such a direction once scaled to the zero function, paired 0
+    # and passed
+    problem = Problem(p=p, q=2.0, domain=UNIT, weight=constant_weight(1.0),
+                      convection=constant_convection(1.0),
+                      variant="competing", regime="H3")
+    est = compute_estimates(problem)
+    op = ProblemOperator(problem, truncate_weight(problem.weight,
+                                                  est.sup_radius))
+    space = FeSpace(build_mesh(UNIT, 4))
+    for _ in range(3):
+        rec = brouwer_guard(op, space, est.grad_radius)
+        norms = grad_norm_lp(paired.pop(), p)
+        assert norms.shape == (galerkin.GUARD_SAMPLES,)
+        np.testing.assert_allclose(norms, est.grad_radius, rtol=1e-12)
+        assert rec.passed and rec.min_pairing > 0.0
+        space = FeSpace(refine(space.mesh))
 
 
 def test_guard_is_deterministic():
@@ -158,8 +190,8 @@ def test_guard_is_deterministic():
     est = compute_estimates(problem)
     op = ProblemOperator(problem, truncate_weight(problem.weight,
                                                   est.sup_radius))
-    a = brouwer_guard(op, space, est.grad_radius, samples=16, seed=7)
-    b = brouwer_guard(op, space, est.grad_radius, samples=16, seed=7)
+    a = brouwer_guard(op, space, est.grad_radius, seed=7)
+    b = brouwer_guard(op, space, est.grad_radius, seed=7)
     assert a.min_pairing == b.min_pairing
     assert jsonable(a) == jsonable(b)
 
@@ -273,10 +305,27 @@ def test_hierarchy_records_assembly_error():
                       variant="competing", regime="H3")
     with np.errstate(all="ignore"):
         report = run_hierarchy(problem, 4, 3)
+    # the ramp's start overflows the p-term, so the level falls through to
+    # load continuation, which stalls
     assert report.failed_level == 0
     assert report.failure_message == \
-        "level 0 failed: nonfinite weighted p-term contribution on cell 0"
+        "level 0 failed: line search stalled (residual sup 2.500e+06)"
     assert report.levels == []
+    assert report.failed_guard.passed
+
+
+def test_nonfinite_start_ends_the_stage_not_the_level():
+    problem = Problem(p=60.0, q=2.0, domain=UNIT, weight=constant_weight(1.0),
+                      convection=constant_convection(1e8),
+                      variant="competing", regime="H3")
+    est = compute_estimates(problem)
+    op = ProblemOperator(problem, truncate_weight(problem.weight,
+                                                  est.sup_radius))
+    space = FeSpace(build_mesh(UNIT, 4))
+    with np.errstate(all="ignore"):
+        with pytest.raises(SolveError) as caught:
+            solve_level(op, space)
+    assert caught.value.diagnostics["path"] == "load-continuation"
 
 
 def test_cooperative_1d_hierarchy_solves_twelve_levels():
