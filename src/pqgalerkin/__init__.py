@@ -3,9 +3,9 @@ driven by competing power-law diffusion with convection."""
 
 from .mesh import (Domain, MeshError, MeshLevel, QuadratureRule, build_mesh,
                    gauss2_rule, quadrature_for, refine, triangle_rule_degree4)
-from .fespace import (DualVector, FeFunction, FeSpace, cell_gradients,
-                      grad_norm_lp, jsonable, lr_norm, pair, prolongate,
-                      read_csv, sup_norm, values_at_qp, write_csv)
+from .fespace import (FeFunction, FeSpace, cell_gradients, grad_norm_lp,
+                      jsonable, lr_norm, prolongate, read_csv, sup_norm,
+                      values_at_qp, write_csv)
 from .operators import (AssemblyError, ConvectionFamily, GrowthH2, GrowthH4,
                         HypothesisViolation, Problem, ProblemOperator, SignH3,
                         SignH3a, WeightFunction, adversarial_convection,

@@ -28,12 +28,10 @@ __all__ = [
     "sparse_solve",
     "FeSpace",
     "FeFunction",
-    "DualVector",
     "prolongate",
     "grad_norm_lp",
     "lr_norm",
     "sup_norm",
-    "pair",
     "vector_norm",
     "axis_dot",
     "state_sums",
@@ -288,43 +286,6 @@ class FeFunction:
     __rmul__ = __mul__
 
 
-@dataclass
-class DualVector:
-    """Values of a functional against every interior basis hat."""
-
-    space: FeSpace
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.array(self.values, dtype=float).reshape(-1)
-        if self.values.size != self.space.dim:
-            raise ValueError(
-                f"expected {self.space.dim} entries, got {self.values.size}")
-
-    def _binary(self, other, op):
-        if not isinstance(other, DualVector) or other.space is not self.space:
-            raise ValueError("operands must live on the same FeSpace")
-        return DualVector(self.space, op(self.values, other.values))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, scalar):
-        return DualVector(self.space, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-
-def pair(functional: DualVector, v: FeFunction) -> float:
-    """Duality pairing <F, v> = sum_i F_i v_i."""
-    if functional.space is not v.space:
-        raise ValueError("pairing requires a common FeSpace")
-    return float(functional.values @ v.coeffs)
-
-
 def axis_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sum of a[..., j] * b[..., j] over the last axis, which the two share,
     with the leading axes broadcast.  The sum runs from +0.0 in axis order,
@@ -387,17 +348,20 @@ def values_at_qp(u: FeFunction) -> np.ndarray:
 def grad_norm_lp(u: FeFunction, p: float):
     """||grad u||_{L^p}, exact for P1; a stack gives B norms.  Each p-th
     root is per scalar: array and scalar pow can differ in the last bit.  A
-    row whose plain sum over- or underflows is summed again with its
-    gradients divided by the largest, so no other row moves a bit."""
+    row whose plain sum over- or underflows, its cell norms included, is
+    summed again with its gradients divided by their largest component
+    magnitude, so no other row moves a bit."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    amp = vector_norm(cell_gradients(u))
+    grads = cell_gradients(u)
     with np.errstate(over="ignore"):
-        totals = state_sums(u.space.cell_measures * amp ** p, 1)
+        totals = state_sums(u.space.cell_measures * vector_norm(grads) ** p,
+                            1)
     roots = [t ** (1.0 / p) for t in np.atleast_1d(totals)]
-    for b, row in enumerate(amp.reshape(len(roots), -1)):
-        if not 0.0 < roots[b] < np.inf and (top := np.max(row)) > 0.0:
-            total = np.sum(u.space.cell_measures * (row / top) ** p)
+    for b, row in enumerate(grads.reshape(len(roots), *grads.shape[-2:])):
+        if not 0.0 < roots[b] < np.inf and (top := np.max(np.abs(row))) > 0.0:
+            total = np.sum(u.space.cell_measures
+                           * vector_norm(row / top) ** p)
             roots[b] = top * total ** (1.0 / p)
     return float(roots[0]) if np.ndim(totals) == 0 else np.array(roots)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .estimates import EstimateReport, compute_estimates
 from .fespace import (FeFunction, FeSpace, assemble_matrix, grad_norm_lp,
-                      pair, prolongate, row_slices, sparse_solve, sup_norm)
+                      prolongate, row_slices, sparse_solve, sup_norm)
 from .mesh import build_mesh, refine
 from .operators import (DEFAULT_REGULARIZATION, AssemblyError, Problem,
                         ProblemOperator, truncate_weight)
@@ -131,7 +131,7 @@ def _newton(op, u0: FeFunction, cfg: SolverConfig,
             max_halvings: int = MAX_HALVINGS) -> tuple:
     u, its = u0.copy(), 0
     try:  # a start with a nonfinite residual ends the stage
-        F = op.residual(u).values
+        F = op.residual(u)
     except AssemblyError as err:
         return u, _NewtonInfo(False, its, np.inf, str(err))
     while True:
@@ -150,7 +150,7 @@ def _newton(op, u0: FeFunction, cfg: SolverConfig,
             trial = FeFunction(u.space, u.coeffs + lam * delta)
             try:  # a trial with a nonfinite residual is a rejected trial
                 with np.errstate(over="ignore", invalid="ignore"):
-                    Ft = op.residual(trial).values
+                    Ft = op.residual(trial)
                 if _merit(Ft) <= (1.0 - 1e-4 * lam) * merit:
                     break
             except AssemblyError:
@@ -166,7 +166,7 @@ def _linear_predictor(op: ProblemOperator, space: FeSpace) -> FeFunction:
     """Seed for the monotone core: solve a0 * stiffness = load at zero."""
     zero = FeFunction.zero(space)
     # at zero the residual is its f-part, minus the scaled load
-    load = -op.residual(zero).values
+    load = -op.residual(zero)
     if not np.any(load):
         return zero
     stiffness = space.stiffness_blocks * space.cell_measures[:, None, None]
@@ -336,9 +336,11 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
     report.test_count = tests.coeffs.shape[0]
     for u in report.solutions:
         F = op.residual(u)
-        report.cond_b.append([pair(F, FeFunction(u.space, row)) for row
+        # each row is dotted as a fresh copy: a dot on a view into the
+        # stack can round differently in the last bit
+        report.cond_b.append([float(F @ np.array(row)) for row
                               in prolongate(tests, u.space).coeffs])
-        report.pair_un.append(pair(F, u))
+        report.pair_un.append(float(F @ u.coeffs))
         report.grad_norms.append(grad_norm_lp(u, problem.p))
         report.sup_norms.append(sup_norm(u))
         slack = 1.0 + 1e-12
@@ -354,9 +356,9 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
         (p_part, q_part, f_part), direct = op.parts_and_pairing(u_fine, diff)
         principal_pq = p_part + q_part
         report.cond_c.append(direct)
-        report.cond_c_alt.append(pair(principal_pq + f_part, diff))
-        report.cond_cprime.append(pair(principal_pq, diff))
+        report.cond_c_alt.append(float((principal_pq + f_part) @ diff.coeffs))
+        report.cond_cprime.append(float(principal_pq @ diff.coeffs))
         # the f-part carries the minus sign of the convection term
-        report.convection_pairs.append(pair(-1.0 * f_part, diff))
+        report.convection_pairs.append(float(-f_part @ diff.coeffs))
         report.gaps.append(grad_norm_lp(diff, problem.p))
     return report

@@ -14,15 +14,15 @@ certificates all go through it.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import (DualVector, FeFunction, FeSpace, assemble_matrix,
-                      axis_dot, cell_gradients, row_slices, state_sums,
-                      values_at_qp, vector_norm)
+from .fespace import (FeFunction, FeSpace, assemble_matrix, axis_dot,
+                      cell_gradients, row_slices, state_sums, values_at_qp,
+                      vector_norm)
 from .mesh import Domain
 
 __all__ = [
@@ -216,19 +216,7 @@ def _times_unit_power(c, xi, exponent: float, scale: float):
 
 
 def zero_convection() -> ConvectionFamily:
-    def fn(x, s, xi):
-        return np.zeros_like(s)
-
-    return ConvectionFamily(
-        name="zero",
-        fn=fn,
-        ds=_no_slope,
-        dxi=_no_gradient_slope,
-        h2=GrowthH2(0.0, 0.0, 0.0, 1.0, 1.0),
-        h3=SignH3(0.0, 0.0, 1.0),
-        h3a=SignH3a(0.0, 0.0),
-        h4=GrowthH4(0.0, 0.0, 0.0, 1.0, 0.0),
-    )
+    return replace(constant_convection(0.0), name="zero")
 
 
 def constant_convection(value: float) -> ConvectionFamily:
@@ -423,7 +411,7 @@ class Problem:
 # A divergence term is a cellwise-constant flux with a cell weight; the
 # convection term is f at the quadrature points.  Either is tested against
 # every basis hat, a transposed product with one of the space's cell
-# operators (the dual-vector route), or integrated against one test function
+# operators (the dof-array route), or integrated against one test function
 # (the direct route).
 
 def power_flux(grad, exponent: float, eps: float = DEFAULT_REGULARIZATION):
@@ -551,18 +539,18 @@ class ProblemOperator:
                 * state_sums(u.space.qp_weights * fvals * v_qp, 2))
 
     def parts_and_pairing(self, u: FeFunction, v: FeFunction):
-        """The signed p-, q- and f-parts of u, which sum to `residual(u)`,
-        and `pairing(u, v)`, from one evaluation of u's pointwise data: the
-        dual-vector and direct routes that the condition-(c) table
-        compares."""
+        """The signed p-, q- and f-parts of u as dof arrays, which sum to
+        `residual(u)`, and `pairing(u, v)`, from one evaluation of u's
+        pointwise data: the dof-array and direct routes that the
+        condition-(c) table compares."""
         terms = self._terms(u)
-        return (tuple(DualVector(u.space, part)
-                      for part in self._signed_parts(u.space, terms)),
+        return (self._signed_parts(u.space, terms),
                 float(self._direct(u, terms, v)))
 
-    def residual(self, u: FeFunction) -> DualVector:
+    def residual(self, u: FeFunction) -> np.ndarray:
+        """F(u) against every basis hat, one entry per dof."""
         p_part, q_part, f_part = self._signed_parts(u.space, self._terms(u))
-        return DualVector(u.space, p_part + q_part + f_part)
+        return p_part + q_part + f_part
 
     def jacobian(self, u: FeFunction) -> sp.csr_matrix:
         """CSR matrix of dF_i/du_j for F = residual(u), in closed form.
@@ -614,7 +602,7 @@ class ProblemOperator:
 
     def pairing(self, u: FeFunction, v: FeFunction):
         """<A_R(u), v> by direct integration; agrees with
-        pair(residual(u), v) but never goes through the dual vector.
+        `residual(u) @ v.coeffs` but never assembles the dof array.
 
         Stacks u and v of B states give the array of the B row pairings,
         evaluated in the chunks of `row_slices`; every row has the bits of

@@ -93,7 +93,7 @@ def test_criterion_2_analytic_and_multistart_oracles(capsys):
     lv3 = solve_level(op3, space3)
 
     def residual(x):
-        return op3.residual(FeFunction(space3, x)).values
+        return op3.residual(FeFunction(space3, x))
 
     roots = []
     for start in itertools.product(np.linspace(-1.0, 1.5, 6), repeat=3):

@@ -381,7 +381,7 @@ def test_solution_csv_round_trips_to_a_certified_state(tmp_path):
     u = read_csv(space, out / "solution_L2.csv")
     weight = truncate_weight(problem.weight, hier["truncation_radius"])
     op = ProblemOperator(problem, weight)
-    res = np.max(np.abs(op.residual(u).values))
+    res = np.max(np.abs(op.residual(u)))
     assert res <= 10.0 * hier["solver_tolerance"]
 
 

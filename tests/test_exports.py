@@ -19,6 +19,13 @@ def _package_reexports(module: str):
             for alias in node.names]
 
 
+def test_the_residual_has_no_wrapper_type():
+    # a residual is the plain dof array, paired by one dot product
+    fespace = importlib.import_module("pqgalerkin.fespace")
+    for gone in ("DualVector", "pair"):
+        assert not hasattr(fespace, gone) and not hasattr(pqgalerkin, gone)
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_public_names_resolve(name):
     module = importlib.import_module(f"pqgalerkin.{name}")
