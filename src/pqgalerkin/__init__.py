@@ -12,11 +12,10 @@ from .operators import (AssemblyError, ConvectionFamily, GrowthH2, GrowthH4,
                         constant_convection, constant_weight,
                         quadratic_weight, saturating_convection,
                         truncate_weight, zero_convection)
-from .estimates import (CONVENTIONS, ConstantEstimate, EstimateReport,
-                        HypothesisAudit, SamplingBox, apriori_radius,
-                        audit_hypotheses, coercivity_polynomial,
-                        compute_estimates, estimate_lambda1,
-                        lambda1_interval, poincare_factor,
+from .estimates import (ConstantEstimate, EstimateReport, HypothesisAudit,
+                        SamplingBox, apriori_radius, audit_hypotheses,
+                        coercivity_polynomial, compute_estimates,
+                        estimate_lambda1, lambda1_interval, poincare_factor,
                         rhs_estimate_constant, sobolev_constant)
 from .galerkin import (GuardRecord, HierarchyReport, LevelSolve, SolveError,
                        SolverConfig, brouwer_guard, run_hierarchy, solve_level)

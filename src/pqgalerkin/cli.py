@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .estimates import CONVENTIONS, compute_estimates
+from .estimates import compute_estimates
 from .fespace import jsonable, write_csv
 from .galerkin import SolverConfig, run_hierarchy
 from .mesh import Domain, MeshError
@@ -157,7 +157,7 @@ def _unique_keys(pairs: list) -> dict:
 def load_config(path: str) -> dict:
     text = Path(path).read_text()
     cfg = json.loads(text, object_pairs_hook=_unique_keys)
-    _check_keys(cfg, {"problem", "mesh", "solver", "estimates", "output"},
+    _check_keys(cfg, {"problem", "mesh", "solver", "output"},
                 {"problem", "mesh"}, "config")
     _check_keys(cfg["mesh"], {"base_cells", "levels"},
                 {"base_cells", "levels"}, "mesh")
@@ -176,12 +176,6 @@ def load_config(path: str) -> dict:
                           "per side")
     if isinstance(base, list):
         cfg["mesh"]["base_cells"] = tuple(base)
-    est = cfg.get("estimates")
-    if est is not None:
-        _check_keys(est, {"convention"}, set(), "estimates")
-        if est.get("convention", "standard") not in CONVENTIONS:
-            raise ConfigError(
-                f"estimates.convention: expected one of {CONVENTIONS}")
     out = cfg.get("output")
     if out is not None:
         _check_keys(out, {"write_solutions", "write_diagnostics"}, set(),
@@ -224,25 +218,24 @@ def _write_diagnostics(out_dir: Path, report) -> None:
     (out_dir / "diagnostics.csv").write_text("\n".join(lines) + "\n")
 
 
-def _cmd_estimate(cfg: dict, problem: Problem, convention: str,
-                  out_dir: Path, seed: int) -> int:
-    report = compute_estimates(problem, convention=convention)
+def _cmd_estimate(cfg: dict, problem: Problem, out_dir: Path,
+                  seed: int) -> int:
+    report = compute_estimates(problem)
     _write_json(out_dir / "estimates.json", report)
     _write_lock(out_dir, "estimate", cfg, seed)
     print(f"wrote {out_dir / 'estimates.json'}")
     return 0
 
 
-def _cmd_solve(command: str, cfg: dict, problem: Problem, convention: str,
-               out_dir: Path, seed: int, target: Path, payload: dict) -> int:
+def _cmd_solve(command: str, cfg: dict, problem: Problem, out_dir: Path,
+               seed: int, target: Path, payload: dict) -> int:
     """`solve`, and for `verify` the certificates of a solved hierarchy.
     The report goes into `payload` and to `target`; the solution CSVs and
     diagnostics.csv follow as `output` asks, then the lock, whatever the
     exit code."""
     report = run_hierarchy(problem, cfg["mesh"]["base_cells"],
                            cfg["mesh"]["levels"],
-                           cfg=_build_solver(cfg.get("solver")),
-                           convention=convention, seed=seed)
+                           cfg=_build_solver(cfg.get("solver")), seed=seed)
     payload["hierarchy"] = report
     failed = report.failed_level is not None
     if command == "verify":
@@ -323,12 +316,10 @@ def main(argv=None) -> int:
         if problem.domain.dim == 1 and \
                 isinstance(cfg["mesh"]["base_cells"], tuple):
             raise ConfigError("mesh.base_cells: expected int on an interval")
-        convention = (cfg.get("estimates") or {}).get("convention",
-                                                      "standard")
         if args.command == "estimate":
-            return _cmd_estimate(cfg, problem, convention, out_dir, args.seed)
-        return _cmd_solve(args.command, cfg, problem, convention, out_dir,
-                          args.seed, target, payload)
+            return _cmd_estimate(cfg, problem, out_dir, args.seed)
+        return _cmd_solve(args.command, cfg, problem, out_dir, args.seed,
+                          target, payload)
     except (HypothesisViolation,) as err:
         return _fail(f"hypothesis violation: {err}", 2)
     except (ConfigError, MeshError, ValueError, ArithmeticError) as err:

@@ -1,18 +1,16 @@
 """A priori estimates: first eigenvalue, embedding constants, radii, audits.
 
 The eigenvalue bound, the embedding constant and the radii are closed forms,
-a function of the problem and the convention alone: no mesh, no sampling.
+a function of the problem alone: no mesh, no sampling.
 
 The gradient-norm radius is the positive root of
 
     psi(t) = (a0 - c0) t^p - |O|^{(p-q)/p} t^q
              - c1 |O|^{(p-alpha)/p} pf(alpha) t^alpha - c1 |O|
 
-where pf folds the Poincare inequality into the |s|^alpha term.  Two
-conventions are supported: "standard" uses the exact consequence
-||u||_p <= lambda1^{-1/p} ||grad u||_p of the eigenvalue definition,
-"paper" keeps the unscaled factors 1/lambda1^alpha (a valid bound only
-when lambda1 <= 1, kept selectable for comparisons).
+where pf(alpha) = lambda1^{-alpha/p} folds the Poincare step
+||u||_p <= lambda1^{-1/p} ||grad u||_p, the exact consequence of the
+eigenvalue definition, into the |s|^alpha term.
 In the |s|^p regime the alpha-term merges into the leading coefficient,
 which must stay positive: c1 pf(p) < a0 - c0.
 """
@@ -45,7 +43,6 @@ __all__ = [
     "ConstantEstimate",
 ]
 
-CONVENTIONS = ("standard", "paper")
 # relative width at which bisection stops polishing the psi root
 ROOT_REL_TOL = 1e-12
 # audit box half-width in each gradient component
@@ -127,18 +124,13 @@ def sobolev_constant(domain: Domain, p: float) -> ConstantEstimate:
 # coercivity polynomial and radii
 # ---------------------------------------------------------------------------
 
-def poincare_factor(lambda1: float, alpha: float, p: float,
-                    convention: str = "standard") -> float:
+def poincare_factor(lambda1: float, alpha: float, p: float) -> float:
     """Coefficient replacing ||u||_p^alpha by a gradient power."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
-    if convention == "standard":
-        return lambda1 ** (-alpha / p)
-    return lambda1 ** (-alpha)
+    return lambda1 ** (-alpha / p)
 
 
-def coercivity_polynomial(problem: Problem, lambda1: float,
-                          convention: str = "standard") -> Callable[[float], float]:
+def coercivity_polynomial(problem: Problem,
+                          lambda1: float) -> Callable[[float], float]:
     """psi(t) such that <A(u), u> >= psi(||grad u||_p) under the hypotheses."""
     p, q = problem.p, problem.q
     measure = problem.domain.measure
@@ -148,7 +140,7 @@ def coercivity_polynomial(problem: Problem, lambda1: float,
     b_coef = measure ** ((p - q) / p)
     const = c1 * measure
     if problem.regime == "H3a":
-        gate = c1 * poincare_factor(lambda1, p, p, convention)
+        gate = c1 * poincare_factor(lambda1, p, p)
         if not gate < lead:
             raise HypothesisViolation(
                 f"(H3a) smallness gate fails: c1 * lambda1-factor = {gate} "
@@ -157,7 +149,7 @@ def coercivity_polynomial(problem: Problem, lambda1: float,
         alpha_coef = 0.0
     else:
         alpha_coef = (c1 * measure ** ((p - alpha) / p)
-                      * poincare_factor(lambda1, alpha, p, convention))
+                      * poincare_factor(lambda1, alpha, p))
 
     def psi(t: float) -> float:
         t = float(t)
@@ -167,15 +159,15 @@ def coercivity_polynomial(problem: Problem, lambda1: float,
     return psi
 
 
-def apriori_radius(problem: Problem, lambda1: float, sobolev: float,
-                   convention: str = "standard") -> Tuple[float, float]:
+def apriori_radius(problem: Problem, lambda1: float,
+                   sobolev: float) -> Tuple[float, float]:
     """(gradient radius, sup radius): the unique positive root of psi and its
     image under the sup-norm embedding.
 
     The coefficient signs (+,-,-,-) give exactly one positive root; it is
     bracketed by doubling from t = 1 and polished by bisection.
     """
-    psi = coercivity_polynomial(problem, lambda1, convention)
+    psi = coercivity_polynomial(problem, lambda1)
     hi = 1.0
     for _ in range(400):
         if psi(hi) > 0.0:
@@ -200,15 +192,15 @@ def apriori_radius(problem: Problem, lambda1: float, sobolev: float,
     return hi, sobolev * hi
 
 
-def rhs_estimate_constant(problem: Problem, lambda1: float, sobolev: float,
-                          convention: str = "standard") -> float:
+def rhs_estimate_constant(problem: Problem, lambda1: float,
+                          sobolev: float) -> float:
     """C with |int f(x,u,grad u) v| <= C (||sigma||_{r1} + ||u||_{r2}^{r2}
     + ||grad u||_p^{p-1}) ||grad v||_p, from the growth bound termwise."""
     h2 = problem.convection.h2
     measure = problem.domain.measure
     sigma_term = sobolev * measure ** ((h2.r1 - 1.0) / h2.r1)
     b_term = h2.b * sobolev
-    c_term = h2.c * poincare_factor(lambda1, 1.0, problem.p, convention)
+    c_term = h2.c * poincare_factor(lambda1, 1.0, problem.p)
     return max(sigma_term, b_term, c_term)
 
 
@@ -307,11 +299,9 @@ class EstimateReport:
     grad_radius: float
     sup_radius: float
     regime: str
-    convention: str
 
 
-def compute_estimates(problem: Problem,
-                      convention: str = "standard") -> EstimateReport:
+def compute_estimates(problem: Problem) -> EstimateReport:
     """All constants feeding the Galerkin run, in closed form.
 
     The radius needs a lower bound on lambda1, which `estimate_lambda1`
@@ -319,9 +309,8 @@ def compute_estimates(problem: Problem,
     """
     lam = estimate_lambda1(problem.domain, problem.p)
     sob = sobolev_constant(problem.domain, problem.p)
-    grad_radius, sup_radius = apriori_radius(problem, lam.value, sob.value,
-                                             convention)
-    rhs_c = rhs_estimate_constant(problem, lam.value, sob.value, convention)
+    grad_radius, sup_radius = apriori_radius(problem, lam.value, sob.value)
+    rhs_c = rhs_estimate_constant(problem, lam.value, sob.value)
     return EstimateReport(
         lambda1=lam.value,
         lambda1_provenance=lam.provenance,
@@ -331,5 +320,4 @@ def compute_estimates(problem: Problem,
         grad_radius=grad_radius,
         sup_radius=sup_radius,
         regime=problem.regime,
-        convention=convention,
     )

@@ -240,7 +240,6 @@ def solve_level(op: ProblemOperator, space: FeSpace,
 @dataclass
 class HierarchyReport:
     estimate: EstimateReport
-    truncation_radius: float
     guard_radius: float
     solver_tolerance: float
     seed: int
@@ -282,7 +281,6 @@ def _test_set(space0: FeSpace, seed: int) -> FeFunction:
 
 def run_hierarchy(problem: Problem, base_cells, levels: int,
                   cfg: Optional[SolverConfig] = None,
-                  convention: str = "standard",
                   seed: int = 0) -> HierarchyReport:
     """Solve a nested hierarchy and tabulate the generalized-solution data.
 
@@ -301,16 +299,15 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
         meshes.append(refine(meshes[-1]))
     spaces = [FeSpace(m) for m in meshes]
 
-    estimate = compute_estimates(problem, convention)
+    estimate = compute_estimates(problem)
     weight = truncate_weight(problem.weight, estimate.sup_radius)
     # a hair above the psi-root keeps the sampled pairing clear of rounding
     guard_radius = estimate.grad_radius * (1.0 + 1e-9)
 
     op = ProblemOperator(problem, weight, eps=cfg.regularization)
     report = HierarchyReport(
-        estimate=estimate, truncation_radius=estimate.sup_radius,
-        guard_radius=guard_radius, solver_tolerance=cfg.tolerance,
-        seed=seed, operator=op)
+        estimate=estimate, guard_radius=guard_radius,
+        solver_tolerance=cfg.tolerance, seed=seed, operator=op)
 
     warm = None
     for n, sp in enumerate(spaces):

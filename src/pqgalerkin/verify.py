@@ -287,7 +287,7 @@ def _merge_truncation(report: HierarchyReport) -> Certificate:
     op = report.operator
     raw_op = replace(op, weight=op.problem.weight)
     certs = [check_truncation_consistency(
-        raw_op, lv.solution, report.truncation_radius,
+        raw_op, lv.solution, report.estimate.sup_radius,
         report.solver_tolerance) for lv in report.levels]
     worst = max(certs, key=lambda c: (not c.passed,
                                       c.measured / max(c.threshold, 1e-300)))

@@ -119,7 +119,7 @@ def test_criterion_3_truncation_coincidence(capsys):
         for lv in report.levels:
             cert = check_truncation_consistency(
                 dataclasses.replace(op, weight=op.problem.weight),
-                lv.solution, report.truncation_radius,
+                lv.solution, report.estimate.sup_radius,
                 report.solver_tolerance)
             ok = ok and cert.passed
     _criterion(capsys, 3, "untruncated-operator residuals certify at solver "
@@ -222,28 +222,28 @@ def test_criterion_8_hypothesis_audits(capsys):
     bad_audit = audit_hypotheses(bad, box)
     bad_ok = not bad_audit.passed["H3"]
 
-    # exact smallness gate: with lambda1 = 2 and p = 3 the factor 2^-3 is
-    # exact, so c1 = 8 (a0 - c0) sits exactly on the boundary
+    # exact smallness gate: with lambda1 = 2 and p = 3 the factor 2^{-3/3}
+    # is exactly 0.5, so c1 = 2 (a0 - c0) sits exactly on the boundary
     sat = saturating_convection(3.0, alpha=3.0)
     boundary = ConvectionFamily(name="gate", fn=sat.fn, ds=sat.ds, dxi=sat.dxi,
                                 h2=sat.h2, h3=None,
-                                h3a=SignH3a(c0=0.5, c1=8.0), h4=sat.h4)
+                                h3a=SignH3a(c0=0.5, c1=2.0), h4=sat.h4)
     gated = Problem(p=3.0, q=2.0, domain=UNIT, weight=constant_weight(1.5),
                     convection=boundary, variant="competing", regime="H3a")
     try:
-        coercivity_polynomial(gated, 2.0, "paper")
+        coercivity_polynomial(gated, 2.0)
     except HypothesisViolation as err:
         gate_rejects = "(H3a)" in str(err)
     else:
         gate_rejects = False
     below = ConvectionFamily(name="gate", fn=sat.fn, ds=sat.ds, dxi=sat.dxi,
                              h2=sat.h2, h3=None,
-                             h3a=SignH3a(c0=0.5, c1=8.0 * (1.0 - 1e-9)),
+                             h3a=SignH3a(c0=0.5, c1=2.0 * (1.0 - 1e-9)),
                              h4=sat.h4)
     ok_problem = Problem(p=3.0, q=2.0, domain=UNIT,
                          weight=constant_weight(1.5), convection=below,
                          variant="competing", regime="H3a")
-    psi = coercivity_polynomial(ok_problem, 2.0, "paper")
+    psi = coercivity_polynomial(ok_problem, 2.0)
     gate_admits = math.isfinite(psi(1.0))
 
     ok = good_ok and bad_ok and gate_rejects and gate_admits

@@ -88,11 +88,14 @@ def run_python(args):
                           text=True, env=env, timeout=60)
 
 
-# solver.fd_step belonged to the finite-difference Jacobian; the other keys
-# were knobs with one value in use (the value given here), now constants
+# solver.fd_step belonged to the finite-difference Jacobian;
+# estimates.convention selected an eigenvalue scaling that is no bound for
+# lambda1 > 1, and the estimates block went with it; the other keys were
+# knobs with one value in use (the value given here), now constants
 REMOVED_KEYS = {"solver.fd_step": 1e-7, "solver.homotopy_steps": 4,
                 "solver.continuation_steps": 10, "solver.max_halvings": 40,
-                "estimates.sobolev_samples": 1000}
+                "estimates.sobolev_samples": 1000,
+                "estimates.convention": "paper"}
 
 
 def removed_key_config(tmp_path, dotted):
@@ -117,11 +120,13 @@ def assert_every_command_fails(tmp_path, capsys, path, code, stderr):
 @pytest.mark.parametrize("dotted", list(REMOVED_KEYS))
 def test_removed_key_is_exit_1_without_traceback(tmp_path, capsys, dotted):
     # the strict schema rejects each like any unknown key, before any output
-    # is written
+    # is written; the estimates block went whole, so it is the unknown key
     block, key = dotted.split(".")
+    where, unknown = ("config", block) if block == "estimates" \
+        else (block, key)
     assert_every_command_fails(
         tmp_path, capsys, removed_key_config(tmp_path, dotted), 1,
-        f"config error: {block}: unknown keys ['{key}']\n")
+        f"config error: {where}: unknown keys ['{unknown}']\n")
 
 
 def test_repeated_key_is_exit_1_without_traceback(tmp_path, capsys):
@@ -186,9 +191,6 @@ BAD_CONFIGS = {
     "base-cells-pair-on-interval": (("mesh", "base_cells"), [4, 2],
                                     "mesh.base_cells: expected int on an "
                                     "interval"),
-    "unknown-convention": (
-        ("estimates", "convention"), "odd",
-        "estimates.convention: expected one of ('standard', 'paper')"),
     "non-boolean-output": (("output", "write_solutions"), 1,
                            "output.write_solutions: expected a boolean"),
     # numbers that once bypassed the number check
@@ -379,7 +381,7 @@ def test_solution_csv_round_trips_to_a_certified_state(tmp_path):
         mesh = refine(mesh)
     space = FeSpace(mesh)
     u = read_csv(space, out / "solution_L2.csv")
-    weight = truncate_weight(problem.weight, hier["truncation_radius"])
+    weight = truncate_weight(problem.weight, hier["estimate"]["sup_radius"])
     op = ProblemOperator(problem, weight)
     res = np.max(np.abs(op.residual(u)))
     assert res <= 10.0 * hier["solver_tolerance"]
@@ -682,3 +684,15 @@ def test_load_config_normalizes_2d_cells(tmp_path):
     path = write_config(tmp_path, cfg)
     loaded = load_config(path)
     assert loaded["mesh"]["base_cells"] == (2, 2)
+
+
+def test_readme_config_example_loads(tmp_path):
+    # the example under README's "Config schema" is a config the CLI takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = readme.split("### Config schema\n", 1)[1]
+    example = schema.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(example)
+    cfg = load_config(str(path))
+    problem = build_problem(cfg["problem"])
+    assert problem.p == cfg["problem"]["p"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,9 +13,10 @@ from pqgalerkin.fespace import (FeFunction, FeSpace, grad_norm_lp, jsonable,
                                 lr_norm, sup_norm)
 from pqgalerkin.mesh import Domain, build_mesh, refine
 from pqgalerkin.operators import (HypothesisViolation, Problem,
-                                  ProblemOperator, adversarial_convection,
-                                  constant_weight, quadratic_weight,
-                                  saturating_convection, zero_convection)
+                                  ProblemOperator, SignH3a,
+                                  adversarial_convection, constant_weight,
+                                  quadratic_weight, saturating_convection,
+                                  zero_convection)
 
 UNIT = Domain.interval(0.0, 1.0)
 
@@ -242,26 +244,24 @@ def test_apriori_radius_dense_scan_oracle():
 
 
 def test_h3a_gate_boundary():
-    lam = 0.5  # forced small so the unscaled-convention gate can trip
-    fam = saturating_convection(3.0, alpha=3.0)
-    problem = make_problem(conv=fam, regime="H3a")
-    c1 = fam.h3a.c1
-    lead = problem.weight.lower_bound - fam.h3a.c0
-    # gate under the "paper" convention reads c1 / lam^p vs lead
-    assert c1 / lam ** 3.0 >= lead
+    # with lambda1 = 2 and p = 3 the factor 2^{-3/3} is exactly 0.5, so
+    # c1 = 2 (a0 - c0) sits exactly on the gate
+    sat = saturating_convection(3.0, alpha=3.0)
+
+    def gated(c1):
+        fam = dataclasses.replace(sat, h3=None, h3a=SignH3a(c0=0.5, c1=c1))
+        return make_problem(conv=fam, weight=constant_weight(1.5),
+                            regime="H3a")
+
     with pytest.raises(HypothesisViolation, match=r"\(H3a\)"):
-        coercivity_polynomial(problem, lam, convention="paper")
-    lam_ok = (c1 / (lead * 0.5)) ** (1.0 / 3.0)
-    psi = coercivity_polynomial(problem, lam_ok, convention="paper")
-    assert psi(1e9) > 0.0
+        coercivity_polynomial(gated(2.0), 2.0)
+    psi = coercivity_polynomial(gated(2.0 * (1.0 - 1e-9)), 2.0)
+    assert psi(1e12) > 0.0
 
 
-def test_poincare_factor_conventions():
-    lam = 4.0
-    assert poincare_factor(lam, 2.0, 4.0, "standard") == lam ** -0.5
-    assert poincare_factor(lam, 2.0, 4.0, "paper") == lam ** -2.0
-    with pytest.raises(ValueError):
-        poincare_factor(lam, 2.0, 4.0, "wrong")
+def test_poincare_factor_is_the_eigenvalue_step():
+    # ||u||_p^alpha <= lambda1^{-alpha/p} ||grad u||_p^alpha
+    assert poincare_factor(4.0, 2.0, 4.0) == 0.5
 
 
 def test_rhs_constant_example():
@@ -361,7 +361,6 @@ def test_compute_estimates_1d():
                         rel_tol=1e-13)
     d = jsonable(rep)
     assert d["regime"] == "H3"
-    assert d["convention"] == "standard"
 
 
 def test_compute_estimates_2d_lower_bound():

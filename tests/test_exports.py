@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,18 @@ def test_the_residual_has_no_wrapper_type():
     fespace = importlib.import_module("pqgalerkin.fespace")
     for gone in ("DualVector", "pair"):
         assert not hasattr(fespace, gone) and not hasattr(pqgalerkin, gone)
+
+
+def test_the_apriori_radius_has_one_formula():
+    # one Poincare step, lambda1^{-alpha/p}: no switch selects another
+    estimates = importlib.import_module("pqgalerkin.estimates")
+    assert not hasattr(estimates, "CONVENTIONS")
+    assert not hasattr(pqgalerkin, "CONVENTIONS")
+    for name in ("poincare_factor", "coercivity_polynomial", "apriori_radius",
+                 "rhs_estimate_constant", "compute_estimates",
+                 "run_hierarchy"):
+        params = inspect.signature(getattr(pqgalerkin, name)).parameters
+        assert "convention" not in params, name
 
 
 @pytest.mark.parametrize("name", MODULES)

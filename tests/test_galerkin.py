@@ -251,7 +251,22 @@ def test_hierarchy_structure():
         assert len(table) == n
     assert all(report.within_grad_bound)
     assert all(report.within_sup_bound)
-    assert report.truncation_radius == report.estimate.sup_radius
+
+
+def test_solutions_near_the_radius_stay_within_it():
+    # strong constant convection pushes every level's ||grad u||_p past
+    # 0.8 of the gradient radius: the radius still bounds each solution
+    # and the guard passes on its sphere at every level
+    problem = Problem(p=2.5, q=2.0, domain=UNIT, weight=constant_weight(0.6),
+                      convection=constant_convection(60.0),
+                      variant="competing", regime="H3")
+    report = run_hierarchy(problem, 4, 4)
+    assert report.failed_level is None
+    assert len(report.levels) == 4
+    assert all(report.within_grad_bound)
+    assert all(report.within_sup_bound)
+    assert all(lv.guard.passed for lv in report.levels)
+    assert max(report.grad_norms) / report.estimate.grad_radius >= 0.8
 
 
 def test_hierarchy_residual_tables_vanish():

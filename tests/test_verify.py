@@ -190,7 +190,9 @@ def test_run_certificates_rejects_failed_report():
 
 
 def test_tampered_truncation_radius_fails():
-    report = dataclasses.replace(good_report(), truncation_radius=1e-3)
+    report = good_report()
+    report = dataclasses.replace(
+        report, estimate=dataclasses.replace(report.estimate, sup_radius=1e-3))
     result = run_certificates(report)
     assert not result["all_passed"]
     trunc = next(c for c in result["certificates"]
