@@ -248,7 +248,6 @@ class HierarchyReport:
     cond_b: List[List[float]] = field(default_factory=list)
     pair_un: List[float] = field(default_factory=list)
     cond_c: List[float] = field(default_factory=list)
-    cond_c_alt: List[float] = field(default_factory=list)
     cond_cprime: List[float] = field(default_factory=list)
     convection_pairs: List[float] = field(default_factory=list)
     grad_norms: List[float] = field(default_factory=list)
@@ -351,10 +350,8 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
         u_fine = prolongate(u, u_star.space)
         diff = u_fine - u_star
         (p_part, q_part, f_part), direct = op.parts_and_pairing(u_fine, diff)
-        principal_pq = p_part + q_part
         report.cond_c.append(direct)
-        report.cond_c_alt.append(float((principal_pq + f_part) @ diff.coeffs))
-        report.cond_cprime.append(float(principal_pq @ diff.coeffs))
+        report.cond_cprime.append(float((p_part + q_part) @ diff.coeffs))
         # the f-part carries the minus sign of the convection term
         report.convection_pairs.append(float(-f_part @ diff.coeffs))
         report.gaps.append(grad_norm_lp(diff, problem.p))

@@ -245,9 +245,9 @@ def test_hierarchy_structure():
     assert report.test_count == 3 + 5
     assert all(len(row) == report.test_count for row in report.cond_b)
     n = len(report.levels)
-    for table in (report.pair_un, report.cond_c, report.cond_c_alt,
-                  report.cond_cprime, report.convection_pairs,
-                  report.grad_norms, report.sup_norms, report.gaps):
+    for table in (report.pair_un, report.cond_c, report.cond_cprime,
+                  report.convection_pairs, report.grad_norms,
+                  report.sup_norms, report.gaps):
         assert len(table) == n
     assert all(report.within_grad_bound)
     assert all(report.within_sup_bound)
@@ -291,8 +291,6 @@ def test_hierarchy_gap_tables_contract():
 def test_hierarchy_pairing_routes_agree():
     report = offset_report()
     scale = max(1.0, report.grad_norms[-1])
-    for direct, alt in zip(report.cond_c, report.cond_c_alt):
-        assert abs(direct - alt) <= 1e-10 * scale
     for cp, cv, c in zip(report.cond_cprime, report.convection_pairs,
                          report.cond_c):
         assert abs((cp - cv) - c) <= 1e-10 * scale
