@@ -208,11 +208,9 @@ def _write_lock(out_dir: Path, command: str, cfg: dict, seed: int) -> None:
 
 def _write_diagnostics(out_dir: Path, report) -> None:
     lines = ["level,grad_norm_p,sup_norm,cond_b_max,cond_c,cond_cprime"]
-    # run_hierarchy fills every table with one row per solved level
-    for i, lv in enumerate(report.levels):
-        row = (report.grad_norms[i], report.sup_norms[i],
-               max(abs(x) for x in report.cond_b[i]), report.cond_c[i],
-               report.cond_cprime[i])
+    for lv in report.levels:
+        row = (lv.grad_norm, lv.sup_norm, max(abs(x) for x in lv.cond_b),
+               lv.cond_c, lv.cond_cprime)
         lines.append(",".join([str(lv.level)]
                               + [repr(float(x)) for x in row]))
     (out_dir / "diagnostics.csv").write_text("\n".join(lines) + "\n")

@@ -190,6 +190,12 @@ def _walk(stages: List[ProblemOperator], u: FeFunction, cfg: SolverConfig,
 
 @dataclass
 class LevelSolve:
+    """One solved level: the solve, then the facts `run_hierarchy` tabulates
+    for it.  `cond_b` pairs the residual with each fixed coarse test;
+    `pair_un` with the level's own solution.  The (c)-row pairs the operator
+    with the gap u_n - u_N to the finest solved level: `cond_c` directly,
+    `cond_cprime` its convection-free part and `convection_pair` the
+    convection part; `gap` is ||grad(u_n - u_N)||_p."""
     level: int
     dim: int
     solution: FeFunction = field(metadata={"live": True})
@@ -198,14 +204,22 @@ class LevelSolve:
     path: str
     converged: bool
     guard: Optional[GuardRecord] = None
+    grad_norm: float = np.nan
+    sup_norm: float = np.nan
+    cond_b: List[float] = field(default_factory=list)
+    pair_un: float = np.nan
+    cond_c: float = np.nan
+    cond_cprime: float = np.nan
+    convection_pair: float = np.nan
+    gap: float = np.nan
 
 
 def solve_level(op: ProblemOperator, space: FeSpace,
                 cfg: Optional[SolverConfig] = None,
                 warm: Optional[FeFunction] = None) -> LevelSolve:
     """Solve one Galerkin level; failure is an exception.  A warm start
-    must live on `space`.  The result has no guard record: `run_hierarchy`
-    samples the guard and sets it."""
+    must live on `space`.  The result has no guard record and no tables:
+    `run_hierarchy` samples the guard and fills both."""
     cfg = cfg or SolverConfig()
     if warm is not None:
         if warm.space is not space:
@@ -244,15 +258,7 @@ class HierarchyReport:
     solver_tolerance: float
     seed: int
     levels: List[LevelSolve] = field(default_factory=list)
-    test_count: int = 0
-    cond_b: List[List[float]] = field(default_factory=list)
-    pair_un: List[float] = field(default_factory=list)
-    cond_c: List[float] = field(default_factory=list)
-    cond_cprime: List[float] = field(default_factory=list)
-    convection_pairs: List[float] = field(default_factory=list)
-    grad_norms: List[float] = field(default_factory=list)
-    sup_norms: List[float] = field(default_factory=list)
-    gaps: List[float] = field(default_factory=list)
+    # per level, yet kept here: bench/run.py's output check reads them
     within_grad_bound: List[bool] = field(default_factory=list)
     within_sup_bound: List[bool] = field(default_factory=list)
     failed_level: Optional[int] = None
@@ -260,10 +266,6 @@ class HierarchyReport:
     failed_guard: Optional[GuardRecord] = None
     operator: Optional[ProblemOperator] = field(default=None,
                                                 metadata={"live": True})
-
-    @property
-    def solutions(self) -> List[FeFunction]:
-        return [lv.solution for lv in self.levels]
 
 
 def _test_set(space0: FeSpace, seed: int) -> FeFunction:
@@ -285,10 +287,11 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
 
     Each level samples the coercivity guard on its space, then solves; a
     failed guard is data in the level's record, while a guard or solve
-    exception fails the level.  The finest solved level stands proxy for the
-    weak limit in every gap and pairing table; tables are filled for however
-    many levels solved, and a failed level, instead of raising, sets
-    `failed_level` and, unless its guard raised, `failed_guard`.
+    exception fails the level.  Once the solve loop ends, one pass fills
+    each solved level's record; the finest solved level stands proxy for
+    the weak limit in every gap and (c)-pairing.  A failed level, instead
+    of raising, sets `failed_level` and, unless its guard raised,
+    `failed_guard`.
     """
     if levels < 2:
         raise ValueError("a hierarchy needs at least 2 levels")
@@ -329,30 +332,28 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
         return report
 
     tests = _test_set(spaces[0], seed)
-    report.test_count = tests.coeffs.shape[0]
-    for u in report.solutions:
+    u_star = report.levels[-1].solution
+    slack = 1.0 + 1e-12
+    for lv in report.levels:
+        u = lv.solution
         F = op.residual(u)
         # each row is dotted as a fresh copy: a dot on a view into the
         # stack can round differently in the last bit
-        report.cond_b.append([float(F @ np.array(row)) for row
-                              in prolongate(tests, u.space).coeffs])
-        report.pair_un.append(float(F @ u.coeffs))
-        report.grad_norms.append(grad_norm_lp(u, problem.p))
-        report.sup_norms.append(sup_norm(u))
-        slack = 1.0 + 1e-12
+        lv.cond_b = [float(F @ np.array(row)) for row
+                     in prolongate(tests, u.space).coeffs]
+        lv.pair_un = float(F @ u.coeffs)
+        lv.grad_norm = grad_norm_lp(u, problem.p)
+        lv.sup_norm = sup_norm(u)
         report.within_grad_bound.append(
-            report.grad_norms[-1] <= estimate.grad_radius * slack)
+            lv.grad_norm <= estimate.grad_radius * slack)
         report.within_sup_bound.append(
-            report.sup_norms[-1] <= estimate.sup_radius * slack)
-
-    u_star = report.solutions[-1]
-    for u in report.solutions:
+            lv.sup_norm <= estimate.sup_radius * slack)
         u_fine = prolongate(u, u_star.space)
         diff = u_fine - u_star
-        (p_part, q_part, f_part), direct = op.parts_and_pairing(u_fine, diff)
-        report.cond_c.append(direct)
-        report.cond_cprime.append(float((p_part + q_part) @ diff.coeffs))
+        (p_part, q_part, f_part), lv.cond_c = op.parts_and_pairing(u_fine,
+                                                                   diff)
+        lv.cond_cprime = float((p_part + q_part) @ diff.coeffs)
         # the f-part carries the minus sign of the convection term
-        report.convection_pairs.append(float(-f_part @ diff.coeffs))
-        report.gaps.append(grad_norm_lp(diff, problem.p))
+        lv.convection_pair = float(-f_part @ diff.coeffs)
+        lv.gap = grad_norm_lp(diff, problem.p)
     return report

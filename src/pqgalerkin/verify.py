@@ -48,7 +48,7 @@ class Certificate:
 
 
 def _scale(report: HierarchyReport) -> float:
-    return max(1.0, report.grad_norms[-1]) if report.grad_norms else 1.0
+    return max(1.0, report.levels[-1].grad_norm) if report.levels else 1.0
 
 
 def check_truncation_consistency(raw_op: ProblemOperator, u: FeFunction,
@@ -93,35 +93,41 @@ def check_generalized_conditions(report: HierarchyReport) -> List[Certificate]:
     each level's own solution at solver tolerance.
     """
     out: List[Certificate] = []
+    levels = report.levels
     scale = _scale(report)
     tol_pair = PAIR_TOL * scale
-
-    b_rows = np.array(report.cond_b) if report.cond_b else np.zeros((0, 0))
-    b_max = float(np.max(np.abs(b_rows))) if b_rows.size else np.inf
-    b_final = float(np.max(np.abs(b_rows[-1]))) if b_rows.size else np.inf
+    final_tol = 10.0 * report.solver_tolerance * scale
+    b_levels = [float(np.max(np.abs(lv.cond_b))) for lv in levels]
+    b_max = b_final = c_final = route_gap = worst = np.inf
+    test_count = 0
+    if levels:
+        b_max, b_final = float(np.max(b_levels)), b_levels[-1]
+        c_final = abs(levels[-1].cond_c)
+        route_gap = max(abs(lv.cond_cprime - lv.convection_pair - lv.cond_c)
+                        for lv in levels)
+        worst = max(abs(lv.pair_un) / (
+            report.solver_tolerance * 10.0 * max(1.0, lv.dim)
+            * max(1.0, lr_norm(lv.solution, 1.0)) + 1e-14) for lv in levels)
+        test_count = len(levels[-1].cond_b)
     out.append(Certificate(
         name="condition-b",
         anchor="residual pairings with fixed coarse tests vanish",
-        passed=b_max <= tol_pair and b_final <= 10.0 * report.solver_tolerance
-        * max(1.0, scale),
+        passed=b_max <= tol_pair and b_final <= final_tol,
         measured=b_max,
         threshold=tol_pair,
-        details={"per_level_max": [float(np.max(np.abs(r))) for r in b_rows],
+        details={"per_level_max": b_levels,
                  "final_max": b_final,
-                 "test_count": report.test_count}))
+                 "final_threshold": final_tol,
+                 "test_count": test_count}))
 
-    c_final = abs(report.cond_c[-1]) if report.cond_c else np.inf
     out.append(Certificate(
         name="condition-c",
         anchor="operator pairing with the gap to the proxy limit vanishes",
         passed=c_final <= tol_pair,
         measured=float(c_final),
         threshold=tol_pair,
-        details={"sequence": [float(x) for x in report.cond_c]}))
+        details={"sequence": [lv.cond_c for lv in levels]}))
 
-    route_gap = max((abs(cp - cv - c) for cp, cv, c in
-                     zip(report.cond_cprime, report.convection_pairs,
-                         report.cond_c)), default=np.inf)
     out.append(Certificate(
         name="condition-c-routes",
         anchor="direct integration and dual-vector routes agree",
@@ -130,23 +136,13 @@ def check_generalized_conditions(report: HierarchyReport) -> List[Certificate]:
         threshold=IDENTITY_TOL * scale,
         details={}))
 
-    if report.pair_un and report.levels:
-        worst = 0.0
-        for lv, val in zip(report.levels, report.pair_un):
-            l1 = lr_norm(lv.solution, 1.0)
-            allowance = report.solver_tolerance * 10.0 * max(1.0, lv.dim) \
-                * max(1.0, l1) + 1e-14
-            worst = max(worst, abs(val) / allowance)
-        passed = worst <= 1.0
-    else:
-        worst, passed = np.inf, False
     out.append(Certificate(
         name="self-pairing-bookkeeping",
         anchor="residual pairs to zero against its own solution",
-        passed=passed,
+        passed=worst <= 1.0,
         measured=float(worst),
         threshold=1.0,
-        details={"pair_un": [float(x) for x in report.pair_un]}))
+        details={"pair_un": [lv.pair_un for lv in levels]}))
     return out
 
 
@@ -166,17 +162,18 @@ def check_strong_condition(report: HierarchyReport) -> Certificate:
             passed=True, measured=np.nan, threshold=np.nan, skipped=True,
             reason="convection family declares no explicit growth exponents")
     tol_pair = PAIR_TOL * _scale(report)
-    cp_final = abs(report.cond_cprime[-1]) if report.cond_cprime else np.inf
-    cv_final = abs(report.convection_pairs[-1]) if report.convection_pairs \
-        else np.inf
+    cp_final = cv_final = np.inf
+    if report.levels:
+        cp_final = abs(report.levels[-1].cond_cprime)
+        cv_final = abs(report.levels[-1].convection_pair)
     return Certificate(
         name="condition-cprime",
         anchor="convection-free pairing vanishes against the gap",
         passed=cp_final <= tol_pair and cv_final <= tol_pair,
         measured=float(max(cp_final, cv_final)),
         threshold=tol_pair,
-        details={"cprime": [float(x) for x in report.cond_cprime],
-                 "convection": [float(x) for x in report.convection_pairs],
+        details={"cprime": [lv.cond_cprime for lv in report.levels],
+                 "convection": [lv.convection_pair for lv in report.levels],
                  "growth_exponents": {
                      "state": family.h4.s_exponent,
                      "gradient": family.h4.xi_exponent}})
@@ -261,7 +258,7 @@ def _report_consistency(report: HierarchyReport,
     weak-implies-generalized certificate recomputed from the solution."""
     res_sup, grad = weak.measured, weak.details["grad_norm"]
     measured = max(abs(res_sup - report.levels[-1].residual_sup),
-                   abs(grad - report.grad_norms[-1]))
+                   abs(grad - report.levels[-1].grad_norm))
     tol = 1e-12 * max(1.0, grad)
     return Certificate(
         name="report-consistency",
@@ -303,12 +300,12 @@ def condition_S_probe(report: HierarchyReport) -> SProbe:
     probe only reports the observed classification.  The pairing test is
     the condition-c certificate's.
     """
-    if not report.cond_c or not report.gaps:
+    if not report.levels:
         return SProbe("inconclusive", False, False, np.nan, np.nan, np.nan)
     scale = _scale(report)
-    final_pairing = report.cond_c[-1]
+    final_pairing = report.levels[-1].cond_c
     vanish = abs(final_pairing) <= PAIR_TOL * scale
-    gaps = report.gaps
+    gaps = [lv.gap for lv in report.levels]
     tiny = 1e-14 * scale
     if all(g <= tiny for g in gaps):
         contract, ratio = True, 0.0

@@ -69,10 +69,9 @@ def test_criterion_1_apriori_bounds(capsys):
         ok = ok and len(report.levels) == 6
         ok = ok and all(report.within_grad_bound)
         ok = ok and all(report.within_sup_bound)
-        ok = ok and all(g <= report.estimate.grad_radius
-                        for g in report.grad_norms)
-        ok = ok and all(s <= report.estimate.sup_radius
-                        for s in report.sup_norms)
+        ok = ok and all(lv.grad_norm <= report.estimate.grad_radius
+                        and lv.sup_norm <= report.estimate.sup_radius
+                        for lv in report.levels)
     _criterion(capsys, 1, "a priori gradient and sup bounds hold on 6 levels "
                f"({elapsed:.2f}s)", ok)
 
@@ -128,9 +127,10 @@ def test_criterion_3_truncation_coincidence(capsys):
 
 def test_criterion_4_generalized_conditions(capsys):
     _, loaded, _ = reference_reports()
-    scale = max(1.0, loaded.grad_norms[-1])
-    b_final = max(abs(x) for x in loaded.cond_b[-1])
-    c_final = abs(loaded.cond_c[-1])
+    finest = loaded.levels[-1]
+    scale = max(1.0, finest.grad_norm)
+    b_final = max(abs(x) for x in finest.cond_b)
+    c_final = abs(finest.cond_c)
     certs = {c.name: c for c in check_generalized_conditions(loaded)}
     ok = (b_final <= 1e-6 * scale and c_final <= 1e-6 * scale
           and certs["condition-b"].passed
@@ -145,9 +145,9 @@ def test_criterion_5_cooperative_contraction(capsys):
     t0 = time.perf_counter()
     report = run_hierarchy(reference_problem(1.0, "cooperative"), 4, 10)
     elapsed = time.perf_counter() - t0
-    gaps = report.gaps
+    gaps = [lv.gap for lv in report.levels]
     decreasing = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 2))
-    rel = gaps[-2] / report.grad_norms[-1]
+    rel = gaps[-2] / report.levels[-1].grad_norm
     ok = (report.failed_level is None and len(report.levels) >= 5
           and decreasing and rel < 1e-3 and elapsed < 30.0)
     _criterion(capsys, 5,

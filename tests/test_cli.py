@@ -521,6 +521,36 @@ def test_verify_passes_and_prints_certificates(tmp_path, capsys):
     assert "s-probe:" in text
 
 
+# The keys of report.json's hierarchy block and of each level record.
+# bench/run.py's output check reads BENCH_KEYS and BENCH_LEVEL_KEYS, and
+# tests/test_golden.py's trajectory reads TRAJECTORY_KEYS and
+# TRAJECTORY_LEVEL_KEYS, so a key moved from its place fails here first.
+BENCH_KEYS = {"failed_level", "solver_tolerance", "within_grad_bound",
+              "within_sup_bound", "levels"}
+BENCH_LEVEL_KEYS = {"level", "dim", "converged", "residual_sup"}
+TRAJECTORY_KEYS = {"failure_message", "levels"}
+TRAJECTORY_LEVEL_KEYS = {"path", "iterations"}
+HIERARCHY_KEYS = BENCH_KEYS | TRAJECTORY_KEYS | {
+    "estimate", "guard_radius", "seed", "failed_guard"}
+LEVEL_KEYS = BENCH_LEVEL_KEYS | TRAJECTORY_LEVEL_KEYS | {
+    "guard", "grad_norm", "sup_norm", "cond_b", "pair_un", "cond_c",
+    "cond_cprime", "convection_pair", "gap"}
+
+
+def test_report_json_holds_one_record_per_level(tmp_path):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    hier = json.loads((out / "report.json").read_text())["hierarchy"]
+    assert set(hier) == HIERARCHY_KEYS
+    assert len(hier["levels"]) == 3
+    for lv in hier["levels"]:
+        assert set(lv) == LEVEL_KEYS
+        assert len(lv["cond_b"]) == 3 + 5
+    assert hier["within_grad_bound"] == hier["within_sup_bound"] \
+        == [True] * 3
+
+
 def test_verify_missing_report_is_exit_1(tmp_path):
     path = write_config(tmp_path, base_config())
     rc = main(["verify", "--config", path, "--out", str(tmp_path / "out"),

@@ -12,7 +12,8 @@ import scipy.sparse.linalg as spla
 from pqgalerkin import cli, fespace, galerkin
 from pqgalerkin.estimates import compute_estimates
 from pqgalerkin.fespace import (FeFunction, FeSpace, assemble_matrix,
-                                grad_norm_lp, jsonable, prolongate)
+                                grad_norm_lp, jsonable, prolongate,
+                                sup_norm)
 from pqgalerkin.galerkin import (ProblemOperator, SolveError, SolverConfig,
                                  brouwer_guard, run_hierarchy, solve_level)
 from pqgalerkin.mesh import Domain, build_mesh, refine
@@ -21,6 +22,8 @@ from pqgalerkin.operators import (AssemblyError, Problem,
                                   quadratic_weight, saturating_convection,
                                   truncate_weight)
 from pqgalerkin.verify import condition_S_probe
+
+from test_sweep import assert_no_failure, stall
 
 UNIT = Domain.interval(0.0, 1.0)
 
@@ -242,13 +245,14 @@ def test_hierarchy_structure():
     assert all(lv.converged for lv in report.levels)
     assert report.failed_level is None
     assert report.failure_message == ""
-    assert report.test_count == 3 + 5
-    assert all(len(row) == report.test_count for row in report.cond_b)
-    n = len(report.levels)
-    for table in (report.pair_un, report.cond_c, report.cond_cprime,
-                  report.convection_pairs, report.grad_norms,
-                  report.sup_norms, report.gaps):
-        assert len(table) == n
+    for lv in report.levels:
+        # the coarse basis and EXTRA_TESTS random coarse functions
+        assert len(lv.cond_b) == 3 + 5
+        assert np.all(np.isfinite(
+            [lv.grad_norm, lv.sup_norm, lv.pair_un, lv.cond_c,
+             lv.cond_cprime, lv.convection_pair, lv.gap, *lv.cond_b]))
+    assert len(report.within_grad_bound) == len(report.levels)
+    assert len(report.within_sup_bound) == len(report.levels)
     assert all(report.within_grad_bound)
     assert all(report.within_sup_bound)
 
@@ -266,34 +270,34 @@ def test_solutions_near_the_radius_stay_within_it():
     assert all(report.within_grad_bound)
     assert all(report.within_sup_bound)
     assert all(lv.guard.passed for lv in report.levels)
-    assert max(report.grad_norms) / report.estimate.grad_radius >= 0.8
+    assert max(lv.grad_norm for lv in report.levels) \
+        / report.estimate.grad_radius >= 0.8
 
 
 def test_hierarchy_residual_tables_vanish():
     report = offset_report()
     tol = report.solver_tolerance
-    for row, lv in zip(report.cond_b, report.levels):
-        assert max(abs(x) for x in row) <= 10.0 * tol * lv.dim
-    for val in report.pair_un:
-        assert abs(val) <= 1e-8
+    for lv in report.levels:
+        assert max(abs(x) for x in lv.cond_b) <= 10.0 * tol * lv.dim
+        assert abs(lv.pair_un) <= 1e-8
 
 
 def test_hierarchy_gap_tables_contract():
     report = offset_report()
-    gaps = report.gaps
+    gaps = [lv.gap for lv in report.levels]
     assert gaps[-1] == 0.0
     assert all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 2))
-    assert report.cond_c[-1] == 0.0
-    mags = [abs(c) for c in report.cond_c[:-1]]
+    assert report.levels[-1].cond_c == 0.0
+    mags = [abs(lv.cond_c) for lv in report.levels[:-1]]
     assert all(mags[i + 1] < mags[i] for i in range(len(mags) - 1))
 
 
 def test_hierarchy_pairing_routes_agree():
     report = offset_report()
-    scale = max(1.0, report.grad_norms[-1])
-    for cp, cv, c in zip(report.cond_cprime, report.convection_pairs,
-                         report.cond_c):
-        assert abs((cp - cv) - c) <= 1e-10 * scale
+    scale = max(1.0, report.levels[-1].grad_norm)
+    for lv in report.levels:
+        assert abs((lv.cond_cprime - lv.convection_pair) - lv.cond_c) \
+            <= 1e-10 * scale
 
 
 def test_hierarchy_rejects_single_level():
@@ -307,9 +311,12 @@ def test_hierarchy_failure_is_recorded_not_raised():
     assert report.failed_level == 0
     assert "failed" in report.failure_message
     assert report.levels == []
-    assert report.cond_c == [] and report.gaps == []
+    assert report.within_grad_bound == report.within_sup_bound == []
     d = jsonable(report)
     assert d["failed_level"] == 0
+
+
+P60_STALL = stall(0, "2.500e+06")
 
 
 def test_hierarchy_records_assembly_error():
@@ -321,22 +328,20 @@ def test_hierarchy_records_assembly_error():
     # the ramp's start overflows the p-term, so the level falls through to
     # load continuation, which stalls
     assert report.failed_level == 0
-    assert report.failure_message == \
-        "level 0 failed: line search stalled (residual sup 2.500e+06)"
+    assert report.failure_message == P60_STALL
     assert report.levels == []
     assert report.failed_guard.passed
 
 
-@pytest.mark.xfail(strict=True, reason="p = 60 level 0 stalls in load "
-                   "continuation at 2.500e+06 although its guard passed "
-                   "(ROADMAP item 10)")
+# the guard passes on level 0 (ROADMAP item 10)
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=P60_STALL)
 def test_p60_hierarchy_solves_every_level():
     problem = Problem(p=60.0, q=2.0, domain=UNIT, weight=constant_weight(1.0),
                       convection=constant_convection(1e8),
                       variant="competing", regime="H3")
     with np.errstate(all="ignore"):
         report = run_hierarchy(problem, 4, 3)
-    assert report.failure_message == ""
+    assert_no_failure(report, P60_STALL)
     assert len(report.levels) == 3
 
 
@@ -389,9 +394,16 @@ def test_s_probe_cooperative_variant():
     assert probe.pairings_vanish
 
 
+def with_records(report, name, values):
+    """`report` with field `name` of each level record set from `values`."""
+    return dataclasses.replace(report, levels=[
+        dataclasses.replace(lv, **{name: v})
+        for lv, v in zip(report.levels, values, strict=True)])
+
+
 def test_s_probe_flags_stalled_gaps():
     report = offset_report()
-    fake = dataclasses.replace(report, gaps=[1.0, 1.1, 0.9, 0.0])
+    fake = with_records(report, "gap", [1.0, 1.1, 0.9, 0.0])
     probe = condition_S_probe(fake)
     assert not probe.gradients_contract
     assert probe.classification.startswith("generalized only")
@@ -399,21 +411,20 @@ def test_s_probe_flags_stalled_gaps():
 
 def test_s_probe_flags_surviving_pairing():
     report = offset_report()
-    fake = dataclasses.replace(report, cond_c=[1.0, 1.0, 1.0, 1.0])
+    fake = with_records(report, "cond_c", [1.0, 1.0, 1.0, 1.0])
     assert condition_S_probe(fake).classification == "inconclusive"
 
 
 def test_s_probe_empty_report_inconclusive():
     report = offset_report()
-    fake = dataclasses.replace(report, cond_c=[], gaps=[])
+    fake = dataclasses.replace(report, levels=[])
     assert condition_S_probe(fake).classification == "inconclusive"
 
 
-def test_report_solutions_property():
-    report = offset_report()
-    sols = report.solutions
-    assert len(sols) == len(report.levels)
-    assert grad_norm_lp(sols[-1], 3.0) == report.grad_norms[-1]
+def test_level_record_norms_reproduce_from_its_solution():
+    for lv in offset_report().levels:
+        assert grad_norm_lp(lv.solution, 3.0) == lv.grad_norm
+        assert sup_norm(lv.solution) == lv.sup_norm
 
 
 def test_level_solves_on_load_continuation():
@@ -487,13 +498,16 @@ def compete_2d_load_report():
                          cfg["mesh"]["base_cells"], cfg["mesh"]["levels"])
 
 
-@pytest.mark.xfail(strict=True, reason="compete-2d-load level 3 stalls "
-                   "in the line search (ROADMAP item 1)")
+COMPETE_STALL = stall(3, "2.263e-04")
+
+
+# ROADMAP item 1
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=COMPETE_STALL)
 def test_compete_2d_load_solves_every_level():
     report = compete_2d_load_report()
-    assert report.failure_message == ""
+    assert_no_failure(report, COMPETE_STALL)
     assert len(report.levels) == 4
-    assert all(0.54 <= sup <= 0.59 for sup in report.sup_norms)
+    assert all(0.54 <= lv.sup_norm <= 0.59 for lv in report.levels)
 
 
 def test_colamd_runs_once_per_space(monkeypatch):

@@ -3,11 +3,12 @@
 Every config here is a valid problem, so by the guard argument each level
 has a solution and a failed level is a solver defect.  The twelve configs
 a-j, l and m (k, at p = 60, is in tests/test_galerkin.py) fail a level
-today; each is a strict xfail naming its level and its stall, and leaves
-the list of failures only when it solves every level.  The list never
-shrinks otherwise.  The passing configs come from the same space.  One more
-config stalls at the rounding floor of the default tolerance and solves
-every level at a looser one.
+today; each is a strict xfail pinned to its level and its stall, which
+fails outright when the failure moves, and leaves the list of failures
+only when it solves every level.  The list never shrinks otherwise.  The
+passing configs come from the same space.  One more config stalls at the
+rounding floor of the default tolerance and solves every level at a
+looser one.
 
 All 2D configs run the unit square at base 4 x 4 with 4 levels, the 1D ones
 the unit interval at 4 cells with 6 levels; the default solver, seed 0.
@@ -83,25 +84,41 @@ PASSING = {
 }
 
 
-def assert_every_level_solves(block, cfg=None):
+def stall(level, residual_sup):
+    return f"level {level} failed: line search stalled " \
+        f"(residual sup {residual_sup})"
+
+
+def assert_no_failure(report, pinned=None):
+    """Assert that every level solved.  A failure other than the `pinned`
+    one calls `pytest.fail`, whose exception is no AssertionError, so a
+    strict xfail that expects one reports it as a failure."""
+    if report.failed_level is not None and pinned is not None \
+            and report.failure_message != pinned:
+        pytest.fail(f"the failure moved: {report.failure_message!r}, "
+                    f"pinned {pinned!r}")
+    assert report.failed_level is None, report.failure_message
+
+
+def assert_every_level_solves(block, cfg=None, pinned=None):
     built = build_problem(block)
     base, levels = ((4, 4), 4) if built.domain.dim == 2 else (4, 6)
     report = run_hierarchy(built, base, levels, cfg=cfg)
-    assert report.failed_level is None, report.failure_message
+    assert_no_failure(report, pinned)
     assert len(report.levels) == levels
 
 
 def failing_case(name):
-    block, level, stall = FAILING[name]
-    return pytest.param(block, id=name, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason=f"level {level} failed: line search stalled "
-               f"(residual sup {stall})"))
+    block, level, residual_sup = FAILING[name]
+    pinned = stall(level, residual_sup)
+    return pytest.param(block, pinned, id=name, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=pinned))
 
 
-@pytest.mark.parametrize("block", [failing_case(name) for name in FAILING])
-def test_failing_sweep_config_solves_every_level(block):
-    assert_every_level_solves(block)
+@pytest.mark.parametrize("block,pinned",
+                         [failing_case(name) for name in FAILING])
+def test_failing_sweep_config_solves_every_level(block, pinned):
+    assert_every_level_solves(block, pinned=pinned)
 
 
 @pytest.mark.parametrize("block", list(PASSING.values()), ids=list(PASSING))
@@ -109,12 +126,25 @@ def test_passing_sweep_config_solves_every_level(block):
     assert_every_level_solves(block)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="level 4 failed: line search stalled "
-                          "(residual sup 1.649e-10)")
+ROUNDING_STALL = stall(4, "1.649e-10")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ROUNDING_STALL)
 def test_rounding_floor_config_solves_every_level():
-    assert_every_level_solves(ROUNDING_FLOOR)
+    assert_every_level_solves(ROUNDING_FLOOR, pinned=ROUNDING_STALL)
 
 
 def test_rounding_floor_config_solves_at_a_looser_tolerance():
     assert_every_level_solves(ROUNDING_FLOOR, SolverConfig(tolerance=1e-9))
+
+
+def test_a_moved_failure_fails_outright():
+    capped = SolverConfig(max_iterations=1)
+    report = run_hierarchy(build_problem(PASSING["1d-competing"]), 4, 2,
+                           cfg=capped)
+    assert report.failed_level == 0
+    with pytest.raises(AssertionError):
+        assert_no_failure(report, report.failure_message)
+    with pytest.raises(pytest.fail.Exception, match="the failure moved"):
+        assert_every_level_solves(PASSING["1d-competing"], capped,
+                                  pinned=stall(5, "9.999e-09"))

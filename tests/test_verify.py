@@ -185,17 +185,10 @@ def test_run_certificates_rejects_failed_report():
         run_certificates(report)
 
 
-def _noisy_finest(report, monkeypatch):
-    u = report.levels[-1].solution
+def _noisy(lv):
+    u = lv.solution
     noise = np.random.default_rng(1).standard_normal(u.space.dim)
-    finest = dataclasses.replace(
-        report.levels[-1], solution=FeFunction(u.space, u.coeffs
-                                               + 1e-3 * noise))
-    return dataclasses.replace(report, levels=report.levels[:-1] + [finest])
-
-
-def _last(values, step):
-    return values[:-1] + [step(values[-1])]
+    return {"solution": FeFunction(u.space, u.coeffs + 1e-3 * noise)}
 
 
 def _eighth_flux(report, monkeypatch):
@@ -211,6 +204,18 @@ def _replace(changes):
     return lambda r, _: dataclasses.replace(r, **changes(r))
 
 
+def _levels(changes, which=None):
+    """Replace fields of the level records at the indices `which` (every
+    level by default); `changes` maps a record to its new fields."""
+    def tamper(r, _):
+        picked = range(len(r.levels)) if which is None else \
+            {i % len(r.levels) for i in which}
+        return dataclasses.replace(r, levels=[
+            dataclasses.replace(lv, **changes(lv)) if i in picked else lv
+            for i, lv in enumerate(r.levels)])
+    return tamper
+
+
 def _operator(changes):
     return lambda r, _: dataclasses.replace(
         r, operator=dataclasses.replace(r.operator, **changes(r)))
@@ -224,14 +229,17 @@ def _operator(changes):
 # paper's "a weak solution is a generalized one" anchor.
 TAMPERS = {
     "grad-norms": (
-        _replace(lambda r: {"grad_norms": [g + 1e-3 for g in r.grad_norms]}),
+        _levels(lambda lv: {"grad_norm": lv.grad_norm + 1e-3}),
         {"report-consistency"}),
     "pair-un": (
-        _replace(lambda r: {"pair_un": [1e6 * x for x in r.pair_un]}),
+        _levels(lambda lv: {"pair_un": 1e6 * lv.pair_un}),
         {"self-pairing-bookkeeping"}),
     "cond-b": (
-        _replace(lambda r: {"cond_b": _last(
-            r.cond_b, lambda row: [x + 1e-6 for x in row])}),
+        _levels(lambda lv: {"cond_b": [x + 1e-6 for x in lv.cond_b]}, [-1]),
+        {"condition-b"}),
+    # within the pairing bound, above the tighter final one
+    "cond-b-final": (
+        _levels(lambda lv: {"cond_b": [x + 1e-8 for x in lv.cond_b]}, [-1]),
         {"condition-b"}),
     "sup-radius": (
         _replace(lambda r: {"estimate": dataclasses.replace(
@@ -239,26 +247,26 @@ TAMPERS = {
         {"truncation-consistency"}),
     # the split moves, its sum does not
     "cprime-and-convection": (
-        _replace(lambda r: {
-            "cond_cprime": _last(r.cond_cprime, lambda x: x + 1e-3),
-            "convection_pairs": _last(r.convection_pairs,
-                                      lambda x: x + 1e-3)}),
+        _levels(lambda lv: {"cond_cprime": lv.cond_cprime + 1e-3,
+                            "convection_pair": lv.convection_pair + 1e-3},
+                [-1]),
         {"condition-cprime"}),
     "coarse-convection": (
-        _replace(lambda r: {"convection_pairs": [r.convection_pairs[0] + 1.0]
-                            + r.convection_pairs[1:]}),
+        _levels(lambda lv: {"convection_pair": lv.convection_pair + 1.0},
+                [0]),
         {"condition-c-routes"}),
     "cond-c": (
-        _replace(lambda r: {"cond_c": _last(r.cond_c, lambda x: 1e-3)}),
+        _levels(lambda lv: {"cond_c": 1e-3}, [-1]),
         {"condition-c", "condition-c-routes"}),
     # below every solution's sup norm, so the truncation acts on the
     # solutions; the truncation certificate reads the problem's own weight
     "weight-truncated": (
         _operator(lambda r: {"weight": truncate_weight(
-            r.operator.problem.weight, 0.5 * min(r.sup_norms))}),
+            r.operator.problem.weight,
+            0.5 * min(lv.sup_norm for lv in r.levels))}),
         {"weak-implies-generalized", "report-consistency"}),
     "noisy-finest": (
-        _noisy_finest,
+        _levels(_noisy, [-1]),
         {"truncation-consistency", "weak-implies-generalized",
          "report-consistency"}),
     "half-load": (
@@ -276,6 +284,18 @@ def test_tamper_fails_exactly_its_certificates(name, monkeypatch):
     failed = {c["name"] for c in result["certificates"] if not c["passed"]}
     assert failed == expected
     assert not result["all_passed"]
+
+
+def test_condition_b_records_the_final_bound_that_fails(monkeypatch):
+    tamper, _ = TAMPERS["cond-b-final"]
+    (cert, *_) = check_generalized_conditions(tamper(good_report(),
+                                                     monkeypatch))
+    assert cert.name == "condition-b" and not cert.passed
+    assert cert.measured <= cert.threshold
+    assert cert.details["final_max"] > cert.details["final_threshold"]
+    assert cert.details["final_threshold"] == \
+        10.0 * good_report().solver_tolerance \
+        * max(1.0, good_report().levels[-1].grad_norm)
 
 
 def test_every_certificate_has_a_tamper():
