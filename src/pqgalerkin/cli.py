@@ -129,19 +129,15 @@ def build_problem(block: dict) -> Problem:
 def _build_solver(block: Optional[dict]) -> SolverConfig:
     if block is None:
         return SolverConfig()
-    allowed = {"tolerance", "max_iterations", "regularization"}
-    _check_keys(block, allowed, set(), "solver")
-    kwargs = {}
-    for key in allowed & set(block):
-        val = block[key]
-        if key == "max_iterations":
-            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-                raise ConfigError(f"solver.{key}: expected a positive integer")
-            kwargs[key] = val
-        else:
-            kwargs[key] = _number(block, key, "solver")
-            if not kwargs[key] > 0.0:
-                raise ConfigError(f"solver.{key}: expected a positive number")
+    _check_keys(block, {"tolerance", "max_iterations"}, set(), "solver")
+    kwargs = dict(block)
+    if "tolerance" in block:
+        kwargs["tolerance"] = _number(block, "tolerance", "solver")
+        if not kwargs["tolerance"] > 0.0:
+            raise ConfigError("solver.tolerance: expected a positive number")
+    val = block.get("max_iterations", 1)
+    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+        raise ConfigError("solver.max_iterations: expected a positive integer")
     return SolverConfig(**kwargs)
 
 

@@ -67,7 +67,11 @@ def lambda1_interval(length: float, p: float) -> float:
     if length <= 0.0 or p <= 1.0:
         raise ValueError("need positive length and p > 1")
     pi_p = 2.0 * math.pi / (p * math.sin(math.pi / p))
-    return (p - 1.0) * (pi_p / length) ** p
+    try:
+        return (p - 1.0) * (pi_p / length) ** p
+    except OverflowError:
+        raise OverflowError(f"lambda1: (pi_p/L)**p overflows a float at "
+                            f"p={p!r}, L={length!r}") from None
 
 
 @dataclass(frozen=True)
@@ -153,8 +157,12 @@ def coercivity_polynomial(problem: Problem,
 
     def psi(t: float) -> float:
         t = float(t)
-        return (lead * t ** p - b_coef * t ** q
-                - alpha_coef * t ** alpha - const)
+        try:
+            lead_term = lead * t ** p
+        except OverflowError:
+            raise OverflowError(f"psi: t**p overflows a float at t={t!r}, "
+                                f"p={p!r}") from None
+        return lead_term - b_coef * t ** q - alpha_coef * t ** alpha - const
 
     return psi
 

@@ -25,8 +25,8 @@ from .estimates import EstimateReport, compute_estimates
 from .fespace import (FeFunction, FeSpace, assemble_matrix, grad_norm_lp,
                       prolongate, row_slices, sparse_solve, sup_norm)
 from .mesh import build_mesh, refine
-from .operators import (DEFAULT_REGULARIZATION, AssemblyError, Problem,
-                        ProblemOperator, truncate_weight)
+from .operators import (AssemblyError, Problem, ProblemOperator,
+                        truncate_weight)
 
 __all__ = [
     "SolveError",
@@ -53,7 +53,6 @@ class SolveError(RuntimeError):
 class SolverConfig:
     tolerance: float = 1e-10
     max_iterations: int = 200
-    regularization: float = DEFAULT_REGULARIZATION
 
 
 # line-search trials (lambda = 1, 1/2, ...) before a cold stage counts as
@@ -87,20 +86,21 @@ class GuardRecord:
 def brouwer_guard(op: ProblemOperator, space: FeSpace, radius: float,
                   seed: int = 0) -> GuardRecord:
     """Pair <A(v), v> at GUARD_SAMPLES Gaussian directions, scaled onto the
-    sphere ||grad v||_p = radius (the a-priori radius), as one stack.
+    sphere ||grad v||_p = radius (the a-priori radius), one `row_slices`
+    chunk of the stack at a time.
 
     A nonnegative minimum supports the acute-angle argument for a zero
     inside the ball; a negative minimum is data, recorded as a failed guard.
     """
     dirs = np.random.default_rng(seed).standard_normal((GUARD_SAMPLES,
                                                         space.dim))
-    scales = np.empty(GUARD_SAMPLES)
+    pairs = []
     for rows in row_slices(space, GUARD_SAMPLES):
-        scales[rows] = grad_norm_lp(FeFunction(space, dirs[rows]),
-                                    op.problem.p)
-    v = FeFunction(space, dirs * (float(radius) / scales)[:, None])
+        scales = grad_norm_lp(FeFunction(space, dirs[rows]), op.problem.p)
+        v = FeFunction(space, dirs[rows] * (float(radius) / scales)[:, None])
+        pairs += op.pairing(v, v).tolist()
     # min over the floats in sample order, so a NaN pairing is skipped
-    worst = min([np.inf, *op.pairing(v, v).tolist()])
+    worst = min([np.inf, *pairs])
     return GuardRecord(min_pairing=float(worst), passed=bool(worst >= 0.0))
 
 
@@ -306,7 +306,7 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
     # a hair above the psi-root keeps the sampled pairing clear of rounding
     guard_radius = estimate.grad_radius * (1.0 + 1e-9)
 
-    op = ProblemOperator(problem, weight, eps=cfg.regularization)
+    op = ProblemOperator(problem, weight)
     report = HierarchyReport(
         estimate=estimate, guard_radius=guard_radius,
         solver_tolerance=cfg.tolerance, seed=seed, operator=op)

@@ -21,8 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fespace import (FeFunction, FeSpace, assemble_matrix, axis_dot,
-                      cell_gradients, row_slices, state_sums, values_at_qp,
-                      vector_norm)
+                      cell_gradients, state_sums, values_at_qp, vector_norm)
 from .mesh import Domain
 
 __all__ = [
@@ -47,7 +46,9 @@ __all__ = [
     "ProblemOperator",
 ]
 
-DEFAULT_REGULARIZATION = 1e-10
+# eps of the flux regularization for exponents below 2, whose flux has an
+# unbounded derivative at grad = 0
+REGULARIZATION = 1e-10
 
 
 class AssemblyError(RuntimeError):
@@ -298,7 +299,12 @@ def saturating_convection(p: float, alpha: float = 2.0, h_bound: float = 1.0,
         r2 = 1.0
     h2 = GrowthH2(sigma=sigma2, b=1.0, c=0.5, r1=1.0, r2=r2)
 
-    c1 = max(1.0 + abs(offset), 2.0 ** (p - 1.0) + h_bound + abs(offset))
+    try:
+        two_power = 2.0 ** (p - 1.0)
+    except OverflowError:
+        raise OverflowError(f"saturating convection: 2**(p-1) overflows a "
+                            f"float at p={p!r}") from None
+    c1 = max(1.0 + abs(offset), two_power + h_bound + abs(offset))
     h3 = SignH3(c0=0.5, c1=c1, alpha=alpha) if alpha < p else None
     h3a = SignH3a(c0=0.5, c1=c1) if alpha == p else None
     h4 = GrowthH4(sigma=sigma2, c1=1.0, c2=0.5,
@@ -414,15 +420,17 @@ class Problem:
 # operators (the dof-array route), or integrated against one test function
 # (the direct route).
 
-def power_flux(grad, exponent: float, eps: float = DEFAULT_REGULARIZATION):
+def power_flux(grad, exponent: float):
     """|grad|^{e-2} grad over the last axis; where |grad| < eps at e < 2, the
-    regularized (|grad|^2 + eps^2)^{(e-2)/2} grad; grad itself at e = 2."""
+    regularized (|grad|^2 + eps^2)^{(e-2)/2} grad, eps = REGULARIZATION;
+    grad itself at e = 2."""
     if exponent == 2.0:
         return grad
     amp = vector_norm(grad)
     if exponent >= 2.0:
         factor = amp ** (exponent - 2.0)
     else:
+        eps = REGULARIZATION
         small = amp < eps
         safe = np.where(small, 1.0, amp)
         factor = np.where(small,
@@ -431,7 +439,7 @@ def power_flux(grad, exponent: float, eps: float = DEFAULT_REGULARIZATION):
     return factor[..., None] * grad
 
 
-def _flux_slopes(amp: np.ndarray, exponent: float, eps: float):
+def _flux_slopes(amp: np.ndarray, exponent: float):
     """(c_I, c_o) with d(flux)/d(grad) = c_I I + c_o g g^T for the
     `power_flux` of cell gradients g of norm `amp`: |g|^{e-2} and
     (e-2)|g|^{e-4}, with |g|^2 -> |g|^2 + eps^2 on the same regularized
@@ -440,6 +448,7 @@ def _flux_slopes(amp: np.ndarray, exponent: float, eps: float):
         return 1.0, 0.0
     sq = amp * amp
     if exponent < 2.0:
+        eps = REGULARIZATION
         sq = np.where(amp < eps, sq + eps * eps, sq)
     c_id = sq ** (0.5 * (exponent - 2.0))
     return c_id, (exponent - 2.0) * c_id / np.where(sq > 0.0, sq, 1.0)
@@ -482,7 +491,7 @@ class ProblemOperator:
     `q_factor` scales the competing/cooperative divergence term and
     `load_factor` scales the convection term; both default to the full
     problem and exist for homotopy and continuation, whose stages are
-    `dataclasses.replace` copies.  The factors and `eps` are keyword-only.
+    `dataclasses.replace` copies.  The factors are keyword-only.
     The operator keeps no evaluation state: every call computes its
     argument's pointwise data afresh, and the pointwise kernels broadcast
     over one leading axis of stacked states.
@@ -493,7 +502,6 @@ class ProblemOperator:
     _: KW_ONLY
     load_factor: float = 1.0
     q_factor: float = 1.0
-    eps: float = DEFAULT_REGULARIZATION
 
     def _pointwise(self, u: FeFunction):
         """u's cell gradients, its quadrature values and the p-term's cell
@@ -509,8 +517,8 @@ class ProblemOperator:
         space, pr = u.space, self.problem
         grad, u_qp, p_w = self._pointwise(u)
         return ((grad, u_qp),
-                (power_flux(grad, pr.p, self.eps), p_w),
-                (power_flux(grad, pr.q, self.eps), space.cell_measures),
+                (power_flux(grad, pr.p), p_w),
+                (power_flux(grad, pr.q), space.cell_measures),
                 pr.convection.evaluate(space.qp_points, u_qp,
                                        grad[..., None, :]))
 
@@ -576,8 +584,8 @@ class ProblemOperator:
         G, phi, w = space.grads, space.basis_qp, space.qp_weights
         # cell coefficients as (m, 1) columns; scalars at exponent 2
         amp = vector_norm(grad)[:, None]
-        p_id, p_outer = _flux_slopes(amp, problem.p, self.eps)
-        q_id, q_outer = _flux_slopes(amp, problem.q, self.eps)
+        p_id, p_outer = _flux_slopes(amp, problem.p)
+        q_id, q_outer = _flux_slopes(amp, problem.q)
         p_w = p_w[:, None]
         q_w = (problem.q_sign * self.q_factor * space.cell_measures)[:, None]
         blocks = (p_w * p_id + q_w * q_id)[:, :, None] * space.stiffness_blocks
@@ -605,17 +613,12 @@ class ProblemOperator:
         `residual(u) @ v.coeffs` but never assembles the dof array.
 
         Stacks u and v of B states give the array of the B row pairings,
-        evaluated in the chunks of `row_slices`; every row has the bits of
-        its own single-state pairing.
+        evaluated as one stack, so a caller with many rows passes them in
+        `fespace.row_slices` chunks; every row has the bits of its own
+        single-state pairing.
         """
         if v.space is not u.space or v.coeffs.shape != u.coeffs.shape:
             raise ValueError("pairing requires functions of one shape on "
                              "the same space")
-        if u.coeffs.ndim == 1:
-            return float(self._direct(u, self._terms(u), v))
-        out = np.empty(u.coeffs.shape[0])
-        for rows in row_slices(u.space, out.size):
-            u_rows = FeFunction(u.space, u.coeffs[rows])
-            v_rows = u_rows if v is u else FeFunction(v.space, v.coeffs[rows])
-            out[rows] = self._direct(u_rows, self._terms(u_rows), v_rows)
-        return out
+        pairs = self._direct(u, self._terms(u), v)
+        return float(pairs) if u.coeffs.ndim == 1 else pairs

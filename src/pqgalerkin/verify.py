@@ -14,7 +14,7 @@ import numpy as np
 
 from .fespace import (FeFunction, axis_dot, grad_norm_lp, jsonable, lr_norm,
                       sup_norm, vector_norm)
-from .galerkin import HierarchyReport
+from .galerkin import HierarchyReport, SolverConfig
 from .operators import ProblemOperator, power_flux
 
 __all__ = [
@@ -52,7 +52,8 @@ def _scale(report: HierarchyReport) -> float:
 
 
 def check_truncation_consistency(raw_op: ProblemOperator, u: FeFunction,
-                                 radius: float, tolerance: float = 1e-10
+                                 radius: float,
+                                 tolerance: float = SolverConfig.tolerance
                                  ) -> Certificate:
     """The truncation is inactive on a solved state.
 
@@ -232,7 +233,8 @@ def check_monotonicity_inequalities(p: float, q: float, dim: int,
 
 
 def weak_implies_generalized_demo(op: ProblemOperator, u_weak: FeFunction,
-                                  tolerance: float = 1e-10) -> Certificate:
+                                  tolerance: float = SolverConfig.tolerance
+                                  ) -> Certificate:
     """A certified discrete solution, read as a constant sequence, satisfies
     the generalized conditions outright: every (b)-pairing is the residual
     entry and the (c)-pairing is against a zero gap."""

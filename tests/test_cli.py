@@ -94,6 +94,7 @@ def run_python(args):
 # knobs with one value in use (the value given here), now constants
 REMOVED_KEYS = {"solver.fd_step": 1e-7, "solver.homotopy_steps": 4,
                 "solver.continuation_steps": 10, "solver.max_halvings": 40,
+                "solver.regularization": 1e-10,
                 "estimates.sobolev_samples": 1000,
                 "estimates.convention": "paper"}
 
@@ -215,12 +216,24 @@ BAD_CONFIGS = {
     "zero-max-iterations": (
         ("solver", "max_iterations"), 0,
         "solver.max_iterations: expected a positive integer"),
-    "negative-regularization": (
-        ("solver", "regularization"), -1.0,
-        "solver.regularization: expected a positive number"),
     # the tables compare levels, so the schema asks what run_hierarchy does
     "one-level": (("mesh", "levels"), 1,
                   "mesh.levels: a hierarchy needs at least 2 levels"),
+    # finite inputs whose constants overflow a float
+    "saturating-2000": (("problem", "p"), 2000.0,
+                        "saturating convection: 2**(p-1) overflows a float "
+                        "at p=2000.0"),
+    "constant-2000": (("problem",),
+                      {**base_config()["problem"], "p": 2000.0,
+                       "convection": {"kind": "constant", "value": 1.0}},
+                      "lambda1: (pi_p/L)**p overflows a float at p=2000.0, "
+                      "L=1.0"),
+    "saturating-offset-1e300": (
+        ("problem", "convection"), {"kind": "saturating", "offset": 1e300},
+        "psi: t**p overflows a float at t=8.958978968711217e+102, p=3.0"),
+    "constant-1e300": (
+        ("problem", "convection"), {"kind": "constant", "value": 1e300},
+        "psi: t**p overflows a float at t=8.958978968711217e+102, p=3.0"),
 }
 
 

@@ -367,9 +367,78 @@ def test_problem_operator_keeps_no_hidden_state():
     fields = dataclasses.fields(ProblemOperator)
     assert all(f.init for f in fields)
     assert [f.name for f in fields] == ["problem", "weight", "load_factor",
-                                        "q_factor", "eps"]
+                                        "q_factor"]
     source = (Path(pqgalerkin.__file__).parent / "operators.py").read_text()
     assert "weakref" not in _imported_modules(source)
+
+
+EPS_NAMES = ("eps", "regularization")
+
+
+def _regularization_settings(source: str):
+    """Line numbers where the flux regularization is a setting: a function
+    or lambda parameter, or a class field, named `eps` or
+    `regularization`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            params = node.args.posonlyargs + node.args.args \
+                + node.args.kwonlyargs
+            if any(param.arg in EPS_NAMES for param in params):
+                found.add(node.lineno)
+        elif isinstance(node, ast.ClassDef):
+            found |= {item.lineno for item in node.body
+                      if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)
+                      and item.target.id in EPS_NAMES}
+    return sorted(found)
+
+
+def _regularization_names(source: str):
+    """Line numbers where a name holding REGULARIZATION is defined, read or
+    imported."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if any("REGULARIZATION" in name for name in names):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_regularization_checks_flag_each_form():
+    settings = ("def power_flux(grad, exponent, eps=1e-10): ...\n"
+                "def run(problem, *, regularization): ...\n"
+                "kernel = lambda grad, e, eps=1e-10: grad\n"
+                "class SolverConfig:\n"
+                "    regularization: float = 1e-10\n"
+                "def power_flux(grad, exponent): ...\n"
+                "epsilon = 1e-10\n")
+    assert _regularization_settings(settings) == [1, 2, 3, 5]
+    names = ("REGULARIZATION = 1e-10\n"
+             "from .operators import DEFAULT_REGULARIZATION\n"
+             "eps = operators.REGULARIZATION\n"
+             "small = amp < REGULARIZATION\n"
+             "regularization = 1e-10\n")
+    assert _regularization_names(names) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(pqgalerkin.__file__).parent.glob("*.py")),
+    ids=lambda p: p.name)
+def test_the_flux_regularization_is_one_constant(path):
+    # eps is operators.REGULARIZATION, read inside the flux kernels: no
+    # function takes it, no config object carries it, no module restates it
+    source = path.read_text()
+    assert _regularization_settings(source) == []
+    names = _regularization_names(source)
+    assert (names != []) if path.name == "operators.py" else (names == [])
 
 
 def _exponent_minus_two_powers(source: str):

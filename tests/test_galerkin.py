@@ -187,6 +187,33 @@ def test_guard_directions_lie_on_the_sphere_at_large_exponent(p, paired):
         space = FeSpace(refine(space.mesh))
 
 
+def test_guard_scales_and_pairs_one_chunk_at_a_time(paired):
+    # 1024 cells hold 16 directions per chunk: the guard pairs each chunk
+    # as it scales it, and its minimum has the bits of the directions
+    # scaled and paired one at a time
+    problem = offset_problem()
+    est = compute_estimates(problem)
+    op = ProblemOperator(problem, truncate_weight(problem.weight,
+                                                  est.sup_radius))
+    mesh = build_mesh(UNIT, 4)
+    for _ in range(8):
+        mesh = refine(mesh)
+    space = FeSpace(mesh)
+    chunks = fespace.row_slices(space, galerkin.GUARD_SAMPLES)
+    assert len(chunks) == 2
+    rec = brouwer_guard(op, space, est.grad_radius, seed=3)
+    assert [v.coeffs.shape[0] for v in paired] == [
+        len(range(galerkin.GUARD_SAMPLES)[rows]) for rows in chunks]
+    dirs = np.random.default_rng(3).standard_normal(
+        (galerkin.GUARD_SAMPLES, space.dim))
+    single = []
+    for d in dirs:
+        scale = grad_norm_lp(FeFunction(space, d), problem.p)
+        v = FeFunction(space, d * (est.grad_radius / scale))
+        single.append(op.pairing(v, v))
+    assert rec.min_pairing == min(single)
+
+
 def test_guard_is_deterministic():
     problem = offset_problem()
     space = FeSpace(build_mesh(UNIT, 4))

@@ -264,15 +264,15 @@ def test_nonfinite_integrand_names_cell():
             FeFunction(space, np.array([0.5])))
 
 
-def test_nonfinite_q_term_names_its_label_and_cell():
+def test_nonfinite_q_term_names_its_label_and_cell(monkeypatch):
     # without regularization the q < 2 flux is 0 * inf on a flat cell,
     # while the p = 3 flux there is a finite 0
+    monkeypatch.setattr(operators, "REGULARIZATION", 0.0)
     problem = Problem(p=3.0, q=1.5, domain=UNIT, weight=constant_weight(1.0),
                       convection=zero_convection(), variant="competing",
                       regime="H3")
     space = FeSpace(build_mesh(UNIT, 4))
-    op = ProblemOperator(problem, truncate_weight(problem.weight, 1.0),
-                         eps=0.0)
+    op = ProblemOperator(problem, truncate_weight(problem.weight, 1.0))
     with np.errstate(all="ignore"), pytest.raises(
             AssemblyError, match="nonfinite gradient power term contribution"
                                  " on cell 1$"):
@@ -296,16 +296,18 @@ def central_difference_jacobian(op, u, step=1e-7):
 RADIUS = 0.5
 
 
-def jacobian_setup(dim, variant="competing", q=2.0):
+def jacobian_setup(dim, variant="competing", q=2.0, monkeypatch=None):
     domain = UNIT if dim == 1 else Domain.rectangle(0.0, 1.0, 0.0, 1.0)
     problem = Problem(p=3.0, q=q, domain=domain, weight=quadratic_weight(2.0),
                       convection=saturating_convection(3.0, offset=1.0),
                       variant=variant, regime="H3")
     space = FeSpace(build_mesh(domain, 8 if dim == 1 else (4, 4)))
-    # eps = 0.05 puts the flat cells of the state below in the regularized
-    # branch of the q-flux when q < 2, far from the oracle's step
+    if q < 2.0:
+        # eps = 0.05 puts the flat cells of the state below in the
+        # regularized branch of the q-flux, far from the oracle's step
+        monkeypatch.setattr(operators, "REGULARIZATION", 0.05)
     op = ProblemOperator(problem, truncate_weight(problem.weight, RADIUS),
-                         load_factor=0.7, q_factor=0.8, eps=0.05)
+                         load_factor=0.7, q_factor=0.8)
     coeffs = np.random.default_rng(3).standard_normal(space.dim)
     coeffs[space.dim // 2:] = coeffs[space.dim // 2]
     return op, FeFunction(space, coeffs)
@@ -314,8 +316,8 @@ def jacobian_setup(dim, variant="competing", q=2.0):
 @pytest.mark.parametrize("q", [2.0, 1.5])
 @pytest.mark.parametrize("variant", ["competing", "cooperative"])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_jacobian_matches_central_difference(dim, variant, q):
-    op, u = jacobian_setup(dim, variant, q)
+def test_jacobian_matches_central_difference(dim, variant, q, monkeypatch):
+    op, u = jacobian_setup(dim, variant, q, monkeypatch)
     assert np.max(np.abs(u.coeffs)) > RADIUS
     assert np.any(np.linalg.norm(cell_gradients(u), axis=1) == 0.0)
     oracle = central_difference_jacobian(op, u)
@@ -333,8 +335,9 @@ def taylor_remainders(op, u, v, steps):
 @pytest.mark.parametrize("q", [2.0, 1.5])
 @pytest.mark.parametrize("variant", ["competing", "cooperative"])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_jacobian_taylor_remainder_falls_as_h_squared(dim, variant, q):
-    op, u = jacobian_setup(dim, variant, q)
+def test_jacobian_taylor_remainder_falls_as_h_squared(dim, variant, q,
+                                                     monkeypatch):
+    op, u = jacobian_setup(dim, variant, q, monkeypatch)
     assert np.max(np.abs(u.coeffs)) > RADIUS
     v = FeFunction(u.space, np.random.default_rng(4).standard_normal(
         u.space.dim))
@@ -600,7 +603,7 @@ def test_exponent_two_flux_matches_the_general_formula(dim):
     # the e >= 2 branch, written out at e = 2
     amp = np.linalg.norm(grad, axis=-1)
     flux = (amp ** 0.0)[..., None] * grad
-    assert np.array_equal(bits(operators.power_flux(grad, 2.0, 1e-10)),
+    assert np.array_equal(bits(operators.power_flux(grad, 2.0)),
                           bits(flux))
 
 

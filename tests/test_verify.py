@@ -165,18 +165,6 @@ def test_run_certificates_all_pass():
     assert result["s_probe"]["pairings_vanish"]
 
 
-def test_run_certificates_use_the_run_regularization():
-    problem = Problem(p=3.0, q=1.5, domain=UNIT, weight=quadratic_weight(1.0),
-                      convection=constant_convection(1e-4),
-                      variant="cooperative", regime="H3")
-    report = run_hierarchy(problem, 4, 4,
-                           cfg=SolverConfig(regularization=1e-3))
-    assert report.failed_level is None
-    result = run_certificates(report)
-    failed = [c["name"] for c in result["certificates"] if not c["passed"]]
-    assert result["all_passed"], failed
-
-
 def test_run_certificates_rejects_failed_report():
     report = run_hierarchy(offset_problem(), 4, 2,
                            cfg=SolverConfig(max_iterations=1))
@@ -195,8 +183,7 @@ def _eighth_flux(report, monkeypatch):
     """The certificates' flux kernel at an eighth of the operator's."""
     kernel = operators.power_flux
     monkeypatch.setattr(verify, "power_flux",
-                        lambda grad, e, eps=1e-10: 0.125 * kernel(grad, e,
-                                                                  eps))
+                        lambda grad, e: 0.125 * kernel(grad, e))
     return report
 
 
@@ -374,7 +361,7 @@ def test_monotonicity_certificate_reads_the_operators_flux_kernel(
 
 def test_nonfinite_lemma_ratio_is_a_violation(monkeypatch):
     monkeypatch.setattr(verify, "power_flux",
-                        lambda grad, e, eps=1e-10: np.full_like(grad, np.inf))
+                        lambda grad, e: np.full_like(grad, np.inf))
     (cert, _) = check_monotonicity_inequalities(3.0, 1.5, 1)
     assert not cert.passed
     assert cert.details["violations"] == cert.details["pairs"]
