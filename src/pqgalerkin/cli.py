@@ -153,7 +153,7 @@ def _unique_keys(pairs: list) -> dict:
 def load_config(path: str) -> dict:
     text = Path(path).read_text()
     cfg = json.loads(text, object_pairs_hook=_unique_keys)
-    _check_keys(cfg, {"problem", "mesh", "solver", "output"},
+    _check_keys(cfg, {"problem", "mesh", "solver"},
                 {"problem", "mesh"}, "config")
     _check_keys(cfg["mesh"], {"base_cells", "levels"},
                 {"base_cells", "levels"}, "mesh")
@@ -172,13 +172,6 @@ def load_config(path: str) -> dict:
                           "per side")
     if isinstance(base, list):
         cfg["mesh"]["base_cells"] = tuple(base)
-    out = cfg.get("output")
-    if out is not None:
-        _check_keys(out, {"write_solutions", "write_diagnostics"}, set(),
-                    "output")
-        for key, val in out.items():
-            if not isinstance(val, bool):
-                raise ConfigError(f"output.{key}: expected a boolean")
     _build_solver(cfg.get("solver"))
     return cfg
 
@@ -202,7 +195,7 @@ def _write_lock(out_dir: Path, command: str, cfg: dict, seed: int) -> None:
                 {"command": command, "seed": seed, "config": cfg})
 
 
-def _write_diagnostics(out_dir: Path, report) -> None:
+def _diagnostics_csv(out_dir: Path, report) -> None:
     lines = ["level,grad_norm_p,sup_norm,cond_b_max,cond_c,cond_cprime"]
     for lv in report.levels:
         row = (lv.grad_norm, lv.sup_norm, max(abs(x) for x in lv.cond_b),
@@ -222,28 +215,22 @@ def _cmd_estimate(cfg: dict, problem: Problem, out_dir: Path,
 
 
 def _cmd_solve(command: str, cfg: dict, problem: Problem, out_dir: Path,
-               seed: int, target: Path, payload: dict) -> int:
+               seed: int) -> int:
     """`solve`, and for `verify` the certificates of a solved hierarchy.
-    The report goes into `payload` and to `target`; the solution CSVs and
-    diagnostics.csv follow as `output` asks, then the lock, whatever the
-    exit code."""
+    Writes report.json, each solved level's solution CSV, diagnostics.csv
+    and the lock into `out_dir`, whatever the exit code."""
     report = run_hierarchy(problem, cfg["mesh"]["base_cells"],
                            cfg["mesh"]["levels"],
                            cfg=_build_solver(cfg.get("solver")), seed=seed)
-    payload["hierarchy"] = report
+    payload = {"hierarchy": report}
     failed = report.failed_level is not None
     if command == "verify":
         payload["verification"] = None if failed \
             else run_certificates(report, seed=seed)
-    _write_json(target, payload)
-    # the verify --report target may lie outside --out
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_cfg = cfg.get("output") or {}
-    if out_cfg.get("write_solutions", True):
-        for lv in report.levels:
-            write_csv(lv.solution, out_dir / f"solution_L{lv.level}.csv")
-    if out_cfg.get("write_diagnostics", True):
-        _write_diagnostics(out_dir, report)
+    _write_json(out_dir / "report.json", payload)
+    for lv in report.levels:
+        write_csv(lv.solution, out_dir / f"solution_L{lv.level}.csv")
+    _diagnostics_csv(out_dir, report)
     _write_lock(out_dir, command, cfg, seed)
     if failed:
         return _fail(report.failure_message, 3)
@@ -275,9 +262,6 @@ def main(argv=None) -> int:
         cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--seed", type=int, default=0)
-        if name == "verify":
-            cmd.add_argument("--report", default=None,
-                             help="report path override")
     try:
         args = parser.parse_args(argv)
         if args.seed < 0:
@@ -293,18 +277,6 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
         return _fail(f"--out is not a directory: {out_dir}")
-    target, payload = out_dir / "report.json", {}
-    if args.command == "verify" and args.report is not None:
-        # the certificates are appended to an existing report
-        target = Path(args.report)
-        if not target.is_file():
-            return _fail(f"missing report: {target}")
-        try:
-            payload = json.loads(target.read_text())
-        except ValueError:  # not JSON, or bytes that are not UTF-8
-            return _fail(f"report is not JSON: {target}")
-        if not isinstance(payload, dict):
-            return _fail(f"report is not a JSON object: {target}")
     try:
         problem = build_problem(cfg["problem"])
         if problem.domain.dim == 1 and \
@@ -312,8 +284,7 @@ def main(argv=None) -> int:
             raise ConfigError("mesh.base_cells: expected int on an interval")
         if args.command == "estimate":
             return _cmd_estimate(cfg, problem, out_dir, args.seed)
-        return _cmd_solve(args.command, cfg, problem, out_dir, args.seed,
-                          target, payload)
+        return _cmd_solve(args.command, cfg, problem, out_dir, args.seed)
     except (HypothesisViolation,) as err:
         return _fail(f"hypothesis violation: {err}", 2)
     except (ConfigError, MeshError, ValueError, ArithmeticError) as err:

@@ -68,10 +68,14 @@ def lambda1_interval(length: float, p: float) -> float:
         raise ValueError("need positive length and p > 1")
     pi_p = 2.0 * math.pi / (p * math.sin(math.pi / p))
     try:
-        return (p - 1.0) * (pi_p / length) ** p
+        value = (p - 1.0) * (pi_p / length) ** p
     except OverflowError:
         raise OverflowError(f"lambda1: (pi_p/L)**p overflows a float at "
                             f"p={p!r}, L={length!r}") from None
+    if value == 0.0:
+        raise ArithmeticError(f"lambda1: (pi_p/L)**p underflows to 0.0 at "
+                              f"p={p!r}, L={length!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -322,11 +323,15 @@ def row_slices(space: FeSpace, rows: int) -> list:
 def state_sums(a: np.ndarray, state_ndim: int):
     """np.sum of one state's array, whose dimension is `state_ndim`, or the
     array of such sums over a stack with one leading axis.  A stack is
-    summed row by row: numpy runs a reduction over the trailing axes of a
-    stack in another order than the pairwise sum of one state."""
+    reduced in one call over a C-ordered copy flattened to one row per
+    state, so each row keeps the pairwise order and the bits of np.sum of
+    that state alone.  The copy matters: the flux pairings' stacks inherit
+    the transposed layout of `cell_gradients`, on which numpy reduces in
+    memory order."""
     if a.ndim == state_ndim:
         return np.sum(a)
-    return np.array([np.sum(row) for row in a])
+    rows = np.ascontiguousarray(a).reshape(len(a), math.prod(a.shape[1:]))
+    return rows.sum(axis=1)
 
 
 def cell_gradients(u: FeFunction) -> np.ndarray:

@@ -9,6 +9,7 @@ and make piecewise-linear prolongation exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -46,6 +47,9 @@ class Domain:
         for lo, hi in self.bounds:
             if not hi > lo:
                 raise MeshError(f"inverted or empty bounds ({lo}, {hi})")
+        if not math.isfinite(self.measure):
+            raise MeshError(f"bounds {self.bounds} give a side length or "
+                            f"measure beyond the float range")
 
     @staticmethod
     def interval(a: float, b: float) -> "Domain":
@@ -57,7 +61,7 @@ class Domain:
 
     @property
     def measure(self) -> float:
-        return float(np.prod(self.side_lengths))
+        return math.prod(self.side_lengths)
 
     @property
     def side_lengths(self) -> Tuple[float, ...]:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,13 +91,17 @@ def run_python(args):
 
 # solver.fd_step belonged to the finite-difference Jacobian;
 # estimates.convention selected an eigenvalue scaling that is no bound for
-# lambda1 > 1, and the estimates block went with it; the other keys were
-# knobs with one value in use (the value given here), now constants
+# lambda1 > 1, and the estimates block went with it; the output block chose
+# which files a run left in --out, which now gets every file every run; the
+# other keys were knobs with one value in use (the value given here), now
+# constants
 REMOVED_KEYS = {"solver.fd_step": 1e-7, "solver.homotopy_steps": 4,
                 "solver.continuation_steps": 10, "solver.max_halvings": 40,
                 "solver.regularization": 1e-10,
                 "estimates.sobolev_samples": 1000,
-                "estimates.convention": "paper"}
+                "estimates.convention": "paper",
+                "output.write_solutions": False}
+REMOVED_BLOCKS = {"estimates", "output"}
 
 
 def removed_key_config(tmp_path, dotted):
@@ -121,9 +126,9 @@ def assert_every_command_fails(tmp_path, capsys, path, code, stderr):
 @pytest.mark.parametrize("dotted", list(REMOVED_KEYS))
 def test_removed_key_is_exit_1_without_traceback(tmp_path, capsys, dotted):
     # the strict schema rejects each like any unknown key, before any output
-    # is written; the estimates block went whole, so it is the unknown key
+    # is written; a block that went whole is itself the unknown key
     block, key = dotted.split(".")
-    where, unknown = ("config", block) if block == "estimates" \
+    where, unknown = ("config", block) if block in REMOVED_BLOCKS \
         else (block, key)
     assert_every_command_fails(
         tmp_path, capsys, removed_key_config(tmp_path, dotted), 1,
@@ -192,8 +197,6 @@ BAD_CONFIGS = {
     "base-cells-pair-on-interval": (("mesh", "base_cells"), [4, 2],
                                     "mesh.base_cells: expected int on an "
                                     "interval"),
-    "non-boolean-output": (("output", "write_solutions"), 1,
-                           "output.write_solutions: expected a boolean"),
     # numbers that once bypassed the number check
     "null-bound": (("problem", "domain", "bounds"), [None, 1.0],
                    "problem.domain.bounds.0: expected a finite number"),
@@ -234,6 +237,18 @@ BAD_CONFIGS = {
     "constant-1e300": (
         ("problem", "convection"), {"kind": "constant", "value": 1e300},
         "psi: t**p overflows a float at t=8.958978968711217e+102, p=3.0"),
+    # finite bounds whose eigenvalue bound underflows, or whose side length
+    # or area overflows (a numpy overflow warning fails the suite)
+    "interval-1e200": (("problem", "domain", "bounds"), [0.0, 1e200],
+                       "lambda1: (pi_p/L)**p underflows to 0.0 at p=3.0, "
+                       "L=1e+200"),
+    "interval-length-inf": (("problem", "domain", "bounds"), [-1e308, 1e308],
+                            "bounds ((-1e+308, 1e+308),) give a side length "
+                            "or measure beyond the float range"),
+    "rectangle-area-inf": (("problem", "domain"),
+                           rectangle([[0.0, 1e200], [0.0, 1e200]]),
+                           "bounds ((0.0, 1e+200), (0.0, 1e+200)) give a side "
+                           "length or measure beyond the float range"),
 }
 
 
@@ -368,14 +383,17 @@ def test_hypothesis_violation_is_exit_2(tmp_path):
 
 def test_solve_writes_outputs(tmp_path):
     path = write_config(tmp_path, base_config())
-    out = tmp_path / "out"
-    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    # solve and verify leave one layout in --out
+    for command in ("verify", "solve"):
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "diagnostics.csv", "report.json", "run.lock.json",
+            "solution_L0.csv", "solution_L1.csv", "solution_L2.csv"]
     report = json.loads((out / "report.json").read_text())
     hier = report["hierarchy"]
     assert hier["failed_level"] is None
     assert len(hier["levels"]) == 3
-    for n in range(3):
-        assert (out / f"solution_L{n}.csv").exists()
     diag = (out / "diagnostics.csv").read_text().splitlines()
     assert diag[0] == "level,grad_norm_p,sup_norm,cond_b_max,cond_c,cond_cprime"
     assert len(diag) == 4
@@ -398,17 +416,6 @@ def test_solution_csv_round_trips_to_a_certified_state(tmp_path):
     op = ProblemOperator(problem, weight)
     res = np.max(np.abs(op.residual(u)))
     assert res <= 10.0 * hier["solver_tolerance"]
-
-
-def test_solve_respects_output_flags(tmp_path):
-    cfg = base_config(output={"write_solutions": False,
-                              "write_diagnostics": False})
-    path = write_config(tmp_path, cfg)
-    out = tmp_path / "out"
-    assert main(["solve", "--config", path, "--out", str(out)]) == 0
-    assert (out / "report.json").exists()
-    assert not (out / "solution_L0.csv").exists()
-    assert not (out / "diagnostics.csv").exists()
 
 
 def test_solve_failure_is_exit_3_with_partial_report(tmp_path):
@@ -564,40 +571,6 @@ def test_report_json_holds_one_record_per_level(tmp_path):
         == [True] * 3
 
 
-def test_verify_missing_report_is_exit_1(tmp_path):
-    path = write_config(tmp_path, base_config())
-    rc = main(["verify", "--config", path, "--out", str(tmp_path / "out"),
-               "--report", str(tmp_path / "nowhere.json")])
-    assert rc == 1
-
-
-def test_verify_report_that_is_not_an_object_is_exit_1(tmp_path, capsys):
-    path = write_config(tmp_path, base_config())
-    report = tmp_path / "list.json"
-    report.write_bytes(b"[1, 2, 3]\n")
-    out = tmp_path / "out"
-    rc = main(["verify", "--config", path, "--out", str(out),
-               "--report", str(report)])
-    assert rc == 1
-    assert capsys.readouterr().err == \
-        f"report is not a JSON object: {report}\n"
-    assert report.read_bytes() == b"[1, 2, 3]\n"
-    assert not out.exists()
-
-
-def test_verify_report_that_is_not_json_is_exit_1(tmp_path, capsys):
-    path = write_config(tmp_path, base_config())
-    report = tmp_path / "text.json"
-    report.write_bytes(b"not json\n")
-    out = tmp_path / "out"
-    rc = main(["verify", "--config", path, "--out", str(out),
-               "--report", str(report)])
-    assert rc == 1
-    assert capsys.readouterr().err == f"report is not JSON: {report}\n"
-    assert report.read_bytes() == b"not json\n"
-    assert not out.exists()
-
-
 def test_out_that_is_a_file_is_exit_1_before_solving(tmp_path, capsys):
     path = write_config(tmp_path, base_config())
     target = tmp_path / "taken"
@@ -627,8 +600,12 @@ def test_config_that_is_not_utf8_is_exit_1_without_traceback(tmp_path,
      "--seed"),
     (["solve", "--config", "CONFIG", "--out", "OUT", "--seed", "-1"], 1,
      "--seed"),
+    # verify writes its report into --out and takes no other path for it
+    (["verify", "--config", "CONFIG", "--out", "OUT", "--report", "OUT"], 1,
+     "unrecognized arguments: --report"),
     (["--help"], 0, ""),
-], ids=["missing-config", "seed-not-an-integer", "negative-seed", "help"])
+], ids=["missing-config", "seed-not-an-integer", "negative-seed", "report",
+        "help"])
 def test_usage_errors_are_exit_1(tmp_path, capsys, args, code, needle):
     # exit 2 is reserved for hypothesis violations
     config = write_config(tmp_path, base_config())
@@ -643,34 +620,6 @@ def test_usage_errors_are_exit_1(tmp_path, capsys, args, code, needle):
     else:
         assert captured.err.splitlines()[-1].startswith("pqgalerkin")
     assert not out.exists()
-
-
-def test_verify_appends_to_existing_report(tmp_path):
-    path = write_config(tmp_path, base_config())
-    out = tmp_path / "out"
-    assert main(["solve", "--config", path, "--out", str(out)]) == 0
-    before = json.loads((out / "report.json").read_text())
-    assert set(before) == {"hierarchy"}
-    rc = main(["verify", "--config", path, "--out", str(out),
-               "--report", str(out / "report.json")])
-    assert rc == 0
-    after = json.loads((out / "report.json").read_text())
-    assert set(after) == {"hierarchy", "verification"}
-    assert after["verification"]["all_passed"]
-
-
-def test_verify_report_outside_out_still_writes_solutions(tmp_path):
-    path = write_config(tmp_path, base_config())
-    solved, certified = tmp_path / "solved", tmp_path / "certified"
-    assert main(["solve", "--config", path, "--out", str(solved)]) == 0
-    rc = main(["verify", "--config", path, "--out", str(certified),
-               "--report", str(solved / "report.json")])
-    assert rc == 0
-    assert not (certified / "report.json").exists()
-    for n in range(3):
-        assert (certified / f"solution_L{n}.csv").exists()
-    assert (certified / "diagnostics.csv").exists()
-    assert (certified / "run.lock.json").exists()
 
 
 def test_verify_certification_failure_is_exit_4(tmp_path, capsys):
@@ -729,10 +678,26 @@ def test_load_config_normalizes_2d_cells(tmp_path):
     assert loaded["mesh"]["base_cells"] == (2, 2)
 
 
+def readme_text():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+@pytest.mark.parametrize("command", ["estimate", "solve", "verify"])
+def test_readme_synopsis_names_the_help_options(capsys, command):
+    # README's "Command line" block has one synopsis line per command
+    block = readme_text().split("## Command line\n", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    line, = [row for row in block.splitlines()
+             if row.split()[:2] == ["pqgalerkin", command]]
+    assert main([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n", 1)[0]
+    assert usage.startswith(f"usage: pqgalerkin {command} ")
+    assert re.findall(r"--[a-z]+", usage) == re.findall(r"--[a-z]+", line)
+
+
 def test_readme_config_example_loads(tmp_path):
     # the example under README's "Config schema" is a config the CLI takes
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    schema = readme.split("### Config schema\n", 1)[1]
+    schema = readme_text().split("### Config schema\n", 1)[1]
     example = schema.split("```json\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "readme.json"
     path.write_text(example)

@@ -760,6 +760,27 @@ def test_axis_dot_matches_numpy_bit_for_bit(k, shapes):
                           bits(np.sum(a * b, axis=-1)))
 
 
+# row lengths below numpy's 8-way unrolled block, between it and the 128
+# pairwise block, and above; the (m,) states of the flux pairings and the
+# (m, k) states of the load pairing
+@pytest.mark.parametrize("layout", ["C", "transposed"])
+@pytest.mark.parametrize("state", [(5,), (40,), (300,), (2, 3), (20, 6),
+                                   (300, 6)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_state_sums_match_per_state_sums_bit_for_bit(state, layout):
+    # "transposed" is the layout of cell_gradients' stacks, whose leading
+    # axis is the fastest; each state's reference is np.sum of its own
+    # fresh C-ordered array, as one state alone is evaluated
+    rng = np.random.default_rng(20)
+    for rows in (0, 1, 3, 32):
+        a = signed_spread(rng, (rows,) + state)
+        if layout == "transposed":
+            a = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)),
+                            -1, 0)
+        assert np.array_equal(bits(fespace.state_sums(a, len(state))),
+                              bits([np.sum(row.copy()) for row in a]))
+
+
 def rows_per_chunk(space):
     return fespace.row_slices(space, 10 ** 6)[0].stop
 
