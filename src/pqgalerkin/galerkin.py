@@ -1,22 +1,24 @@
 """Guarded Galerkin hierarchy: level solves and condition tables.
 
-Each level solves the discrete residual system with damped Newton (the
-operator's sparse Jacobian, Armijo line search on the residual merit).  One
-walker runs Newton through a list of operator stages, each starting where the
-last one ended, and stops at the first stage that does not converge; every
-solve path is such a list.  Warm starts (prolongated coarser solutions) are a
-single stage, whose line search gives up below a step of 1/64; every cold
-stage tries 40 steps, down to 2**-39.  The competing operator is nonmonotone
-and admits spurious branches reachable from a zero start, so cold starts walk
-the competition ramp: a linear predictor seeds Newton on the monotone core
-(the competing divergence term switched off), then the competing term is
-ramped back to full strength.  When either path stalls, load continuation
-ramps the convection term up from a zero start.
+A level solve makes at most two attempts on the full operator.  A warm
+level, whose start is the prolongated coarser solution, first runs damped
+Newton: the operator's sparse Jacobian and an Armijo line search on the
+residual merit that gives up below a step of 1/64.  A cold level, and a warm
+level whose Newton attempt fails, runs pseudo-transient continuation (Psi-tc;
+Kelley & Keyes, SIAM J. Numer. Anal. 35 (1998) 508-523) from zero or from
+the warm start.  Each Psi-tc step solves (J(u) + M/delta) s = -F(u), with M
+the P1 stiffness times the weight's lower bound, and takes u + s without a
+line search.  The pseudo-time step delta starts at 1 and follows the ratio
+of successive residual merits up to 1e14, where the step is Newton's; a
+step whose update or residual is not finite quarters delta and retries.
+The competing operator is nonmonotone and admits spurious branches, which
+a full Newton step from a cold start can reach; the short early Psi-tc
+steps follow the pseudo-time flow from the start instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -34,6 +36,7 @@ __all__ = [
     "ProblemOperator",
     "GuardRecord",
     "brouwer_guard",
+    "Attempt",
     "LevelSolve",
     "solve_level",
     "HierarchyReport",
@@ -42,7 +45,8 @@ __all__ = [
 
 
 class SolveError(RuntimeError):
-    """A level solve failed after Newton and every fallback."""
+    """A level solve failed after every attempt.  `diagnostics` holds the
+    level, the steps of all attempts and each `Attempt`."""
 
     def __init__(self, message: str, diagnostics: Optional[dict] = None):
         super().__init__(message)
@@ -55,18 +59,12 @@ class SolverConfig:
     max_iterations: int = 200
 
 
-# line-search trials (lambda = 1, 1/2, ...) before a cold stage counts as
-# stalled
-MAX_HALVINGS = 40
-# trials of the warm stage, lambda = 1 down to 1/64: a converging warm step
-# halves at most once, so this minimum step sits a factor of 32 below the
-# smallest accepted warm step, and a failing warm attempt, whose state load
-# continuation never uses, gives up early instead of crawling
+# trials of the warm Newton line search, lambda = 1 down to 1/64: a
+# converging warm step halves at most once, so this minimum step sits a
+# factor of 32 below the smallest accepted warm step, and a failing warm
+# attempt, which pseudo-transient continuation replaces, gives up early
+# instead of crawling
 WARM_HALVINGS = 7
-# q_factor stages of the competition ramp, from the monotone core to full
-RAMP = np.linspace(0.0, 1.0, 5)
-# load_factor stages of load continuation
-CONTINUATION = np.linspace(0.0, 1.0, 11)[1:]
 # Gaussian directions the coercivity guard pairs on its sphere
 GUARD_SAMPLES = 32
 # random coarse functions added to the coarse basis in the condition-(b) table
@@ -91,29 +89,41 @@ def brouwer_guard(op: ProblemOperator, space: FeSpace, radius: float,
 
     A nonnegative minimum supports the acute-angle argument for a zero
     inside the ball; a negative minimum is data, recorded as a failed guard.
+    A direction whose gradient norm is not finite and positive cannot be
+    scaled onto the sphere: it is not measured, and the guard fails.
     """
     dirs = np.random.default_rng(seed).standard_normal((GUARD_SAMPLES,
                                                         space.dim))
-    pairs = []
+    pairs, unmeasured = [], 0
     for rows in row_slices(space, GUARD_SAMPLES):
         scales = grad_norm_lp(FeFunction(space, dirs[rows]), op.problem.p)
-        v = FeFunction(space, dirs[rows] * (float(radius) / scales)[:, None])
-        pairs += op.pairing(v, v).tolist()
+        measured = np.isfinite(scales) & (scales > 0.0)
+        unmeasured += int(np.sum(~measured))
+        # an unmeasured direction is paired as the zero state and dropped
+        factors = float(radius) / np.where(measured, scales, np.inf)
+        v = FeFunction(space, dirs[rows] * factors[:, None])
+        pairs += op.pairing(v, v)[measured].tolist()
     # min over the floats in sample order, so a NaN pairing is skipped
     worst = min([np.inf, *pairs])
-    return GuardRecord(min_pairing=float(worst), passed=bool(worst >= 0.0))
+    return GuardRecord(min_pairing=float(worst),
+                       passed=bool(worst >= 0.0 and not unmeasured))
 
 
 # ---------------------------------------------------------------------------
-# damped Newton
+# level solves: warm Newton, pseudo-transient continuation
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _NewtonInfo:
+class Attempt:
+    """One solve attempt on a level: its path, whether it converged, its
+    steps, the residual sup where it ended, why it stopped, and for
+    pseudo-transient continuation the last pseudo-time step delta."""
+    path: str
     converged: bool
-    iterations: int
+    steps: int
     residual_sup: float
     message: str = ""
+    delta: Optional[float] = None
 
 
 def _merit(F: np.ndarray) -> float:
@@ -127,27 +137,33 @@ def _merit(F: np.ndarray) -> float:
     return scale * float(np.linalg.norm(F / scale))
 
 
-def _newton(op, u0: FeFunction, cfg: SolverConfig,
-            max_halvings: int = MAX_HALVINGS) -> tuple:
+def _sup(F: np.ndarray) -> float:
+    return float(np.max(np.abs(F))) if F.size else 0.0
+
+
+def _newton(op, u0: FeFunction, cfg: SolverConfig) -> tuple:
+    """Damped Newton from u0, each line search down to a step of
+    2**-(WARM_HALVINGS - 1); returns the last state and its Attempt."""
     u, its = u0.copy(), 0
-    try:  # a start with a nonfinite residual ends the stage
+    try:  # a start with a nonfinite residual ends the attempt
         F = op.residual(u)
     except AssemblyError as err:
-        return u, _NewtonInfo(False, its, np.inf, str(err))
+        return u, Attempt("newton", False, its, np.inf, str(err))
     while True:
-        res_sup = float(np.max(np.abs(F))) if F.size else 0.0
+        res_sup = _sup(F)
         if res_sup <= cfg.tolerance:
-            return u, _NewtonInfo(True, its, res_sup)
+            return u, Attempt("newton", True, its, res_sup)
         if its >= cfg.max_iterations:
-            return u, _NewtonInfo(False, its, res_sup, "iteration cap")
+            return u, Attempt("newton", False, its, res_sup, "iteration cap")
         # a singular Jacobian gives a NaN step
-        delta = sparse_solve(u.space, op.jacobian(u), -F)
-        if not np.all(np.isfinite(delta)) or not np.any(delta):
-            return u, _NewtonInfo(False, its, res_sup, "degenerate step")
+        step = sparse_solve(u.space, op.jacobian(u), -F)
+        if not np.all(np.isfinite(step)) or not np.any(step):
+            return u, Attempt("newton", False, its, res_sup,
+                              "degenerate step")
         merit = _merit(F)
         lam = 1.0
-        for _ in range(max_halvings):
-            trial = FeFunction(u.space, u.coeffs + lam * delta)
+        for _ in range(WARM_HALVINGS):
+            trial = FeFunction(u.space, u.coeffs + lam * step)
             try:  # a trial with a nonfinite residual is a rejected trial
                 with np.errstate(over="ignore", invalid="ignore"):
                     Ft = op.residual(trial)
@@ -157,35 +173,69 @@ def _newton(op, u0: FeFunction, cfg: SolverConfig,
                 pass
             lam *= 0.5
         else:
-            return u, _NewtonInfo(False, its, res_sup, "line search stalled")
+            return u, Attempt("newton", False, its, res_sup,
+                              "line search stalled")
         u, F = trial, Ft
         its += 1
 
 
-def _linear_predictor(op: ProblemOperator, space: FeSpace) -> FeFunction:
-    """Seed for the monotone core: solve a0 * stiffness = load at zero."""
-    zero = FeFunction.zero(space)
-    # at zero the residual is its f-part, minus the scaled load
-    load = -op.residual(zero)
-    if not np.any(load):
-        return zero
+def _pseudo_mass(op: ProblemOperator, space: FeSpace):
+    """M = a0 K, the P1 stiffness matrix times the weight's lower bound, in
+    the space's assembly pattern."""
     stiffness = space.stiffness_blocks * space.cell_measures[:, None, None]
-    K = op.weight.lower_bound * assemble_matrix(space, stiffness)
-    return FeFunction(space, sparse_solve(space, K, load))
+    return op.weight.lower_bound * assemble_matrix(space, stiffness)
 
 
-def _walk(stages: List[ProblemOperator], u: FeFunction, cfg: SolverConfig,
-          max_halvings: int = MAX_HALVINGS):
-    """Newton through each stage from where the last one ended; stop at the
-    first stage that does not converge.  Returns the last state, the last
-    stage's Newton info and the iterations of every stage run."""
-    total = 0
-    for op in stages:
-        u, info = _newton(op, u, cfg, max_halvings)
-        total += info.iterations
-        if not info.converged:
-            break
-    return u, info, total
+def _shifted(J, M, delta: float):
+    """J + M/delta, added on the data arrays: both matrices are in the
+    plan's pattern, which a scipy sum leaves wherever an entry sums to
+    exactly 0.0, and which `sparse_solve` requires."""
+    A = J.copy()
+    A.data += M.data / delta
+    return A
+
+
+def _pseudo_transient(op, u0: FeFunction, cfg: SolverConfig) -> tuple:
+    """Pseudo-transient continuation from u0; returns the last state and
+    its Attempt.  Every linear solve is a step of the iteration cap; a
+    rejected step keeps the state and its Jacobian.  M is built for the
+    first step, so a start that already solves assembles nothing."""
+    u, its, delta, M = u0.copy(), 0, 1.0, None
+
+    def attempt(converged, res_sup, message=""):
+        return Attempt("pseudo-transient", converged, its, res_sup, message,
+                       delta)
+
+    try:
+        F = op.residual(u)
+    except AssemblyError as err:
+        return u, attempt(False, np.inf, str(err))
+    merit, J = _merit(F), None
+    while True:
+        res_sup = _sup(F)
+        if res_sup <= cfg.tolerance:
+            return u, attempt(True, res_sup)
+        if its >= cfg.max_iterations:
+            return u, attempt(False, res_sup, "iteration cap")
+        its += 1
+        M = _pseudo_mass(op, u.space) if M is None else M
+        J = op.jacobian(u) if J is None else J
+        step = sparse_solve(u.space, _shifted(J, M, delta), -F)
+        new = np.nan
+        if np.all(np.isfinite(step)):
+            trial = FeFunction(u.space, u.coeffs + step)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    Ft = op.residual(trial)
+                    new = _merit(Ft)
+            except AssemblyError:
+                pass
+        if not np.isfinite(new):
+            delta *= 0.25
+            continue
+        # switched evolution relaxation: delta grows as the merit falls
+        delta = min(delta * merit / new, 1e14) if new > 0.0 else 1e14
+        u, F, merit, J = trial, Ft, new, None
 
 
 @dataclass
@@ -195,7 +245,10 @@ class LevelSolve:
     `pair_un` with the level's own solution.  The (c)-row pairs the operator
     with the gap u_n - u_N to the finest solved level: `cond_c` directly,
     `cond_cprime` its convection-free part and `convection_pair` the
-    convection part; `gap` is ||grad(u_n - u_N)||_p."""
+    convection part; `gap` is ||grad(u_n - u_N)||_p.  `warm_distance` is
+    ||grad(u_n - P u_{n-1})||_p / ||grad u_n||_p, the distance from the
+    prolongated coarser solution, NaN on the cold level 0: above 1, the
+    level left the coarse branch."""
     level: int
     dim: int
     solution: FeFunction = field(metadata={"live": True})
@@ -212,39 +265,41 @@ class LevelSolve:
     cond_cprime: float = np.nan
     convection_pair: float = np.nan
     gap: float = np.nan
+    warm_distance: float = np.nan
 
 
 def solve_level(op: ProblemOperator, space: FeSpace,
                 cfg: Optional[SolverConfig] = None,
                 warm: Optional[FeFunction] = None) -> LevelSolve:
     """Solve one Galerkin level; failure is an exception.  A warm start
-    must live on `space`.  The result has no guard record and no tables:
+    must live on `space`: warm Newton runs from it first, and if that
+    fails, pseudo-transient continuation restarts from it; a cold level
+    runs pseudo-transient continuation from zero.  A failure's message
+    names the attempt that ended nearer a zero, and its diagnostics hold
+    every attempt.  The result has no guard record and no tables:
     `run_hierarchy` samples the guard and fills both."""
     cfg = cfg or SolverConfig()
+    attempts = []
     if warm is not None:
         if warm.space is not space:
             raise ValueError("a warm start must live on the level's space")
-        path, start, stages = "newton", warm, [op]
-        halvings = WARM_HALVINGS
-    else:
-        path, start = "competition-ramp", _linear_predictor(op, space)
-        stages = [replace(op, q_factor=float(k)) for k in RAMP]
-        halvings = MAX_HALVINGS
-    u, info, total = _walk(stages, start, cfg, halvings)
+        u, info = _newton(op, warm, cfg)
+        attempts.append(info)
+    if not attempts or not info.converged:
+        start = FeFunction.zero(space) if warm is None else warm
+        u, info = _pseudo_transient(op, start, cfg)
+        attempts.append(info)
+    steps = sum(a.steps for a in attempts)
     if not info.converged:
-        path = "load-continuation"
-        stages = [replace(op, load_factor=float(t)) for t in CONTINUATION]
-        u, info, extra = _walk(stages, FeFunction.zero(space), cfg)
-        total += extra
-    if not info.converged:
+        nearest = min(attempts, key=lambda a: a.residual_sup)
         raise SolveError(
-            f"level {space.mesh.level} failed: {info.message} "
-            f"(residual sup {info.residual_sup:.3e})",
-            {"level": space.mesh.level, "path": path,
-             "residual_sup": info.residual_sup, "iterations": total})
+            f"level {space.mesh.level} failed: {nearest.message} "
+            f"(residual sup {nearest.residual_sup:.3e})",
+            {"level": space.mesh.level, "iterations": steps,
+             "attempts": attempts})
     return LevelSolve(level=space.mesh.level, dim=space.dim, solution=u,
-                      residual_sup=info.residual_sup, iterations=total,
-                      path=path, converged=True)
+                      residual_sup=info.residual_sup, iterations=steps,
+                      path=info.path, converged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +318,9 @@ class HierarchyReport:
     within_sup_bound: List[bool] = field(default_factory=list)
     failed_level: Optional[int] = None
     failure_message: str = ""
+    # the failed level's SolveError diagnostics; a raising guard has no
+    # attempts
+    failure_diagnostics: Optional[dict] = None
     failed_guard: Optional[GuardRecord] = None
     operator: Optional[ProblemOperator] = field(default=None,
                                                 metadata={"live": True})
@@ -287,10 +345,12 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
 
     Each level samples the coercivity guard on its space, then solves; a
     failed guard is data in the level's record, while a guard or solve
-    exception fails the level.  Once the solve loop ends, one pass fills
-    each solved level's record; the finest solved level stands proxy for
-    the weak limit in every gap and (c)-pairing.  A failed level, instead
-    of raising, sets `failed_level` and, unless its guard raised,
+    exception fails the level.  A solved level records its gradient norm
+    and its distance from the warm start at once.  Once the solve loop
+    ends, one pass fills each solved level's tables; the finest solved
+    level stands proxy for the weak limit in every gap and (c)-pairing.  A
+    failed level, instead of raising, sets `failed_level`,
+    `failure_message`, `failure_diagnostics` and, unless its guard raised,
     `failed_guard`.
     """
     if levels < 2:
@@ -317,13 +377,25 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
         try:
             guard = brouwer_guard(op, sp, guard_radius, seed=seed)
             lv = solve_level(op, sp, cfg, warm=warm)
-        except (SolveError, AssemblyError) as err:
+        except SolveError as err:
+            # its message already names its level
+            report.failure_message = str(err)
+            report.failure_diagnostics = err.diagnostics
+        except AssemblyError as err:
+            report.failure_message = f"level {n} failed: {err}"
+            report.failure_diagnostics = {"level": n, "iterations": 0,
+                                          "attempts": []}
+        if report.failure_message:
             report.failed_level, report.failed_guard = n, guard
-            # a SolveError message already names its level
-            report.failure_message = (str(err) if isinstance(err, SolveError)
-                                      else f"level {n} failed: {err}")
             break
         lv.guard = guard
+        lv.grad_norm = grad_norm_lp(lv.solution, problem.p)
+        if warm is not None:
+            # the warm start is P u_{n-1}; 0/0 on a zero level is NaN
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lv.warm_distance = float(np.divide(
+                    grad_norm_lp(lv.solution - warm, problem.p),
+                    lv.grad_norm))
         report.levels.append(lv)
         if n + 1 < len(spaces):
             warm = prolongate(lv.solution, spaces[n + 1])
@@ -342,7 +414,6 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
         lv.cond_b = [float(F @ np.array(row)) for row
                      in prolongate(tests, u.space).coeffs]
         lv.pair_un = float(F @ u.coeffs)
-        lv.grad_norm = grad_norm_lp(u, problem.p)
         lv.sup_norm = sup_norm(u)
         report.within_grad_bound.append(
             lv.grad_norm <= estimate.grad_radius * slack)

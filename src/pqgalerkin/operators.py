@@ -8,13 +8,13 @@ The residual of the truncated operator against every basis hat is
 
 with '-' on the q-term for the competing variant and '+' for the cooperative
 one.  `ProblemOperator` is the one evaluator of this operator and of its
-sparse Jacobian: Newton, the sphere guard, the report tables and the
-certificates all go through it.
+sparse Jacobian: warm Newton, pseudo-transient continuation, the sphere
+guard, the report tables and the certificates all go through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -488,10 +488,6 @@ class ProblemOperator:
     """The truncated operator A_R, evaluated on the space of its argument,
     so one operator serves every level of a hierarchy.
 
-    `q_factor` scales the competing/cooperative divergence term and
-    `load_factor` scales the convection term; both default to the full
-    problem and exist for homotopy and continuation, whose stages are
-    `dataclasses.replace` copies.  The factors are keyword-only.
     The operator keeps no evaluation state: every call computes its
     argument's pointwise data afresh, and the pointwise kernels broadcast
     over one leading axis of stacked states.
@@ -499,9 +495,6 @@ class ProblemOperator:
 
     problem: Problem
     weight: WeightFunction
-    _: KW_ONLY
-    load_factor: float = 1.0
-    q_factor: float = 1.0
 
     def _pointwise(self, u: FeFunction):
         """u's cell gradients, its quadrature values and the p-term's cell
@@ -526,12 +519,11 @@ class ProblemOperator:
         _, (p_flux, p_w), (q_flux, q_w), fvals = terms
         G_T, phi = space.gradient_transpose, space.basis_qp[:, None, :]
         return (_dual(G_T, p_w[:, None] * p_flux, "weighted p-term"),
-                self.problem.q_sign * self.q_factor
+                self.problem.q_sign
                 * _dual(G_T, q_w[:, None] * q_flux, "gradient power term"),
-                -self.load_factor * _dual(
-                    space.incidence_transpose,
-                    axis_dot(phi, space.qp_weights * fvals).T,
-                    "convection term"))
+                -_dual(space.incidence_transpose,
+                       axis_dot(phi, space.qp_weights * fvals).T,
+                       "convection term"))
 
     def _direct(self, u: FeFunction, terms, v: FeFunction):
         """<A_R(u), v> by direct integration from u's pointwise data; one
@@ -541,10 +533,8 @@ class ProblemOperator:
         grad_v, v_qp = pointwise if v is u \
             else (cell_gradients(v), values_at_qp(v))
         return (_flux_pairing(p_flux, p_w, grad_v)
-                + self.problem.q_sign * self.q_factor
-                * _flux_pairing(q_flux, q_w, grad_v)
-                - self.load_factor
-                * state_sums(u.space.qp_weights * fvals * v_qp, 2))
+                + self.problem.q_sign * _flux_pairing(q_flux, q_w, grad_v)
+                - state_sums(u.space.qp_weights * fvals * v_qp, 2))
 
     def parts_and_pairing(self, u: FeFunction, v: FeFunction):
         """The signed p-, q- and f-parts of u as dof arrays, which sum to
@@ -587,7 +577,7 @@ class ProblemOperator:
         p_id, p_outer = _flux_slopes(amp, problem.p)
         q_id, q_outer = _flux_slopes(amp, problem.q)
         p_w = p_w[:, None]
-        q_w = (problem.q_sign * self.q_factor * space.cell_measures)[:, None]
+        q_w = (problem.q_sign * space.cell_measures)[:, None]
         blocks = (p_w * p_id + q_w * q_id)[:, :, None] * space.stiffness_blocks
         # both rank-one terms share the row factor G g: the outer-product
         # part of the flux derivatives, and the p-flux term G . flux_p =
@@ -596,9 +586,9 @@ class ProblemOperator:
         dg_w = (w * self.weight.derivative(u_qp)) @ phi.T
         cols = (p_w * p_outer + q_w * q_outer) * g_dot + p_id * dg_w
         blocks += g_dot[:, :, None] * cols[:, None, :]
-        # f is -load_factor times the convection against the basis
+        # f is minus the convection against the basis
         xi = grad[:, None, :]
-        lw = -self.load_factor * w
+        lw = -w
         products = (phi[:, None, :] * phi[None, :, :]).reshape(-1, w.shape[1])
         blocks += ((lw * family.ds(space.qp_points, u_qp, xi))
                    @ products.T).reshape(blocks.shape)

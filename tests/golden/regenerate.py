@@ -7,8 +7,10 @@ runs `estimate`, `solve` and `verify` at seed 0 on every config under
 sha256 of stdout, stderr and every output file, plus the numpy and scipy
 versions the hashes were made with.  For each run it prints `unchanged` or
 the outputs whose hash moved against the manifest it replaces, then the
-number of changed runs.  The package is imported from this checkout's
-`src/`.  `tests/test_golden.py` reruns each case in-process and
+number of changed runs.  A changed `solve` or `verify` run also prints its
+trajectory as an entry of `TRAJECTORIES` in `tests/test_golden.py`, ready
+to be copied there once the diff is reviewed.  The package is imported
+from this checkout's `src/`.  `tests/test_golden.py` reruns each case in-process and
 names the first output that differs; a change of output bytes is reviewed
 as the diff of `manifest.json`.
 
@@ -20,6 +22,7 @@ adversarial convection and `max_iterations: 1` (a level failure, exit 3).
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -57,6 +60,35 @@ def changed_outputs(old: dict, new: dict) -> list:
                    if files.get(name) != new["files"].get(name)]
 
 
+def trajectory(exit_code: int, report: dict) -> tuple:
+    """The solver's trajectory that `solve` and `verify` both record in
+    report.json: the exit code, (path, iterations) of every solved level
+    and the failure message."""
+    hierarchy = report["hierarchy"]
+    return (exit_code,
+            [(lv["path"], lv["iterations"]) for lv in hierarchy["levels"]],
+            hierarchy["failure_message"])
+
+
+def trajectory_entry(name: str, traj: tuple) -> str:
+    """`traj` as a line of `TRAJECTORIES`, a run of equal levels written
+    as one level times its count."""
+    code, levels, message = traj
+    terms, singles = [], []
+    for (path, iterations), run in itertools.groupby(levels):
+        count, level = len(list(run)), f'("{path}", {iterations})'
+        if count == 1:
+            singles.append(level)
+            continue
+        if singles:
+            terms.append(f"[{', '.join(singles)}]")
+            singles = []
+        terms.append(f"[{level}] * {count}")
+    if singles or not terms:
+        terms.append(f"[{', '.join(singles)}]")
+    return f'"{name}": ({code}, {" + ".join(terms)}, {json.dumps(message)}),'
+
+
 def run_case(name: str, command: str, work: Path) -> dict:
     """Run one command in-process with its output directory under `work`.
 
@@ -87,11 +119,17 @@ def main() -> int:
     for name, command in cases():
         with tempfile.TemporaryDirectory() as work:
             run = run_case(name, command, Path(work))
+            report = Path(work) / "out" / "report.json"
+            traj = trajectory(run["exit_code"],
+                              json.loads(report.read_text())) \
+                if command != "estimate" else None
         manifest["cases"].setdefault(name, {})[command] = run
         moved = changed_outputs(old.get(name, {}).get(command, {}), run)
         changed += bool(moved)
         print(f"{name} {command}: exit {run['exit_code']}, "
               f"{', '.join(moved) or 'unchanged'}")
+        if moved and traj is not None:
+            print(f"    {trajectory_entry(name, traj)}")
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"{changed} of {len(cases())} changed; wrote {MANIFEST}")
     return 0

@@ -485,9 +485,9 @@ def assembly_error_config():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_newton_merit_overflow_leaks_no_warning(tmp_path, capsys):
-    # p = 40 with a load of 1e6 gives residual entries whose sum of squares
-    # overflows in the Newton merit; the level still stalls just above the
-    # absolute 1e-10 stopping test, but no overflow warning may escape
+    # p = 40 with a load of 1e6: from zero, pseudo-transient steps overflow
+    # the p-term and the merit's sum of squares, and the level ends at its
+    # iteration cap far from a zero, but no overflow warning may escape
     cfg = base_config(mesh={"base_cells": 4, "levels": 2})
     cfg["problem"].update(p=40.0, weight={"kind": "constant", "value": 1.0},
                           convection={"kind": "constant", "value": 1e6})
@@ -495,7 +495,7 @@ def test_newton_merit_overflow_leaks_no_warning(tmp_path, capsys):
     assert main(["solve", "--config", path,
                  "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == \
-        "level 0 failed: line search stalled (residual sup 1.019e-10)\n"
+        "level 0 failed: iteration cap (residual sup 1.737e+112)\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
@@ -521,8 +521,9 @@ def test_solve_assembly_error_is_exit_3_with_partial_report(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["solve", "--config", path, "--out", str(out)]) == 3
     hier = json.loads((out / "report.json").read_text())["hierarchy"]
-    # the ramp's start overflows the p-term; load continuation then stalls
-    message = "level 0 failed: line search stalled (residual sup 2.500e+06)"
+    # pseudo-transient steps from zero overflow the p-term and quarter
+    # delta; the level ends at the iteration cap far from a zero
+    message = "level 0 failed: iteration cap (residual sup 6.696e+219)"
     assert hier["failed_level"] == 0
     assert hier["failure_message"] == message
     assert hier["levels"] == []
@@ -551,10 +552,11 @@ BENCH_LEVEL_KEYS = {"level", "dim", "converged", "residual_sup"}
 TRAJECTORY_KEYS = {"failure_message", "levels"}
 TRAJECTORY_LEVEL_KEYS = {"path", "iterations"}
 HIERARCHY_KEYS = BENCH_KEYS | TRAJECTORY_KEYS | {
-    "estimate", "guard_radius", "seed", "failed_guard"}
+    "estimate", "guard_radius", "seed", "failed_guard",
+    "failure_diagnostics"}
 LEVEL_KEYS = BENCH_LEVEL_KEYS | TRAJECTORY_LEVEL_KEYS | {
     "guard", "grad_norm", "sup_norm", "cond_b", "pair_un", "cond_c",
-    "cond_cprime", "convection_pair", "gap"}
+    "cond_cprime", "convection_pair", "gap", "warm_distance"}
 
 
 def test_report_json_holds_one_record_per_level(tmp_path):
@@ -569,6 +571,29 @@ def test_report_json_holds_one_record_per_level(tmp_path):
         assert len(lv["cond_b"]) == 3 + 5
     assert hier["within_grad_bound"] == hier["within_sup_bound"] \
         == [True] * 3
+    assert hier["failure_diagnostics"] is None
+    # NaN on the cold level 0, written as null
+    assert hier["levels"][0]["warm_distance"] is None
+    assert all(0.0 < lv["warm_distance"] < 1.0 for lv in hier["levels"][1:])
+
+
+def test_report_json_keeps_the_failure_diagnostics(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(solver={"max_iterations": 1}))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 3
+    hier = json.loads((out / "report.json").read_text())["hierarchy"]
+    diagnostics = hier["failure_diagnostics"]
+    assert set(diagnostics) == {"level", "iterations", "attempts"}
+    assert (diagnostics["level"], diagnostics["iterations"]) == (0, 1)
+    (attempt,) = diagnostics["attempts"]
+    assert set(attempt) == {"path", "converged", "steps", "residual_sup",
+                            "message", "delta"}
+    assert (attempt["path"], attempt["converged"], attempt["steps"],
+            attempt["message"]) == ("pseudo-transient", False, 1,
+                                    "iteration cap")
+    assert capsys.readouterr().err == hier["failure_message"] + "\n" == \
+        f"level 0 failed: iteration cap " \
+        f"(residual sup {attempt['residual_sup']:.3e})\n"
 
 
 def test_out_that_is_a_file_is_exit_1_before_solving(tmp_path, capsys):

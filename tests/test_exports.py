@@ -366,8 +366,7 @@ def test_problem_operator_keeps_no_hidden_state():
     # alone
     fields = dataclasses.fields(ProblemOperator)
     assert all(f.init for f in fields)
-    assert [f.name for f in fields] == ["problem", "weight", "load_factor",
-                                        "q_factor"]
+    assert [f.name for f in fields] == ["problem", "weight"]
     source = (Path(pqgalerkin.__file__).parent / "operators.py").read_text()
     assert "weakref" not in _imported_modules(source)
 

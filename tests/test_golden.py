@@ -18,31 +18,19 @@ _spec.loader.exec_module(golden)
 MANIFEST = json.loads(golden.MANIFEST.read_text())
 
 # Per config, the solver's trajectory that `solve` and `verify` both record
-# in report.json: the exit code, (path, iterations) of every solved level and
-# the failure message.  A change that moves the solver fails on these by
-# name before its output bytes are compared.
-RAMP, NEWTON = "competition-ramp", "newton"
+# in report.json, as `regenerate.py` prints it for a changed run.  A change
+# that moves the solver fails on these by name before its output bytes are
+# compared.
 TRAJECTORIES = {
-    "adversarial": (0, [(RAMP, 0), (NEWTON, 0), (NEWTON, 0)], ""),
-    "compete-2d-load": (
-        3, [(RAMP, 25), (NEWTON, 7), ("load-continuation", 38)],
-        "level 3 failed: line search stalled (residual sup 2.263e-04)"),
-    "coop-1d-deep": (0, [(RAMP, 20), (NEWTON, 4)] + [(NEWTON, 3)] * 4
-                     + [(NEWTON, 2)] * 4, ""),
-    "coop-2d": (0, [(RAMP, 19), (NEWTON, 4)] + [(NEWTON, 3)] * 3, ""),
-    "criterion-9": (0, [(RAMP, 24), (NEWTON, 4), (NEWTON, 4)], ""),
-    "h3a": (0, [(RAMP, 21), (NEWTON, 4), (NEWTON, 4)], ""),
-    "max-iterations-1": (
-        3, [], "level 0 failed: iteration cap (residual sup 2.411e-03)"),
-    "q-1.5": (0, [(RAMP, 22), (NEWTON, 4), (NEWTON, 3)], ""),
+    "adversarial": (0, [("pseudo-transient", 0)] + [("newton", 0)] * 2, ""),
+    "compete-2d-load": (0, [("pseudo-transient", 44), ("newton", 7), ("pseudo-transient", 11), ("pseudo-transient", 15)], ""),
+    "coop-1d-deep": (0, [("pseudo-transient", 6), ("newton", 4)] + [("newton", 3)] * 4 + [("newton", 2)] * 4, ""),
+    "coop-2d": (0, [("pseudo-transient", 6), ("newton", 4)] + [("newton", 3)] * 3, ""),
+    "criterion-9": (0, [("pseudo-transient", 21)] + [("newton", 4)] * 2, ""),
+    "h3a": (0, [("pseudo-transient", 11)] + [("newton", 4)] * 2, ""),
+    "max-iterations-1": (3, [], "level 0 failed: iteration cap (residual sup 5.384e-01)"),
+    "q-1.5": (0, [("pseudo-transient", 7), ("pseudo-transient", 27), ("newton", 4)], ""),
 }
-
-
-def trajectory(exit_code: int, report: dict) -> tuple:
-    hierarchy = report["hierarchy"]
-    return (exit_code,
-            [(lv["path"], lv["iterations"]) for lv in hierarchy["levels"]],
-            hierarchy["failure_message"])
 
 
 def first_difference(expected: dict, actual: dict):
@@ -67,7 +55,7 @@ def test_golden_outputs(name, command, tmp_path):
     actual = golden.run_case(name, command, tmp_path)
     if command != "estimate":
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert trajectory(actual["exit_code"], report) \
+        assert golden.trajectory(actual["exit_code"], report) \
             == TRAJECTORIES[name], f"{name} {command}: the solver moved"
     differs = first_difference(MANIFEST["cases"][name][command], actual)
     assert differs is None, f"{name} {command}: {differs} differs"
@@ -104,3 +92,9 @@ def test_changed_outputs_names_every_moved_output():
     # a case the replaced manifest lacks: every output is new
     assert golden.changed_outputs({}, base) == \
         ["exit_code", "stdout", "stderr", "report.json", "run.lock.json"]
+
+
+def test_regenerate_prints_each_trajectory_as_its_table_entry():
+    for name, traj in TRAJECTORIES.items():
+        entry = golden.trajectory_entry(name, traj)
+        assert eval("{" + entry + "}") == {name: traj}, entry

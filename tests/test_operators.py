@@ -58,8 +58,8 @@ def test_weight_needs_positive_floor():
 
 def test_operator_takes_no_space_and_keyword_only_factors():
     problem, gr, space = single_dof_setup()
-    # a space passed where the old signature had one would otherwise bind
-    # to load_factor
+    # the operator takes the problem and the weight alone: a space passed
+    # where an old signature had one, or any third argument, is refused
     with pytest.raises(TypeError):
         ProblemOperator(problem, gr, space)
     with pytest.raises(TypeError):
@@ -306,8 +306,7 @@ def jacobian_setup(dim, variant="competing", q=2.0, monkeypatch=None):
         # eps = 0.05 puts the flat cells of the state below in the
         # regularized branch of the q-flux, far from the oracle's step
         monkeypatch.setattr(operators, "REGULARIZATION", 0.05)
-    op = ProblemOperator(problem, truncate_weight(problem.weight, RADIUS),
-                         load_factor=0.7, q_factor=0.8)
+    op = ProblemOperator(problem, truncate_weight(problem.weight, RADIUS))
     coeffs = np.random.default_rng(3).standard_normal(space.dim)
     coeffs[space.dim // 2:] = coeffs[space.dim // 2]
     return op, FeFunction(space, coeffs)
@@ -506,7 +505,7 @@ def test_assembly_kernels_match_their_references_bit_for_bit(dim):
 def test_dual_vectors_match_the_einsum_references(dim):
     # the signed parts that parts_and_pairing builds from its kept terms
     op = jacobian_setup(dim)[0]
-    q_scale = op.problem.q_sign * op.q_factor
+    q_scale = op.problem.q_sign
     rng = np.random.default_rng(21)
     for space in kernel_spaces(dim):
         u = FeFunction(space, rng.standard_normal(space.dim))
@@ -516,7 +515,7 @@ def test_dual_vectors_match_the_einsum_references(dim):
         reference = add_at_scatter(space, np.einsum(
             "cq,cq,vq->cv", space.qp_weights, fvals, space.basis_qp))
         assert np.array_equal(bits(f_part),
-                              bits(-op.load_factor * reference))
+                              bits(-reference))
         # G^T sums (w * flux_j) * g_j, not (flux . g) * w: each entry is
         # within rounding of the sum of its terms' magnitudes
         for got, scale, flux, cell_w in [(p_part, 1.0, p_flux, p_w),

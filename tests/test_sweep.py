@@ -1,14 +1,15 @@
 """Configs from a seeded sweep over the hypothesis space (H1)-(H4).
 
 Every config here is a valid problem, so by the guard argument each level
-has a solution and a failed level is a solver defect.  The twelve configs
-a-j, l and m (k, at p = 60, is in tests/test_galerkin.py) fail a level
-today; each is a strict xfail pinned to its level and its stall, which
-fails outright when the failure moves, and leaves the list of failures
-only when it solves every level.  The list never shrinks otherwise.  The
-passing configs come from the same space.  One more config stalls at the
-rounding floor of the default tolerance and solves every level at a
-looser one.
+has a solution and a failed level is a solver defect.  Config m (k, at
+p = 60, is in tests/test_galerkin.py) fails a level today; it is a strict
+xfail pinned to its level and its stall, which fails outright when the
+failure moves, and leaves the list of failures only when it solves every
+level.  The list never shrinks otherwise.  The eleven configs a-j and l
+failed a level under the staged continuation walker that pseudo-transient
+continuation replaced, and now solve every level.  The passing configs
+come from the same space.  One more config stalls at the rounding floor of
+the default tolerance and solves every level at a looser one.
 
 All 2D configs run the unit square at base 4 x 4 with 4 levels, the 1D ones
 the unit interval at 4 cells with 6 levels; the default solver, seed 0.
@@ -43,30 +44,34 @@ def problem(variant, p, q, weight, convection, domain=SQUARE):
 
 # id: (problem, the failing level, its residual sup)
 FAILING = {
-    "a": (problem("competing", 2.58, 1.74, constant(2.56),
-                  saturating(2.21, 1.03, 1.36)), 3, "3.318e-04"),
-    "b": (problem("competing", 4.92, 2.4, constant(1.56),
-                  saturating(1.82, 1.83, 2.04)), 1, "3.161e-03"),
-    "c": (problem("competing", 2.57, 1.37, constant(0.91),
-                  constant(-9.23)), 1, "1.757e-02"),
-    "d": (problem("competing", 3.24, 1.32, quadratic(1.85, 0.38),
-                  saturating(2.17, 1.5, 2.38)), 2, "1.588e-03"),
-    "e": (problem("cooperative", 3.94, 2.17, quadratic(1.83, 0.55),
-                  saturating(3.28, 1.34, 0.07)), 0, "4.375e-04"),
-    "f": (problem("competing", 2.28, 1.35, quadratic(2.52, 1.27),
-                  constant(10.22)), 2, "7.477e-03"),
-    "g": (problem("competing", 4.39, 2.58, constant(1.96),
-                  saturating(3.72, 1.41, 1.82)), 3, "3.345e-04"),
-    "h": (problem("competing", 2.4, 1.26, constant(1.13),
-                  saturating(1.82, 0.06, -2.73)), 1, "2.960e-03"),
-    "i": (problem("competing", 2.66, 1.22, quadratic(2.02, 1.73),
-                  saturating(2.27, 0.04, -2.84)), 1, "2.719e-03"),
-    "j": (problem("competing", 4.96, 3.22, quadratic(0.95, 0.79),
-                  saturating(2.96, 0.07, -2.89)), 3, "5.433e-04"),
-    "l": (problem("cooperative", 3.12, 2.9, constant(0.7),
-                  saturating(1.14, 0.47, -0.21), INTERVAL), 1, "2.651e-05"),
     "m": (problem("cooperative", 1.36, 1.13, quadratic(2.92, 0.86),
-                  saturating(1.31, 0.69, 0.54), INTERVAL), 3, "1.207e-03"),
+                  saturating(1.31, 0.69, 0.54), INTERVAL), 3, "5.301e-03"),
+}
+
+# failed under the staged walker, at the level in the comment
+RECOVERED = {
+    "a": problem("competing", 2.58, 1.74, constant(2.56),
+                 saturating(2.21, 1.03, 1.36)),                     # 3
+    "b": problem("competing", 4.92, 2.4, constant(1.56),
+                 saturating(1.82, 1.83, 2.04)),                     # 1
+    "c": problem("competing", 2.57, 1.37, constant(0.91),
+                 constant(-9.23)),                                  # 1
+    "d": problem("competing", 3.24, 1.32, quadratic(1.85, 0.38),
+                 saturating(2.17, 1.5, 2.38)),                      # 2
+    "e": problem("cooperative", 3.94, 2.17, quadratic(1.83, 0.55),
+                 saturating(3.28, 1.34, 0.07)),                     # 0
+    "f": problem("competing", 2.28, 1.35, quadratic(2.52, 1.27),
+                 constant(10.22)),                                  # 2
+    "g": problem("competing", 4.39, 2.58, constant(1.96),
+                 saturating(3.72, 1.41, 1.82)),                     # 3
+    "h": problem("competing", 2.4, 1.26, constant(1.13),
+                 saturating(1.82, 0.06, -2.73)),                    # 1
+    "i": problem("competing", 2.66, 1.22, quadratic(2.02, 1.73),
+                 saturating(2.27, 0.04, -2.84)),                    # 1
+    "j": problem("competing", 4.96, 3.22, quadratic(0.95, 0.79),
+                 saturating(2.96, 0.07, -2.89)),                    # 3
+    "l": problem("cooperative", 3.12, 2.9, constant(0.7),
+                 saturating(1.14, 0.47, -0.21), INTERVAL),          # 1
 }
 
 # its residual at level 4 stops a little above 1e-10, about what rounding
@@ -121,17 +126,42 @@ def test_failing_sweep_config_solves_every_level(block, pinned):
     assert_every_level_solves(block, pinned=pinned)
 
 
+@pytest.mark.parametrize("block", list(RECOVERED.values()),
+                         ids=list(RECOVERED))
+def test_recovered_sweep_config_solves_every_level(block):
+    assert_every_level_solves(block)
+
+
 @pytest.mark.parametrize("block", list(PASSING.values()), ids=list(PASSING))
 def test_passing_sweep_config_solves_every_level(block):
     assert_every_level_solves(block)
 
 
-ROUNDING_STALL = stall(4, "1.649e-10")
+ROUNDING_STALL = stall(4, "1.927e-10")
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ROUNDING_STALL)
 def test_rounding_floor_config_solves_every_level():
     assert_every_level_solves(ROUNDING_FLOOR, pinned=ROUNDING_STALL)
+
+
+def test_rounding_floor_failure_keeps_the_warm_stall():
+    # warm Newton stalls just above the tolerance; pseudo-transient
+    # continuation from the warm start then drifts off to a residual near
+    # 1 at its cap, and the message reports the nearer attempt
+    report = run_hierarchy(build_problem(ROUNDING_FLOOR), 4, 6)
+    assert report.failure_message == ROUNDING_STALL
+    diagnostics = report.failure_diagnostics
+    assert (diagnostics["level"], report.failed_level) == (4, 4)
+    newton, ptc = diagnostics["attempts"]
+    assert (newton.path, newton.message, f"{newton.residual_sup:.3e}") \
+        == ("newton", "line search stalled", "1.927e-10")
+    assert newton.delta is None
+    assert (ptc.path, ptc.message, ptc.steps) \
+        == ("pseudo-transient", "iteration cap", 200)
+    assert f"{ptc.residual_sup:.3e}" == "1.016e+00"
+    assert 0.0 < ptc.delta <= 1e14
+    assert diagnostics["iterations"] == newton.steps + ptc.steps
 
 
 def test_rounding_floor_config_solves_at_a_looser_tolerance():

@@ -203,6 +203,13 @@ def _levels(changes, which=None):
     return tamper
 
 
+def _halved(family):
+    """The convection family at half its value, partials and constants
+    unchanged."""
+    return dataclasses.replace(family,
+                               fn=lambda x, s, xi: 0.5 * family.fn(x, s, xi))
+
+
 def _operator(changes):
     return lambda r, _: dataclasses.replace(
         r, operator=dataclasses.replace(r.operator, **changes(r)))
@@ -218,8 +225,10 @@ TAMPERS = {
     "grad-norms": (
         _levels(lambda lv: {"grad_norm": lv.grad_norm + 1e-3}),
         {"report-consistency"}),
+    # above the bound of every level: the bound is tolerance * 10 * dim *
+    # max(1, ||u||_1), at most 1e-9 * 15 * 1 on these levels
     "pair-un": (
-        _levels(lambda lv: {"pair_un": 1e6 * lv.pair_un}),
+        _levels(lambda lv: {"pair_un": lv.pair_un + 1e-6}),
         {"self-pairing-bookkeeping"}),
     "cond-b": (
         _levels(lambda lv: {"cond_b": [x + 1e-6 for x in lv.cond_b]}, [-1]),
@@ -257,7 +266,9 @@ TAMPERS = {
         {"truncation-consistency", "weak-implies-generalized",
          "report-consistency"}),
     "half-load": (
-        _operator(lambda r: {"load_factor": 0.5}),
+        _operator(lambda r: {"problem": dataclasses.replace(
+            r.operator.problem, convection=_halved(
+                r.operator.problem.convection))}),
         {"truncation-consistency", "weak-implies-generalized",
          "report-consistency"}),
     "flux-kernel": (_eighth_flux, {"monotonicity-p", "monotonicity-q"}),
