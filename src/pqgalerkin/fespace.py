@@ -6,8 +6,9 @@ constant, which the norm and assembly routines exploit throughout.  Each
 space owns its sparse matrices: the cell operators G and E, which map dof
 vectors to cell gradients and vertex values and back by their transposes;
 the assembly plan, whose summation operator S sums (nv, nv) cell blocks
-into the CSR pattern over the dofs in one product; and the sparse solve in
-that pattern.
+into the CSR pattern over the dofs in one product; and the SuperLU factor
+in that pattern, whose solve the caller may keep for several right-hand
+sides.
 """
 
 from __future__ import annotations
@@ -195,10 +196,11 @@ def _column_order(plan: AssemblyPlan, inverse: np.ndarray) -> _ColumnOrder:
     return _ColumnOrder(inverse, take, plan.indices[take], indptr)
 
 
-def sparse_solve(space: FeSpace, A: sp.csr_matrix,
-                 b: np.ndarray) -> np.ndarray:
-    """x with A x = b for a CSR matrix in the space's assembly pattern;
-    all NaN where A is exactly singular.  A matrix in any other pattern
+def sparse_solve(space: FeSpace, A: sp.csr_matrix, b: np.ndarray) -> tuple:
+    """x with A x = b for a CSR matrix in the space's assembly pattern, and
+    the solve rhs -> A^-1 rhs by A's SuperLU factor, which lives as long as
+    that solve: a caller that keeps it solves again without factoring.  Both
+    are all NaN where A is exactly singular.  A matrix in any other pattern
     raises a ValueError.
 
     As spla.spsolve does for a CSR matrix, SuperLU factors the CSC view of
@@ -206,8 +208,8 @@ def sparse_solve(space: FeSpace, A: sp.csr_matrix,
     (COLAMD, then a column elimination tree postorder) depends on the
     pattern alone, so the first factorization on a space records it on the
     space; every later one takes the data into that order and factors in
-    natural order, which skips the ordering.  No factor is kept.  On every
-    level of the bench workloads each solve has the bits of spsolve.
+    natural order, which skips the ordering.  On every level of the bench
+    workloads each solve has the bits of spsolve.
     """
     plan = space.plan
     if not (np.array_equal(A.indptr, plan.indptr)
@@ -219,21 +221,23 @@ def sparse_solve(space: FeSpace, A: sp.csr_matrix,
     else:
         data, indices, indptr = (np.take(A.data, order.take), order.indices,
                                  order.indptr)
-        spec, b = "NATURAL", b[order.inverse]
+        spec = "NATURAL"
     try:
         lu = spla.splu(sp.csc_matrix((data, indices, indptr), shape=A.shape),
                        permc_spec=spec)
     except RuntimeError:
         # SuperLU raises on an exactly singular factor
-        return np.full(space.dim, np.nan)
-    x = lu.solve(b, trans="T")
-    if order is None:
-        inverse = np.argsort(lu.perm_c)
-        # free the factor first, so building the order adds nothing to the
-        # peak memory of the factorization
-        del lu
-        space._recorded_order = _column_order(plan, inverse)
-    return x
+        lu = None
+    if lu is not None and order is None:
+        space._recorded_order = _column_order(plan, np.argsort(lu.perm_c))
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        if lu is None:
+            return np.full(space.dim, np.nan)
+        return lu.solve(rhs if order is None else rhs[order.inverse],
+                        trans="T")
+
+    return solve(b), solve
 
 
 @dataclass

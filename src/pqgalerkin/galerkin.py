@@ -3,14 +3,19 @@
 A level solve makes at most two attempts on the full operator.  A warm
 level, whose start is the prolongated coarser solution, first runs damped
 Newton: the operator's sparse Jacobian and an Armijo line search on the
-residual merit that gives up below a step of 1/64.  A cold level, and a warm
-level whose Newton attempt fails, runs pseudo-transient continuation (Psi-tc;
-Kelley & Keyes, SIAM J. Numer. Anal. 35 (1998) 508-523) from zero or from
-the warm start.  Each Psi-tc step solves (J(u) + M/delta) s = -F(u), with M
-the P1 stiffness times the weight's lower bound, and takes u + s without a
-line search.  The pseudo-time step delta starts at 1 and follows the ratio
-of successive residual merits up to 1e14, where the step is Newton's; a
-step whose update or residual is not finite quarters delta and retries.
+residual merit that gives up below a step of 1/64.  Once a full Newton step
+cuts the merit tenfold, the next step is a chord step (Shamanskii; Kelley,
+Solving Nonlinear Equations with Newton's Method, SIAM 2003, 2.3), which
+solves with the last Jacobian's LU factor; chord steps go on while each
+cuts the merit tenfold again.  A cold level, and a warm level whose Newton
+attempt fails, runs pseudo-transient continuation (Psi-tc; Kelley & Keyes,
+SIAM J. Numer. Anal. 35 (1998) 508-523) from zero or from the warm start,
+whose residual and Jacobian warm Newton already evaluated.  Each Psi-tc
+step solves (J(u) + M/delta) s = -F(u), with M the P1 stiffness times the
+weight's lower bound, and takes u + s without a line search.  The
+pseudo-time step delta starts at 1 and follows the ratio of successive
+residual merits up to 1e14, where the step is Newton's; a step whose update
+or residual is not finite quarters delta and retries.
 The competing operator is nonmonotone and admits spurious branches, which
 a full Newton step from a cold start can reach; the short early Psi-tc
 steps follow the pseudo-time flow from the start instead.
@@ -65,6 +70,10 @@ class SolverConfig:
 # attempt, which pseudo-transient continuation replaces, gives up early
 # instead of crawling
 WARM_HALVINGS = 7
+# a full warm Newton step that cuts the residual merit this many times over
+# makes the next step a chord step, which is kept only where it again cuts
+# the merit this many times over
+CHORD_CUT = 10.0
 # Gaussian directions the coercivity guard pairs on its sphere
 GUARD_SAMPLES = 32
 # random coarse functions added to the coarse basis in the condition-(b) table
@@ -116,14 +125,19 @@ def brouwer_guard(op: ProblemOperator, space: FeSpace, radius: float,
 @dataclass
 class Attempt:
     """One solve attempt on a level: its path, whether it converged, its
-    steps, the residual sup where it ended, why it stopped, and for
-    pseudo-transient continuation the last pseudo-time step delta."""
+    steps, the residual sup where it ended, why it stopped, for
+    pseudo-transient continuation the last pseudo-time step delta, and its
+    SuperLU factorizations.  `residual` is F at the state where it ended,
+    None where that is not finite."""
     path: str
     converged: bool
     steps: int
     residual_sup: float
     message: str = ""
     delta: Optional[float] = None
+    factorizations: int = 0
+    residual: Optional[np.ndarray] = field(default=None, repr=False,
+                                           metadata={"live": True})
 
 
 def _merit(F: np.ndarray) -> float:
@@ -141,42 +155,76 @@ def _sup(F: np.ndarray) -> float:
     return float(np.max(np.abs(F))) if F.size else 0.0
 
 
-def _newton(op, u0: FeFunction, cfg: SolverConfig) -> tuple:
+def _trial(op, u: FeFunction, step: np.ndarray) -> tuple:
+    """u + step, its residual and merit; a trial whose residual is not
+    finite has merit inf, a rejected trial."""
+    trial = FeFunction(u.space, u.coeffs + step)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            Ft = op.residual(trial)
+            return trial, Ft, _merit(Ft)
+    except AssemblyError:
+        return trial, None, np.inf
+
+
+def _newton(op, u0: FeFunction, cfg: SolverConfig,
+            start: Optional[dict] = None) -> tuple:
     """Damped Newton from u0, each line search down to a step of
-    2**-(WARM_HALVINGS - 1); returns the last state and its Attempt."""
-    u, its = u0.copy(), 0
+    2**-(WARM_HALVINGS - 1); returns the last state and its Attempt.
+
+    A full step that cuts the merit at least CHORD_CUT-fold makes the next
+    step a chord step, a solve with the last Jacobian's factor that builds
+    and factors nothing.  A chord step is kept, and the next is a chord
+    step too, where it again cuts the merit CHORD_CUT-fold; otherwise its
+    trial is discarded and a damped step from the same state follows.  The
+    factor is dropped before the next Jacobian is built.  `start`, where
+    given, receives F and J at u0 as "F" and "J"."""
+    u, its, factors, solve, chord = u0.copy(), 0, 0, None, False
+    start = {} if start is None else start
+
+    def attempt(converged, res_sup, message=""):
+        return u, Attempt("newton", converged, its, res_sup, message,
+                          factorizations=factors, residual=F)
+
+    F = None
     try:  # a start with a nonfinite residual ends the attempt
-        F = op.residual(u)
+        F = start["F"] = op.residual(u)
     except AssemblyError as err:
-        return u, Attempt("newton", False, its, np.inf, str(err))
+        return attempt(False, np.inf, str(err))
     while True:
         res_sup = _sup(F)
         if res_sup <= cfg.tolerance:
-            return u, Attempt("newton", True, its, res_sup)
+            return attempt(True, res_sup)
         if its >= cfg.max_iterations:
-            return u, Attempt("newton", False, its, res_sup, "iteration cap")
-        # a singular Jacobian gives a NaN step
-        step = sparse_solve(u.space, op.jacobian(u), -F)
-        if not np.all(np.isfinite(step)) or not np.any(step):
-            return u, Attempt("newton", False, its, res_sup,
-                              "degenerate step")
+            return attempt(False, res_sup, "iteration cap")
         merit = _merit(F)
+        if chord:
+            trial, Ft, new = _trial(op, u, solve(-F))
+            if new <= merit / CHORD_CUT:
+                u, F, its = trial, Ft, its + 1
+                continue
+        # the kept factor goes before the next Jacobian is built
+        solve = None
+        J = op.jacobian(u)
+        # the first Jacobian is the one at u0
+        start.setdefault("J", J)
+        # a singular Jacobian gives a NaN step
+        step, solve = sparse_solve(u.space, J, -F)
+        # chord steps need only the factor: J goes before the line search
+        del J
+        factors += 1
+        if not np.all(np.isfinite(step)) or not np.any(step):
+            return attempt(False, res_sup, "degenerate step")
         lam = 1.0
         for _ in range(WARM_HALVINGS):
-            trial = FeFunction(u.space, u.coeffs + lam * step)
-            try:  # a trial with a nonfinite residual is a rejected trial
-                with np.errstate(over="ignore", invalid="ignore"):
-                    Ft = op.residual(trial)
-                if _merit(Ft) <= (1.0 - 1e-4 * lam) * merit:
-                    break
-            except AssemblyError:
-                pass
+            trial, Ft, new = _trial(op, u, lam * step)
+            if new <= (1.0 - 1e-4 * lam) * merit:
+                break
             lam *= 0.5
         else:
-            return u, Attempt("newton", False, its, res_sup,
-                              "line search stalled")
-        u, F = trial, Ft
-        its += 1
+            return attempt(False, res_sup, "line search stalled")
+        chord = lam == 1.0 and new <= merit / CHORD_CUT
+        u, F, its = trial, Ft, its + 1
 
 
 def _pseudo_mass(op: ProblemOperator, space: FeSpace):
@@ -195,41 +243,41 @@ def _shifted(J, M, delta: float):
     return A
 
 
-def _pseudo_transient(op, u0: FeFunction, cfg: SolverConfig) -> tuple:
+def _pseudo_transient(op, u0: FeFunction, cfg: SolverConfig,
+                      start: Optional[dict] = None) -> tuple:
     """Pseudo-transient continuation from u0; returns the last state and
-    its Attempt.  Every linear solve is a step of the iteration cap; a
-    rejected step keeps the state and its Jacobian.  M is built for the
-    first step, so a start that already solves assembles nothing."""
+    its Attempt.  Every linear solve is a step of the iteration cap and one
+    factorization; a rejected step keeps the state and its Jacobian.  M is
+    built for the first step, so a start that already solves assembles
+    nothing.  `start` may hold F and J at u0, as `_newton` records them;
+    they are taken from it."""
     u, its, delta, M = u0.copy(), 0, 1.0, None
+    start = {} if start is None else start
 
     def attempt(converged, res_sup, message=""):
-        return Attempt("pseudo-transient", converged, its, res_sup, message,
-                       delta)
+        return u, Attempt("pseudo-transient", converged, its, res_sup,
+                          message, delta, factorizations=its, residual=F)
 
+    F = None
     try:
-        F = op.residual(u)
+        F = start.pop("F") if "F" in start else op.residual(u)
     except AssemblyError as err:
-        return u, attempt(False, np.inf, str(err))
-    merit, J = _merit(F), None
+        return attempt(False, np.inf, str(err))
+    # taken out of `start`, so the Jacobian is freed with the first step
+    merit, J = _merit(F), start.pop("J", None)
     while True:
         res_sup = _sup(F)
         if res_sup <= cfg.tolerance:
-            return u, attempt(True, res_sup)
+            return attempt(True, res_sup)
         if its >= cfg.max_iterations:
-            return u, attempt(False, res_sup, "iteration cap")
+            return attempt(False, res_sup, "iteration cap")
         its += 1
         M = _pseudo_mass(op, u.space) if M is None else M
         J = op.jacobian(u) if J is None else J
-        step = sparse_solve(u.space, _shifted(J, M, delta), -F)
+        step = sparse_solve(u.space, _shifted(J, M, delta), -F)[0]
         new = np.nan
         if np.all(np.isfinite(step)):
-            trial = FeFunction(u.space, u.coeffs + step)
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    Ft = op.residual(trial)
-                    new = _merit(Ft)
-            except AssemblyError:
-                pass
+            trial, Ft, new = _trial(op, u, step)
         if not np.isfinite(new):
             delta *= 0.25
             continue
@@ -252,8 +300,11 @@ class LevelSolve:
     level: int
     dim: int
     solution: FeFunction = field(metadata={"live": True})
+    # F at the solution, which the tables pair
+    residual: np.ndarray = field(repr=False, metadata={"live": True})
     residual_sup: float
     iterations: int
+    factorizations: int
     path: str
     converged: bool
     guard: Optional[GuardRecord] = None
@@ -279,15 +330,15 @@ def solve_level(op: ProblemOperator, space: FeSpace,
     every attempt.  The result has no guard record and no tables:
     `run_hierarchy` samples the guard and fills both."""
     cfg = cfg or SolverConfig()
-    attempts = []
+    attempts, start = [], {}
     if warm is not None:
         if warm.space is not space:
             raise ValueError("a warm start must live on the level's space")
-        u, info = _newton(op, warm, cfg)
+        u, info = _newton(op, warm, cfg, start)
         attempts.append(info)
     if not attempts or not info.converged:
-        start = FeFunction.zero(space) if warm is None else warm
-        u, info = _pseudo_transient(op, start, cfg)
+        u0 = FeFunction.zero(space) if warm is None else warm
+        u, info = _pseudo_transient(op, u0, cfg, start)
         attempts.append(info)
     steps = sum(a.steps for a in attempts)
     if not info.converged:
@@ -298,7 +349,9 @@ def solve_level(op: ProblemOperator, space: FeSpace,
             {"level": space.mesh.level, "iterations": steps,
              "attempts": attempts})
     return LevelSolve(level=space.mesh.level, dim=space.dim, solution=u,
+                      residual=info.residual,
                       residual_sup=info.residual_sup, iterations=steps,
+                      factorizations=sum(a.factorizations for a in attempts),
                       path=info.path, converged=True)
 
 
@@ -407,8 +460,7 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
     u_star = report.levels[-1].solution
     slack = 1.0 + 1e-12
     for lv in report.levels:
-        u = lv.solution
-        F = op.residual(u)
+        u, F = lv.solution, lv.residual
         # each row is dotted as a fresh copy: a dot on a view into the
         # stack can round differently in the last bit
         lv.cond_b = [float(F @ np.array(row)) for row

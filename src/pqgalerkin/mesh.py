@@ -116,7 +116,9 @@ class MeshLevel:
 def _boundary_mask(domain: Domain, pts: np.ndarray) -> np.ndarray:
     mask = np.zeros(pts.shape[0], dtype=bool)
     for axis, (lo, hi) in enumerate(domain.bounds):
-        tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+        # relative to the axis: an absolute floor would put every vertex of
+        # a short axis on the boundary
+        tol = 1e-12 * max(abs(lo), abs(hi), hi - lo)
         mask |= np.abs(pts[:, axis] - lo) <= tol
         mask |= np.abs(pts[:, axis] - hi) <= tol
     return mask

@@ -555,7 +555,7 @@ HIERARCHY_KEYS = BENCH_KEYS | TRAJECTORY_KEYS | {
     "estimate", "guard_radius", "seed", "failed_guard",
     "failure_diagnostics"}
 LEVEL_KEYS = BENCH_LEVEL_KEYS | TRAJECTORY_LEVEL_KEYS | {
-    "guard", "grad_norm", "sup_norm", "cond_b", "pair_un", "cond_c",
+    "factorizations", "guard", "grad_norm", "sup_norm", "cond_b", "pair_un", "cond_c",
     "cond_cprime", "convection_pair", "gap", "warm_distance"}
 
 
@@ -587,10 +587,10 @@ def test_report_json_keeps_the_failure_diagnostics(tmp_path, capsys):
     assert (diagnostics["level"], diagnostics["iterations"]) == (0, 1)
     (attempt,) = diagnostics["attempts"]
     assert set(attempt) == {"path", "converged", "steps", "residual_sup",
-                            "message", "delta"}
+                            "message", "delta", "factorizations"}
     assert (attempt["path"], attempt["converged"], attempt["steps"],
-            attempt["message"]) == ("pseudo-transient", False, 1,
-                                    "iteration cap")
+            attempt["message"], attempt["factorizations"]) \
+        == ("pseudo-transient", False, 1, "iteration cap", 1)
     assert capsys.readouterr().err == hier["failure_message"] + "\n" == \
         f"level 0 failed: iteration cap " \
         f"(residual sup {attempt['residual_sup']:.3e})\n"

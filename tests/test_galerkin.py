@@ -452,11 +452,12 @@ def test_level_record_norms_reproduce_from_its_solution():
 def test_level_solves_on_pseudo_transient_after_warm_newton():
     # compete-2d-load: warm Newton stalls on levels 2 and 3, at its first
     # line search, and pseudo-transient continuation from the warm start
-    # reaches the zero on the coarse branch
+    # reaches the zero on the coarse branch; the level-1 count includes
+    # its chord steps
     report = compete_2d_load_report()
     assert report.failed_level is None, report.failure_message
     assert [(lv.path, lv.iterations) for lv in report.levels] == [
-        ("pseudo-transient", 44), ("newton", 7), ("pseudo-transient", 11),
+        ("pseudo-transient", 44), ("newton", 10), ("pseudo-transient", 11),
         ("pseudo-transient", 15)]
     assert all(lv.residual_sup <= report.solver_tolerance
                for lv in report.levels)
@@ -489,9 +490,11 @@ def test_sparse_solve_matches_spsolve_bit_for_bit(workload, monkeypatch):
     solves, solve = [], fespace.sparse_solve
 
     def spy(space, A, b):
-        x = solve(space, A, b)
+        x, kept = solve(space, A, b)
+        # the kept solve repeats the bits of the first
+        assert np.array_equal(bits(kept(b)), bits(x))
         solves.append((A, b, x))
-        return x
+        return x, kept
 
     monkeypatch.setattr(galerkin, "sparse_solve", spy)
     rng = np.random.default_rng(31)
@@ -512,10 +515,14 @@ def test_sparse_solve_matches_spsolve_bit_for_bit(workload, monkeypatch):
         solves.clear()
 
 
-def compete_2d_load_report():
-    cfg = cli.load_config(GOLDEN_CONFIGS / "compete-2d-load.json")
+def workload_report(workload):
+    cfg = cli.load_config(GOLDEN_CONFIGS / f"{workload}.json")
     return run_hierarchy(cli.build_problem(cfg["problem"]),
                          cfg["mesh"]["base_cells"], cfg["mesh"]["levels"])
+
+
+def compete_2d_load_report():
+    return workload_report("compete-2d-load")
 
 
 def test_compete_2d_load_solves_every_level():
@@ -556,9 +563,9 @@ def test_colamd_runs_once_per_space(monkeypatch):
     assert {dim for _, dim in specs} == set(dims)
     for dim, lv in zip(dims, report.levels):
         assert specs["COLAMD", dim] == 1
-        # one factorization per step of either attempt; all but the first
-        # take the recorded order
-        assert specs["NATURAL", dim] == lv.iterations - 1
+        # every factorization of either attempt but the first takes the
+        # recorded order
+        assert specs["NATURAL", dim] == lv.factorizations - 1
     assert set(spec for spec, _ in specs) == {"COLAMD", "NATURAL"}
 
 
@@ -748,23 +755,33 @@ def test_shifted_matrix_keeps_the_plan_pattern_where_an_entry_cancels():
     assert np.array_equal(A.indptr, J.indptr)
     assert np.array_equal(A.indices, J.indices)
     np.testing.assert_array_equal(A.toarray(), (J + M / delta).toarray())
-    x = fespace.sparse_solve(space, A, np.ones(space.dim))
+    x, _ = fespace.sparse_solve(space, A, np.ones(space.dim))
     assert np.all(np.isfinite(x))
 
 
 def test_guard_does_not_pass_directions_it_cannot_scale():
-    # on [0, 1e-100] every vertex lies within the mesh's boundary tolerance,
-    # so each space has no dofs and every direction has gradient norm 0;
-    # the guard once divided by it, warned and passed
+    # on a space with no dofs every direction has gradient norm 0; the
+    # guard once divided by it, warned and passed
+    op, _ = single_dof_op()
+    mesh = build_mesh(UNIT, 4)
+    mesh.boundary[:] = True
+    space = FeSpace(mesh)
+    assert space.dim == 0
+    assert brouwer_guard(op, space, 1.0) == galerkin.GuardRecord(
+        min_pairing=math.inf, passed=False)
+
+
+def test_short_interval_keeps_its_interior_dofs():
+    # the boundary tolerance scales with the axis: on [0, 1e-100] an
+    # absolute 1e-12 once put every vertex on the boundary, so each space
+    # had no dofs and no guard passed
     conv = saturating_convection(3.0, offset=1.0)
     problem = Problem(p=3.0, q=2.0, domain=Domain.interval(0.0, 1e-100),
                       weight=quadratic_weight(2.0), convection=conv,
                       variant="competing", regime="H3")
     report = run_hierarchy(problem, 4, 3)
-    assert len(report.levels) == 3
-    for lv in report.levels:
-        assert lv.guard == galerkin.GuardRecord(min_pairing=math.inf,
-                                                passed=False)
+    assert [lv.dim for lv in report.levels] == [3, 7, 15]
+    assert all(lv.guard.passed for lv in report.levels)
 
 
 def test_only_the_warm_stage_gets_the_warm_limit(monkeypatch):
@@ -774,8 +791,8 @@ def test_only_the_warm_stage_gets_the_warm_limit(monkeypatch):
     calls = []
 
     def spy(walk):
-        def recorded(op, u0, cfg):
-            u, info = walk(op, u0, cfg)
+        def recorded(op, u0, cfg, start):
+            u, info = walk(op, u0, cfg, start)
             calls.append((u0.space.mesh.level, info.path, u0, info))
             return u, info
         return recorded
@@ -813,3 +830,83 @@ def test_compete_2d_load_residual_and_jacobian_counts(monkeypatch):
     # to solve three of the four levels
     assert counts["residual"] <= 130
     assert counts["jacobian"] <= 85
+
+
+# the factorizations of the whole hierarchy; before chord steps, coop-2d
+# took 19 and coop-1d-deep 30
+@pytest.mark.parametrize("workload,most", [("coop-2d", 12),
+                                           ("coop-1d-deep", 17)])
+def test_warm_newton_reuses_its_factor(workload, most, monkeypatch):
+    dims, splu = Counter(), spla.splu
+
+    def counting(A, **kwargs):
+        dims[A.shape[0]] += 1
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    report = workload_report(workload)
+    assert report.failed_level is None, report.failure_message
+    # each record counts its level's SuperLU factorizations
+    assert [lv.factorizations for lv in report.levels] \
+        == [dims[lv.dim] for lv in report.levels]
+    assert sum(dims.values()) <= most
+    if workload == "coop-2d":
+        assert report.levels[-1].factorizations == 1
+
+
+class Scripted:
+    """The operator, logging the state of every residual and Jacobian, with
+    the residual of call k (0 is the start) replaced by `script[k]`: a
+    scale of the true residual, or "fail" for an AssemblyError."""
+
+    def __init__(self, op, script):
+        self.op, self.weight, self.script, self.log = op, op.weight, \
+            script, []
+
+    def residual(self, u):
+        k = sum(kind == "F" for kind, _ in self.log)
+        self.log.append(("F", u.coeffs.copy()))
+        action = self.script.get(k, 1.0)
+        if action == "fail":
+            raise AssemblyError("nonfinite trial")
+        return action * self.op.residual(u)
+
+    def jacobian(self, u):
+        self.log.append(("J", u.coeffs.copy()))
+        return self.op.jacobian(u)
+
+
+def scripted_newton(script, cap=2):
+    op, _ = single_dof_op()
+    space = FeSpace(build_mesh(UNIT, 6))
+    stub = Scripted(op, script)
+    _, info = galerkin._newton(
+        stub, FeFunction(space, np.linspace(0.1, 0.5, space.dim)),
+        SolverConfig(max_iterations=cap))
+    return stub.log, info
+
+
+def test_discarded_chord_trial_keeps_the_state():
+    # a full step that cuts the merit a thousandfold makes the next step a
+    # chord step; its trial fails, so the Jacobian is rebuilt at the state
+    # the full step reached, and the trial is no step
+    log, info = scripted_newton({1: 1e-3, 2: "fail", 3: 1e-6})
+    assert [kind for kind, _ in log] == ["F", "J", "F", "F", "J", "F"]
+    (_, start), _, (_, full), (_, chord), (_, rebuilt), _ = log
+    assert np.array_equal(rebuilt, full)
+    assert not np.array_equal(chord, full)
+    assert (info.steps, info.factorizations, info.message) \
+        == (2, 2, "iteration cap")
+
+
+def test_chord_step_follows_only_a_full_step():
+    # the same thousandfold cut, once by a full step and once by a step
+    # halved after a failed full trial: only the full step is followed by
+    # a chord trial, which builds no Jacobian and factors nothing
+    log, info = scripted_newton({1: 1e-3, 2: 1e-6})
+    assert [kind for kind, _ in log] == ["F", "J", "F", "F"]
+    assert (info.steps, info.factorizations) == (2, 1)
+    log, info = scripted_newton({1: "fail", 2: 1e-3, 3: 1e-6})
+    assert [kind for kind, _ in log] == ["F", "J", "F", "F", "J", "F"]
+    assert np.array_equal(log[4][1], log[3][1])
+    assert (info.steps, info.factorizations) == (2, 2)

@@ -23,13 +23,13 @@ MANIFEST = json.loads(golden.MANIFEST.read_text())
 # compared.
 TRAJECTORIES = {
     "adversarial": (0, [("pseudo-transient", 0)] + [("newton", 0)] * 2, ""),
-    "compete-2d-load": (0, [("pseudo-transient", 44), ("newton", 7), ("pseudo-transient", 11), ("pseudo-transient", 15)], ""),
-    "coop-1d-deep": (0, [("pseudo-transient", 6), ("newton", 4)] + [("newton", 3)] * 4 + [("newton", 2)] * 4, ""),
-    "coop-2d": (0, [("pseudo-transient", 6), ("newton", 4)] + [("newton", 3)] * 3, ""),
-    "criterion-9": (0, [("pseudo-transient", 21)] + [("newton", 4)] * 2, ""),
-    "h3a": (0, [("pseudo-transient", 11)] + [("newton", 4)] * 2, ""),
+    "compete-2d-load": (0, [("pseudo-transient", 44), ("newton", 10), ("pseudo-transient", 11), ("pseudo-transient", 15)], ""),
+    "coop-1d-deep": (0, [("pseudo-transient", 6), ("newton", 5), ("newton", 4), ("newton", 6), ("newton", 5)] + [("newton", 4)] * 2 + [("newton", 3)] * 3, ""),
+    "coop-2d": (0, [("pseudo-transient", 6), ("newton", 5), ("newton", 4), ("newton", 7), ("newton", 6)], ""),
+    "criterion-9": (0, [("pseudo-transient", 21), ("newton", 7), ("newton", 6)], ""),
+    "h3a": (0, [("pseudo-transient", 11), ("newton", 6), ("newton", 5)], ""),
     "max-iterations-1": (3, [], "level 0 failed: iteration cap (residual sup 5.384e-01)"),
-    "q-1.5": (0, [("pseudo-transient", 7), ("pseudo-transient", 27), ("newton", 4)], ""),
+    "q-1.5": (0, [("pseudo-transient", 7), ("pseudo-transient", 27), ("newton", 6)], ""),
 }
 
 

@@ -8,38 +8,20 @@ failure moves, and leaves the list of failures only when it solves every
 level.  The list never shrinks otherwise.  The eleven configs a-j and l
 failed a level under the staged continuation walker that pseudo-transient
 continuation replaced, and now solve every level.  The passing configs
-come from the same space.  One more config stalls at the rounding floor of
-the default tolerance and solves every level at a looser one.
+come from the same space.  One more config stalled at the rounding floor
+of the default tolerance until warm Newton took chord steps, and solves
+every level at a looser one too.  Configs m, l and the rounding-floor
+config are s011, s041 and s058 of the seeded sweep in tests/sweep.py.
 
-All 2D configs run the unit square at base 4 x 4 with 4 levels, the 1D ones
-the unit interval at 4 cells with 6 levels; the default solver, seed 0.
+Each config runs the mesh and solver of the sweep (`sweep.solve`).
 """
 
 import pytest
 
 from pqgalerkin.cli import build_problem
 from pqgalerkin.galerkin import SolverConfig, run_hierarchy
-
-SQUARE = {"kind": "rectangle", "bounds": [[0.0, 1.0], [0.0, 1.0]]}
-INTERVAL = {"kind": "interval", "bounds": [0.0, 1.0]}
-
-
-def constant(value):
-    return {"kind": "constant", "value": value}
-
-
-def quadratic(base, coef):
-    return {"kind": "quadratic", "base": base, "coef": coef}
-
-
-def saturating(alpha, h_bound, offset):
-    return {"kind": "saturating", "alpha": alpha, "h_bound": h_bound,
-            "offset": offset}
-
-
-def problem(variant, p, q, weight, convection, domain=SQUARE):
-    return {"p": p, "q": q, "domain": domain, "variant": variant,
-            "weight": weight, "convection": convection}
+from sweep import (INTERVAL, configs, constant, problem, quadratic,
+                   saturating, solve)
 
 
 # id: (problem, the failing level, its residual sup)
@@ -74,8 +56,9 @@ RECOVERED = {
                  saturating(1.14, 0.47, -0.21), INTERVAL),          # 1
 }
 
-# its residual at level 4 stops a little above 1e-10, about what rounding
-# allows at the solution, and reaches 1e-9
+# its residual at level 4 stopped a little above 1e-10, about what rounding
+# allows at the solution, before warm Newton took chord steps; it reaches
+# 1e-9
 ROUNDING_FLOOR = problem("cooperative", 1.98, 1.21, quadratic(1.37, 0.98),
                          constant(3.75), INTERVAL)
 
@@ -106,9 +89,7 @@ def assert_no_failure(report, pinned=None):
 
 
 def assert_every_level_solves(block, cfg=None, pinned=None):
-    built = build_problem(block)
-    base, levels = ((4, 4), 4) if built.domain.dim == 2 else (4, 6)
-    report = run_hierarchy(built, base, levels, cfg=cfg)
+    report, levels = solve(block, cfg)
     assert_no_failure(report, pinned)
     assert len(report.levels) == levels
 
@@ -137,31 +118,19 @@ def test_passing_sweep_config_solves_every_level(block):
     assert_every_level_solves(block)
 
 
-ROUNDING_STALL = stall(4, "1.927e-10")
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ROUNDING_STALL)
 def test_rounding_floor_config_solves_every_level():
-    assert_every_level_solves(ROUNDING_FLOOR, pinned=ROUNDING_STALL)
+    assert_every_level_solves(ROUNDING_FLOOR)
 
 
-def test_rounding_floor_failure_keeps_the_warm_stall():
-    # warm Newton stalls just above the tolerance; pseudo-transient
-    # continuation from the warm start then drifts off to a residual near
-    # 1 at its cap, and the message reports the nearer attempt
-    report = run_hierarchy(build_problem(ROUNDING_FLOOR), 4, 6)
-    assert report.failure_message == ROUNDING_STALL
-    diagnostics = report.failure_diagnostics
-    assert (diagnostics["level"], report.failed_level) == (4, 4)
-    newton, ptc = diagnostics["attempts"]
-    assert (newton.path, newton.message, f"{newton.residual_sup:.3e}") \
-        == ("newton", "line search stalled", "1.927e-10")
-    assert newton.delta is None
-    assert (ptc.path, ptc.message, ptc.steps) \
-        == ("pseudo-transient", "iteration cap", 200)
-    assert f"{ptc.residual_sup:.3e}" == "1.016e+00"
-    assert 0.0 < ptc.delta <= 1e14
-    assert diagnostics["iterations"] == newton.steps + ptc.steps
+def test_rounding_floor_config_solves_each_level_on_its_path():
+    # warm Newton once stalled at level 4 with residual sup 1.927e-10; its
+    # chord steps now reach the tolerance on every warm level
+    report, _ = solve(ROUNDING_FLOOR)
+    assert report.failed_level is None, report.failure_message
+    assert [lv.path for lv in report.levels] \
+        == ["pseudo-transient"] + ["newton"] * 5
+    assert all(lv.residual_sup <= report.solver_tolerance
+               for lv in report.levels)
 
 
 def test_rounding_floor_config_solves_at_a_looser_tolerance():
@@ -178,3 +147,10 @@ def test_a_moved_failure_fails_outright():
     with pytest.raises(pytest.fail.Exception, match="the failure moved"):
         assert_every_level_solves(PASSING["1d-competing"], capped,
                                   pinned=stall(5, "9.999e-09"))
+
+
+def test_sweep_generator_redraws_the_pinned_configs():
+    drawn = configs(59)
+    assert drawn["s011"] == FAILING["m"][0]
+    assert drawn["s041"] == RECOVERED["l"]
+    assert drawn["s058"] == ROUNDING_FLOOR
