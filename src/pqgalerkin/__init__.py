@@ -18,7 +18,7 @@ from .estimates import (ConstantEstimate, EstimateReport, HypothesisAudit,
                         estimate_lambda1, lambda1_interval, poincare_factor,
                         rhs_estimate_constant, sobolev_constant)
 from .galerkin import (GuardRecord, HierarchyReport, LevelSolve, SolveError,
-                       SolverConfig, brouwer_guard, run_hierarchy, solve_level)
+                       brouwer_guard, run_hierarchy, solve_level)
 from .verify import (Certificate, SProbe, check_generalized_conditions,
                      check_monotonicity_inequalities, check_strong_condition,
                      check_truncation_consistency, condition_S_probe,

@@ -15,11 +15,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
 
 from .estimates import compute_estimates
 from .fespace import jsonable, write_csv
-from .galerkin import SolverConfig, run_hierarchy
+from .galerkin import run_hierarchy
 from .mesh import Domain, MeshError
 from .operators import (HypothesisViolation, Problem, adversarial_convection,
                         constant_convection, constant_weight,
@@ -126,21 +125,6 @@ def build_problem(block: dict) -> Problem:
                    convection=convection, variant=variant, regime=regime)
 
 
-def _build_solver(block: Optional[dict]) -> SolverConfig:
-    if block is None:
-        return SolverConfig()
-    _check_keys(block, {"tolerance", "max_iterations"}, set(), "solver")
-    kwargs = dict(block)
-    if "tolerance" in block:
-        kwargs["tolerance"] = _number(block, "tolerance", "solver")
-        if not kwargs["tolerance"] > 0.0:
-            raise ConfigError("solver.tolerance: expected a positive number")
-    val = block.get("max_iterations", 1)
-    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-        raise ConfigError("solver.max_iterations: expected a positive integer")
-    return SolverConfig(**kwargs)
-
-
 def _unique_keys(pairs: list) -> dict:
     block = {}
     for key, value in pairs:
@@ -153,8 +137,7 @@ def _unique_keys(pairs: list) -> dict:
 def load_config(path: str) -> dict:
     text = Path(path).read_text()
     cfg = json.loads(text, object_pairs_hook=_unique_keys)
-    _check_keys(cfg, {"problem", "mesh", "solver"},
-                {"problem", "mesh"}, "config")
+    _check_keys(cfg, {"problem", "mesh"}, {"problem", "mesh"}, "config")
     _check_keys(cfg["mesh"], {"base_cells", "levels"},
                 {"base_cells", "levels"}, "mesh")
     levels = cfg["mesh"]["levels"]
@@ -172,7 +155,6 @@ def load_config(path: str) -> dict:
                           "per side")
     if isinstance(base, list):
         cfg["mesh"]["base_cells"] = tuple(base)
-    _build_solver(cfg.get("solver"))
     return cfg
 
 
@@ -220,8 +202,7 @@ def _cmd_solve(command: str, cfg: dict, problem: Problem, out_dir: Path,
     Writes report.json, each solved level's solution CSV, diagnostics.csv
     and the lock into `out_dir`, whatever the exit code."""
     report = run_hierarchy(problem, cfg["mesh"]["base_cells"],
-                           cfg["mesh"]["levels"],
-                           cfg=_build_solver(cfg.get("solver")), seed=seed)
+                           cfg["mesh"]["levels"], seed=seed)
     payload = {"hierarchy": report}
     failed = report.failed_level is not None
     if command == "verify":

@@ -435,7 +435,8 @@ def read_csv(space: FeSpace, path) -> FeFunction:
         raise ValueError(f"{path}: expected {mesh.n_vertices} vertex rows")
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite value")
-    if not np.allclose(data[:, :-1], mesh.vertices, rtol=0.0, atol=1e-12):
+    if not np.all(np.abs(data[:, :-1] - mesh.vertices)
+                  <= mesh.domain.coordinate_tolerances):
         raise ValueError(f"{path}: vertex coordinates do not match the mesh")
     if np.max(np.abs(data[mesh.boundary, -1]), initial=0.0) > 0.0:
         raise ValueError(f"{path}: nonzero value on a boundary vertex")

@@ -37,7 +37,6 @@ from .operators import (AssemblyError, Problem, ProblemOperator,
 
 __all__ = [
     "SolveError",
-    "SolverConfig",
     "ProblemOperator",
     "GuardRecord",
     "brouwer_guard",
@@ -58,12 +57,10 @@ class SolveError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tolerance: float = 1e-10
-    max_iterations: int = 200
-
-
+# a level counts as solved once every entry of its residual is at most this
+TOLERANCE = 1e-10
+# linear solves one attempt may make before it stops at its iteration cap
+MAX_ITERATIONS = 200
 # trials of the warm Newton line search, lambda = 1 down to 1/64: a
 # converging warm step halves at most once, so this minimum step sits a
 # factor of 32 below the smallest accepted warm step, and a failing warm
@@ -167,8 +164,7 @@ def _trial(op, u: FeFunction, step: np.ndarray) -> tuple:
         return trial, None, np.inf
 
 
-def _newton(op, u0: FeFunction, cfg: SolverConfig,
-            start: Optional[dict] = None) -> tuple:
+def _newton(op, u0: FeFunction, start: Optional[dict] = None) -> tuple:
     """Damped Newton from u0, each line search down to a step of
     2**-(WARM_HALVINGS - 1); returns the last state and its Attempt.
 
@@ -193,9 +189,9 @@ def _newton(op, u0: FeFunction, cfg: SolverConfig,
         return attempt(False, np.inf, str(err))
     while True:
         res_sup = _sup(F)
-        if res_sup <= cfg.tolerance:
+        if res_sup <= TOLERANCE:
             return attempt(True, res_sup)
-        if its >= cfg.max_iterations:
+        if its >= MAX_ITERATIONS:
             return attempt(False, res_sup, "iteration cap")
         merit = _merit(F)
         if chord:
@@ -243,7 +239,7 @@ def _shifted(J, M, delta: float):
     return A
 
 
-def _pseudo_transient(op, u0: FeFunction, cfg: SolverConfig,
+def _pseudo_transient(op, u0: FeFunction,
                       start: Optional[dict] = None) -> tuple:
     """Pseudo-transient continuation from u0; returns the last state and
     its Attempt.  Every linear solve is a step of the iteration cap and one
@@ -267,9 +263,9 @@ def _pseudo_transient(op, u0: FeFunction, cfg: SolverConfig,
     merit, J = _merit(F), start.pop("J", None)
     while True:
         res_sup = _sup(F)
-        if res_sup <= cfg.tolerance:
+        if res_sup <= TOLERANCE:
             return attempt(True, res_sup)
-        if its >= cfg.max_iterations:
+        if its >= MAX_ITERATIONS:
             return attempt(False, res_sup, "iteration cap")
         its += 1
         M = _pseudo_mass(op, u.space) if M is None else M
@@ -320,7 +316,6 @@ class LevelSolve:
 
 
 def solve_level(op: ProblemOperator, space: FeSpace,
-                cfg: Optional[SolverConfig] = None,
                 warm: Optional[FeFunction] = None) -> LevelSolve:
     """Solve one Galerkin level; failure is an exception.  A warm start
     must live on `space`: warm Newton runs from it first, and if that
@@ -329,16 +324,15 @@ def solve_level(op: ProblemOperator, space: FeSpace,
     names the attempt that ended nearer a zero, and its diagnostics hold
     every attempt.  The result has no guard record and no tables:
     `run_hierarchy` samples the guard and fills both."""
-    cfg = cfg or SolverConfig()
     attempts, start = [], {}
     if warm is not None:
         if warm.space is not space:
             raise ValueError("a warm start must live on the level's space")
-        u, info = _newton(op, warm, cfg, start)
+        u, info = _newton(op, warm, start)
         attempts.append(info)
     if not attempts or not info.converged:
         u0 = FeFunction.zero(space) if warm is None else warm
-        u, info = _pseudo_transient(op, u0, cfg, start)
+        u, info = _pseudo_transient(op, u0, start)
         attempts.append(info)
     steps = sum(a.steps for a in attempts)
     if not info.converged:
@@ -392,7 +386,6 @@ def _test_set(space0: FeSpace, seed: int) -> FeFunction:
 
 
 def run_hierarchy(problem: Problem, base_cells, levels: int,
-                  cfg: Optional[SolverConfig] = None,
                   seed: int = 0) -> HierarchyReport:
     """Solve a nested hierarchy and tabulate the generalized-solution data.
 
@@ -408,7 +401,6 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
     """
     if levels < 2:
         raise ValueError("a hierarchy needs at least 2 levels")
-    cfg = cfg or SolverConfig()
     meshes = [build_mesh(problem.domain, base_cells)]
     for _ in range(levels - 1):
         meshes.append(refine(meshes[-1]))
@@ -422,14 +414,14 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
     op = ProblemOperator(problem, weight)
     report = HierarchyReport(
         estimate=estimate, guard_radius=guard_radius,
-        solver_tolerance=cfg.tolerance, seed=seed, operator=op)
+        solver_tolerance=TOLERANCE, seed=seed, operator=op)
 
     warm = None
     for n, sp in enumerate(spaces):
         guard = None
         try:
             guard = brouwer_guard(op, sp, guard_radius, seed=seed)
-            lv = solve_level(op, sp, cfg, warm=warm)
+            lv = solve_level(op, sp, warm=warm)
         except SolveError as err:
             # its message already names its level
             report.failure_message = str(err)

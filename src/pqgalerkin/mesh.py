@@ -67,6 +67,15 @@ class Domain:
     def side_lengths(self) -> Tuple[float, ...]:
         return tuple(hi - lo for lo, hi in self.bounds)
 
+    @property
+    def coordinate_tolerances(self) -> Tuple[float, ...]:
+        """Per axis, how far two coordinates may differ and still agree:
+        1e-12 of max(|lo|, |hi|, hi - lo).  It is relative to the axis: an
+        absolute floor would put every vertex of a short axis on the
+        boundary, and match any coordinates on it."""
+        return tuple(1e-12 * max(abs(lo), abs(hi), hi - lo)
+                     for lo, hi in self.bounds)
+
 
 class MeshLevel:
     """One level of a nested simplicial mesh hierarchy.
@@ -115,10 +124,8 @@ class MeshLevel:
 
 def _boundary_mask(domain: Domain, pts: np.ndarray) -> np.ndarray:
     mask = np.zeros(pts.shape[0], dtype=bool)
-    for axis, (lo, hi) in enumerate(domain.bounds):
-        # relative to the axis: an absolute floor would put every vertex of
-        # a short axis on the boundary
-        tol = 1e-12 * max(abs(lo), abs(hi), hi - lo)
+    for axis, ((lo, hi), tol) in enumerate(
+            zip(domain.bounds, domain.coordinate_tolerances)):
         mask |= np.abs(pts[:, axis] - lo) <= tol
         mask |= np.abs(pts[:, axis] - hi) <= tol
     return mask

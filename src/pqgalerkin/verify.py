@@ -14,7 +14,7 @@ import numpy as np
 
 from .fespace import (FeFunction, axis_dot, grad_norm_lp, jsonable, lr_norm,
                       sup_norm, vector_norm)
-from .galerkin import HierarchyReport, SolverConfig
+from .galerkin import TOLERANCE, HierarchyReport
 from .operators import ProblemOperator, power_flux
 
 __all__ = [
@@ -52,9 +52,7 @@ def _scale(report: HierarchyReport) -> float:
 
 
 def check_truncation_consistency(raw_op: ProblemOperator, u: FeFunction,
-                                 radius: float,
-                                 tolerance: float = SolverConfig.tolerance
-                                 ) -> Certificate:
+                                 radius: float) -> Certificate:
     """The truncation is inactive on a solved state.
 
     `raw_op` is the untruncated operator, the run's operator with the
@@ -66,7 +64,7 @@ def check_truncation_consistency(raw_op: ProblemOperator, u: FeFunction,
     sup = sup_norm(u)
     raw = raw_op.residual(u)
     raw_sup = float(np.max(np.abs(raw))) if raw.size else 0.0
-    tol = tolerance * 10.0 + 1e-14
+    tol = TOLERANCE * 10.0 + 1e-14
     details = {"sup_norm": float(sup), "radius": float(radius)}
     if sup <= radius * (1.0 + 1e-12):
         passed, measured, threshold = raw_sup <= tol, raw_sup, tol
@@ -232,16 +230,15 @@ def check_monotonicity_inequalities(p: float, q: float, dim: int,
     return out
 
 
-def weak_implies_generalized_demo(op: ProblemOperator, u_weak: FeFunction,
-                                  tolerance: float = SolverConfig.tolerance
-                                  ) -> Certificate:
+def weak_implies_generalized_demo(op: ProblemOperator,
+                                  u_weak: FeFunction) -> Certificate:
     """A certified discrete solution, read as a constant sequence, satisfies
     the generalized conditions outright: every (b)-pairing is the residual
     entry and the (c)-pairing is against a zero gap."""
     # pairing F with the i-th hat is F[i]
     b_max = float(np.max(np.abs(op.residual(u_weak)), initial=0.0))
     grad = grad_norm_lp(u_weak, op.problem.p)
-    tol = tolerance * 10.0 * max(1.0, grad) + 1e-14
+    tol = TOLERANCE * 10.0 * max(1.0, grad) + 1e-14
     # the pairing is linear in the test function, so against the zero gap
     # it is 0.0 and the (b)-maximum alone is measured
     return Certificate(
@@ -275,8 +272,8 @@ def _merge_truncation(report: HierarchyReport) -> Certificate:
     op = report.operator
     raw_op = replace(op, weight=op.problem.weight)
     certs = [check_truncation_consistency(
-        raw_op, lv.solution, report.estimate.sup_radius,
-        report.solver_tolerance) for lv in report.levels]
+        raw_op, lv.solution, report.estimate.sup_radius)
+        for lv in report.levels]
     worst = max(certs, key=lambda c: (not c.passed,
                                       c.measured / max(c.threshold, 1e-300)))
     worst.details["per_level_measured"] = [float(c.measured) for c in certs]
@@ -343,8 +340,8 @@ def run_certificates(report: HierarchyReport, seed: int = 0) -> dict:
     certs.append(check_strong_condition(report))
     certs.extend(check_monotonicity_inequalities(
         problem.p, problem.q, problem.domain.dim, seed=seed))
-    weak = weak_implies_generalized_demo(
-        report.operator, report.levels[-1].solution, report.solver_tolerance)
+    weak = weak_implies_generalized_demo(report.operator,
+                                         report.levels[-1].solution)
     certs += [weak, _report_consistency(report, weak)]
     probe = condition_S_probe(report)
     return {

@@ -16,7 +16,8 @@ as the diff of `manifest.json`.
 
 The configs: the three bench workloads merged with their common block, the
 criterion-9 config, and one each of q = 1.5, the (H3a) regime, the
-adversarial convection and `max_iterations: 1` (a level failure, exit 3).
+adversarial convection and sweep config m (`tests/sweep.py`, s011) at 4
+cells x 6 levels, whose level 3 fails (exit 3, a partial report).
 """
 
 import contextlib

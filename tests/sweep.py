@@ -84,15 +84,14 @@ def configs(count: int = COUNT) -> dict:
     return out
 
 
-def solve(block: dict, cfg=None) -> tuple:
-    """The hierarchy report of one config under the solver config `cfg`
-    (the default solver when None), and its number of levels."""
+def solve(block: dict) -> tuple:
+    """The hierarchy report of one config and its number of levels."""
     from pqgalerkin.cli import build_problem
     from pqgalerkin.galerkin import run_hierarchy
 
     built = build_problem(block)
     base, levels = ((4, 4), 4) if built.domain.dim == 2 else (4, 6)
-    return run_hierarchy(built, base, levels, cfg=cfg), levels
+    return run_hierarchy(built, base, levels), levels
 
 
 def main() -> int:

@@ -118,8 +118,7 @@ def test_criterion_3_truncation_coincidence(capsys):
         for lv in report.levels:
             cert = check_truncation_consistency(
                 dataclasses.replace(op, weight=op.problem.weight),
-                lv.solution, report.estimate.sup_radius,
-                report.solver_tolerance)
+                lv.solution, report.estimate.sup_radius)
             ok = ok and cert.passed
     _criterion(capsys, 3, "untruncated-operator residuals certify at solver "
                "tolerance on every criterion-1 level", ok)

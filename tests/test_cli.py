@@ -10,6 +10,7 @@ import pytest
 
 import pqgalerkin
 
+from pqgalerkin import galerkin
 from pqgalerkin.cli import KINDS, build_problem, load_config, main
 from pqgalerkin.fespace import FeSpace, read_csv
 from pqgalerkin.galerkin import ProblemOperator
@@ -94,14 +95,15 @@ def run_python(args):
 # lambda1 > 1, and the estimates block went with it; the output block chose
 # which files a run left in --out, which now gets every file every run; the
 # other keys were knobs with one value in use (the value given here), now
-# constants
+# constants; the solver block went whole once its tolerance and iteration
+# cap became constants too
 REMOVED_KEYS = {"solver.fd_step": 1e-7, "solver.homotopy_steps": 4,
                 "solver.continuation_steps": 10, "solver.max_halvings": 40,
                 "solver.regularization": 1e-10,
                 "estimates.sobolev_samples": 1000,
                 "estimates.convention": "paper",
                 "output.write_solutions": False}
-REMOVED_BLOCKS = {"estimates", "output"}
+REMOVED_BLOCKS = {"solver", "estimates", "output"}
 
 
 def removed_key_config(tmp_path, dotted):
@@ -165,7 +167,7 @@ NAN, INF = float("nan"), float("inf")
 
 # (key path, value, message after "config error: ")
 BAD_CONFIGS = {
-    "non-object-block": (("solver",), [1], "solver: expected an object"),
+    "non-object-block": (("mesh",), [1], "mesh: expected an object"),
     "interval-shape": (("problem", "domain", "bounds"), [0.0, 0.5, 1.0],
                        "problem.domain.bounds: expected [a, b]"),
     "rectangle-shape": (("problem", "domain"), rectangle([[0, 1], [0, 1, 2]]),
@@ -180,9 +182,6 @@ BAD_CONFIGS = {
     "convection-unknown-kind": (
         ("problem", "convection"), {"kind": "linear"},
         "problem.convection.kind: unknown kind 'linear'"),
-    "fractional-max-iterations": (
-        ("solver", "max_iterations"), 2.5,
-        "solver.max_iterations: expected a positive integer"),
     "base-cells-triple": (("mesh", "base_cells"), [2, 2, 2],
                           "mesh.base_cells: expected int or [nx, ny]"),
     "base-cells-string": (("mesh", "base_cells"), "4",
@@ -211,14 +210,15 @@ BAD_CONFIGS = {
     "infinite-weight": (("problem", "weight"),
                         {"kind": "constant", "value": INF},
                         "problem.weight.value: expected a finite number"),
+    # values the solver block once checked; the block is itself unknown
+    "fractional-max-iterations": (("solver", "max_iterations"), 2.5,
+                                  "config: unknown keys ['solver']"),
     "nan-tolerance": (("solver", "tolerance"), NAN,
-                      "solver.tolerance: expected a finite number"),
-    # solver values out of range
+                      "config: unknown keys ['solver']"),
     "negative-tolerance": (("solver", "tolerance"), -1.0,
-                           "solver.tolerance: expected a positive number"),
-    "zero-max-iterations": (
-        ("solver", "max_iterations"), 0,
-        "solver.max_iterations: expected a positive integer"),
+                           "config: unknown keys ['solver']"),
+    "zero-max-iterations": (("solver", "max_iterations"), 0,
+                            "config: unknown keys ['solver']"),
     # the tables compare levels, so the schema asks what run_hierarchy does
     "one-level": (("mesh", "levels"), 1,
                   "mesh.levels: a hierarchy needs at least 2 levels"),
@@ -361,7 +361,7 @@ sys.exit(main(["solve", "--config", {removed!r},
     run = run_python(["-c", script])
     assert run.returncode == 1, run.stderr
     assert run.stderr == \
-        "config error: solver: unknown keys ['max_halvings']\n"
+        "config error: config: unknown keys ['solver']\n"
     assert not (tmp_path / "removed").exists()
 
 
@@ -418,9 +418,9 @@ def test_solution_csv_round_trips_to_a_certified_state(tmp_path):
     assert res <= 10.0 * hier["solver_tolerance"]
 
 
-def test_solve_failure_is_exit_3_with_partial_report(tmp_path):
-    cfg = base_config(solver={"max_iterations": 1})
-    path = write_config(tmp_path, cfg)
+def test_solve_failure_is_exit_3_with_partial_report(tmp_path, monkeypatch):
+    monkeypatch.setattr(galerkin, "MAX_ITERATIONS", 1)
+    path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
     assert main(["solve", "--config", path, "--out", str(out)]) == 3
     hier = json.loads((out / "report.json").read_text())["hierarchy"]
@@ -428,9 +428,10 @@ def test_solve_failure_is_exit_3_with_partial_report(tmp_path):
     assert "failed" in hier["failure_message"]
 
 
-def test_level_failure_leaves_the_same_files_for_solve_and_verify(tmp_path,
-                                                                  capsys):
-    path = write_config(tmp_path, base_config(solver={"max_iterations": 1}))
+def test_level_failure_leaves_the_same_files_for_solve_and_verify(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(galerkin, "MAX_ITERATIONS", 1)
+    path = write_config(tmp_path, base_config())
     outs = {}
     for command in ("solve", "verify"):
         outs[command] = out = tmp_path / command
@@ -500,9 +501,11 @@ def test_newton_merit_overflow_leaks_no_warning(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
 @pytest.mark.parametrize("kind", ["solve-error", "assembly-error"])
-def test_level_failure_names_the_level_once(tmp_path, capsys, command, kind):
-    cfg = base_config(solver={"max_iterations": 1}) \
-        if kind == "solve-error" else assembly_error_config()
+def test_level_failure_names_the_level_once(tmp_path, capsys, monkeypatch,
+                                            command, kind):
+    if kind == "solve-error":
+        monkeypatch.setattr(galerkin, "MAX_ITERATIONS", 1)
+    cfg = base_config() if kind == "solve-error" else assembly_error_config()
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     with np.errstate(all="ignore"):
@@ -577,8 +580,10 @@ def test_report_json_holds_one_record_per_level(tmp_path):
     assert all(0.0 < lv["warm_distance"] < 1.0 for lv in hier["levels"][1:])
 
 
-def test_report_json_keeps_the_failure_diagnostics(tmp_path, capsys):
-    path = write_config(tmp_path, base_config(solver={"max_iterations": 1}))
+def test_report_json_keeps_the_failure_diagnostics(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr(galerkin, "MAX_ITERATIONS", 1)
+    path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
     assert main(["solve", "--config", path, "--out", str(out)]) == 3
     hier = json.loads((out / "report.json").read_text())["hierarchy"]
@@ -647,9 +652,11 @@ def test_usage_errors_are_exit_1(tmp_path, capsys, args, code, needle):
     assert not out.exists()
 
 
-def test_verify_certification_failure_is_exit_4(tmp_path, capsys):
-    cfg = base_config(solver={"tolerance": 1e-2})
-    path = write_config(tmp_path, cfg)
+def test_verify_certification_failure_is_exit_4(tmp_path, capsys,
+                                                monkeypatch):
+    # levels solved only to 1e-2, against certificates held to 1e-10
+    monkeypatch.setattr(galerkin, "TOLERANCE", 1e-2)
+    path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
     assert main(["verify", "--config", path, "--out", str(out)]) == 4
     report = json.loads((out / "report.json").read_text())

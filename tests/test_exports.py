@@ -374,23 +374,26 @@ def test_problem_operator_keeps_no_hidden_state():
 EPS_NAMES = ("eps", "regularization")
 
 
-def _regularization_settings(source: str):
-    """Line numbers where the flux regularization is a setting: a function
-    or lambda parameter, or a class field, named `eps` or
-    `regularization`."""
+def _settings(source: str, names: tuple):
+    """Line numbers where one of `names` is a setting: a function or lambda
+    parameter, or a class field, of that name."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.Lambda)):
             params = node.args.posonlyargs + node.args.args \
                 + node.args.kwonlyargs
-            if any(param.arg in EPS_NAMES for param in params):
+            if any(param.arg in names for param in params):
                 found.add(node.lineno)
         elif isinstance(node, ast.ClassDef):
             found |= {item.lineno for item in node.body
                       if isinstance(item, ast.AnnAssign)
                       and isinstance(item.target, ast.Name)
-                      and item.target.id in EPS_NAMES}
+                      and item.target.id in names}
     return sorted(found)
+
+
+# the level solve's stopping test: galerkin.TOLERANCE and MAX_ITERATIONS
+STOPPING_NAMES = ("tolerance", "max_iterations")
 
 
 def _regularization_names(source: str):
@@ -419,13 +422,37 @@ def test_regularization_checks_flag_each_form():
                 "    regularization: float = 1e-10\n"
                 "def power_flux(grad, exponent): ...\n"
                 "epsilon = 1e-10\n")
-    assert _regularization_settings(settings) == [1, 2, 3, 5]
+    assert _settings(settings, EPS_NAMES) == [1, 2, 3, 5]
     names = ("REGULARIZATION = 1e-10\n"
              "from .operators import DEFAULT_REGULARIZATION\n"
              "eps = operators.REGULARIZATION\n"
              "small = amp < REGULARIZATION\n"
              "regularization = 1e-10\n")
     assert _regularization_names(names) == [1, 2, 3, 4]
+
+
+def test_stopping_setting_check_flags_each_form():
+    settings = ("def solve_level(op, space, warm=None): ...\n"
+                "def check(op, u, tolerance=1e-10): ...\n"
+                "def run(problem, *, max_iterations=200): ...\n"
+                "stop = lambda F, tolerance: F < tolerance\n"
+                "class SolverConfig:\n"
+                "    tolerance: float = 1e-10\n"
+                "    max_iterations: int = 200\n"
+                "    seed: int = 0\n"
+                "TOLERANCE = 1e-10\n"
+                "tol = TOLERANCE * 10.0\n")
+    assert _settings(settings, STOPPING_NAMES) == [2, 3, 4, 6, 7]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(pqgalerkin.__file__).parent.glob("*.py")),
+    ids=lambda p: p.name)
+def test_the_stopping_test_is_no_setting(path):
+    # the residual tolerance and the iteration cap are galerkin.TOLERANCE
+    # and galerkin.MAX_ITERATIONS: no function takes them and no config
+    # object carries them
+    assert _settings(path.read_text(), STOPPING_NAMES) == []
 
 
 @pytest.mark.parametrize(
@@ -435,7 +462,7 @@ def test_the_flux_regularization_is_one_constant(path):
     # eps is operators.REGULARIZATION, read inside the flux kernels: no
     # function takes it, no config object carries it, no module restates it
     source = path.read_text()
-    assert _regularization_settings(source) == []
+    assert _settings(source, EPS_NAMES) == []
     names = _regularization_names(source)
     assert (names != []) if path.name == "operators.py" else (names == [])
 

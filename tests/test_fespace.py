@@ -286,6 +286,21 @@ def test_csv_rejects_wrong_vertices(tmp_path):
         read_csv(space, path)
 
 
+def test_csv_vertex_check_scales_with_the_axis(tmp_path):
+    # on [0, 1e-100] the vertices are 2.5e-101 apart, and an absolute
+    # 1e-12 would match these coordinates to them
+    space = FeSpace(build_mesh(Domain.interval(0.0, 1e-100), 4))
+    path = tmp_path / "bad.csv"
+    path.write_text("x,value\n" + "".join(
+        f"{x!r},0.0\n" for x in (0.0, 5e-13, -7e-13, 1e-13, 9e-13)))
+    with pytest.raises(ValueError, match="do not match the mesh"):
+        read_csv(space, path)
+    u = FeFunction(space, np.array([1.0, -2.0, 3.0]))
+    write_csv(u, tmp_path / "u.csv")
+    assert np.array_equal(read_csv(space, tmp_path / "u.csv").coeffs,
+                          u.coeffs)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_stiffness_blocks_are_built_once_with_the_einsum_bits(dim):
     domain = Domain.interval(0.0, 1.0) if dim == 1 \

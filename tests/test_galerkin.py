@@ -14,8 +14,8 @@ from pqgalerkin.estimates import compute_estimates
 from pqgalerkin.fespace import (FeFunction, FeSpace, assemble_matrix,
                                 grad_norm_lp, jsonable, prolongate,
                                 sup_norm)
-from pqgalerkin.galerkin import (ProblemOperator, SolveError, SolverConfig,
-                                 brouwer_guard, run_hierarchy, solve_level)
+from pqgalerkin.galerkin import (ProblemOperator, SolveError, brouwer_guard,
+                                 run_hierarchy, solve_level)
 from pqgalerkin.mesh import Domain, build_mesh, refine
 from pqgalerkin.operators import (AssemblyError, Problem,
                                   constant_convection, constant_weight,
@@ -230,14 +230,14 @@ def test_warm_start_from_another_space_is_rejected():
         solve_level(op, space1, warm=coarse)
 
 
-def test_solve_level_raises_when_capped():
+def test_solve_level_raises_when_capped(monkeypatch):
     problem = offset_problem()
     space = FeSpace(build_mesh(UNIT, 8))
     weight = truncate_weight(problem.weight, 2.0)
     op = ProblemOperator(problem, weight)
-    cfg = SolverConfig(max_iterations=1)
+    monkeypatch.setattr(galerkin, "MAX_ITERATIONS", 1)
     with pytest.raises(SolveError) as exc:
-        solve_level(op, space, cfg)
+        solve_level(op, space)
     err = exc.value
     assert err.diagnostics["level"] == space.mesh.level
     assert err.diagnostics["iterations"] == 1
@@ -317,9 +317,9 @@ def test_hierarchy_rejects_single_level():
         run_hierarchy(offset_problem(), 4, 1)
 
 
-def test_hierarchy_failure_is_recorded_not_raised():
-    cfg = SolverConfig(max_iterations=1)
-    report = run_hierarchy(offset_problem(), 4, 2, cfg=cfg)
+def test_hierarchy_failure_is_recorded_not_raised(monkeypatch):
+    monkeypatch.setattr(galerkin, "MAX_ITERATIONS", 1)
+    report = run_hierarchy(offset_problem(), 4, 2)
     assert report.failed_level == 0
     assert "failed" in report.failure_message
     assert report.levels == []
@@ -595,7 +595,7 @@ def test_exactly_singular_jacobian_is_a_degenerate_step():
         # space has recorded its order
         for recorded in (False, True):
             assert (space._recorded_order is not None) == recorded
-            _, info = galerkin._newton(stub, u, SolverConfig())
+            _, info = galerkin._newton(stub, u)
             assert not info.converged
             assert info.message == "degenerate step"
             assert info.steps == 0
@@ -644,14 +644,16 @@ class NoDescent:
     ((galerkin._pseudo_transient, 40, 40, "iteration cap"), 1 + 40),
 ])
 def test_stalled_line_search_evaluates_one_residual_per_trial(limit,
-                                                             residuals):
+                                                             residuals,
+                                                             monkeypatch):
     walk, cap, steps, message = limit
     assert galerkin.WARM_HALVINGS == 7
     op, _ = single_dof_op()
     space = FeSpace(build_mesh(UNIT, 6))
     u = FeFunction(space, np.linspace(0.1, 0.5, space.dim))
     stub = NoDescent(op, u)
-    _, info = walk(stub, u, SolverConfig(max_iterations=cap))
+    monkeypatch.setattr(galerkin, "MAX_ITERATIONS", cap)
+    _, info = walk(stub, u)
     assert not info.converged
     assert info.message == message
     assert info.steps == steps
@@ -676,7 +678,7 @@ class CountingFailures:
         return self.op.jacobian(u)
 
 
-def test_nonfinite_line_search_trial_is_a_rejected_trial():
+def test_nonfinite_line_search_trial_is_a_rejected_trial(monkeypatch):
     # p = 60 under a load of 1e8 (config k): from zero, full Newton and
     # pseudo-transient steps overflow |grad u|^58 in the p-term; each such
     # trial halves the step or quarters delta instead of ending the solve,
@@ -686,11 +688,11 @@ def test_nonfinite_line_search_trial_is_a_rejected_trial():
                       variant="competing", regime="H3")
     radius = compute_estimates(problem).sup_radius
     space = FeSpace(build_mesh(UNIT, 4))
-    cfg = SolverConfig(max_iterations=400)
+    monkeypatch.setattr(galerkin, "MAX_ITERATIONS", 400)
     for walk in (galerkin._newton, galerkin._pseudo_transient):
         stub = CountingFailures(
             ProblemOperator(problem, truncate_weight(problem.weight, radius)))
-        _, info = walk(stub, FeFunction.zero(space), cfg)
+        _, info = walk(stub, FeFunction.zero(space))
         assert isinstance(info, galerkin.Attempt)
         assert not info.converged
         assert stub.failures > 0
@@ -730,8 +732,8 @@ def test_rejected_pseudo_transient_step_quarters_delta(monkeypatch):
     space = FeSpace(build_mesh(UNIT, 6))
     stub = FailingTrials(op, 2)
     u = FeFunction(space, np.linspace(0.1, 0.5, space.dim))
-    _, info = galerkin._pseudo_transient(stub, u,
-                                         SolverConfig(max_iterations=3))
+    monkeypatch.setattr(galerkin, "MAX_ITERATIONS", 3)
+    _, info = galerkin._pseudo_transient(stub, u)
     # two rejected steps from the start state share its Jacobian; the third
     # is taken with delta = 1/16, which then grows as the merit falls
     assert deltas == [1.0, 0.25, 0.0625]
@@ -791,8 +793,8 @@ def test_only_the_warm_stage_gets_the_warm_limit(monkeypatch):
     calls = []
 
     def spy(walk):
-        def recorded(op, u0, cfg, start):
-            u, info = walk(op, u0, cfg, start)
+        def recorded(op, u0, start):
+            u, info = walk(op, u0, start)
             calls.append((u0.space.mesh.level, info.path, u0, info))
             return u, info
         return recorded
@@ -876,13 +878,15 @@ class Scripted:
         return self.op.jacobian(u)
 
 
-def scripted_newton(script, cap=2):
+def scripted_newton(script):
+    """Two Newton steps of the scripted operator: its log and Attempt."""
     op, _ = single_dof_op()
     space = FeSpace(build_mesh(UNIT, 6))
     stub = Scripted(op, script)
-    _, info = galerkin._newton(
-        stub, FeFunction(space, np.linspace(0.1, 0.5, space.dim)),
-        SolverConfig(max_iterations=cap))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(galerkin, "MAX_ITERATIONS", 2)
+        _, info = galerkin._newton(
+            stub, FeFunction(space, np.linspace(0.1, 0.5, space.dim)))
     return stub.log, info
 
 

@@ -27,8 +27,8 @@ TRAJECTORIES = {
     "coop-1d-deep": (0, [("pseudo-transient", 6), ("newton", 5), ("newton", 4), ("newton", 6), ("newton", 5)] + [("newton", 4)] * 2 + [("newton", 3)] * 3, ""),
     "coop-2d": (0, [("pseudo-transient", 6), ("newton", 5), ("newton", 4), ("newton", 7), ("newton", 6)], ""),
     "criterion-9": (0, [("pseudo-transient", 21), ("newton", 7), ("newton", 6)], ""),
+    "level-3-stall": (3, [("pseudo-transient", 9), ("newton", 8), ("newton", 6)], "level 3 failed: line search stalled (residual sup 5.301e-03)"),
     "h3a": (0, [("pseudo-transient", 11), ("newton", 6), ("newton", 5)], ""),
-    "max-iterations-1": (3, [], "level 0 failed: iteration cap (residual sup 5.384e-01)"),
     "q-1.5": (0, [("pseudo-transient", 7), ("pseudo-transient", 27), ("newton", 6)], ""),
 }
 

@@ -9,17 +9,18 @@ level.  The list never shrinks otherwise.  The eleven configs a-j and l
 failed a level under the staged continuation walker that pseudo-transient
 continuation replaced, and now solve every level.  The passing configs
 come from the same space.  One more config stalled at the rounding floor
-of the default tolerance until warm Newton took chord steps, and solves
-every level at a looser one too.  Configs m, l and the rounding-floor
-config are s011, s041 and s058 of the seeded sweep in tests/sweep.py.
+of the residual tolerance until warm Newton took chord steps.  Configs m,
+l and the rounding-floor config are s011, s041 and s058 of the seeded sweep
+in tests/sweep.py.
 
 Each config runs the mesh and solver of the sweep (`sweep.solve`).
 """
 
 import pytest
 
+from pqgalerkin import galerkin
 from pqgalerkin.cli import build_problem
-from pqgalerkin.galerkin import SolverConfig, run_hierarchy
+from pqgalerkin.galerkin import run_hierarchy
 from sweep import (INTERVAL, configs, constant, problem, quadratic,
                    saturating, solve)
 
@@ -88,8 +89,8 @@ def assert_no_failure(report, pinned=None):
     assert report.failed_level is None, report.failure_message
 
 
-def assert_every_level_solves(block, cfg=None, pinned=None):
-    report, levels = solve(block, cfg)
+def assert_every_level_solves(block, pinned=None):
+    report, levels = solve(block)
     assert_no_failure(report, pinned)
     assert len(report.levels) == levels
 
@@ -133,19 +134,14 @@ def test_rounding_floor_config_solves_each_level_on_its_path():
                for lv in report.levels)
 
 
-def test_rounding_floor_config_solves_at_a_looser_tolerance():
-    assert_every_level_solves(ROUNDING_FLOOR, SolverConfig(tolerance=1e-9))
-
-
-def test_a_moved_failure_fails_outright():
-    capped = SolverConfig(max_iterations=1)
-    report = run_hierarchy(build_problem(PASSING["1d-competing"]), 4, 2,
-                           cfg=capped)
+def test_a_moved_failure_fails_outright(monkeypatch):
+    monkeypatch.setattr(galerkin, "MAX_ITERATIONS", 1)
+    report = run_hierarchy(build_problem(PASSING["1d-competing"]), 4, 2)
     assert report.failed_level == 0
     with pytest.raises(AssertionError):
         assert_no_failure(report, report.failure_message)
     with pytest.raises(pytest.fail.Exception, match="the failure moved"):
-        assert_every_level_solves(PASSING["1d-competing"], capped,
+        assert_every_level_solves(PASSING["1d-competing"],
                                   pinned=stall(5, "9.999e-09"))
 
 

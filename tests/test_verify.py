@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from pqgalerkin import operators, verify
+from pqgalerkin import galerkin, operators, verify
 from pqgalerkin.fespace import FeFunction, FeSpace, jsonable
-from pqgalerkin.galerkin import SolverConfig, run_hierarchy, solve_level
+from pqgalerkin.galerkin import run_hierarchy, solve_level
 from pqgalerkin.galerkin import ProblemOperator
 from pqgalerkin.mesh import Domain, build_mesh
 from pqgalerkin.operators import (Problem, adversarial_convection,
@@ -165,9 +165,9 @@ def test_run_certificates_all_pass():
     assert result["s_probe"]["pairings_vanish"]
 
 
-def test_run_certificates_rejects_failed_report():
-    report = run_hierarchy(offset_problem(), 4, 2,
-                           cfg=SolverConfig(max_iterations=1))
+def test_run_certificates_rejects_failed_report(monkeypatch):
+    monkeypatch.setattr(galerkin, "MAX_ITERATIONS", 1)
+    report = run_hierarchy(offset_problem(), 4, 2)
     assert report.failed_level == 0
     with pytest.raises(ValueError, match="failed or missing"):
         run_certificates(report)
