@@ -3,7 +3,7 @@
 A level solve makes at most two attempts on the full operator.  A warm
 level, whose start is the prolongated coarser solution, first runs damped
 Newton: the operator's sparse Jacobian and an Armijo line search on the
-residual merit that gives up below a step of 1/64.  Once a full Newton step
+residual merit that gives up below a step of 1/8.  Once a full Newton step
 cuts the merit tenfold, the next step is a chord step (Shamanskii; Kelley,
 Solving Nonlinear Equations with Newton's Method, SIAM 2003, 2.3), which
 solves with the last Jacobian's LU factor; chord steps go on while each
@@ -61,12 +61,15 @@ class SolveError(RuntimeError):
 TOLERANCE = 1e-10
 # linear solves one attempt may make before it stops at its iteration cap
 MAX_ITERATIONS = 200
-# trials of the warm Newton line search, lambda = 1 down to 1/64: a
-# converging warm step halves at most once, so this minimum step sits a
-# factor of 32 below the smallest accepted warm step, and a failing warm
-# attempt, which pseudo-transient continuation replaces, gives up early
-# instead of crawling
-WARM_HALVINGS = 7
+# trials of the warm Newton line search, lambda = 1 down to 1/8.  Of the
+# 380 warm attempts that converge over the seeded sweep (tests/sweep.py)
+# with the floor at 1/64, 33 accept a step of 1/4 or less and 4 one below
+# 1/8; those 4 levels reach the same zero by pseudo-transient continuation
+# from the same warm start.  A warm attempt that needs a shorter step
+# stops at once and hands over instead of crawling.  4 is the smallest
+# count at which every sweep level that solves still solves, and of 4, 5
+# and 7 it spends the fewest residuals and Jacobians over the sweep
+WARM_HALVINGS = 4
 # a full warm Newton step that cuts the residual merit this many times over
 # makes the next step a chord step, which is kept only where it again cuts
 # the merit this many times over

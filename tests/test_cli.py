@@ -10,7 +10,7 @@ import pytest
 
 import pqgalerkin
 
-from pqgalerkin import galerkin
+from pqgalerkin import galerkin, operators
 from pqgalerkin.cli import KINDS, build_problem, load_config, main
 from pqgalerkin.fespace import FeSpace, read_csv
 from pqgalerkin.galerkin import ProblemOperator
@@ -736,3 +736,19 @@ def test_readme_config_example_loads(tmp_path):
     cfg = load_config(str(path))
     problem = build_problem(cfg["problem"])
     assert problem.p == cfg["problem"]["p"]
+
+
+def test_readme_fixed_constants_match_the_code():
+    # README's paragraph of fixed constants names the values in the code
+    paragraph, = [block for block in readme_text().split("\n\n")
+                  if "galerkin.TOLERANCE" in block]
+    text = " ".join(paragraph.split())
+    floor = 2 ** (galerkin.WARM_HALVINGS - 1)
+    for named in [
+            f"The residual tolerance {galerkin.TOLERANCE:g} and "
+            f"{galerkin.MAX_ITERATIONS} steps per attempt",
+            f"warm Newton line search ({galerkin.WARM_HALVINGS} trial steps, "
+            f"down to 1/{floor})",
+            f"the guard's sample count ({galerkin.GUARD_SAMPLES})",
+            f"(`operators.REGULARIZATION`, {operators.REGULARIZATION:g})"]:
+        assert named in text

@@ -23,13 +23,13 @@ MANIFEST = json.loads(golden.MANIFEST.read_text())
 # compared.
 TRAJECTORIES = {
     "adversarial": (0, [("pseudo-transient", 0)] + [("newton", 0)] * 2, ""),
-    "compete-2d-load": (0, [("pseudo-transient", 44), ("newton", 10), ("pseudo-transient", 11), ("pseudo-transient", 15)], ""),
+    "compete-2d-load": (0, [("pseudo-transient", 44), ("newton", 10), ("pseudo-transient", 11), ("pseudo-transient", 8)], ""),
     "coop-1d-deep": (0, [("pseudo-transient", 6), ("newton", 5), ("newton", 4), ("newton", 6), ("newton", 5)] + [("newton", 4)] * 2 + [("newton", 3)] * 3, ""),
     "coop-2d": (0, [("pseudo-transient", 6), ("newton", 5), ("newton", 4), ("newton", 7), ("newton", 6)], ""),
     "criterion-9": (0, [("pseudo-transient", 21), ("newton", 7), ("newton", 6)], ""),
-    "level-3-stall": (3, [("pseudo-transient", 9), ("newton", 8), ("newton", 6)], "level 3 failed: line search stalled (residual sup 5.301e-03)"),
+    "level-3-stall": (3, [("pseudo-transient", 9), ("newton", 8), ("newton", 6)], "level 3 failed: line search stalled (residual sup 5.471e-03)"),
     "h3a": (0, [("pseudo-transient", 11), ("newton", 6), ("newton", 5)], ""),
-    "q-1.5": (0, [("pseudo-transient", 7), ("pseudo-transient", 27), ("newton", 6)], ""),
+    "q-1.5": (0, [("pseudo-transient", 7), ("pseudo-transient", 24), ("newton", 6)], ""),
 }
 
 

@@ -28,7 +28,7 @@ from sweep import (INTERVAL, configs, constant, problem, quadratic,
 # id: (problem, the failing level, its residual sup)
 FAILING = {
     "m": (problem("cooperative", 1.36, 1.13, quadratic(2.92, 0.86),
-                  saturating(1.31, 0.69, 0.54), INTERVAL), 3, "5.301e-03"),
+                  saturating(1.31, 0.69, 0.54), INTERVAL), 3, "5.471e-03"),
 }
 
 # failed under the staged walker, at the level in the comment
