@@ -6,9 +6,11 @@ constant, which the norm and assembly routines exploit throughout.  Each
 space owns its sparse matrices: the cell operators G and E, which map dof
 vectors to cell gradients and vertex values and back by their transposes;
 the assembly plan, whose summation operator S sums (nv, nv) cell blocks
-into the CSR pattern over the dofs in one product; and the SuperLU factor
-in that pattern, whose solve the caller may keep for several right-hand
-sides.
+into the CSR pattern over the dofs in one product; and the factor order,
+a fill-reducing order of the dofs read off the mesh, in which
+`sparse_solve` factors every matrix of that pattern and hands back the
+solve for the caller to keep for several right-hand sides.  A space holds
+no solver state: everything it caches follows from its mesh.
 """
 
 from __future__ import annotations
@@ -50,6 +52,22 @@ __all__ = [
 # entry k, in cell order; and the CSR pattern over the dofs.
 AssemblyPlan = namedtuple("AssemblyPlan", ["S", "indices", "indptr"])
 
+# The dofs in factorization order and its inverse, so that dof perm[k] is
+# eliminated k-th and inverse[perm[k]] == k; and the positions of the plan's
+# CSR data in the CSR pattern of P A P^T, whose rows and columns are in that
+# order, with its column indices sorted within each row.  Those arrays, read
+# as CSC, are P A^T P^T.
+FactorOrder = namedtuple("FactorOrder",
+                         ["perm", "inverse", "take", "indices", "indptr"])
+
+# nested dissection stops at boxes of at most this many dofs, which keep
+# the dof order.  On the finest level of the 2D cooperative 4 x 5 bench
+# hierarchy (3 969 dofs), leaves of 8, 16, 32 and 64 dofs fill L + U of the
+# Jacobian at its solution with 183 887, 185 337, 197 831 and 212 337
+# nonzeros, against 251 779 by COLAMD; on a 2-core VM its factorization
+# takes 5.8, 5.8, 7.0 and 9.1 ms, and the order 1.5-1.8 ms at each size
+ND_LEAF = 16
+
 
 class FeSpace:
     """Piecewise-linear functions on a mesh level vanishing on the boundary."""
@@ -64,9 +82,6 @@ class FeSpace:
         self.cells = mesh.cells
         self.cell_measures = mesh.cell_measures
         self.cell_dofs = self.vertex_to_dof[self.cells]
-        # SuperLU's column order for the plan's pattern, recorded by the
-        # first `sparse_solve` on the space
-        self._recorded_order = None
         self._build_geometry()
 
     def _build_geometry(self):
@@ -119,6 +134,40 @@ class FeSpace:
         for arr in (S.data, S.indices, S.indptr, plan.indices, plan.indptr):
             arr.flags.writeable = False
         return plan
+
+    @functools.cached_property
+    def factor_order(self) -> FactorOrder:
+        """The order in which `sparse_solve` eliminates the dofs, built on
+        first use from the mesh alone; read-only.
+
+        In 1D the dofs go by coordinate, so a tridiagonal matrix factors
+        with no fill.  In 2D, nested dissection on the vertex lattice of
+        uniform refinement (George, SIAM J. Numer. Anal. 10 (1973)
+        345-363): every cell spans one lattice step per axis, so the dofs
+        on one lattice line separate those on either side of it."""
+        mesh, n = self.mesh, self.dim
+        if mesh.domain.dim == 1:
+            perm = np.argsort(mesh.vertices[self.dofs, 0], kind="stable")
+        else:
+            perm = _nested_dissection(_lattice(mesh, self.dofs))
+        inverse = np.empty(n, dtype=np.intp)
+        inverse[perm] = np.arange(n)
+        plan = self.plan
+        # the rows of A in the order perm, their columns renumbered, then
+        # sorted within each row by scipy, which carries the data positions
+        lengths = np.diff(plan.indptr)[perm]
+        indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intc)
+        take = (np.repeat(plan.indptr[:-1][perm] - indptr[:-1], lengths)
+                + np.arange(indptr[-1]))
+        permuted = sp.csr_matrix(
+            (take, inverse[plan.indices[take]].astype(np.intc), indptr),
+            shape=(n, n))
+        permuted.sort_indices()
+        order = FactorOrder(perm, inverse, permuted.data, permuted.indices,
+                            permuted.indptr)
+        for arr in order:
+            arr.flags.writeable = False
+        return order
 
     @functools.cached_property
     def gradient_operator(self) -> sp.csr_matrix:
@@ -181,19 +230,69 @@ def assemble_matrix(space: FeSpace, blocks: np.ndarray) -> sp.csr_matrix:
                          shape=(space.dim, space.dim))
 
 
-# SuperLU's column order of a space's plan pattern: the inverse
-# permutation, the positions of the CSR data in that column order, and the
-# CSC pattern of the transpose with its columns in that order
-_ColumnOrder = namedtuple("_ColumnOrder",
-                          ["inverse", "take", "indices", "indptr"])
+def _lattice(mesh: MeshLevel, vertices: np.ndarray) -> np.ndarray:
+    """Integer coordinates (i, j) of the given vertices of a 2D mesh on the
+    lattice of its uniform refinement, whose step per axis is the extent of
+    a cell; (0, 0) is the domain's lower-left corner."""
+    step = np.ptp(mesh.vertices[mesh.cells[0]], axis=0)
+    corner = np.array([lo for lo, _ in mesh.domain.bounds])
+    return np.rint((mesh.vertices[vertices] - corner) / step).astype(np.intp)
 
 
-def _column_order(plan: AssemblyPlan, inverse: np.ndarray) -> _ColumnOrder:
-    lengths = np.diff(plan.indptr)[inverse]
-    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intc)
-    take = (np.repeat(plan.indptr[:-1][inverse] - indptr[:-1], lengths)
-            + np.arange(indptr[-1]))
-    return _ColumnOrder(inverse, take, plan.indices[take], indptr)
+def _nested_dissection(ij: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of points at integer coordinates ij (n, 2),
+    one pass over every box of a depth at once.
+
+    Every live point belongs to a box with bounds lo..hi and the first
+    position `start` of its block of the order.  Each pass cuts every box
+    of more than ND_LEAF points at the middle line across its longer side,
+    x on a tie: the points on the line take the last positions of the
+    box's block, and the left and right halves become boxes that start at
+    the block's start and after the left half.  A point in a box of at
+    most ND_LEAF points takes its box's start.  The order sorts by start,
+    stably, so the points of one leaf or line keep their index order."""
+    n = len(ij)
+    start_of = np.zeros(n, dtype=np.intp)
+    live = np.arange(n)
+    box = np.zeros(n, dtype=np.intp)
+    lo, hi = ij.min(axis=0, keepdims=True), ij.max(axis=0, keepdims=True)
+    start = np.zeros(1, dtype=np.intp)
+    while live.size:
+        cut_box = np.bincount(box, minlength=len(start)) > ND_LEAF
+        if not cut_box.all():
+            leaf = ~cut_box[box]
+            start_of[live[leaf]] = start[box[leaf]]
+            live, box = live[~leaf], box[~leaf]
+            box = (np.cumsum(cut_box) - 1)[box]
+            lo, hi, start = lo[cut_box], hi[cut_box], start[cut_box]
+        boxes = np.arange(len(start))
+        axis = np.argmax(hi - lo, axis=1)
+        cut = (lo[boxes, axis] + hi[boxes, axis]) // 2
+        # -1 left of the line, 0 on it, 1 right of it
+        side = np.sign(ij[live, axis[box]] - cut[box])
+        counts = np.bincount(3 * box + side + 1,
+                             minlength=3 * len(start)).reshape(-1, 3)
+        on = side == 0
+        start_of[live[on]] = (start + counts[:, 0] + counts[:, 2])[box[on]]
+        live, box, right = live[~on], box[~on], side[~on] > 0
+        # box b's halves are boxes 2b (left) and 2b + 1 (right)
+        lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
+        hi[2 * boxes, axis] = cut - 1
+        lo[2 * boxes + 1, axis] = cut + 1
+        start = np.column_stack([start, start + counts[:, 0]]).ravel()
+        box = 2 * box + right
+    return np.argsort(start_of, kind="stable")
+
+
+# SuperLU's diagonal pivot threshold: the diagonal entry is the pivot
+# unless it is below this fraction of its column's largest, so a pivot
+# leaves the diagonal, and adds fill beyond the factor order's, only where
+# the diagonal is that small.  At 1, partial pivoting, the bench
+# hierarchies' factors fill as at 0.01 (compete-2d-load's 70 in all by
+# 203 nonzeros more, 0.06 %), and the seeded sweep (tests/sweep.py) moves
+# less against the recorded COLAMD order this replaced: one level by one
+# step, against two levels of two configs by 6 steps at 0.01
+PIVOT_THRESHOLD = 1.0
 
 
 def sparse_solve(space: FeSpace, A: sp.csr_matrix, b: np.ndarray) -> tuple:
@@ -203,39 +302,30 @@ def sparse_solve(space: FeSpace, A: sp.csr_matrix, b: np.ndarray) -> tuple:
     are all NaN where A is exactly singular.  A matrix in any other pattern
     raises a ValueError.
 
-    As spla.spsolve does for a CSR matrix, SuperLU factors the CSC view of
-    A^T and solves the transposed system.  Its fill-reducing column order
-    (COLAMD, then a column elimination tree postorder) depends on the
-    pattern alone, so the first factorization on a space records it on the
-    space; every later one takes the data into that order and factors in
-    natural order, which skips the ordering.  On every level of the bench
-    workloads each solve has the bits of spsolve.
+    Every matrix is factored one way.  Its data are taken into the space's
+    factor order, as P A^T P^T in CSC, which SuperLU factors in natural
+    order in its symmetric mode with a diagonal pivot threshold of
+    PIVOT_THRESHOLD; the solve is the transposed one, in the permuted dofs.
     """
     plan = space.plan
     if not (np.array_equal(A.indptr, plan.indptr)
             and np.array_equal(A.indices, plan.indices)):
         raise ValueError(f"the matrix is not in the pattern of {space}")
-    order = space._recorded_order
-    if order is None:
-        data, indices, indptr, spec = A.data, A.indices, A.indptr, "COLAMD"
-    else:
-        data, indices, indptr = (np.take(A.data, order.take), order.indices,
-                                 order.indptr)
-        spec = "NATURAL"
+    order = space.factor_order
+    permuted = sp.csc_matrix((np.take(A.data, order.take), order.indices,
+                              order.indptr), shape=A.shape)
     try:
-        lu = spla.splu(sp.csc_matrix((data, indices, indptr), shape=A.shape),
-                       permc_spec=spec)
+        lu = spla.splu(permuted, permc_spec="NATURAL",
+                       diag_pivot_thresh=PIVOT_THRESHOLD,
+                       options={"SymmetricMode": True})
     except RuntimeError:
         # SuperLU raises on an exactly singular factor
         lu = None
-    if lu is not None and order is None:
-        space._recorded_order = _column_order(plan, np.argsort(lu.perm_c))
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         if lu is None:
             return np.full(space.dim, np.nan)
-        return lu.solve(rhs if order is None else rhs[order.inverse],
-                        trans="T")
+        return lu.solve(rhs[order.perm], trans="T")[order.inverse]
 
     return solve(b), solve
 

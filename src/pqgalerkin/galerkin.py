@@ -456,10 +456,11 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
     slack = 1.0 + 1e-12
     for lv in report.levels:
         u, F = lv.solution, lv.residual
+        # the solved levels are consecutive: the stack goes up one level
+        tests = prolongate(tests, u.space)
         # each row is dotted as a fresh copy: a dot on a view into the
         # stack can round differently in the last bit
-        lv.cond_b = [float(F @ np.array(row)) for row
-                     in prolongate(tests, u.space).coeffs]
+        lv.cond_b = [float(F @ np.array(row)) for row in tests.coeffs]
         lv.pair_un = float(F @ u.coeffs)
         lv.sup_norm = sup_norm(u)
         report.within_grad_bound.append(

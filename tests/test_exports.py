@@ -280,7 +280,7 @@ def test_spsolve_check_flags_each_form():
     ids=lambda p: p.name)
 def test_sparse_solves_share_the_factor_path(path):
     # every sparse solve goes through fespace's one splu path, which
-    # reuses each space's column order
+    # factors in each space's factor order
     assert _spsolve_uses(path.read_text()) == []
 
 
@@ -312,8 +312,8 @@ def test_sparse_linalg_import_check_flags_each_form():
 
 
 def _recorded_order_uses(source: str):
-    """Line numbers where a space's recorded column order is read or
-    written, under its present or its former public name."""
+    """Line numbers where a space's recorded column order, which spaces
+    no longer hold, is read or written, under either name it had."""
     return sorted({node.lineno for node in ast.walk(ast.parse(source))
                    if isinstance(node, ast.Attribute)
                    and node.attr in ("_recorded_order", "column_order")})
@@ -329,15 +329,12 @@ def test_recorded_order_check_flags_each_form():
 
 @pytest.mark.parametrize("path", MODULE_PATHS, ids=lambda p: p.name)
 def test_only_fespace_factors_sparse_matrices(path):
-    # fespace owns each space's sparse matrices: it alone loads SuperLU
-    # and it alone reads or writes the column order a space records
-    if path.name == "fespace.py":
-        source = path.read_text()
-        assert _sparse_linalg_imports(source) != []
-        assert _recorded_order_uses(source) != []
-    else:
-        assert _sparse_linalg_imports(path.read_text()) == []
-        assert _recorded_order_uses(path.read_text()) == []
+    # fespace owns each space's sparse matrices: it alone loads SuperLU;
+    # a space records no column order, so no module reads or writes one
+    source = path.read_text()
+    assert (_sparse_linalg_imports(source) != []) \
+        == (path.name == "fespace.py")
+    assert _recorded_order_uses(source) == []
 
 
 

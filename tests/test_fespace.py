@@ -96,6 +96,14 @@ def test_prolongate_matches_the_parent_map_reference_bit_for_bit(domain,
         for row, coeffs in zip(got, rows):
             want = prolongate(FeFunction(coarse, coeffs), fine).coeffs
             assert np.array_equal(row.view(np.int64), want.view(np.int64))
+    # carried up one level at a time, as the hierarchy's table pass does,
+    # the stack keeps the bits of one prolongation from the coarse space
+    carried = stack
+    for fine in spaces:
+        carried = prolongate(carried, fine)
+        want = prolongate(stack, fine).coeffs
+        assert np.array_equal(carried.coeffs.view(np.int64),
+                              want.view(np.int64))
 
 
 def test_prolongate_zero():
