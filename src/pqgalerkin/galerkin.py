@@ -30,7 +30,8 @@ import numpy as np
 
 from .estimates import EstimateReport, compute_estimates
 from .fespace import (FeFunction, FeSpace, assemble_matrix, grad_norm_lp,
-                      prolongate, row_slices, sparse_solve, sup_norm)
+                      prolongate, release_solver_caches, row_slices,
+                      sparse_solve, sup_norm)
 from .mesh import build_mesh, refine
 from .operators import (AssemblyError, Problem, ProblemOperator,
                         truncate_weight)
@@ -101,16 +102,19 @@ def brouwer_guard(op: ProblemOperator, space: FeSpace, radius: float,
     A direction whose gradient norm is not finite and positive cannot be
     scaled onto the sphere: it is not measured, and the guard fails.
     """
-    dirs = np.random.default_rng(seed).standard_normal((GUARD_SAMPLES,
-                                                        space.dim))
+    # one generator draws the chunks in turn, so each direction has the
+    # bits of the same row of one (GUARD_SAMPLES, n) draw
+    rng = np.random.default_rng(seed)
     pairs, unmeasured = [], 0
     for rows in row_slices(space, GUARD_SAMPLES):
-        scales = grad_norm_lp(FeFunction(space, dirs[rows]), op.problem.p)
+        dirs = rng.standard_normal((len(range(GUARD_SAMPLES)[rows]),
+                                    space.dim))
+        scales = grad_norm_lp(FeFunction(space, dirs), op.problem.p)
         measured = np.isfinite(scales) & (scales > 0.0)
         unmeasured += int(np.sum(~measured))
         # an unmeasured direction is paired as the zero state and dropped
         factors = float(radius) / np.where(measured, scales, np.inf)
-        v = FeFunction(space, dirs[rows] * factors[:, None])
+        v = FeFunction(space, dirs * factors[:, None])
         pairs += op.pairing(v, v)[measured].tolist()
     # min over the floats in sample order, so a NaN pairing is skipped
     worst = min([np.inf, *pairs])
@@ -236,10 +240,10 @@ def _pseudo_mass(op: ProblemOperator, space: FeSpace):
 def _shifted(J, M, delta: float):
     """J + M/delta, added on the data arrays: both matrices are in the
     plan's pattern, which a scipy sum leaves wherever an entry sums to
-    exactly 0.0, and which `sparse_solve` requires."""
-    A = J.copy()
-    A.data += M.data / delta
-    return A
+    exactly 0.0, and which `sparse_solve` requires.  The sum shares J's
+    index arrays."""
+    return type(J)((J.data + M.data / delta, J.indices, J.indptr),
+                   shape=J.shape)
 
 
 def _pseudo_transient(op, u0: FeFunction,
@@ -326,17 +330,22 @@ def solve_level(op: ProblemOperator, space: FeSpace,
     runs pseudo-transient continuation from zero.  A failure's message
     names the attempt that ended nearer a zero, and its diagnostics hold
     every attempt.  The result has no guard record and no tables:
-    `run_hierarchy` samples the guard and fills both."""
+    `run_hierarchy` samples the guard and fills both.  Whether it returns
+    or raises, the space's solver caches are released: nothing after a
+    solve reads them."""
     attempts, start = [], {}
-    if warm is not None:
-        if warm.space is not space:
-            raise ValueError("a warm start must live on the level's space")
-        u, info = _newton(op, warm, start)
-        attempts.append(info)
-    if not attempts or not info.converged:
-        u0 = FeFunction.zero(space) if warm is None else warm
-        u, info = _pseudo_transient(op, u0, start)
-        attempts.append(info)
+    if warm is not None and warm.space is not space:
+        raise ValueError("a warm start must live on the level's space")
+    try:
+        if warm is not None:
+            u, info = _newton(op, warm, start)
+            attempts.append(info)
+        if not attempts or not info.converged:
+            u0 = FeFunction.zero(space) if warm is None else warm
+            u, info = _pseudo_transient(op, u0, start)
+            attempts.append(info)
+    finally:
+        release_solver_caches(space)
     steps = sum(a.steps for a in attempts)
     if not info.converged:
         nearest = min(attempts, key=lambda a: a.residual_sup)

@@ -585,19 +585,27 @@ def test_every_factorization_takes_the_natural_order(monkeypatch):
 
 
 def test_a_solved_space_holds_no_solver_state():
-    # a space caches only what its mesh gives: after every solve of a
-    # hierarchy, each cached array equals that of a fresh space on its mesh
+    # a space caches only what its mesh gives, and a solve releases what
+    # only a solver reads: after a hierarchy, no space holds a plan, a
+    # factor order or stiffness blocks, and each Jacobian built again has
+    # the bits of the one built before the release
     report = workload_report("compete-2d-load")
+    solver_caches = {"plan", "factor_order", "stiffness_blocks"}
     for lv in report.levels:
         space = lv.solution.space
         fresh = FeSpace(space.mesh)
         for name, value in vars(space).items():
             assert not isinstance(value, spla.SuperLU), name
-            if name in ("plan", "factor_order"):
-                for a, b in zip(value, getattr(fresh, name)):
-                    assert sp.issparse(a) or np.array_equal(a, b), name
-            else:
-                assert hasattr(fresh, name), name
+            assert name not in solver_caches, name
+            assert hasattr(fresh, name), name
+        J = report.operator.jacobian(lv.solution)
+        assert {"plan", "stiffness_blocks"} <= set(vars(space))
+        fespace.release_solver_caches(space)
+        assert not solver_caches & set(vars(space))
+        again = report.operator.jacobian(lv.solution)
+        for a, b in ((J.data, again.data), (J.indices, again.indices),
+                     (J.indptr, again.indptr)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def workload_report(workload):
@@ -836,6 +844,49 @@ def test_guard_does_not_pass_directions_it_cannot_scale():
     assert space.dim == 0
     assert brouwer_guard(op, space, 1.0) == galerkin.GuardRecord(
         min_pairing=math.inf, passed=False)
+
+
+@pytest.mark.parametrize("domain,cells", [
+    (UNIT, 4), (Domain.rectangle(0.0, 1.0, 0.0, 1.0), (4, 4))])
+def test_a_space_with_no_dofs_assembles_and_solves_empty(domain, cells):
+    # the plan's pattern lookup once returned a sparse array on no dofs,
+    # and every assembly and solve on the space raised a TypeError
+    mesh = build_mesh(domain, cells)
+    mesh.boundary[:] = True
+    space = FeSpace(mesh)
+    assert space.dim == 0
+    plan = space.plan
+    assert plan.indices.size == 0 and np.array_equal(plan.indptr, [0])
+    # every block position is dropped into the bin past the empty pattern
+    assert not np.any(plan.entry)
+    assert len(space.factor_order.perm) == 0
+    nv = space.cell_dofs.shape[1]
+    A = assemble_matrix(space, np.ones(space.cell_dofs.shape + (nv,)))
+    assert A.shape == (0, 0)
+    x, solve = fespace.sparse_solve(space, A, np.zeros(0))
+    assert x.shape == (0,) and solve(x).shape == (0,)
+
+
+def test_guard_draws_its_chunks_with_the_bits_of_one_draw(monkeypatch):
+    # each chunk draws its rows from one generator, which continues its
+    # stream, so the guard scales the rows of one (GUARD_SAMPLES, n) draw
+    op, _ = single_dof_op()
+    space = FeSpace(refine(build_mesh(UNIT, 8)))
+    monkeypatch.setattr(fespace, "CHUNK_BYTES", 3 * space.qp_weights.size * 8)
+    assert len(galerkin.row_slices(space, galerkin.GUARD_SAMPLES)) == 11
+    drawn, norm = [], galerkin.grad_norm_lp
+
+    def recording(u, p):
+        drawn.append(u.coeffs)
+        return norm(u, p)
+
+    monkeypatch.setattr(galerkin, "grad_norm_lp", recording)
+    brouwer_guard(op, space, 1.0, seed=4)
+    whole = np.random.default_rng(4).standard_normal(
+        (galerkin.GUARD_SAMPLES, space.dim))
+    assert [len(rows) for rows in drawn] == [3] * 10 + [2]
+    assert np.array_equal(np.concatenate(drawn).view(np.int64),
+                          whole.view(np.int64))
 
 
 def test_short_interval_keeps_its_interior_dofs():

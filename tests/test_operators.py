@@ -585,10 +585,15 @@ def test_assembly_plan_is_built_once_and_read_only():
     space = jacobian_setup(2)[1].space
     plan = space.plan
     assert space.plan is plan
-    S = plan.S
-    assert S.shape == (plan.indices.size, space.cell_dofs.size * 3)
-    assert not any(arr.flags.writeable for arr in
-                   (S.data, S.indices, S.indptr, plan.indices, plan.indptr))
+    assert not any(arr.flags.writeable for arr in plan)
+    assert all(np.issubdtype(arr.dtype, np.integer) for arr in plan)
+    # one entry per block position: a CSR entry where both of its vertices
+    # are dofs, and nnz, which no entry has, where either is on the boundary
+    idx, nnz = space.cell_dofs, plan.indices.size
+    kept = ((idx >= 0)[:, :, None] & (idx >= 0)[:, None, :]).ravel()
+    assert plan.entry.shape == (idx.size * 3,)
+    assert np.all(plan.entry[kept] < nnz) and np.all(plan.entry[~kept] == nnz)
+    assert np.array_equal(np.unique(plan.entry[kept]), np.arange(nnz))
     J = assemble_matrix(space, np.ones(space.cell_dofs.shape + (3,)))
     with pytest.raises(ValueError):
         J.indices[0] = 0
