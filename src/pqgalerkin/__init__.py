@@ -8,12 +8,12 @@ from .fespace import (FeFunction, FeSpace, cell_gradients, grad_norm_lp,
                       values_at_qp, write_csv)
 from .operators import (AssemblyError, ConvectionFamily, GrowthH2, GrowthH4,
                         HypothesisViolation, Problem, ProblemOperator, SignH3,
-                        SignH3a, WeightFunction, adversarial_convection,
+                        WeightFunction, adversarial_convection,
                         constant_convection, constant_weight,
                         quadratic_weight, saturating_convection,
                         truncate_weight, zero_convection)
 from .estimates import (ConstantEstimate, EstimateReport, HypothesisAudit,
-                        SamplingBox, apriori_radius, audit_hypotheses,
+                        apriori_radius, audit_hypotheses,
                         coercivity_polynomial, compute_estimates,
                         estimate_lambda1, lambda1_interval, poincare_factor,
                         rhs_estimate_constant, sobolev_constant)

@@ -5,8 +5,8 @@ cannot silently fall back to a default.  All outputs are deterministic for a
 fixed config and seed (sorted JSON keys, repr floats, non-finite floats as
 null, no timestamps).
 
-Exit codes: 0 success, 1 config or parse error, 2 hypothesis or regime
-precondition violation, 3 level-solve failure, 4 certification failure.
+Exit codes: 0 success, 1 config or parse error, 2 hypothesis precondition
+violation, 3 level-solve failure, 4 certification failure.
 """
 
 from __future__ import annotations
@@ -110,8 +110,7 @@ def _build_kind(block, name: str, **data):
 
 def build_problem(block: dict) -> Problem:
     _check_keys(block,
-                {"p", "q", "domain", "variant", "regime", "weight",
-                 "convection"},
+                {"p", "q", "domain", "variant", "weight", "convection"},
                 {"p", "q", "domain", "weight", "convection"}, "problem")
     p = _number(block, "p", "problem")
     q = _number(block, "q", "problem")
@@ -120,9 +119,8 @@ def build_problem(block: dict) -> Problem:
     convection = _build_kind(block["convection"], "convection", p=p,
                              a0=weight.lower_bound)
     variant = block.get("variant", "competing")
-    regime = block.get("regime", "H3")
     return Problem(p=p, q=q, domain=domain, weight=weight,
-                   convection=convection, variant=variant, regime=regime)
+                   convection=convection, variant=variant)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -236,7 +234,7 @@ def main(argv=None) -> int:
                     "competing power-law diffusion with convection")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in [
-            ("estimate", "compute regime constants and radii"),
+            ("estimate", "compute the a priori constants and radii"),
             ("solve", "run the nested hierarchy"),
             ("verify", "run the hierarchy and certify the output")]:
         cmd = sub.add_parser(name, help=helptext)

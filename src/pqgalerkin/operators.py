@@ -33,7 +33,6 @@ __all__ = [
     "quadratic_weight",
     "GrowthH2",
     "SignH3",
-    "SignH3a",
     "GrowthH4",
     "ConvectionFamily",
     "zero_convection",
@@ -140,19 +139,14 @@ class GrowthH2:
 
 @dataclass(frozen=True)
 class SignH3:
-    """f(x,s,xi) s <= c0|xi|^p + c1(|s|^alpha + 1), alpha in [1, p)."""
+    """f(x,s,xi) s <= c0|xi|^p + c1(|s|^alpha + 1), alpha in [1, p].
+
+    alpha < p is (H3); alpha = p is (H3a), which adds a smallness gate on c1.
+    """
 
     c0: float
     c1: float
     alpha: float
-
-
-@dataclass(frozen=True)
-class SignH3a:
-    """f(x,s,xi) s <= c0|xi|^p + c1(|s|^p + 1); extra smallness gate on c1."""
-
-    c0: float
-    c1: float
 
 
 @dataclass(frozen=True)
@@ -179,7 +173,8 @@ class ConvectionFamily:
     leading axis to s and xi, (B, m, k) and (B, m, 1, d).  Where f has a
     kink, the partials declare a generalized value there and the family's
     docstring names it.  Constants for the different hypotheses are stored
-    separately and never substituted for one another.
+    separately and never substituted for one another; the one sign block
+    `h3` covers (H3) and (H3a), told apart by its alpha.
     """
 
     name: str
@@ -188,7 +183,6 @@ class ConvectionFamily:
     dxi: Callable[..., np.ndarray]
     h2: GrowthH2
     h3: Optional[SignH3] = None
-    h3a: Optional[SignH3a] = None
     h4: Optional[GrowthH4] = None
 
     def evaluate(self, x, s, xi):
@@ -234,7 +228,6 @@ def constant_convection(value: float) -> ConvectionFamily:
         dxi=_no_gradient_slope,
         h2=GrowthH2(mag, 0.0, 0.0, 1.0, 1.0),
         h3=SignH3(0.0, mag, 1.0),
-        h3a=SignH3a(0.0, mag),
         h4=GrowthH4(mag, 0.0, 0.0, 1.0, 0.0),
     )
 
@@ -263,7 +256,7 @@ def saturating_convection(p: float, alpha: float = 2.0, h_bound: float = 1.0,
         raise ValueError(f"p must exceed 1, got {p}")
     if not 1.0 <= alpha <= p:
         raise HypothesisViolation(
-            f"(H3)/(H3a) power alpha must lie in [1, p], got {alpha}")
+            f"(H3) power alpha must lie in [1, p], got {alpha}")
     if h_bound < 0.0:
         raise ValueError("h bound must be nonnegative")
 
@@ -305,13 +298,12 @@ def saturating_convection(p: float, alpha: float = 2.0, h_bound: float = 1.0,
         raise OverflowError(f"saturating convection: 2**(p-1) overflows a "
                             f"float at p={p!r}") from None
     c1 = max(1.0 + abs(offset), two_power + h_bound + abs(offset))
-    h3 = SignH3(c0=0.5, c1=c1, alpha=alpha) if alpha < p else None
-    h3a = SignH3a(c0=0.5, c1=c1) if alpha == p else None
+    h3 = SignH3(c0=0.5, c1=c1, alpha=alpha)
     h4 = GrowthH4(sigma=sigma2, c1=1.0, c2=0.5,
                   s_exponent=max(alpha - 1.0, 1.0), xi_exponent=p - 1.0)
     return ConvectionFamily(
         name=f"saturating(alpha={alpha},h={h_bound},offset={offset})",
-        fn=fn, ds=ds, dxi=dxi, h2=h2, h3=h3, h3a=h3a, h4=h4)
+        fn=fn, ds=ds, dxi=dxi, h2=h2, h3=h3, h4=h4)
 
 
 def adversarial_convection(a0: float, p: float) -> ConvectionFamily:
@@ -352,17 +344,17 @@ def adversarial_convection(a0: float, p: float) -> ConvectionFamily:
 # ---------------------------------------------------------------------------
 
 VARIANTS = ("competing", "cooperative")
-REGIMES = ("H3", "H3a")
 
 
 @dataclass(frozen=True)
 class Problem:
     """Dirichlet problem data: exponents p > q > 1, domain with dim < p,
-    weight, convection family, operator variant, and coercivity regime.
+    weight, convection family and operator variant.
 
-    `sign_constants` gives the (c0, c1, alpha) of the regime's sign
+    `sign_constants` gives the (c0, c1, alpha) of the family's sign
     condition, and construction checks them: the block is declared, alpha
-    lies in [1, p) under (H3), and c0 < a0, the weight's lower bound.
+    lies in [1, p], and c0 < a0, the weight's lower bound.  The coercivity
+    `regime` is read off alpha: (H3a) exactly where alpha = p, else (H3).
     """
 
     p: float
@@ -371,7 +363,6 @@ class Problem:
     weight: WeightFunction
     convection: ConvectionFamily
     variant: str = "competing"
-    regime: str = "H3"
 
     def __post_init__(self):
         if not self.p > self.q > 1.0:
@@ -382,12 +373,10 @@ class Problem:
                 f"dim={self.domain.dim}, p={self.p}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}")
         c0, _, alpha = self.sign_constants
-        if self.regime == "H3" and not 1.0 <= alpha < self.p:
+        if not 1.0 <= alpha <= self.p:
             raise HypothesisViolation(
-                f"(H3) requires alpha in [1, p), got alpha={alpha}")
+                f"(H3) requires alpha in [1, p], got alpha={alpha}")
         a0 = self.weight.lower_bound
         if not c0 < a0:
             raise HypothesisViolation(
@@ -395,15 +384,16 @@ class Problem:
 
     @property
     def sign_constants(self) -> Tuple[float, float, float]:
-        """(c0, c1, alpha) of the regime's sign condition; alpha is p under
-        (H3a), whose |s|^p term has no separate power."""
-        block = self.convection.h3 if self.regime == "H3" \
-            else self.convection.h3a
+        """(c0, c1, alpha) of the family's sign condition."""
+        block = self.convection.h3
         if block is None:
-            raise HypothesisViolation(
-                f"({self.regime}) constants missing from the family")
-        return (block.c0, block.c1,
-                block.alpha if self.regime == "H3" else self.p)
+            raise HypothesisViolation("(H3) constants missing from the family")
+        return block.c0, block.c1, block.alpha
+
+    @property
+    def regime(self) -> str:
+        """"H3a" where the sign condition's power alpha is p, else "H3"."""
+        return "H3a" if self.sign_constants[2] == self.p else "H3"
 
     @property
     def q_sign(self) -> float:

@@ -15,15 +15,15 @@ import pytest
 import scipy.optimize
 
 from pqgalerkin.cli import main
-from pqgalerkin.estimates import (SamplingBox, audit_hypotheses,
-                                  coercivity_polynomial, estimate_lambda1,
-                                  lambda1_interval, sobolev_constant)
+from pqgalerkin.estimates import (audit_hypotheses, coercivity_polynomial,
+                                  estimate_lambda1, lambda1_interval,
+                                  sobolev_constant)
 from pqgalerkin.fespace import (FeFunction, FeSpace, cell_gradients,
                                 grad_norm_lp, lr_norm, sup_norm)
 from pqgalerkin.galerkin import ProblemOperator, run_hierarchy, solve_level
 from pqgalerkin.mesh import Domain, build_mesh
 from pqgalerkin.operators import (ConvectionFamily, HypothesisViolation,
-                                  Problem, SignH3a, adversarial_convection,
+                                  Problem, SignH3, adversarial_convection,
                                   constant_convection, constant_weight,
                                   power_flux_pairing, quadratic_weight,
                                   saturating_convection, truncate_weight)
@@ -46,7 +46,7 @@ def reference_problem(offset, variant="competing"):
     """Built-in example data: alpha=2, h bound 1, g(t) = 1 + t^2, p=3, q=2."""
     conv = saturating_convection(3.0, alpha=2.0, h_bound=1.0, offset=offset)
     return Problem(p=3.0, q=2.0, domain=UNIT, weight=quadratic_weight(1.0),
-                   convection=conv, variant=variant, regime="H3")
+                   convection=conv, variant=variant)
 
 
 _CACHE = {}
@@ -79,7 +79,7 @@ def test_criterion_1_apriori_bounds(capsys):
 def test_criterion_2_analytic_and_multistart_oracles(capsys):
     problem = Problem(p=3.0, q=2.0, domain=UNIT, weight=constant_weight(1.0),
                       convection=constant_convection(1.0),
-                      variant="competing", regime="H3")
+                      variant="competing")
     weight = truncate_weight(problem.weight, 1.0)
 
     space1 = FeSpace(build_mesh(UNIT, 2))
@@ -209,26 +209,26 @@ def test_criterion_7_eigenvalue_and_embedding(capsys):
 
 
 def test_criterion_8_hypothesis_audits(capsys):
-    box = SamplingBox(s_bound=10.0, samples=10000)
-
     good = reference_problem(0.0)
-    good_audit = audit_hypotheses(good, box)
+    good_audit = audit_hypotheses(good, 10.0)
     good_ok = good_audit.passed["H2"] and good_audit.passed["H3"]
 
     bad = Problem(p=3.0, q=2.0, domain=UNIT, weight=constant_weight(2.0),
                   convection=adversarial_convection(2.0, 3.0),
-                  variant="competing", regime="H3")
-    bad_audit = audit_hypotheses(bad, box)
+                  variant="competing")
+    bad_audit = audit_hypotheses(bad, 10.0)
     bad_ok = not bad_audit.passed["H3"]
 
     # exact smallness gate: with lambda1 = 2 and p = 3 the factor 2^{-3/3}
-    # is exactly 0.5, so c1 = 2 (a0 - c0) sits exactly on the boundary
+    # is exactly 0.5, so c1 = 2 (a0 - c0) sits exactly on the boundary;
+    # alpha = p puts the sign block under (H3a)
     sat = saturating_convection(3.0, alpha=3.0)
     boundary = ConvectionFamily(name="gate", fn=sat.fn, ds=sat.ds, dxi=sat.dxi,
-                                h2=sat.h2, h3=None,
-                                h3a=SignH3a(c0=0.5, c1=2.0), h4=sat.h4)
+                                h2=sat.h2,
+                                h3=SignH3(c0=0.5, c1=2.0, alpha=3.0),
+                                h4=sat.h4)
     gated = Problem(p=3.0, q=2.0, domain=UNIT, weight=constant_weight(1.5),
-                    convection=boundary, variant="competing", regime="H3a")
+                    convection=boundary, variant="competing")
     try:
         coercivity_polynomial(gated, 2.0)
     except HypothesisViolation as err:
@@ -236,12 +236,13 @@ def test_criterion_8_hypothesis_audits(capsys):
     else:
         gate_rejects = False
     below = ConvectionFamily(name="gate", fn=sat.fn, ds=sat.ds, dxi=sat.dxi,
-                             h2=sat.h2, h3=None,
-                             h3a=SignH3a(c0=0.5, c1=2.0 * (1.0 - 1e-9)),
+                             h2=sat.h2,
+                             h3=SignH3(c0=0.5, c1=2.0 * (1.0 - 1e-9),
+                                       alpha=3.0),
                              h4=sat.h4)
     ok_problem = Problem(p=3.0, q=2.0, domain=UNIT,
                          weight=constant_weight(1.5), convection=below,
-                         variant="competing", regime="H3a")
+                         variant="competing")
     psi = coercivity_polynomial(ok_problem, 2.0)
     gate_admits = math.isfinite(psi(1.0))
 

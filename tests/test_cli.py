@@ -12,6 +12,7 @@ import pqgalerkin
 
 from pqgalerkin import galerkin, operators
 from pqgalerkin.cli import KINDS, build_problem, load_config, main
+from pqgalerkin.estimates import compute_estimates
 from pqgalerkin.fespace import FeSpace, read_csv
 from pqgalerkin.galerkin import ProblemOperator
 from pqgalerkin.mesh import Domain, build_mesh, refine
@@ -96,20 +97,21 @@ def run_python(args):
 # which files a run left in --out, which now gets every file every run; the
 # other keys were knobs with one value in use (the value given here), now
 # constants; the solver block went whole once its tolerance and iteration
-# cap became constants too
+# cap became constants too; problem.regime restated what the convection's
+# alpha says, and the regime is now read off it
 REMOVED_KEYS = {"solver.fd_step": 1e-7, "solver.homotopy_steps": 4,
                 "solver.continuation_steps": 10, "solver.max_halvings": 40,
                 "solver.regularization": 1e-10,
                 "estimates.sobolev_samples": 1000,
                 "estimates.convention": "paper",
-                "output.write_solutions": False}
+                "output.write_solutions": False,
+                "problem.regime": "H3a"}
 REMOVED_BLOCKS = {"solver", "estimates", "output"}
 
 
 def removed_key_config(tmp_path, dotted):
-    block, key = dotted.split(".")
     return write_config(tmp_path,
-                        base_config(**{block: {key: REMOVED_KEYS[dotted]}}),
+                        config_with(dotted.split("."), REMOVED_KEYS[dotted]),
                         name=f"{dotted}.json")
 
 
@@ -306,8 +308,31 @@ def test_omitted_optional_keys_take_the_library_defaults(name, kind):
         assert np.array_equal(built.evaluate(ts), expected.evaluate(ts))
     else:
         assert built.name == expected.name
-        for hypothesis in ("h2", "h3", "h3a", "h4"):
+        for hypothesis in ("h2", "h3", "h4"):
             assert getattr(built, hypothesis) == getattr(expected, hypothesis)
+
+
+# the regime each convection kind runs under (p = 3): every kind of
+# cli.KINDS, plus saturating on either side of alpha = p
+REGIME_OF_CONVECTION = [
+    ({"kind": "zero"}, "H3"),
+    ({"kind": "constant", "value": 1.0}, "H3"),
+    ({"kind": "saturating"}, "H3"),
+    ({"kind": "saturating", "alpha": 2.999}, "H3"),
+    ({"kind": "saturating", "alpha": 3.0}, "H3a"),
+    ({"kind": "adversarial"}, "H3"),
+]
+
+
+def test_the_regime_is_read_off_the_family():
+    # (H3a) exactly where the sign block's alpha is p; no key selects it
+    assert {block["kind"] for block, _ in REGIME_OF_CONVECTION} \
+        == set(KINDS["convection"])
+    for block, regime in REGIME_OF_CONVECTION:
+        problem = build_problem(config_with(("problem", "convection"),
+                                            block)["problem"])
+        assert problem.regime == regime, block
+        assert compute_estimates(problem).regime == regime, block
 
 
 def test_psi_without_positive_root_is_exit_1_without_traceback(tmp_path,
@@ -321,16 +346,6 @@ def test_psi_without_positive_root_is_exit_1_without_traceback(tmp_path,
     assert_every_command_fails(
         tmp_path, capsys, write_config(tmp_path, cfg), 1,
         "config error: no positive root bracket found for psi\n")
-
-
-def test_h3a_without_constants_is_exit_2_without_output(tmp_path, capsys):
-    # the saturating family with alpha < p carries no (H3a) constants; the
-    # violation is raised after load_config and must leave no --out behind
-    cfg = base_config()
-    cfg["problem"]["regime"] = "H3a"
-    assert_every_command_fails(
-        tmp_path, capsys, write_config(tmp_path, cfg), 2,
-        "hypothesis violation: (H3a) constants missing from the family\n")
 
 
 def test_cli_runs_without_scipy_stats_or_special(tmp_path):

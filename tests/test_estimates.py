@@ -4,16 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from pqgalerkin.estimates import (SamplingBox, apriori_radius,
-                                  audit_hypotheses, coercivity_polynomial,
-                                  compute_estimates, estimate_lambda1,
-                                  lambda1_interval, poincare_factor,
-                                  rhs_estimate_constant, sobolev_constant)
+from pqgalerkin.estimates import (apriori_radius, audit_hypotheses,
+                                  coercivity_polynomial, compute_estimates,
+                                  estimate_lambda1, lambda1_interval,
+                                  poincare_factor, rhs_estimate_constant,
+                                  sobolev_constant)
 from pqgalerkin.fespace import (FeFunction, FeSpace, grad_norm_lp, jsonable,
                                 lr_norm, sup_norm)
 from pqgalerkin.mesh import Domain, build_mesh, refine
 from pqgalerkin.operators import (HypothesisViolation, Problem,
-                                  ProblemOperator, SignH3a,
+                                  ProblemOperator, SignH3,
                                   adversarial_convection, constant_weight,
                                   quadratic_weight, saturating_convection,
                                   zero_convection)
@@ -22,11 +22,11 @@ UNIT = Domain.interval(0.0, 1.0)
 
 
 def make_problem(weight=None, conv=None, domain=UNIT, p=3.0, q=2.0,
-                 variant="competing", regime="H3"):
+                 variant="competing"):
     return Problem(p=p, q=q, domain=domain,
                    weight=weight or constant_weight(1.0),
                    convection=conv or zero_convection(),
-                   variant=variant, regime=regime)
+                   variant=variant)
 
 
 def test_lambda1_closed_forms():
@@ -249,9 +249,8 @@ def test_h3a_gate_boundary():
     sat = saturating_convection(3.0, alpha=3.0)
 
     def gated(c1):
-        fam = dataclasses.replace(sat, h3=None, h3a=SignH3a(c0=0.5, c1=c1))
-        return make_problem(conv=fam, weight=constant_weight(1.5),
-                            regime="H3a")
+        fam = dataclasses.replace(sat, h3=SignH3(c0=0.5, c1=c1, alpha=3.0))
+        return make_problem(conv=fam, weight=constant_weight(1.5))
 
     with pytest.raises(HypothesisViolation, match=r"\(H3a\)"):
         coercivity_polynomial(gated(2.0), 2.0)
@@ -270,9 +269,8 @@ def test_rhs_constant_example():
     # declared H2: b = 1, r1 = 1, c = 0.5; drop c to mirror the worked case
     fam = type(fam)(name="trimmed", fn=fam.fn, ds=fam.ds, dxi=fam.dxi,
                     h2=type(fam.h2)(sigma=0.0, b=1.0, c=0.0, r1=1.0, r2=1.0),
-                    h3=fam.h3, h3a=fam.h3a, h4=fam.h4)
-    problem = make_problem(conv=fam, domain=domain, p=2.0, q=1.5,
-                           regime="H3a")
+                    h3=fam.h3, h4=fam.h4)
+    problem = make_problem(conv=fam, domain=domain, p=2.0, q=1.5)
     lam = lambda1_interval(2.0, 2.0)
     cs = sobolev_constant(domain, 2.0).value
     assert cs == 1.0
@@ -327,8 +325,7 @@ def test_nemytskij_surrogate_bound():
 def test_audit_saturating_family_passes():
     fam = saturating_convection(3.0, alpha=2.0, h_bound=1.0)
     problem = make_problem(conv=fam, weight=quadratic_weight(1.0, 1.0))
-    audit = audit_hypotheses(problem, SamplingBox(s_bound=5.0, samples=1000),
-                             seed=0)
+    audit = audit_hypotheses(problem, 5.0, seed=0)
     assert audit.all_passed()
     assert audit.margins["H2"] >= 0.0
     assert audit.margins["H3"] >= 0.0
@@ -337,16 +334,14 @@ def test_audit_saturating_family_passes():
 def test_audit_adversarial_family_fails_h3():
     fam = adversarial_convection(1.0, 3.0)
     problem = make_problem(conv=fam)
-    audit = audit_hypotheses(problem, SamplingBox(s_bound=5.0, samples=1000),
-                             seed=0)
+    audit = audit_hypotheses(problem, 5.0, seed=0)
     assert not audit.all_passed()
     assert audit.margins["H3"] < 0.0
 
 
 def test_audit_zero_family_trivial():
     problem = make_problem()
-    audit = audit_hypotheses(problem, SamplingBox(s_bound=2.0, samples=500),
-                             seed=0)
+    audit = audit_hypotheses(problem, 2.0, seed=0)
     assert audit.all_passed()
 
 

@@ -452,6 +452,52 @@ def test_the_stopping_test_is_no_setting(path):
     assert _settings(path.read_text(), STOPPING_NAMES) == []
 
 
+def _regime_settings(source: str):
+    """Line numbers where the coercivity regime is a setting: a function or
+    lambda parameter named `regime`, or a `regime` or `h3a` field of
+    `Problem` or `ConvectionFamily`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            params = node.args.posonlyargs + node.args.args \
+                + node.args.kwonlyargs
+            if any(param.arg == "regime" for param in params):
+                found.add(node.lineno)
+        elif isinstance(node, ast.ClassDef) \
+                and node.name in ("Problem", "ConvectionFamily"):
+            found |= {item.lineno for item in node.body
+                      if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)
+                      and item.target.id in ("regime", "h3a")}
+    return sorted(found)
+
+
+def test_regime_setting_check_flags_each_form():
+    source = ("def make_problem(p, q, regime='H3'): ...\n"
+              "def run(problem, *, regime): ...\n"
+              "pick = lambda regime: regime == 'H3a'\n"
+              "class Problem:\n"
+              "    regime: str = 'H3'\n"
+              "class ConvectionFamily:\n"
+              "    h3a: object = None\n"
+              "class EstimateReport:\n"
+              "    regime: str\n"
+              "class Problem:\n"
+              "    @property\n"
+              "    def regime(self): ...\n")
+    assert _regime_settings(source) == [1, 2, 3, 5, 7]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(pqgalerkin.__file__).parent.glob("*.py")),
+    ids=lambda p: p.name)
+def test_the_regime_is_no_setting(path):
+    # the regime is read off the family's sign block, (H3a) exactly where
+    # its alpha is p: no function takes it and no problem or family field
+    # carries it; EstimateReport.regime reports it
+    assert _regime_settings(path.read_text()) == []
+
+
 @pytest.mark.parametrize(
     "path", sorted(Path(pqgalerkin.__file__).parent.glob("*.py")),
     ids=lambda p: p.name)

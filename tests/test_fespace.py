@@ -187,7 +187,7 @@ def test_pair_space_mismatch():
     problem = Problem(p=3.0, q=2.0, domain=domain,
                       weight=constant_weight(1.0),
                       convection=constant_convection(1.0),
-                      variant="competing", regime="H3")
+                      variant="competing")
     op = ProblemOperator(problem, problem.weight)
     coarse = interval_space(4)
     F = op.residual(FeFunction.zero(coarse))

@@ -33,7 +33,7 @@ GOLDEN = (1.0 + math.sqrt(2.0)) / 4.0
 def single_dof_op():
     problem = Problem(p=3.0, q=2.0, domain=UNIT, weight=constant_weight(1.0),
                       convection=constant_convection(1.0),
-                      variant="competing", regime="H3")
+                      variant="competing")
     weight = truncate_weight(problem.weight, 1.0)
     space = FeSpace(build_mesh(UNIT, 2))
     return ProblemOperator(problem, weight), space
@@ -42,7 +42,7 @@ def single_dof_op():
 def offset_problem(variant="competing"):
     conv = saturating_convection(3.0, alpha=2.0, h_bound=1.0, offset=1.0)
     return Problem(p=3.0, q=2.0, domain=UNIT, weight=quadratic_weight(2.0),
-                   convection=conv, variant=variant, regime="H3")
+                   convection=conv, variant=variant)
 
 
 _REPORTS = {}
@@ -151,7 +151,7 @@ def test_guard_directions_lie_on_the_sphere_at_large_exponent(p, paired):
     # and passed
     problem = Problem(p=p, q=2.0, domain=UNIT, weight=constant_weight(1.0),
                       convection=constant_convection(1.0),
-                      variant="competing", regime="H3")
+                      variant="competing")
     est = compute_estimates(problem)
     op = ProblemOperator(problem, truncate_weight(problem.weight,
                                                   est.sup_radius))
@@ -275,7 +275,7 @@ def test_solutions_near_the_radius_stay_within_it():
     # and the guard passes on its sphere at every level
     problem = Problem(p=2.5, q=2.0, domain=UNIT, weight=constant_weight(0.6),
                       convection=constant_convection(60.0),
-                      variant="competing", regime="H3")
+                      variant="competing")
     report = run_hierarchy(problem, 4, 4)
     assert report.failed_level is None
     assert len(report.levels) == 4
@@ -334,7 +334,7 @@ P60_STALL = "level 0 failed: iteration cap (residual sup 6.696e+219)"
 def test_hierarchy_records_assembly_error():
     problem = Problem(p=60.0, q=2.0, domain=UNIT, weight=constant_weight(1.0),
                       convection=constant_convection(1e8),
-                      variant="competing", regime="H3")
+                      variant="competing")
     with np.errstate(all="ignore"):
         report = run_hierarchy(problem, 4, 3)
     # from zero, the first pseudo-transient steps overflow the p-term and
@@ -350,7 +350,7 @@ def test_hierarchy_records_assembly_error():
 def test_p60_hierarchy_solves_every_level():
     problem = Problem(p=60.0, q=2.0, domain=UNIT, weight=constant_weight(1.0),
                       convection=constant_convection(1e8),
-                      variant="competing", regime="H3")
+                      variant="competing")
     with np.errstate(all="ignore"):
         report = run_hierarchy(problem, 4, 3)
     assert_no_failure(report, P60_STALL)
@@ -362,7 +362,7 @@ def test_nonfinite_start_ends_the_stage_not_the_level():
     # at its start, and the level fails with both attempts recorded
     problem = Problem(p=60.0, q=2.0, domain=UNIT, weight=constant_weight(1.0),
                       convection=constant_convection(1e8),
-                      variant="competing", regime="H3")
+                      variant="competing")
     est = compute_estimates(problem)
     op = ProblemOperator(problem, truncate_weight(problem.weight,
                                                   est.sup_radius))
@@ -387,7 +387,7 @@ def test_cooperative_1d_hierarchy_solves_twelve_levels():
     # at level 12)
     conv = saturating_convection(3.0, alpha=2.0, h_bound=1.0, offset=1.0)
     problem = Problem(p=3.0, q=2.0, domain=UNIT, weight=quadratic_weight(1.0),
-                      convection=conv, variant="cooperative", regime="H3")
+                      convection=conv, variant="cooperative")
     report = run_hierarchy(problem, 4, 12)
     assert report.failed_level is None, report.failure_message
     assert [lv.dim for lv in report.levels][-1] == 4 * 2 ** 11 - 1
@@ -758,7 +758,7 @@ def test_nonfinite_line_search_trial_is_a_rejected_trial(monkeypatch):
     # and no overflow warning escapes
     problem = Problem(p=60.0, q=2.0, domain=UNIT, weight=constant_weight(1.0),
                       convection=constant_convection(1e8),
-                      variant="competing", regime="H3")
+                      variant="competing")
     radius = compute_estimates(problem).sup_radius
     space = FeSpace(build_mesh(UNIT, 4))
     monkeypatch.setattr(galerkin, "MAX_ITERATIONS", 400)
@@ -896,7 +896,7 @@ def test_short_interval_keeps_its_interior_dofs():
     conv = saturating_convection(3.0, offset=1.0)
     problem = Problem(p=3.0, q=2.0, domain=Domain.interval(0.0, 1e-100),
                       weight=quadratic_weight(2.0), convection=conv,
-                      variant="competing", regime="H3")
+                      variant="competing")
     report = run_hierarchy(problem, 4, 3)
     assert [lv.dim for lv in report.levels] == [3, 7, 15]
     assert all(lv.guard.passed for lv in report.levels)

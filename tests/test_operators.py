@@ -27,7 +27,7 @@ def single_dof_setup(f_value=None):
     weight = constant_weight(1.0)
     conv = zero_convection() if f_value is None else constant_convection(f_value)
     problem = Problem(p=3.0, q=2.0, domain=UNIT, weight=weight,
-                      convection=conv, variant="competing", regime="H3")
+                      convection=conv, variant="competing")
     space = FeSpace(build_mesh(UNIT, 2))
     return problem, truncate_weight(weight, 1.0), space
 
@@ -102,7 +102,7 @@ def test_pairing_consistency_random():
     weight = quadratic_weight(2.0)
     problem = Problem(p=3.0, q=2.0, domain=UNIT, weight=weight,
                       convection=saturating_convection(3.0),
-                      variant="competing", regime="H3")
+                      variant="competing")
     gr = truncate_weight(weight, 2.0)
     space = FeSpace(build_mesh(UNIT, 8))
     op = ProblemOperator(problem, gr)
@@ -121,9 +121,9 @@ def test_variants_differ_by_twice_q_term():
     space = FeSpace(build_mesh(UNIT, 8))
     conv = saturating_convection(3.0)
     comp = Problem(p=3.0, q=2.0, domain=UNIT, weight=weight, convection=conv,
-                   variant="competing", regime="H3")
+                   variant="competing")
     coop = Problem(p=3.0, q=2.0, domain=UNIT, weight=weight, convection=conv,
-                   variant="cooperative", regime="H3")
+                   variant="cooperative")
     comp_op = ProblemOperator(comp, gr)
     coop_op = ProblemOperator(coop, gr)
     rng = np.random.default_rng(2)
@@ -171,7 +171,7 @@ def test_growth_bound_discrete():
     p = 3.0
     fam = saturating_convection(p, alpha=2.0, h_bound=1.0)
     problem = Problem(p=p, q=2.0, domain=UNIT, weight=constant_weight(1.0),
-                      convection=fam, variant="competing", regime="H3")
+                      convection=fam, variant="competing")
     space = FeSpace(build_mesh(UNIT, 8))
     lam = estimate_lambda1(UNIT, p).value
     cs = sobolev_constant(UNIT, p).value
@@ -220,14 +220,6 @@ def test_problem_validation():
                 convection=adversarial_convection(1.0, 3.0))
 
 
-def test_problem_h3a_requires_block():
-    weight = constant_weight(1.0)
-    fam = adversarial_convection(1.0, 3.0)  # declares no (H3a) block
-    with pytest.raises(HypothesisViolation, match=r"\(H3a\)"):
-        Problem(p=3.0, q=2.0, domain=UNIT, weight=weight, convection=fam,
-                regime="H3a")
-
-
 def test_sign_constants_follow_the_regime():
     weight = constant_weight(1.0)
     # saturating p = 3: c0 = 1/2, c1 = max(1 + |offset|, 2^2 + h + |offset|)
@@ -236,8 +228,7 @@ def test_sign_constants_follow_the_regime():
     assert h3.sign_constants == (0.5, 6.0, 2.0)
     # under (H3a) the |s|^alpha power is |s|^p
     h3a = Problem(p=3.0, q=2.0, domain=UNIT, weight=weight,
-                  convection=saturating_convection(3.0, alpha=3.0),
-                  regime="H3a")
+                  convection=saturating_convection(3.0, alpha=3.0))
     assert h3a.sign_constants == (0.5, 5.0, 3.0)
 
 
@@ -256,7 +247,7 @@ def test_nonfinite_integrand_names_cell():
                            h2=GrowthH2(0.0, 0.0, 0.0, 1.0, 1.0),
                            h3=SignH3(0.0, 0.0, 1.0))
     problem = Problem(p=3.0, q=2.0, domain=UNIT, weight=constant_weight(1.0),
-                      convection=fam, variant="competing", regime="H3")
+                      convection=fam, variant="competing")
     gr = truncate_weight(problem.weight, 1.0)
     space = FeSpace(build_mesh(UNIT, 2))
     with pytest.raises(AssemblyError, match="cell"):
@@ -269,8 +260,7 @@ def test_nonfinite_q_term_names_its_label_and_cell(monkeypatch):
     # while the p = 3 flux there is a finite 0
     monkeypatch.setattr(operators, "REGULARIZATION", 0.0)
     problem = Problem(p=3.0, q=1.5, domain=UNIT, weight=constant_weight(1.0),
-                      convection=zero_convection(), variant="competing",
-                      regime="H3")
+                      convection=zero_convection(), variant="competing")
     space = FeSpace(build_mesh(UNIT, 4))
     op = ProblemOperator(problem, truncate_weight(problem.weight, 1.0))
     with np.errstate(all="ignore"), pytest.raises(
@@ -300,7 +290,7 @@ def jacobian_setup(dim, variant="competing", q=2.0, monkeypatch=None):
     domain = UNIT if dim == 1 else Domain.rectangle(0.0, 1.0, 0.0, 1.0)
     problem = Problem(p=3.0, q=q, domain=domain, weight=quadratic_weight(2.0),
                       convection=saturating_convection(3.0, offset=1.0),
-                      variant=variant, regime="H3")
+                      variant=variant)
     space = FeSpace(build_mesh(domain, 8 if dim == 1 else (4, 4)))
     if q < 2.0:
         # eps = 0.05 puts the flat cells of the state below in the

@@ -28,7 +28,7 @@ RADIUS = 1.0
 def offset_problem():
     conv = saturating_convection(3.0, alpha=2.0, h_bound=1.0, offset=1.0)
     return Problem(p=3.0, q=2.0, domain=UNIT, weight=quadratic_weight(2.0),
-                   convection=conv, variant="competing", regime="H3")
+                   convection=conv, variant="competing")
 
 
 _CACHE = {}
@@ -43,7 +43,7 @@ def good_report():
 def single_dof_solution():
     problem = Problem(p=3.0, q=2.0, domain=UNIT, weight=constant_weight(1.0),
                       convection=constant_convection(1.0),
-                      variant="competing", regime="H3")
+                      variant="competing")
     weight = truncate_weight(problem.weight, RADIUS)
     space = FeSpace(build_mesh(UNIT, 2))
     lv = solve_level(ProblemOperator(problem, weight), space)
@@ -74,7 +74,7 @@ def test_truncation_flags_state_outside_radius():
 def test_truncation_zero_state_without_load():
     problem = Problem(p=3.0, q=2.0, domain=UNIT, weight=quadratic_weight(2.0),
                       convection=zero_convection(),
-                      variant="competing", regime="H3")
+                      variant="competing")
     space = FeSpace(build_mesh(UNIT, 4))
     cert = check_truncation_consistency(
         ProblemOperator(problem, problem.weight), FeFunction.zero(space), 1.0)
@@ -108,7 +108,7 @@ def bare_report():
     report = good_report()
     bare = Problem(p=3.0, q=2.0, domain=UNIT, weight=constant_weight(2.0),
                    convection=adversarial_convection(1.0, 3.0),
-                   variant="competing", regime="H3")
+                   variant="competing")
     return dataclasses.replace(
         report, operator=dataclasses.replace(report.operator, problem=bare))
 
