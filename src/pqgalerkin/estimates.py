@@ -177,8 +177,9 @@ def apriori_radius(problem: Problem, lambda1: float,
     """(gradient radius, sup radius): the unique positive root of psi and its
     image under the sup-norm embedding.
 
-    The coefficient signs (+,-,-,-) give exactly one positive root; it is
-    bracketed by doubling from t = 1 and polished by bisection.
+    The coefficient signs (+,-,-,-) give exactly one positive root.  Since
+    c1 >= 0, psi(0) = -c1 |O| <= 0, so the root lies above t = 0; it is
+    bracketed by doubling from t = 1 and polished by bisection from 0.
     """
     psi = coercivity_polynomial(problem, lambda1)
     hi = 1.0
@@ -188,12 +189,7 @@ def apriori_radius(problem: Problem, lambda1: float,
         hi *= 2.0
     else:
         raise ArithmeticError("no positive root bracket found for psi")
-    lo = 0.0 if psi(0.0) < 0.0 else hi / 2.0
-    while psi(lo) > 0.0:
-        lo /= 2.0
-        if lo < 1e-300:
-            lo = 0.0
-            break
+    lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if psi(mid) > 0.0:

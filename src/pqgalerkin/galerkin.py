@@ -38,7 +38,6 @@ from .operators import (AssemblyError, Problem, ProblemOperator,
 
 __all__ = [
     "SolveError",
-    "ProblemOperator",
     "GuardRecord",
     "brouwer_guard",
     "Attempt",
@@ -377,8 +376,7 @@ class HierarchyReport:
     within_sup_bound: List[bool] = field(default_factory=list)
     failed_level: Optional[int] = None
     failure_message: str = ""
-    # the failed level's SolveError diagnostics; a raising guard has no
-    # attempts
+    # the failed level's SolveError diagnostics
     failure_diagnostics: Optional[dict] = None
     failed_guard: Optional[GuardRecord] = None
     operator: Optional[ProblemOperator] = field(default=None,
@@ -402,14 +400,13 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
     """Solve a nested hierarchy and tabulate the generalized-solution data.
 
     Each level samples the coercivity guard on its space, then solves; a
-    failed guard is data in the level's record, while a guard or solve
-    exception fails the level.  A solved level records its gradient norm
-    and its distance from the warm start at once.  Once the solve loop
-    ends, one pass fills each solved level's tables; the finest solved
-    level stands proxy for the weak limit in every gap and (c)-pairing.  A
-    failed level, instead of raising, sets `failed_level`,
-    `failure_message`, `failure_diagnostics` and, unless its guard raised,
-    `failed_guard`.
+    failed guard is data in the level's record, while a `SolveError` fails
+    the level.  A solved level records its gradient norm and its distance
+    from the warm start at once.  Once the solve loop ends, one pass fills
+    each solved level's tables; the finest solved level stands proxy for
+    the weak limit in every gap and (c)-pairing.  A failed level, instead
+    of raising, sets `failed_level`, `failure_message`,
+    `failure_diagnostics` and `failed_guard`.
     """
     if levels < 2:
         raise ValueError("a hierarchy needs at least 2 levels")
@@ -430,20 +427,14 @@ def run_hierarchy(problem: Problem, base_cells, levels: int,
 
     warm = None
     for n, sp in enumerate(spaces):
-        guard = None
+        guard = brouwer_guard(op, sp, guard_radius, seed=seed)
         try:
-            guard = brouwer_guard(op, sp, guard_radius, seed=seed)
             lv = solve_level(op, sp, warm=warm)
         except SolveError as err:
             # its message already names its level
+            report.failed_level, report.failed_guard = n, guard
             report.failure_message = str(err)
             report.failure_diagnostics = err.diagnostics
-        except AssemblyError as err:
-            report.failure_message = f"level {n} failed: {err}"
-            report.failure_diagnostics = {"level": n, "iterations": 0,
-                                          "attempts": []}
-        if report.failure_message:
-            report.failed_level, report.failed_guard = n, guard
             break
         lv.guard = guard
         lv.grad_norm = grad_norm_lp(lv.solution, problem.p)

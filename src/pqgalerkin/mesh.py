@@ -67,15 +67,6 @@ class Domain:
     def side_lengths(self) -> Tuple[float, ...]:
         return tuple(hi - lo for lo, hi in self.bounds)
 
-    @property
-    def coordinate_tolerances(self) -> Tuple[float, ...]:
-        """Per axis, how far two coordinates may differ and still agree:
-        1e-12 of max(|lo|, |hi|, hi - lo).  It is relative to the axis: an
-        absolute floor would put every vertex of a short axis on the
-        boundary, and match any coordinates on it."""
-        return tuple(1e-12 * max(abs(lo), abs(hi), hi - lo)
-                     for lo, hi in self.bounds)
-
 
 class MeshLevel:
     """One level of a nested simplicial mesh hierarchy.
@@ -123,11 +114,13 @@ class MeshLevel:
 
 
 def _boundary_mask(domain: Domain, pts: np.ndarray) -> np.ndarray:
+    # exact: linspace returns its endpoints exactly, the meshgrid rows and
+    # columns copy them, and a boundary edge's midpoint is 0.5 (a + a) = a.
+    # An interior vertex rounds onto a bound only with a zero-measure cell,
+    # which MeshLevel rejects
     mask = np.zeros(pts.shape[0], dtype=bool)
-    for axis, ((lo, hi), tol) in enumerate(
-            zip(domain.bounds, domain.coordinate_tolerances)):
-        mask |= np.abs(pts[:, axis] - lo) <= tol
-        mask |= np.abs(pts[:, axis] - hi) <= tol
+    for axis, (lo, hi) in enumerate(domain.bounds):
+        mask |= (pts[:, axis] == lo) | (pts[:, axis] == hi)
     return mask
 
 

@@ -142,11 +142,17 @@ class SignH3:
     """f(x,s,xi) s <= c0|xi|^p + c1(|s|^alpha + 1), alpha in [1, p].
 
     alpha < p is (H3); alpha = p is (H3a), which adds a smallness gate on c1.
+    At s = 0, xi = 0 the condition reads 0 <= c1, so c1 >= 0.
     """
 
     c0: float
     c1: float
     alpha: float
+
+    def __post_init__(self):
+        if self.c1 < 0.0:
+            raise HypothesisViolation(
+                f"(H3) requires c1 >= 0, got c1={self.c1}")
 
 
 @dataclass(frozen=True)
@@ -243,7 +249,8 @@ def saturating_convection(p: float, alpha: float = 2.0, h_bound: float = 1.0,
 
     and |xi|^{p-1} <= |xi|^p / 2 + 2^{p-1} translates these into the declared
     constants below (for alpha < 2 the power |s|^{alpha-1} <= 1 + |s| shifts
-    one unit into the constant term).
+    one unit into the constant term).  They hold for p > 1 and alpha in
+    [1, p], which `Problem` checks.
 
     The partials are df/ds = (alpha-1)|s|^{alpha-2} + (1-s^2)/(1+s^2)^2
     (|xi|^{p-1} + h) and df/dxi = s/(1+s^2) (p-1)|xi|^{p-3} xi, the latter
@@ -252,11 +259,6 @@ def saturating_convection(p: float, alpha: float = 2.0, h_bound: float = 1.0,
     drops the power term from the Jacobian where u vanishes.
     """
     p, alpha, h_bound, offset = map(float, (p, alpha, h_bound, offset))
-    if p <= 1.0:
-        raise ValueError(f"p must exceed 1, got {p}")
-    if not 1.0 <= alpha <= p:
-        raise HypothesisViolation(
-            f"(H3) power alpha must lie in [1, p], got {alpha}")
     if h_bound < 0.0:
         raise ValueError("h bound must be nonnegative")
 
@@ -297,8 +299,9 @@ def saturating_convection(p: float, alpha: float = 2.0, h_bound: float = 1.0,
     except OverflowError:
         raise OverflowError(f"saturating convection: 2**(p-1) overflows a "
                             f"float at p={p!r}") from None
-    c1 = max(1.0 + abs(offset), two_power + h_bound + abs(offset))
-    h3 = SignH3(c0=0.5, c1=c1, alpha=alpha)
+    # 2^{p-1} > 1 for p > 1, so c1 also bounds the (1 + |offset|) |s|^alpha
+    # coefficient
+    h3 = SignH3(c0=0.5, c1=two_power + h_bound + abs(offset), alpha=alpha)
     h4 = GrowthH4(sigma=sigma2, c1=1.0, c2=0.5,
                   s_exponent=max(alpha - 1.0, 1.0), xi_exponent=p - 1.0)
     return ConvectionFamily(

@@ -95,7 +95,7 @@ def check_generalized_conditions(report: HierarchyReport) -> List[Certificate]:
     levels = report.levels
     scale = _scale(report)
     tol_pair = PAIR_TOL * scale
-    final_tol = 10.0 * report.solver_tolerance * scale
+    final_tol = 10.0 * TOLERANCE * scale
     b_levels = [float(np.max(np.abs(lv.cond_b))) for lv in levels]
     b_max = b_final = c_final = route_gap = worst = np.inf
     test_count = 0
@@ -105,7 +105,7 @@ def check_generalized_conditions(report: HierarchyReport) -> List[Certificate]:
         route_gap = max(abs(lv.cond_cprime - lv.convection_pair - lv.cond_c)
                         for lv in levels)
         worst = max(abs(lv.pair_un) / (
-            report.solver_tolerance * 10.0 * max(1.0, lv.dim)
+            TOLERANCE * 10.0 * max(1.0, lv.dim)
             * max(1.0, lr_norm(lv.solution, 1.0)) + 1e-14) for lv in levels)
         test_count = len(levels[-1].cond_b)
     out.append(Certificate(

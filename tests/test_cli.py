@@ -396,6 +396,17 @@ def test_hypothesis_violation_is_exit_2(tmp_path):
     assert not (out / "report.json").exists()
 
 
+def test_saturating_alpha_above_p_is_exit_2_without_traceback(tmp_path,
+                                                              capsys):
+    # Problem, not the family, checks alpha in [1, p]
+    cfg = config_with(("problem", "convection"),
+                      {"kind": "saturating", "alpha": 3.5})
+    assert_every_command_fails(
+        tmp_path, capsys, write_config(tmp_path, cfg), 2,
+        "hypothesis violation: (H3) requires alpha in [1, p], got "
+        "alpha=3.5\n")
+
+
 def test_solve_writes_outputs(tmp_path):
     path = write_config(tmp_path, base_config())
     # solve and verify leave one layout in --out
@@ -593,6 +604,28 @@ def test_report_json_holds_one_record_per_level(tmp_path):
     # NaN on the cold level 0, written as null
     assert hier["levels"][0]["warm_distance"] is None
     assert all(0.0 < lv["warm_distance"] < 1.0 for lv in hier["levels"][1:])
+
+
+def test_verify_far_from_the_origin_solves_the_unit_interval_levels(
+        tmp_path):
+    # the bench's common problem, shifted to [1e12, 1e12 + 1]: the vertex
+    # spacing is exact there and nothing depends on x, so each level is the
+    # [0, 1] level moved, not a space of boundary vertices only
+    sups = []
+    for bounds in ([0.0, 1.0], [1e12, 1e12 + 1.0]):
+        cfg = config_with(("problem",), {
+            "p": 3.0, "q": 2.0, "variant": "competing",
+            "domain": {"kind": "interval", "bounds": bounds},
+            "weight": {"kind": "quadratic", "base": 1.0, "coef": 1.0},
+            "convection": {"kind": "saturating", "offset": 1.0}})
+        out = tmp_path / f"out-{bounds[0]:g}"
+        assert main(["verify", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        levels = json.loads((out / "report.json").read_text())[
+            "hierarchy"]["levels"]
+        assert [lv["dim"] for lv in levels] == [3, 7, 15]
+        sups.append([lv["sup_norm"] for lv in levels])
+    np.testing.assert_allclose(sups[1], sups[0], rtol=1e-12, atol=0.0)
 
 
 def test_report_json_keeps_the_failure_diagnostics(tmp_path, capsys,

@@ -86,6 +86,16 @@ def test_no_unused_top_level_imports(path):
     assert _unreferenced(path)["imports"] == []
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_all_lists_only_names_the_module_defines(name):
+    # a name a module imports is exported by the module that defines it
+    module = importlib.import_module(f"pqgalerkin.{name}")
+    imported = {attr for attr in module.__all__
+                if getattr(getattr(module, attr), "__module__",
+                           module.__name__) != module.__name__}
+    assert imported == set()
+
+
 def _private_numeric_imports(source: str):
     """Imports of a private (`_`-prefixed) numpy or scipy module, whether
     named in the module path or as an imported name."""

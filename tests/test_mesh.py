@@ -147,6 +147,33 @@ def test_degenerate_cell_rejected():
         build_mesh(Domain.interval(0.0, 0.0), 2)
 
 
+@pytest.mark.parametrize("domain, dofs", [
+    (Domain.interval(1e11, 1e11 + 1.0), [3, 7, 15, 31]),
+    (Domain.interval(1e12, 1e12 + 1.0), [3, 7, 15, 31]),
+    (Domain.rectangle(1e12, 1e12 + 1.0, -3e11, -3e11 + 2.0),
+     [9, 49, 225, 961]),
+], ids=["interval-1e11", "interval-1e12", "rectangle-1e12"])
+def test_far_domain_keeps_its_interior_vertices(domain, dofs):
+    # the boundary is matched exactly, so no bound's magnitude pulls an
+    # interior vertex onto it
+    mesh = build_mesh(domain, 4)
+    counts = [int(np.sum(~mesh.boundary))]
+    for _ in range(3):
+        mesh = refine(mesh)
+        counts.append(int(np.sum(~mesh.boundary)))
+    assert counts == dofs
+
+
+def test_vertex_rounded_onto_a_bound_is_a_degenerate_cell():
+    # on [1e15, 1e15 + 1] the spacing 1/16 is below the float step 1/8, so
+    # level 2 rounds vertices onto each other and onto the bounds
+    mesh = build_mesh(Domain.interval(1e15, 1e15 + 1.0), 4)
+    fine = refine(mesh)
+    assert [int(np.sum(~m.boundary)) for m in (mesh, fine)] == [3, 7]
+    with pytest.raises(MeshError, match="degenerate cell"):
+        refine(fine)
+
+
 def test_bad_cell_count_rejected():
     with pytest.raises(MeshError):
         build_mesh(Domain.interval(0.0, 1.0), 0)

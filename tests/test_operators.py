@@ -233,10 +233,17 @@ def test_sign_constants_follow_the_regime():
 
 
 def test_saturating_alpha_range():
-    with pytest.raises(HypothesisViolation):
-        saturating_convection(3.0, alpha=3.5)
-    with pytest.raises(HypothesisViolation):
-        saturating_convection(3.0, alpha=0.5)
+    # the family leaves alpha to Problem, which checks it for every family
+    for alpha in (0.5, 3.5):
+        with pytest.raises(HypothesisViolation, match="alpha"):
+            Problem(p=3.0, q=2.0, domain=UNIT, weight=constant_weight(1.0),
+                    convection=saturating_convection(3.0, alpha=alpha))
+
+
+def test_sign_block_rejects_a_negative_c1():
+    # at s = 0, xi = 0 the sign condition reads 0 <= c1
+    with pytest.raises(HypothesisViolation, match="c1"):
+        SignH3(0.5, -1.0, 1.0)
 
 
 def test_nonfinite_integrand_names_cell():
