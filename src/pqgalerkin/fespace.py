@@ -1,19 +1,19 @@
 """Conforming P1 spaces with zero boundary trace, norms, and prolongation.
 
-Degrees of freedom are the interior vertices in vertex-index order; boundary
-vertices always carry the value 0.  Gradients of P1 hats are cellwise
-constant, which the norm and assembly routines exploit throughout.  Each
-space owns its sparse matrices: the cell operators G and E, which map dof
-vectors to cell gradients and vertex values and back by their transposes;
-the assembly plan, an integer map from each (nv, nv) cell block position
-to the CSR entry over the dofs that it sums into, which one bincount
-follows; and the factor order, a fill-reducing order of the dofs read off
-the mesh, in which `sparse_solve` factors every matrix of that pattern and
-hands back the solve for the caller to keep for several right-hand sides.
-A space holds no solver state: everything it caches follows from its
-mesh, and the caches that only a solver reads are dropped by
-`release_solver_caches` once a level is solved, to be built again on
-demand.
+Degrees of freedom are the interior vertices, numbered in the order in
+which `sparse_solve` eliminates them, a fill-reducing order read off the
+mesh; boundary vertices always carry the value 0.  Gradients of P1 hats are
+cellwise constant, which the norm and assembly routines exploit
+throughout.  Each space owns its sparse matrices: the cell operators G and
+E, which map dof vectors to cell gradients and vertex values and back by
+their transposes; and the assembly plan, an integer map from each (nv, nv)
+cell block position to the CSR entry over the dofs that it sums into,
+which one bincount follows.  `sparse_solve` factors every matrix of that
+pattern as it stands and hands back the solve for the caller to keep for
+several right-hand sides.  A space holds no solver state: everything it
+caches follows from its mesh, and the caches that only a solver reads are
+dropped by `release_solver_caches` once a level is solved, to be built
+again on demand.
 """
 
 from __future__ import annotations
@@ -56,30 +56,35 @@ __all__ = [
 # is dropped; and the CSR pattern over the dofs, with nnz entries.
 AssemblyPlan = namedtuple("AssemblyPlan", ["entry", "indices", "indptr"])
 
-# The dofs in factorization order and its inverse, so that dof perm[k] is
-# eliminated k-th and inverse[perm[k]] == k; and the positions of the plan's
-# CSR data in the CSR pattern of P A P^T, whose rows and columns are in that
-# order, with its column indices sorted within each row.  Those arrays, read
-# as CSC, are P A^T P^T.  All are int32, as the plan's arrays are.
-FactorOrder = namedtuple("FactorOrder",
-                         ["perm", "inverse", "take", "indices", "indptr"])
-
 # nested dissection stops at boxes of at most this many dofs, which keep
-# the dof order.  On the finest level of the 2D cooperative 4 x 5 bench
-# hierarchy (3 969 dofs), leaves of 8, 16, 32 and 64 dofs fill L + U of the
-# Jacobian at its solution with 183 887, 185 337, 197 831 and 212 337
-# nonzeros, against 251 779 by COLAMD; on a 2-core VM its factorization
-# takes 5.8, 5.8, 7.0 and 9.1 ms, and the order 1.5-1.8 ms at each size
+# their vertex-index order.  On the finest level of the 2D cooperative
+# 4 x 5 bench hierarchy (3 969 dofs), leaves of 8, 16, 32 and 64 dofs fill
+# L + U of the Jacobian at its solution with 183 887, 185 337, 197 831 and
+# 212 337 nonzeros, against 251 779 by COLAMD; on a 2-core VM its
+# factorization takes 5.8, 5.8, 7.0 and 9.1 ms, and the order 1.5-1.8 ms at
+# each size
 ND_LEAF = 16
 
 
 class FeSpace:
-    """Piecewise-linear functions on a mesh level vanishing on the boundary."""
+    """Piecewise-linear functions on a mesh level vanishing on the boundary.
+
+    Dof k is the interior vertex dofs[k], and SuperLU eliminates the dofs
+    in that order.  In 1D they go by coordinate, so a tridiagonal matrix
+    factors with no fill.  In 2D, nested dissection on the vertex lattice
+    of uniform refinement (George, SIAM J. Numer. Anal. 10 (1973) 345-363):
+    every cell spans one lattice step per axis, so the dofs on one lattice
+    line separate those on either side of it."""
 
     def __init__(self, mesh: MeshLevel):
         self.mesh = mesh
         self.quadrature = quadrature_for(mesh.domain.dim)
-        self.dofs = np.flatnonzero(~mesh.boundary)
+        interior = np.flatnonzero(~mesh.boundary)
+        if mesh.domain.dim == 1:
+            order = np.argsort(mesh.vertices[interior, 0], kind="stable")
+        else:
+            order = _nested_dissection(_lattice(mesh, interior))
+        self.dofs = interior[order]
         self.dim = int(self.dofs.size)
         self.vertex_to_dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
         self.vertex_to_dof[self.dofs] = np.arange(self.dim)
@@ -131,8 +136,8 @@ class FeSpace:
         pattern.data = np.arange(pattern.nnz, dtype=np.intc)
         # int32, like scipy's index arrays: bincount takes an intp copy of
         # it on each call, yet on the 2D cooperative 4 x 5 bench hierarchy
-        # the run peaks 0.4 MB lower than with an intp map and factor
-        # order (medians of 12 fresh-process verify runs, 2-core VM)
+        # the run peaks 0.4 MB lower than with intp index maps (medians of
+        # 12 fresh-process verify runs, 2-core VM)
         entry = np.full(kept.size, pattern.nnz, dtype=np.intc)
         if pattern.nnz:
             # scipy answers a lookup of no positions with a sparse array
@@ -141,41 +146,6 @@ class FeSpace:
         for arr in plan:
             arr.flags.writeable = False
         return plan
-
-    @functools.cached_property
-    def factor_order(self) -> FactorOrder:
-        """The order in which `sparse_solve` eliminates the dofs, built on
-        first use from the mesh alone; read-only.
-
-        In 1D the dofs go by coordinate, so a tridiagonal matrix factors
-        with no fill.  In 2D, nested dissection on the vertex lattice of
-        uniform refinement (George, SIAM J. Numer. Anal. 10 (1973)
-        345-363): every cell spans one lattice step per axis, so the dofs
-        on one lattice line separate those on either side of it."""
-        mesh, n = self.mesh, self.dim
-        if mesh.domain.dim == 1:
-            perm = np.argsort(mesh.vertices[self.dofs, 0], kind="stable")
-        else:
-            perm = _nested_dissection(_lattice(mesh, self.dofs))
-        perm = perm.astype(np.intc)
-        inverse = np.empty(n, dtype=np.intc)
-        inverse[perm] = np.arange(n, dtype=np.intc)
-        plan = self.plan
-        # the rows of A in the order perm, their columns renumbered, then
-        # sorted within each row by scipy, which carries the data positions
-        lengths = np.diff(plan.indptr)[perm]
-        indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intc)
-        take = (np.repeat(plan.indptr[:-1][perm] - indptr[:-1], lengths)
-                + np.arange(indptr[-1], dtype=np.intc))
-        permuted = sp.csr_matrix(
-            (take, inverse[plan.indices[take]].astype(np.intc), indptr),
-            shape=(n, n))
-        permuted.sort_indices()
-        order = FactorOrder(perm, inverse, permuted.data, permuted.indices,
-                            permuted.indptr)
-        for arr in order:
-            arr.flags.writeable = False
-        return order
 
     @functools.cached_property
     def gradient_operator(self) -> sp.csr_matrix:
@@ -233,10 +203,10 @@ class FeSpace:
 
 def release_solver_caches(space: FeSpace) -> None:
     """Drop the caches that only assembly and `sparse_solve` read: the
-    space's plan, factor order and stiffness blocks.  Each follows from the
-    mesh, so the next Jacobian or solve on the space builds it again, with
-    the same bits."""
-    for name in ("plan", "factor_order", "stiffness_blocks"):
+    space's plan and stiffness blocks.  Each follows from the mesh, so the
+    next Jacobian or solve on the space builds it again, with the same
+    bits."""
+    for name in ("plan", "stiffness_blocks"):
         vars(space).pop(name, None)
 
 
@@ -256,7 +226,8 @@ def assemble_matrix(space: FeSpace, blocks: np.ndarray) -> sp.csr_matrix:
 def _lattice(mesh: MeshLevel, vertices: np.ndarray) -> np.ndarray:
     """Integer coordinates (i, j) of the given vertices of a 2D mesh on the
     lattice of its uniform refinement, whose step per axis is the extent of
-    a cell; (0, 0) is the domain's lower-left corner."""
+    a cell; (0, 0) is the domain's lower-left corner.  `FeSpace` orders its
+    dofs by nested dissection on these coordinates."""
     step = np.ptp(mesh.vertices[mesh.cells[0]], axis=0)
     corner = np.array([lo for lo, _ in mesh.domain.bounds])
     return np.rint((mesh.vertices[vertices] - corner) / step).astype(np.intp)
@@ -311,7 +282,7 @@ def _nested_dissection(ij: np.ndarray) -> np.ndarray:
 
 # SuperLU's diagonal pivot threshold: the diagonal entry is the pivot
 # unless it is below this fraction of its column's largest, so a pivot
-# leaves the diagonal, and adds fill beyond the factor order's, only where
+# leaves the diagonal, and adds fill beyond the dof order's, only where
 # the diagonal is that small.  At 1, partial pivoting, the bench
 # hierarchies' factors fill as at 0.01 (compete-2d-load's 70 in all by
 # 203 nonzeros more, 0.06 %), and the seeded sweep (tests/sweep.py) moves
@@ -327,21 +298,19 @@ def sparse_solve(space: FeSpace, A: sp.csr_matrix, b: np.ndarray) -> tuple:
     are all NaN where A is exactly singular.  A matrix in any other pattern
     raises a ValueError.
 
-    Every matrix is factored one way.  Its data are taken into the space's
-    factor order, as P A^T P^T in CSC, which SuperLU factors in natural
-    order in its symmetric mode with a diagonal pivot threshold of
-    PIVOT_THRESHOLD; the solve is the transposed one, in the permuted dofs.
+    Every matrix is factored one way.  A's own CSR arrays, read as CSC,
+    are A^T, which SuperLU factors in natural order, the space's dof order,
+    in its symmetric mode with a diagonal pivot threshold of
+    PIVOT_THRESHOLD; the solve is the transposed one.
     """
     plan = space.plan
     # an assembled matrix holds the plan's own index arrays
     if not all(a is b or np.array_equal(a, b) for a, b in
                ((A.indptr, plan.indptr), (A.indices, plan.indices))):
         raise ValueError(f"the matrix is not in the pattern of {space}")
-    order = space.factor_order
-    permuted = sp.csc_matrix((np.take(A.data, order.take), order.indices,
-                              order.indptr), shape=A.shape)
     try:
-        lu = spla.splu(permuted, permc_spec="NATURAL",
+        lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr),
+                                     shape=A.shape), permc_spec="NATURAL",
                        diag_pivot_thresh=PIVOT_THRESHOLD,
                        options={"SymmetricMode": True})
     except RuntimeError:
@@ -351,7 +320,7 @@ def sparse_solve(space: FeSpace, A: sp.csr_matrix, b: np.ndarray) -> tuple:
     def solve(rhs: np.ndarray) -> np.ndarray:
         if lu is None:
             return np.full(space.dim, np.nan)
-        return lu.solve(rhs[order.perm], trans="T")[order.inverse]
+        return lu.solve(rhs, trans="T")
 
     return solve(b), solve
 
@@ -394,9 +363,6 @@ class FeFunction:
         if not isinstance(other, FeFunction) or other.space is not self.space:
             raise ValueError("operands must live on the same FeSpace")
         return FeFunction(self.space, op(self.coeffs, other.coeffs))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
 
     def __sub__(self, other):
         return self._binary(other, np.subtract)

@@ -96,8 +96,9 @@ class MeshLevel:
         self.parent_edges = parent_edges
         self.boundary = _boundary_mask(domain, self.vertices)
         self.cell_measures = _cell_measures(domain.dim, self.vertices, self.cells)
-        if np.any(self.cell_measures <= 0.0):
-            bad = int(np.argmin(self.cell_measures))
+        sound = np.isfinite(self.cell_measures) & (self.cell_measures > 0.0)
+        if not sound.all():
+            bad = int(np.argmin(sound))
             raise MeshError(f"degenerate cell {bad} with measure {self.cell_measures[bad]}")
 
     @property
@@ -115,7 +116,7 @@ class MeshLevel:
 
 def _boundary_mask(domain: Domain, pts: np.ndarray) -> np.ndarray:
     # exact: linspace returns its endpoints exactly, the meshgrid rows and
-    # columns copy them, and a boundary edge's midpoint is 0.5 (a + a) = a.
+    # columns copy them, and a boundary edge's midpoint is 0.5 a + 0.5 a = a.
     # An interior vertex rounds onto a bound only with a zero-measure cell,
     # which MeshLevel rejects
     mask = np.zeros(pts.shape[0], dtype=bool)
@@ -191,8 +192,10 @@ def refine(mesh: MeshLevel) -> MeshLevel:
     order = np.argsort(first)
     edges = ends[first[order]]
     mids = n + np.argsort(order)[inverse].reshape(mesh.n_cells, -1)
-    child_verts = np.vstack([verts, 0.5 * (verts[edges[:, 0]]
-                                           + verts[edges[:, 1]])])
+    # 0.5 a + 0.5 b, not 0.5 (a + b): the same bits for normal a and b, and
+    # no overflow near the top of the float range
+    child_verts = np.vstack([verts, 0.5 * verts[edges[:, 0]]
+                             + 0.5 * verts[edges[:, 1]]])
     cells = np.hstack([mesh.cells, mids])[:, _CHILDREN[dim]]
     return MeshLevel(mesh.level + 1, mesh.domain, child_verts,
                      cells.reshape(-1, dim + 1), parent=mesh,

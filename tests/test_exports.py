@@ -290,7 +290,7 @@ def test_spsolve_check_flags_each_form():
     ids=lambda p: p.name)
 def test_sparse_solves_share_the_factor_path(path):
     # every sparse solve goes through fespace's one splu path, which
-    # factors in each space's factor order
+    # factors in each space's dof order
     assert _spsolve_uses(path.read_text()) == []
 
 
@@ -322,25 +322,29 @@ def test_sparse_linalg_import_check_flags_each_form():
 
 
 def _recorded_order_uses(source: str):
-    """Line numbers where a space's recorded column order, which spaces
-    no longer hold, is read or written, under either name it had."""
+    """Line numbers where a space's second order of its dofs, a recorded
+    column order or a factor order, which spaces no longer hold, is read
+    or written, under any name it had."""
     return sorted({node.lineno for node in ast.walk(ast.parse(source))
                    if isinstance(node, ast.Attribute)
-                   and node.attr in ("_recorded_order", "column_order")})
+                   and node.attr in ("_recorded_order", "column_order",
+                                     "factor_order")})
 
 
 def test_recorded_order_check_flags_each_form():
     source = ("order = space._recorded_order\n"
               "space._recorded_order = None\n"
               "space.column_order = order\n"
+              "perm = space.factor_order.perm\n"
               "order = _column_order(plan, inverse)\n")
-    assert _recorded_order_uses(source) == [1, 2, 3]
+    assert _recorded_order_uses(source) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("path", MODULE_PATHS, ids=lambda p: p.name)
 def test_only_fespace_factors_sparse_matrices(path):
     # fespace owns each space's sparse matrices: it alone loads SuperLU;
-    # a space records no column order, so no module reads or writes one
+    # a space keeps one order of its dofs, so no module reads or writes a
+    # second
     source = path.read_text()
     assert (_sparse_linalg_imports(source) != []) \
         == (path.name == "fespace.py")

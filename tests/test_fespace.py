@@ -235,6 +235,21 @@ def test_csv_round_trip(tmp_path):
     assert header == "x,y,value"
 
 
+def test_csv_round_trip_is_exact_in_elimination_order(tmp_path):
+    # nested dissection numbers the level-1 dofs out of vertex order; the
+    # file goes by vertex, and reading it back gives every dof its bits
+    mesh = refine(build_mesh(Domain.rectangle(0.0, 1.0, 0.0, 1.0), 4))
+    space = FeSpace(mesh)
+    assert np.any(np.diff(space.dofs) < 0)
+    u = FeFunction(space, np.random.default_rng(7).standard_normal(space.dim))
+    path = tmp_path / "u.csv"
+    write_csv(u, path)
+    assert read_csv(space, path).coeffs.tobytes() == u.coeffs.tobytes()
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, :2], mesh.vertices)
+    assert np.array_equal(rows[space.dofs, 2], u.coeffs)
+
+
 def reference_write_csv(u, path):
     """The per-row writer `write_csv` replaced: its bytes are the contract."""
     mesh = u.space.mesh

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 from collections import Counter
@@ -536,6 +537,8 @@ def test_nested_dissection_fills_less_than_colamd():
     (Domain.rectangle(0, 1, 0, 1), 4, 4),
     (Domain.rectangle(-1.0, 2.0, 0.5, 1.0), (3, 5), 3)])
 def test_factor_order_is_a_deterministic_permutation(domain, cells, levels):
+    # SuperLU eliminates the dofs in their own order, so the factor order is
+    # the order in which a space numbers its interior vertices
     meshes = [build_mesh(domain, cells)]
     for _ in range(levels - 1):
         meshes.append(refine(meshes[-1]))
@@ -543,24 +546,42 @@ def test_factor_order_is_a_deterministic_permutation(domain, cells, levels):
     for _ in range(levels - 1):
         again = refine(again)
     for mesh in meshes:
-        order = FeSpace(mesh).factor_order
-        n = len(order.perm)
-        assert np.array_equal(np.sort(order.perm), np.arange(n))
-        assert np.array_equal(order.inverse[order.perm], np.arange(n))
-        assert not order.perm.flags.writeable
+        space = FeSpace(mesh)
+        interior = np.flatnonzero(~mesh.boundary)
+        assert np.array_equal(np.sort(space.dofs), interior)
+        assert np.array_equal(space.vertex_to_dof[space.dofs],
+                              np.arange(space.dim))
+        assert np.all(space.vertex_to_dof[mesh.boundary] == -1)
+        if domain.dim == 1:
+            assert np.all(np.diff(mesh.vertices[space.dofs, 0]) > 0.0)
+        else:
+            order = fespace._nested_dissection(
+                fespace._lattice(mesh, interior))
+            assert np.array_equal(space.dofs, interior[order])
     # the order follows from the mesh alone
-    for a, b in zip(FeSpace(meshes[-1]).factor_order,
-                    FeSpace(again).factor_order):
-        assert np.array_equal(a, b)
+    assert np.array_equal(FeSpace(meshes[-1]).dofs, FeSpace(again).dofs)
 
 
 def test_every_factorization_takes_the_natural_order(monkeypatch):
-    specs, splu = Counter(), spla.splu
+    # the dofs are numbered in elimination order, so each matrix goes to
+    # SuperLU on its space's own index arrays, with no permuted copy
+    specs, splu, plans = Counter(), spla.splu, {}
+    build_plan = FeSpace.plan.func
+
+    def recording(space):
+        plans[space.dim] = build_plan(space)
+        return plans[space.dim]
 
     def counting(A, permc_spec=None, **kwargs):
         specs[permc_spec, A.shape[0]] += 1
+        plan = plans[A.shape[0]]
+        assert np.shares_memory(A.indices, plan.indices)
+        assert np.shares_memory(A.indptr, plan.indptr)
         return splu(A, permc_spec=permc_spec, **kwargs)
 
+    recorded = functools.cached_property(recording)
+    recorded.__set_name__(FeSpace, "plan")
+    monkeypatch.setattr(FeSpace, "plan", recorded)
     monkeypatch.setattr(spla, "splu", counting)
     report = run_hierarchy(offset_problem(), 4, 3)
     assert report.failed_level is None
@@ -571,11 +592,11 @@ def test_every_factorization_takes_the_natural_order(monkeypatch):
 
 def test_a_solved_space_holds_no_solver_state():
     # a space caches only what its mesh gives, and a solve releases what
-    # only a solver reads: after a hierarchy, no space holds a plan, a
-    # factor order or stiffness blocks, and each Jacobian built again has
-    # the bits of the one built before the release
+    # only a solver reads: after a hierarchy, no space holds a plan or
+    # stiffness blocks, and each Jacobian built again has the bits of the
+    # one built before the release
     report = workload_report("compete-2d-load")
-    solver_caches = {"plan", "factor_order", "stiffness_blocks"}
+    solver_caches = {"plan", "stiffness_blocks"}
     for lv in report.levels:
         space = lv.solution.space
         fresh = FeSpace(space.mesh)
@@ -844,7 +865,6 @@ def test_a_space_with_no_dofs_assembles_and_solves_empty(domain, cells):
     assert plan.indices.size == 0 and np.array_equal(plan.indptr, [0])
     # every block position is dropped into the bin past the empty pattern
     assert not np.any(plan.entry)
-    assert len(space.factor_order.perm) == 0
     nv = space.cell_dofs.shape[1]
     A = assemble_matrix(space, np.ones(space.cell_dofs.shape + (nv,)))
     assert A.shape == (0, 0)

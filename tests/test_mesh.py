@@ -174,6 +174,26 @@ def test_vertex_rounded_onto_a_bound_is_a_degenerate_cell():
         refine(fine)
 
 
+def test_refine_near_the_top_of_the_float_range_stays_finite():
+    # a midpoint 0.5 (a + b) overflows to inf once a + b passes the largest
+    # float; 0.5 a + 0.5 b does not
+    mesh = refine(build_mesh(Domain.interval(1e308, 1.7e308), 4))
+    assert np.all(np.isfinite(mesh.vertices))
+    assert np.all(np.isfinite(mesh.cell_measures))
+
+
+@pytest.mark.parametrize("domain, vertices, cells", [
+    (Domain.interval(0.0, 1.0), [[0.0], [0.5], [np.inf]], [[0, 1], [1, 2]]),
+    (Domain.interval(0.0, 1.0), [[0.0], [0.5], [np.nan]], [[0, 1], [1, 2]]),
+    (Domain.rectangle(0.0, 1.0, 0.0, 1.0),
+     [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [np.inf, 0.5]],
+     [[0, 1, 2], [0, 2, 3]]),
+], ids=["interval-inf", "interval-nan", "rectangle-inf"])
+def test_nonfinite_cell_measure_rejected(domain, vertices, cells):
+    with pytest.raises(MeshError, match="degenerate cell 1"):
+        MeshLevel(0, domain, vertices, cells)
+
+
 def test_bad_cell_count_rejected():
     with pytest.raises(MeshError):
         build_mesh(Domain.interval(0.0, 1.0), 0)
