@@ -249,7 +249,8 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         cfg = load_config(args.config)
-    except (ValueError, OSError) as err:  # also bad JSON and bad UTF-8
+    # also bad JSON, bad UTF-8 and JSON nested past the recursion limit
+    except (ValueError, OSError, RecursionError) as err:
         return _fail(f"config error: {err}")
     # the output directory is made by the first write into it, so an error
     # before that leaves nothing behind

@@ -2,7 +2,9 @@
 
 Degrees of freedom are the interior vertices, numbered in the order in
 which `sparse_solve` eliminates them, a fill-reducing order read off the
-mesh; boundary vertices always carry the value 0.  Gradients of P1 hats are
+mesh; boundary vertices always carry the value 0.  A space has at least one
+dof, and its dof maps are int32, scipy's sparse index dtype, from the
+start.  Gradients of P1 hats are
 cellwise constant, which the norm and assembly routines exploit
 throughout.  Each space owns its sparse matrices: the cell operators G and
 E, which map dof vectors to cell gradients and vertex values and back by
@@ -28,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import MeshLevel, quadrature_for
+from .mesh import MeshError, MeshLevel, quadrature_for
 
 __all__ = [
     "assemble_matrix",
@@ -74,19 +76,23 @@ class FeSpace:
     factors with no fill.  In 2D, nested dissection on the vertex lattice
     of uniform refinement (George, SIAM J. Numer. Anal. 10 (1973) 345-363):
     every cell spans one lattice step per axis, so the dofs on one lattice
-    line separate those on either side of it."""
+    line separate those on either side of it.  vertex_to_dof, -1 on the
+    boundary, and cell_dofs are int32.  A mesh with no interior vertex has
+    no such space and raises a MeshError."""
 
     def __init__(self, mesh: MeshLevel):
         self.mesh = mesh
         self.quadrature = quadrature_for(mesh.domain.dim)
         interior = np.flatnonzero(~mesh.boundary)
+        if not interior.size:
+            raise MeshError(f"{mesh} has no interior vertex, so no dof")
         if mesh.domain.dim == 1:
             order = np.argsort(mesh.vertices[interior, 0], kind="stable")
         else:
             order = _nested_dissection(_lattice(mesh, interior))
         self.dofs = interior[order]
         self.dim = int(self.dofs.size)
-        self.vertex_to_dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
+        self.vertex_to_dof = np.full(mesh.n_vertices, -1, dtype=np.intc)
         self.vertex_to_dof[self.dofs] = np.arange(self.dim)
         self.cells = mesh.cells
         self.cell_measures = mesh.cell_measures
@@ -125,10 +131,10 @@ class FeSpace:
         nv = idx.shape[1]
         inside = idx >= 0
         kept = (inside[:, :, None] & inside[:, None, :]).ravel()
-        # the row and column dof of every kept block position; scipy's int32
-        # index arrays, made one at a time, bound the peak memory
-        rows = np.repeat(idx, nv, axis=1).ravel()[kept].astype(np.intc)
-        cols = np.tile(idx, nv).ravel()[kept].astype(np.intc)
+        # the row and column dof of every kept block position, made one at
+        # a time, which bounds the peak memory
+        rows = np.repeat(idx, nv, axis=1).ravel()[kept]
+        cols = np.tile(idx, nv).ravel()[kept]
         # scipy's own pattern of the summed blocks, whose data become the
         # entry numbers that each kept block position looks up
         pattern = sp.csr_array((np.ones(rows.size, np.int8), (rows, cols)),
@@ -139,9 +145,7 @@ class FeSpace:
         # the run peaks 0.4 MB lower than with intp index maps (medians of
         # 12 fresh-process verify runs, 2-core VM)
         entry = np.full(kept.size, pattern.nnz, dtype=np.intc)
-        if pattern.nnz:
-            # scipy answers a lookup of no positions with a sparse array
-            entry[kept] = pattern[rows, cols]
+        entry[kept] = pattern[rows, cols]
         plan = AssemblyPlan(entry, pattern.indices, pattern.indptr)
         for arr in plan:
             arr.flags.writeable = False
@@ -156,7 +160,7 @@ class FeSpace:
         einsum("cv,cvd->cd") does, and the boundary terms it skips are the
         +-0.0 that add nothing to such a sum."""
         m, nv, d = self.grads.shape
-        cols = self.cell_dofs.astype(np.intc)[:, None, :]
+        cols = self.cell_dofs[:, None, :]
         return self._cell_operator(np.broadcast_to(cols, (m, d, nv)),
                                    self.grads.transpose(0, 2, 1))
 
@@ -166,7 +170,7 @@ class FeSpace:
         values at each cell's vertices, built on first use.  Row c*nv + v
         holds 1.0 at the dof of vertex v of cell c and is empty for a
         boundary vertex, which reads +0.0; so does a -0.0 coefficient."""
-        cols = self.cell_dofs.astype(np.intc)[:, :, None]
+        cols = self.cell_dofs[:, :, None]
         return self._cell_operator(cols, np.ones(cols.shape))
 
     def _cell_operator(self, cols: np.ndarray, vals: np.ndarray):
@@ -235,49 +239,24 @@ def _lattice(mesh: MeshLevel, vertices: np.ndarray) -> np.ndarray:
 
 def _nested_dissection(ij: np.ndarray) -> np.ndarray:
     """Nested-dissection order of points at integer coordinates ij (n, 2),
-    one pass over every box of a depth at once.
+    a recursion over boxes lo..hi that starts from the points' own bounding
+    box.  A box of at most ND_LEAF points keeps their index order.  A larger
+    box is cut at cut = (lo + hi) // 2 on its longer side, x on a tie, and
+    orders the left half, bounded at cut - 1, then the right half, bounded
+    at cut + 1, then the points on the line, in index order."""
+    def order(idx, lo, hi):
+        if idx.size <= ND_LEAF:
+            return [idx]
+        axis = int(hi[1] - lo[1] > hi[0] - lo[0])
+        cut = (lo[axis] + hi[axis]) // 2
+        side = ij[:, axis][idx]
+        left_hi, right_lo = list(hi), list(lo)
+        left_hi[axis], right_lo[axis] = cut - 1, cut + 1
+        return (order(idx[side < cut], lo, left_hi)
+                + order(idx[side > cut], right_lo, hi) + [idx[side == cut]])
 
-    Every live point belongs to a box with bounds lo..hi and the first
-    position `start` of its block of the order.  Each pass cuts every box
-    of more than ND_LEAF points at the middle line across its longer side,
-    x on a tie: the points on the line take the last positions of the
-    box's block, and the left and right halves become boxes that start at
-    the block's start and after the left half.  A point in a box of at
-    most ND_LEAF points takes its box's start.  The order sorts by start,
-    stably, so the points of one leaf or line keep their index order."""
-    n = len(ij)
-    if not n:
-        return np.arange(0)
-    start_of = np.zeros(n, dtype=np.intp)
-    live = np.arange(n)
-    box = np.zeros(n, dtype=np.intp)
-    lo, hi = ij.min(axis=0, keepdims=True), ij.max(axis=0, keepdims=True)
-    start = np.zeros(1, dtype=np.intp)
-    while live.size:
-        cut_box = np.bincount(box, minlength=len(start)) > ND_LEAF
-        if not cut_box.all():
-            leaf = ~cut_box[box]
-            start_of[live[leaf]] = start[box[leaf]]
-            live, box = live[~leaf], box[~leaf]
-            box = (np.cumsum(cut_box) - 1)[box]
-            lo, hi, start = lo[cut_box], hi[cut_box], start[cut_box]
-        boxes = np.arange(len(start))
-        axis = np.argmax(hi - lo, axis=1)
-        cut = (lo[boxes, axis] + hi[boxes, axis]) // 2
-        # -1 left of the line, 0 on it, 1 right of it
-        side = np.sign(ij[live, axis[box]] - cut[box])
-        counts = np.bincount(3 * box + side + 1,
-                             minlength=3 * len(start)).reshape(-1, 3)
-        on = side == 0
-        start_of[live[on]] = (start + counts[:, 0] + counts[:, 2])[box[on]]
-        live, box, right = live[~on], box[~on], side[~on] > 0
-        # box b's halves are boxes 2b (left) and 2b + 1 (right)
-        lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
-        hi[2 * boxes, axis] = cut - 1
-        lo[2 * boxes + 1, axis] = cut + 1
-        start = np.column_stack([start, start + counts[:, 0]]).ravel()
-        box = 2 * box + right
-    return np.argsort(start_of, kind="stable")
+    return np.concatenate(order(np.arange(len(ij)), ij.min(axis=0).tolist(),
+                                ij.max(axis=0).tolist()))
 
 
 # SuperLU's diagonal pivot threshold: the diagonal entry is the pivot
@@ -470,7 +449,7 @@ def lr_norm(u: FeFunction, r: float) -> float:
 
 def sup_norm(u: FeFunction) -> float:
     """||u||_{C(closure)} = max vertex magnitude (P1 attains extrema at vertices)."""
-    return float(np.max(np.abs(u.coeffs))) if u.coeffs.size else 0.0
+    return float(np.max(np.abs(u.coeffs)))
 
 
 def prolongate(u: FeFunction, finer: FeSpace) -> FeFunction:

@@ -155,7 +155,7 @@ def _merit(F: np.ndarray) -> float:
 
 
 def _sup(F: np.ndarray) -> float:
-    return float(np.max(np.abs(F))) if F.size else 0.0
+    return float(np.max(np.abs(F)))
 
 
 def _trial(op, u: FeFunction, step: np.ndarray) -> tuple:
@@ -388,10 +388,7 @@ def _test_set(space0: FeSpace, seed: int) -> FeFunction:
     functions, each of unit L^2 gradient norm."""
     extra = np.random.default_rng(seed).standard_normal((EXTRA_TESTS,
                                                          space0.dim))
-    scales = grad_norm_lp(FeFunction(space0, extra), 2.0)
-    for row, scale in zip(extra, scales):
-        if scale > 0.0:
-            row *= 1.0 / scale
+    extra *= 1.0 / grad_norm_lp(FeFunction(space0, extra), 2.0)[:, None]
     return FeFunction(space0, np.concatenate([np.eye(space0.dim), extra]))
 
 

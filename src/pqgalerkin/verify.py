@@ -63,7 +63,7 @@ def check_truncation_consistency(raw_op: ProblemOperator, u: FeFunction,
     """
     sup = sup_norm(u)
     raw = raw_op.residual(u)
-    raw_sup = float(np.max(np.abs(raw))) if raw.size else 0.0
+    raw_sup = float(np.max(np.abs(raw)))
     tol = TOLERANCE * 10.0 + 1e-14
     details = {"sup_norm": float(sup), "radius": float(radius)}
     if sup <= radius * (1.0 + 1e-12):
@@ -236,7 +236,7 @@ def weak_implies_generalized_demo(op: ProblemOperator,
     the generalized conditions outright: every (b)-pairing is the residual
     entry and the (c)-pairing is against a zero gap."""
     # pairing F with the i-th hat is F[i]
-    b_max = float(np.max(np.abs(op.residual(u_weak)), initial=0.0))
+    b_max = float(np.max(np.abs(op.residual(u_weak))))
     grad = grad_norm_lp(u_weak, op.problem.p)
     tol = TOLERANCE * 10.0 * max(1.0, grad) + 1e-14
     # the pairing is linear in the test function, so against the zero gap

@@ -672,6 +672,17 @@ def test_config_that_is_not_utf8_is_exit_1_without_traceback(tmp_path,
         "invalid start byte\n")
 
 
+def test_config_nested_past_the_recursion_limit_is_exit_1(tmp_path, capsys):
+    # json raises a RecursionError, which once escaped main as a traceback
+    text = "[" * 100000 + "]" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(RecursionError) as err:
+        json.loads(text)
+    assert_every_command_fails(tmp_path, capsys, str(path), 1,
+                               f"config error: {err.value}\n")
+
+
 @pytest.mark.parametrize("args, code, needle", [
     (["solve", "--out", "OUT"], 1, "--config"),
     (["solve", "--config", "CONFIG", "--out", "OUT", "--seed", "abc"], 1,

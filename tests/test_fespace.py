@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -334,3 +335,52 @@ def test_stiffness_blocks_are_built_once_with_the_einsum_bits(dim):
     assert not blocks.flags.writeable
     reference = np.einsum("cvd,cwd->cvw", space.grads, space.grads)
     assert np.array_equal(blocks.view(np.int64), reference.view(np.int64))
+
+
+def test_nested_dissection_cuts_at_the_middle_lines():
+    # level 1 of a 4 x 4 base: 49 dofs at lattice points 1..7 per axis.
+    # The box is cut at i = 4, x on the tie, and each side of 21 dofs at
+    # j = 4, into leaves of 9 and lines of 3; the line i = 4 comes last
+    space = FeSpace(refine(build_mesh(Domain.rectangle(0, 1, 0, 1), 4)))
+    i, j = np.rint(8.0 * space.mesh.vertices[space.dofs]).astype(int).T
+    blocks = [(i <= 3) & (j <= 3), (i <= 3) & (j >= 5), (i <= 3) & (j == 4),
+              (i >= 5) & (j <= 3), (i >= 5) & (j >= 5), (i >= 5) & (j == 4),
+              i == 4]
+    start = 0
+    for block, size in zip(blocks, [9, 9, 3, 9, 9, 3, 7]):
+        assert np.array_equal(np.flatnonzero(block),
+                              np.arange(start, start + size))
+        # within a block the vertex index ascends
+        assert np.all(np.diff(space.dofs[start:start + size]) > 0)
+        start += size
+    assert start == space.dim == 49
+
+
+@pytest.mark.parametrize("bounds,cells,levels,digest", [
+    ((0, 1, 0, 1), 4, 6, "56e9c54f471f7d3b"),
+    ((0, 1, 0, 1), (4, 3), 6, "996793af2dbe19ab"),
+    ((0.1, 0.7, 0, 3), (3, 5), 6, "f1feb7a6a6d980aa"),
+    ((0, 1, 0, 1), (2, 2), 7, "d18706976023db6a"),
+    ((0, 1, 0, 1), (7, 2), 6, "2ba9d353f9d614d2")],
+    ids=["unit-4x4", "unit-4x3", "offset-3x5", "unit-2x2", "unit-7x2"])
+def test_the_dof_order_keeps_its_recorded_digest(bounds, cells, levels,
+                                                 digest):
+    # the dofs of every level, in order, as the vectorized nested
+    # dissection that the recursion replaced numbered them
+    mesh, sha = build_mesh(Domain.rectangle(*bounds), cells), hashlib.sha256()
+    for level in range(levels):
+        if level:
+            mesh = refine(mesh)
+        sha.update(FeSpace(mesh).dofs.astype(np.int64).tobytes())
+    assert sha.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dof_maps_and_cell_operators_are_int32(dim):
+    domain = Domain.interval(0.0, 1.0) if dim == 1 \
+        else Domain.rectangle(0.0, 1.0, 0.0, 1.0)
+    space = FeSpace(build_mesh(domain, 6 if dim == 1 else (3, 3)))
+    arrays = [space.vertex_to_dof, space.cell_dofs, *space.plan]
+    for op in (space.gradient_operator, space.incidence_operator):
+        arrays += [op.indices, op.indptr]
+    assert [a.dtype for a in arrays] == [np.dtype(np.intc)] * len(arrays)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -17,7 +18,7 @@ from pqgalerkin.fespace import (FeFunction, FeSpace, assemble_matrix,
                                 sup_norm)
 from pqgalerkin.galerkin import (ProblemOperator, SolveError, brouwer_guard,
                                  run_hierarchy, solve_level)
-from pqgalerkin.mesh import Domain, build_mesh, refine
+from pqgalerkin.mesh import Domain, MeshError, build_mesh, refine
 from pqgalerkin.operators import (AssemblyError, Problem,
                                   constant_convection, constant_weight,
                                   quadratic_weight, saturating_convection,
@@ -840,36 +841,38 @@ def test_shifted_matrix_keeps_the_plan_pattern_where_an_entry_cancels():
     assert np.all(np.isfinite(x))
 
 
-def test_guard_does_not_pass_directions_it_cannot_scale():
-    # on a space with no dofs every direction has gradient norm 0; the
-    # guard once divided by it, warned and passed
+def test_guard_does_not_pass_directions_it_cannot_scale(monkeypatch):
+    # a direction whose gradient norm is 0 or NaN cannot be put on the
+    # sphere; the guard once divided by it, warned and passed
     op, _ = single_dof_op()
-    mesh = build_mesh(UNIT, 4)
-    mesh.boundary[:] = True
-    space = FeSpace(mesh)
-    assert space.dim == 0
-    assert brouwer_guard(op, space, 1.0) == galerkin.GuardRecord(
-        min_pairing=math.inf, passed=False)
+    space = FeSpace(build_mesh(UNIT, 4))
+    whole = brouwer_guard(op, space, 5.0)
+    assert whole.passed
+    norm = galerkin.grad_norm_lp
+
+    def unscalable(u, p):
+        scales = norm(u, p)
+        scales[:2] = [0.0, np.nan]
+        return scales
+
+    monkeypatch.setattr(galerkin, "grad_norm_lp", unscalable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        guard = brouwer_guard(op, space, 5.0)
+    # the other directions pair as before, and none of them fails
+    assert whole.min_pairing <= guard.min_pairing < math.inf
+    assert not guard.passed
 
 
 @pytest.mark.parametrize("domain,cells", [
     (UNIT, 4), (Domain.rectangle(0.0, 1.0, 0.0, 1.0), (4, 4))])
-def test_a_space_with_no_dofs_assembles_and_solves_empty(domain, cells):
-    # the plan's pattern lookup once returned a sparse array on no dofs,
-    # and every assembly and solve on the space raised a TypeError
+def test_a_mesh_with_no_interior_vertex_has_no_space(domain, cells):
+    # every space has a dof, so no assembly, solve or norm meets an empty
+    # array; a mesh with every vertex on its boundary is refused by name
     mesh = build_mesh(domain, cells)
     mesh.boundary[:] = True
-    space = FeSpace(mesh)
-    assert space.dim == 0
-    plan = space.plan
-    assert plan.indices.size == 0 and np.array_equal(plan.indptr, [0])
-    # every block position is dropped into the bin past the empty pattern
-    assert not np.any(plan.entry)
-    nv = space.cell_dofs.shape[1]
-    A = assemble_matrix(space, np.ones(space.cell_dofs.shape + (nv,)))
-    assert A.shape == (0, 0)
-    x, solve = fespace.sparse_solve(space, A, np.zeros(0))
-    assert x.shape == (0,) and solve(x).shape == (0,)
+    with pytest.raises(MeshError, match=re.escape(f"{mesh} has no interior")):
+        FeSpace(mesh)
 
 
 def test_guard_draws_its_chunks_with_the_bits_of_one_draw(monkeypatch):
